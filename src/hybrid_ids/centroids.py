@@ -112,28 +112,15 @@ def _distances(model: CentroidModel, X: np.ndarray) -> np.ndarray:
 
 
 def assign_batch(model: CentroidModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (entry index, Euclidean distance) of the nearest centroid."""
+    """Per-row (entry index, Euclidean distance) of the nearest centroid of
+    standardized vectors. Exact distance ties pick the lexicographically
+    smallest fine label."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model._matrix.shape[1]:
         raise ValueError(f"expected (n, {model._matrix.shape[1]}) inputs")
     d2 = _distances(model, X)
     nearest = np.argmin(d2, axis=1)
     return nearest, np.sqrt(d2[np.arange(len(X)), nearest])
-
-
-def assign(model: CentroidModel, x: np.ndarray) -> tuple[str, CoarseLabel, float]:
-    """Nearest signature for one standardized vector: (fine label, coarse
-    class, distance). Exact distance ties pick the lexicographically
-    smallest fine label."""
-    x = np.asarray(x, dtype=np.float64)
-    idx, dist = assign_batch(model, x[None, :])
-    entry = model.entries[int(idx[0])]
-    return entry.fine_label, entry.coarse_label, float(dist[0])
-
-
-def verify_alarm(model: CentroidModel, x: np.ndarray) -> CoarseLabel:
-    """Coarse class of the nearest signature; 'normal' clears the alarm."""
-    return assign(model, x)[1]
 
 
 @dataclass

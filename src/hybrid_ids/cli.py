@@ -18,6 +18,9 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import centroids as misuse_mod
 from . import neural_net as nn_mod
@@ -30,6 +33,7 @@ from .dataset import (
     coarse_counts,
     deduplicate,
     encode,
+    encode_features,
     load_dataset,
     load_stats,
     load_taxonomy,
@@ -52,23 +56,28 @@ from .evaluation import (
     write_metrics_csv,
 )
 from .hybrid import (
+    FinalPrediction,
     HybridConfig,
-    batch_predict,
+    RoutingStats,
     load_hybrid,
     predict_dataset,
     save_hybrid,
     train_all,
 )
 from .neural_net import TrainConfig
-from .persist import atomic_write, version_line
+from .persist import atomic_open, atomic_write, version_line
 from .random_forest import ForestConfig
 
 DEFAULT_SEED = 1999
 TRAIN_FILE = "train.csv"
 TEST_FILE = "test.csv"
+# Records per predict_dataset call in ``predict``: every call walks every
+# tree node once, so small chunks repeat that walk, while large ones hold
+# more encoded records in memory.
+_PREDICT_CHUNK = 1024
 
 CONFIG_KEYS = {
-    "data", "out", "seed", "mode", "split.test_fraction",
+    "data", "out", "seed", "split.test_fraction",
     "sampling.normal", "sampling.dos", "sampling.probe", "sampling.r2l",
     "sampling.rtl", "sampling.u2r",
     "nn.hidden1", "nn.hidden2", "nn.learning_rate", "nn.epochs",
@@ -84,7 +93,6 @@ class RunConfig:
     data: str = ""
     out: str = "out"
     seed: int = DEFAULT_SEED
-    mode: str = "verify"
     test_fraction: float = 0.30
     sampling: dict[CoarseLabel, int] = dc_field(
         default_factory=lambda: dict(SamplingPlan.DEFAULT_TARGETS)
@@ -153,7 +161,6 @@ class RunConfig:
             rf=self.rf_config(),
             clusters_per_label=self.misuse_clusters,
             misuse_seed=self.misuse_seed,
-            mode=self.mode,
             prune_forest=self.rf_prune,
         )
 
@@ -204,10 +211,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             cfg.out = value
         elif key == "seed":
             cfg.seed = int(value)
-        elif key == "mode":
-            if value not in ("verify", "classify"):
-                raise ValueError(f"mode must be verify or classify, got '{value}'")
-            cfg.mode = value
         elif key == "split.test_fraction":
             cfg.test_fraction = float(value)
         elif key.startswith("sampling."):
@@ -326,7 +329,7 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
         taxonomy = _prepared_taxonomy(cfg, train_ds)
         model = train_all(train_ds, cfg.hybrid_config(), taxonomy)
         manifest = save_hybrid(cfg.out, model)
-        print(f"wrote {manifest} (mode={model.mode})")
+        print(f"wrote {manifest}")
         print(f"training time: {time.perf_counter() - started:.1f}s")
         return 0
 
@@ -423,17 +426,15 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
         model = load_hybrid(cfg.out_path("hybrid.manifest"))
         preds, routing = predict_dataset(model, test_ds)
         matrix = confusion([p.coarse for p in preds], test_ds.coarse)
-        title = f"Hybrid pipeline (mode={model.mode})"
+        title = "Hybrid pipeline"
         routing_text = "\n".join(
             [
                 version_line("routing"),
                 f"seed={cfg.seed}",
-                f"mode={model.mode}",
                 f"total={routing.total}",
                 f"routed={routing.routed}",
                 f"trimmed={routing.trimmed}",
                 f"confirmed={routing.confirmed}",
-                f"errors={routing.errors}",
             ]
         )
         atomic_write(cfg.out_path("routing_hybrid.txt"), routing_text + "\n")
@@ -449,35 +450,51 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
     return 0
 
 
+def _encoded_chunks(lines: Iterable[str], rejects: list[str]) -> Iterator[np.ndarray]:
+    """Feature blocks of at most ``_PREDICT_CHUNK`` well-formed KDD lines,
+    labeled or not, each encoded as soon as it parses. The messages of
+    malformed lines go to ``rejects``."""
+    chunk: list[np.ndarray] = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        n_fields = len(line.strip().split(","))
+        try:
+            chunk.append(encode_features(parse_kdd_line(line, line_no, labeled=n_fields != 41)))
+        except ParseError as exc:
+            rejects.append(str(exc))
+            continue
+        if len(chunk) == _PREDICT_CHUNK:
+            yield np.array(chunk)
+            chunk = []
+    if chunk:
+        yield np.array(chunk)
+
+
+def _verdict_row(pred: FinalPrediction) -> str:
+    fine = pred.fine if pred.fine is not None else "-"
+    misuse_vote = str(pred.misuse_vote) if pred.misuse_vote is not None else "-"
+    return (
+        f"{pred.coarse},{fine},{str(pred.routed).lower()},"
+        f"{pred.nn_vote},{pred.rf_vote},{misuse_vote}"
+    )
+
+
 def cmd_predict(cfg: RunConfig, input_path: str) -> int:
     model = load_hybrid(cfg.out_path("hybrid.manifest"))
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
-    out_lines = ["# " + version_line("predictions"),
-                 "coarse,fine,routed,nn_vote,rf_vote,misuse_vote"]
     reject_lines: list[str] = []
-    records = []
-    with open(input_path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            n_fields = len(line.strip().split(","))
-            try:
-                records.append(parse_kdd_line(line, line_no, labeled=n_fields != 41))
-            except ParseError as exc:
-                reject_lines.append(str(exc))
-    preds, stats = batch_predict(model, records)
-    for pred in preds:
-        if pred is None:
-            continue
-        fine = pred.fine if pred.fine is not None else "-"
-        misuse_vote = str(pred.misuse_vote) if pred.misuse_vote is not None else "-"
-        row = (
-            f"{pred.coarse},{fine},{str(pred.routed).lower()},"
-            f"{pred.nn_vote},{pred.rf_vote},{misuse_vote}"
-        )
-        out_lines.append(row)
-        print(row)
-    atomic_write(cfg.out_path("predictions.csv"), "\n".join(out_lines) + "\n")
+    stats = RoutingStats()
+    with open(input_path) as fh, atomic_open(cfg.out_path("predictions.csv")) as out:
+        out.write("# " + version_line("predictions") + "\n"
+                  "coarse,fine,routed,nn_vote,rf_vote,misuse_vote\n")
+        for X in _encoded_chunks(fh, reject_lines):
+            # predict_dataset reads only X; the label columns are placeholders.
+            preds, chunk_stats = predict_dataset(model, Dataset(X, [""] * len(X), [0] * len(X)))
+            rows = "".join(_verdict_row(pred) + "\n" for pred in preds)
+            out.write(rows)
+            print(rows, end="")
+            stats += chunk_stats
     rejects_path = cfg.out_path("predictions.rejects.txt")
     if reject_lines:
         atomic_write(rejects_path, "\n".join(reject_lines) + "\n")

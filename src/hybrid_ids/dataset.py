@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import gzip
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -168,7 +169,8 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
 
     A trailing '.' on the label is stripped. ``labeled=False`` accepts
     41-field lines (prediction inputs without ground truth); the record
-    then carries an empty fine label.
+    then carries an empty fine label. Numeric fields must be finite and
+    non-negative.
     """
     parts = line.strip().split(",")
     expected = N_RAW_FEATURES + 1 if labeled else N_RAW_FEATURES
@@ -192,6 +194,10 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
             raise ParseError(
                 f"unparseable numeric value '{parts[i]}'", line_no, KDD_COLUMNS[i]
             ) from None
+        if not math.isfinite(value):
+            raise ParseError(
+                f"non-finite value '{parts[i]}'", line_no, KDD_COLUMNS[i]
+            )
         if value < 0:
             raise ParseError(
                 f"negative value {parts[i]}", line_no, KDD_COLUMNS[i]

@@ -1,7 +1,7 @@
 """Sequential hybrid pipeline: both anomaly detectors run in parallel, the
-union of their alarms (plus any disagreement) routes to the misuse stage,
-and the misuse stage's nearest-signature verdict verifies each alarm and
-refines it into a fine attack class.
+union of their alarms routes to the misuse stage, and the misuse stage's
+nearest-signature verdict verifies each alarm and refines it into a fine
+attack class.
 
 A record is never emitted as an attack unless at least one anomaly model
 flagged it: the misuse stage can only confirm, refine, or trim alarms.
@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -23,10 +22,8 @@ from .centroids import CentroidModel
 from .dataset import (
     CoarseLabel,
     Dataset,
-    RawRecord,
     StandardizationStats,
     Taxonomy,
-    encode_features,
     load_stats,
     load_taxonomy,
     save_stats,
@@ -41,17 +38,11 @@ from .random_forest import ForestConfig, ForestModel
 
 log = logging.getLogger(__name__)
 
-MODES = ("verify", "classify")
 
-
-def route(nn_label: CoarseLabel, rf_label: CoarseLabel) -> bool:
-    """True when the record must go to the misuse stage: either detector
-    raised an alarm, or the two disagree."""
-    return (
-        nn_label != CoarseLabel.NORMAL
-        or rf_label != CoarseLabel.NORMAL
-        or nn_label != rf_label
-    )
+def route(nn_label, rf_label):
+    """True where the record must go to the misuse stage: either detector
+    raised an alarm. Takes two votes or two arrays of votes."""
+    return (nn_label != CoarseLabel.NORMAL) | (rf_label != CoarseLabel.NORMAL)
 
 
 @dataclass(frozen=True)
@@ -70,12 +61,18 @@ class RoutingStats:
     routed: int = 0
     trimmed: int = 0  # routed alarms resolved to normal by the misuse stage
     confirmed: int = 0  # routed alarms confirmed as attacks
-    errors: int = 0
+
+    def __iadd__(self, other: "RoutingStats") -> "RoutingStats":
+        self.total += other.total
+        self.routed += other.routed
+        self.trimmed += other.trimmed
+        self.confirmed += other.confirmed
+        return self
 
     def describe(self) -> str:
         return (
             f"records={self.total} routed={self.routed} trimmed={self.trimmed} "
-            f"confirmed={self.confirmed} errors={self.errors}"
+            f"confirmed={self.confirmed}"
         )
 
 
@@ -85,12 +82,7 @@ class HybridConfig:
     rf: ForestConfig = field(default_factory=ForestConfig)
     clusters_per_label: int = 1
     misuse_seed: int = 0
-    mode: str = "verify"
     prune_forest: bool = True
-
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
 
 
 @dataclass
@@ -100,11 +92,6 @@ class HybridModel:
     centroids: CentroidModel
     stats: StandardizationStats
     taxonomy: Taxonomy
-    mode: str = "verify"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
 
 
 def train_all(
@@ -116,7 +103,6 @@ def train_all(
     When no taxonomy is given, the fine-to-coarse mapping observed in the
     training data is recorded in the manifest.
     """
-    config.validate()
     stats = standardize_fit(train)
     std_train = standardize_dataset(stats, train)
 
@@ -137,61 +123,7 @@ def train_all(
 
     if taxonomy is None:
         taxonomy = Taxonomy({e.fine_label: e.coarse_label for e in cen.entries})
-    return HybridModel(
-        mlp=mlp, forest=forest, centroids=cen,
-        stats=stats, taxonomy=taxonomy, mode=config.mode,
-    )
-
-
-def _compose(
-    h: HybridModel,
-    nn_vote: CoarseLabel,
-    rf_vote: CoarseLabel,
-    x_std: np.ndarray,
-) -> FinalPrediction:
-    if not route(nn_vote, rf_vote):
-        return FinalPrediction(
-            coarse=CoarseLabel.NORMAL, fine=None, routed=False,
-            nn_vote=nn_vote, rf_vote=rf_vote, misuse_vote=None,
-        )
-    fine, coarse, _dist = misuse.assign(h.centroids, x_std)
-    return FinalPrediction(
-        coarse=coarse, fine=fine, routed=True,
-        nn_vote=nn_vote, rf_vote=rf_vote, misuse_vote=coarse,
-    )
-
-
-def predict(h: HybridModel, record: RawRecord) -> FinalPrediction:
-    """Full chain for one parsed record: encode, standardize, anomaly votes,
-    routing, misuse verdict."""
-    x = standardize_apply(h.stats, encode_features(record))
-    nn_vote = nn.predict(h.mlp, x)
-    rf_vote = rf.predict(h.forest, x)
-    return _compose(h, nn_vote, rf_vote, x)
-
-
-def batch_predict(
-    h: HybridModel, records: Iterable[RawRecord]
-) -> tuple[list[FinalPrediction | None], RoutingStats]:
-    """Per-record predictions plus routing statistics.
-
-    Per-record failures yield None in the output list and count as errors
-    instead of aborting the batch.
-    """
-    out: list[FinalPrediction | None] = []
-    stats = RoutingStats()
-    for record in records:
-        try:
-            pred = predict(h, record)
-        except Exception as exc:  # record-level fault, keep going
-            log.warning("prediction failed: %s", exc)
-            out.append(None)
-            stats.total += 1
-            stats.errors += 1
-            continue
-        out.append(pred)
-        _tally(stats, pred)
-    return out, stats
+    return HybridModel(mlp=mlp, forest=forest, centroids=cen, stats=stats, taxonomy=taxonomy)
 
 
 def _tally(stats: RoutingStats, pred: FinalPrediction) -> None:
@@ -205,33 +137,29 @@ def _tally(stats: RoutingStats, pred: FinalPrediction) -> None:
 
 
 def predict_dataset(h: HybridModel, ds: Dataset) -> tuple[list[FinalPrediction], RoutingStats]:
-    """Vectorized chain over an encoded (unstandardized) dataset."""
+    """Vectorized chain over an encoded (unstandardized) dataset: both
+    anomaly votes on every row, the misuse verdict on the routed rows.
+    Only ``ds.X`` is read."""
     X = standardize_apply(h.stats, ds.X)
     nn_votes = nn.predict_batch(h.mlp, X)
     rf_votes = rf.predict_batch(h.forest, X)
-    routed_mask = (nn_votes != int(CoarseLabel.NORMAL)) | (rf_votes != int(CoarseLabel.NORMAL))
+    routed_idx = np.flatnonzero(route(nn_votes, rf_votes))
+    entry_of_row = np.full(len(X), -1)
+    entry_of_row[routed_idx] = misuse.assign_batch(h.centroids, X[routed_idx])[0]
     preds: list[FinalPrediction] = []
     stats = RoutingStats()
-    routed_idx = np.flatnonzero(routed_mask)
-    fine_by_row: dict[int, tuple[str, CoarseLabel]] = {}
-    if len(routed_idx):
-        nearest, _ = misuse.assign_batch(h.centroids, X[routed_idx])
-        for row, entry_idx in zip(routed_idx, nearest):
-            e = h.centroids.entries[int(entry_idx)]
-            fine_by_row[int(row)] = (e.fine_label, e.coarse_label)
-    for i in range(len(ds)):
-        nn_vote = CoarseLabel(int(nn_votes[i]))
-        rf_vote = CoarseLabel(int(rf_votes[i]))
-        if i in fine_by_row:
-            fine, coarse = fine_by_row[i]
-            pred = FinalPrediction(
-                coarse=coarse, fine=fine, routed=True,
-                nn_vote=nn_vote, rf_vote=rf_vote, misuse_vote=coarse,
-            )
-        else:
+    for nn_vote, rf_vote, entry in zip(nn_votes.tolist(), rf_votes.tolist(), entry_of_row.tolist()):
+        nn_vote, rf_vote = CoarseLabel(nn_vote), CoarseLabel(rf_vote)
+        if entry < 0:
             pred = FinalPrediction(
                 coarse=CoarseLabel.NORMAL, fine=None, routed=False,
                 nn_vote=nn_vote, rf_vote=rf_vote, misuse_vote=None,
+            )
+        else:
+            e = h.centroids.entries[entry]
+            pred = FinalPrediction(
+                coarse=e.coarse_label, fine=e.fine_label, routed=True,
+                nn_vote=nn_vote, rf_vote=rf_vote, misuse_vote=e.coarse_label,
             )
         preds.append(pred)
         _tally(stats, pred)
@@ -259,7 +187,7 @@ def save_hybrid(directory: str | Path, h: HybridModel, manifest_name: str = "hyb
     nn.save_mlp(directory / MANIFEST_FILES["mlp"], h.mlp)
     rf.save_forest(directory / MANIFEST_FILES["forest"], h.forest)
     misuse.save_centroids(directory / MANIFEST_FILES["centroids"], h.centroids)
-    lines = [version_line("hybrid"), f"mode={h.mode}"]
+    lines = [version_line("hybrid")]
     lines += [f"{key}={name}" for key, name in MANIFEST_FILES.items()]
     manifest = directory / manifest_name
     atomic_write(manifest, "\n".join(lines) + "\n")
@@ -278,7 +206,6 @@ def load_hybrid(manifest_path: str | Path) -> HybridModel:
                 continue
             key, value = line.split("=", 1)
             entries[key] = value
-    mode = entries.pop("mode", "verify")
     missing = [k for k in MANIFEST_FILES if k not in entries]
     if missing:
         raise ValueError(f"manifest missing entries: {missing}")
@@ -309,7 +236,4 @@ def load_hybrid(manifest_path: str | Path) -> HybridModel:
                 f"centroid '{e.fine_label}' is tagged {e.coarse_label} but the "
                 f"taxonomy maps it to {taxonomy.coarse(e.fine_label)}"
             )
-    return HybridModel(
-        mlp=mlp, forest=forest, centroids=cen,
-        stats=stats, taxonomy=taxonomy, mode=mode,
-    )
+    return HybridModel(mlp=mlp, forest=forest, centroids=cen, stats=stats, taxonomy=taxonomy)

@@ -163,13 +163,8 @@ def train(ds: Dataset, config: TrainConfig) -> MLPModel:
     return model
 
 
-def predict(model: MLPModel, x: np.ndarray) -> CoarseLabel:
-    """Argmax class; exact ties resolve to the lowest class index."""
-    probs = forward(model, x)
-    return CoarseLabel(int(np.argmax(probs)))
-
-
 def predict_batch(model: MLPModel, X: np.ndarray) -> np.ndarray:
+    """Argmax class per row; exact ties resolve to the lowest class index."""
     probs = forward(model, np.asarray(X, dtype=np.float64))
     return np.argmax(probs, axis=1)
 

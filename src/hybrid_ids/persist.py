@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -28,13 +30,15 @@ def check_version(line: str, kind: str, version: int = 1) -> None:
         raise FormatError(f"expected format line '{expected}', got '{line.strip()}'")
 
 
-def atomic_write(path: str | Path, text: str) -> None:
-    """Write via temp file + rename so readers never see partial output."""
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Text handle on a temp file that replaces ``path`` when the block
+    exits without an exception, so readers never see partial output."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp defaults to 0600
@@ -43,6 +47,12 @@ def atomic_write(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path: str | Path, text: str) -> None:
+    """Write via temp file + rename so readers never see partial output."""
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def fmt_floats(values) -> str:

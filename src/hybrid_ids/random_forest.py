@@ -245,13 +245,6 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
     return np.argmax(tied_mass, axis=1)
 
 
-def predict(model: ForestModel, x: np.ndarray) -> CoarseLabel:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    return CoarseLabel(int(predict_batch(model, x)[0]))
-
-
 def feature_importance(model: ForestModel) -> np.ndarray:
     return model.feature_importances.copy()
 

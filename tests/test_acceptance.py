@@ -159,7 +159,7 @@ def test_criterion_4_misuse_accuracy(kdd_splits, kdd_centroids):
 def test_criterion_5_false_positive_trimming(kdd_splits, kdd_mlp, kdd_forest, kdd_centroids):
     model = HybridModel(
         mlp=kdd_mlp, forest=kdd_forest[0], centroids=kdd_centroids,
-        stats=kdd_splits["stats"], taxonomy=Taxonomy.default(), mode="verify",
+        stats=kdd_splits["stats"], taxonomy=Taxonomy.default(),
     )
     test = kdd_splits["test"]
     preds, _ = predict_dataset(model, test)
@@ -172,7 +172,7 @@ def test_criterion_5_false_positive_trimming(kdd_splits, kdd_mlp, kdd_forest, kd
     assert final_fp <= union_fp
     if trimmed > 0:
         assert final_fp < union_fp
-    _pass(5, f"verify-mode FPs {final_fp} <= union-of-alarms FPs {union_fp} "
+    _pass(5, f"hybrid FPs {final_fp} <= union-of-alarms FPs {union_fp} "
              f"({trimmed} alarms trimmed to normal)")
 
 

@@ -9,14 +9,12 @@ import numpy as np
 import pytest
 
 from hybrid_ids.centroids import (
-    assign,
     assign_batch,
     evaluate_misuse,
     fit,
     load_centroids,
     save_centroids,
     signature_collisions,
-    verify_alarm,
 )
 from hybrid_ids.dataset import CoarseLabel, Dataset, N_FEATURES, standardize_apply, standardize_dataset, standardize_fit
 
@@ -32,6 +30,12 @@ def vec(*head) -> np.ndarray:
     x = np.zeros(N_FEATURES)
     x[: len(head)] = head
     return x
+
+
+def nearest(model, *points: np.ndarray) -> list:
+    """Nearest entry of each point, through the batched lookup."""
+    idx, _ = assign_batch(model, np.stack(points))
+    return [model.entries[int(i)] for i in idx]
 
 
 def test_fit_single_point_centroid_is_the_point():
@@ -82,26 +86,26 @@ def test_fit_empty_dataset_errors():
 def test_assign_zero_distance_to_own_centroid():
     ds = tiny_dataset([("normal", 0, vec()), ("smurf", 1, vec(4.0, 4.0))])
     model = fit(ds)
-    fine, coarse, distance = assign(model, vec(4.0, 4.0))
-    assert fine == "smurf"
-    assert coarse == CoarseLabel.DOS
-    assert distance == 0.0
+    idx, distance = assign_batch(model, vec(4.0, 4.0)[None, :])
+    entry = model.entries[int(idx[0])]
+    assert entry.fine_label == "smurf"
+    assert entry.coarse_label == CoarseLabel.DOS
+    assert distance[0] == 0.0
 
 
 def test_assign_hand_distances():
     ds = tiny_dataset([("a_attack", 1, vec()), ("b_attack", 1, vec(10.0, 10.0)), ("normal", 0, vec(50.0))])
     model = fit(ds)
-    fine, _, distance = assign(model, vec(1.0, 1.0))
-    assert fine == "a_attack"
-    assert distance == pytest.approx(math.sqrt(2.0))
+    idx, distance = assign_batch(model, vec(1.0, 1.0)[None, :])
+    assert model.entries[int(idx[0])].fine_label == "a_attack"
+    assert distance[0] == pytest.approx(math.sqrt(2.0))
 
 
 def test_assign_tie_breaks_lexicographically():
     same = vec(2.0, 2.0)
     ds = tiny_dataset([("bbb", 1, same), ("aaa", 1, same), ("normal", 0, vec(9.0))])
     model = fit(ds)
-    fine, _, _ = assign(model, vec(2.0, 2.0))
-    assert fine == "aaa"
+    assert [e.fine_label for e in nearest(model, vec(2.0, 2.0))] == ["aaa"]
 
 
 def test_assign_matches_exhaustive_scan_on_1000_points():
@@ -155,8 +159,9 @@ def test_coarse_accuracy_at_least_fine_accuracy():
 def test_verify_alarm_normal_and_attack():
     ds = tiny_dataset([("normal", 0, vec()), ("neptune", 1, vec(6.0, 6.0))])
     model = fit(ds)
-    assert verify_alarm(model, vec()) == CoarseLabel.NORMAL
-    assert verify_alarm(model, vec(6.0, 6.0)) == CoarseLabel.DOS
+    # an alarm whose nearest signature is normal is cleared
+    verdicts = [e.coarse_label for e in nearest(model, vec(), vec(6.0, 6.0))]
+    assert verdicts == [CoarseLabel.NORMAL, CoarseLabel.DOS]
 
 
 def test_assign_scale_consistency():
@@ -164,10 +169,10 @@ def test_assign_scale_consistency():
     stats = standardize_fit(ds)
     std = standardize_dataset(stats, ds)
     model = fit(std)
-    raw_point = ds.X[13]
-    direct = assign(model, std.X[13])
-    via_stats = assign(model, standardize_apply(stats, raw_point))
-    assert direct == via_stats
+    direct_idx, direct_dist = assign_batch(model, std.X[13:14])
+    via_idx, via_dist = assign_batch(model, standardize_apply(stats, ds.X[13:14]))
+    assert np.array_equal(direct_idx, via_idx)
+    assert np.array_equal(direct_dist, via_dist)
 
 
 def test_no_shadowed_signatures_on_separated_data():
@@ -209,8 +214,7 @@ def test_sub_clustering_k2():
     means = sorted(float(e.centroid.mean()) for e in smurf_entries)
     assert means[0] == pytest.approx(-5.0, abs=0.3)
     assert means[1] == pytest.approx(5.0, abs=0.3)
-    fine, _, _ = assign(model, blob_a[0])
-    assert fine == "smurf"
+    assert [e.fine_label for e in nearest(model, blob_a[0])] == ["smurf"]
 
 
 def test_sub_clustering_deterministic():

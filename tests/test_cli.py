@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hybrid_ids import cli
 from hybrid_ids.cli import build_config, main, parse_config_file
-from hybrid_ids.dataset import load_dataset
+from hybrid_ids.dataset import Dataset, encode_features, load_dataset, parse_kdd_line
+from hybrid_ids.hybrid import load_hybrid, predict_dataset
 from hybrid_ids.random_forest import load_forest, predict_batch as rf_predict_batch
 
 from conftest import DEFAULT_SYNTH_COUNTS, make_kdd_lines
@@ -52,7 +54,6 @@ def workspace(tmp_path: Path):
                 f"data={data}",
                 f"out={out}",
                 "seed=1999",
-                "mode=verify",
                 "split.test_fraction=0.30",
                 f"sampling.normal={targets['normal']}",
                 f"sampling.dos={targets['dos']}",
@@ -200,7 +201,7 @@ def test_train_hybrid_writes_loadable_bundle(workspace):
     from hybrid_ids.hybrid import load_hybrid
 
     model = load_hybrid(out / "hybrid.manifest")
-    assert model.mode == "verify"
+    assert model.stats.fingerprint == model.mlp.stats_fingerprint
 
 
 def test_train_determinism_byte_identical_models(workspace):
@@ -222,7 +223,7 @@ def test_evaluate_hybrid_routing_partition(workspace, capsys):
     values = {
         line.split("=")[0]: int(line.split("=")[1])
         for line in routing.splitlines()
-        if line.split("=")[0] in ("total", "routed", "trimmed", "confirmed", "errors")
+        if line.split("=")[0] in ("total", "routed", "trimmed", "confirmed")
     }
     assert values["routed"] == values["trimmed"] + values["confirmed"]
     for name in ("confusion_hybrid.csv", "metrics_hybrid.csv", "report_hybrid.txt"):
@@ -291,6 +292,51 @@ def test_predict_stream(workspace, tmp_path, capsys):
     assert len(predictions) == 2 + 2  # version line + header + 2 rows
 
 
+def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monkeypatch):
+    _prepared(workspace)
+    assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
+    by_label: dict[str, list[str]] = {}
+    for line in workspace["lines"]:
+        by_label.setdefault(line.rsplit(",", 1)[1], []).append(line)
+    good = [lines[k] for lines in by_label.values() for k in (0, 1)][:10]
+    good = [l if i % 2 else l.rsplit(",", 1)[0] for i, l in enumerate(good)]  # some unlabeled
+    nan_line = good[0].split(",")
+    nan_line[4] = "nan"
+    stream = good[:2] + ["bad,line"] + good[2:5] + [""] + good[5:8] + [",".join(nan_line)] + good[8:]
+    inputs = tmp_path / "stream.txt"
+    inputs.write_text("\n".join(stream) + "\n")
+
+    chunk_sizes = []
+
+    def spy(model, ds):
+        chunk_sizes.append(len(ds))
+        return predict_dataset(model, ds)
+
+    monkeypatch.setattr(cli, "_PREDICT_CHUNK", 3)
+    monkeypatch.setattr(cli, "predict_dataset", spy)
+    capsys.readouterr()
+    assert main(["predict", "--config", str(workspace["config"]), "--input", str(inputs)]) == 0
+    assert chunk_sizes == [3, 3, 3, 1]
+
+    X = np.array([encode_features(parse_kdd_line(l, labeled=l.count(",") == 41)) for l in good])
+    preds, stats = predict_dataset(load_hybrid(workspace["out"] / "hybrid.manifest"),
+                                   Dataset(X, [""] * len(X), [0] * len(X)))
+    expected = [
+        f"{p.coarse},{'-' if p.fine is None else p.fine},{str(p.routed).lower()},"
+        f"{p.nn_vote},{p.rf_vote},{'-' if p.misuse_vote is None else p.misuse_vote}"
+        for p in preds
+    ]
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == expected
+    csv_lines = (workspace["out"] / "predictions.csv").read_text().splitlines()
+    assert csv_lines[:2] == ["# hybrid-ids predictions v1", "coarse,fine,routed,nn_vote,rf_vote,misuse_vote"]
+    assert csv_lines[2:] == expected
+    assert 0 < stats.routed < stats.total
+    assert stats.describe() in captured.err
+    rejects = (workspace["out"] / "predictions.rejects.txt").read_text().splitlines()
+    assert [r.split(":")[0] for r in rejects] == ["line 3", "line 11, column 'src_bytes'"]
+
+
 def test_report_renders_saved_tables(workspace, capsys):
     _prepared(workspace)
     assert main(["train", "misuse", "--config", str(workspace["config"])]) == 0
@@ -334,6 +380,6 @@ def test_predict_empty_input(workspace, tmp_path, capsys):
                "--input", str(empty)])
     assert rc == 0
     err = capsys.readouterr().err
-    assert "records=0 routed=0 trimmed=0 confirmed=0 errors=0" in err
+    assert "records=0 routed=0 trimmed=0 confirmed=0" in err
     rows = (workspace["out"] / "predictions.csv").read_text().splitlines()
     assert len(rows) == 2  # version line + header only

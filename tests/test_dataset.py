@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybrid_ids.dataset import (
     ENCODED_COLUMNS,
@@ -102,6 +103,66 @@ def test_parse_negative_numeric_rejected():
     parts[5] = "-4"
     with pytest.raises(ParseError, match="negative"):
         parse_kdd_line(",".join(parts))
+
+
+NUMERIC_COLUMNS = [i for i, name in enumerate(KDD_COLUMNS)
+                   if name not in ("protocol_type", "service", "flag")]
+NON_FINITE = ("nan", "NaN", "-nan", "inf", "-inf", "+INF", "Infinity", "1e400", "-1e400")
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_parse_non_finite_rejected(text):
+    parts = SAMPLE_LINE.split(",")
+    parts[22] = text
+    with pytest.raises(ParseError, match="non-finite") as info:
+        parse_kdd_line(",".join(parts), line_no=5)
+    assert info.value.column == "count" and info.value.line_no == 5
+
+
+finite_text = st.one_of(
+    st.integers(min_value=0, max_value=10**30).map(str),
+    st.floats(min_value=0.0, max_value=1e300).map(repr),
+    st.sampled_from(["0.00", "1.00", "0.11", "1e3", "5E-2", "+7", "1e308"]),
+)
+non_finite_text = st.one_of(
+    st.sampled_from(NON_FINITE),
+    st.integers(min_value=309, max_value=10**4).map(lambda e: f"1e{e}"),
+)
+any_text = st.one_of(
+    finite_text, non_finite_text, st.floats().map(repr),
+    st.text(alphabet="0123456789.eE+-naifINF", max_size=8),
+)
+
+
+def _line_with(values: list[str]) -> str:
+    parts = SAMPLE_LINE.split(",")
+    for i, value in zip(NUMERIC_COLUMNS, values):
+        parts[i] = value
+    return ",".join(parts)
+
+
+@settings(deadline=None)
+@given(st.lists(finite_text, min_size=38, max_size=38),
+       st.sampled_from(NUMERIC_COLUMNS), non_finite_text)
+def test_parse_non_finite_field_always_rejected(values, column, bad):
+    parts = _line_with(values).split(",")
+    parts[column] = bad
+    with pytest.raises(ParseError) as info:
+        parse_kdd_line(",".join(parts))
+    assert info.value.column == KDD_COLUMNS[column]
+
+
+@settings(deadline=None)
+@given(st.lists(finite_text, min_size=38, max_size=38),
+       st.dictionaries(st.integers(min_value=0, max_value=37), any_text, max_size=3))
+def test_parse_accepted_lines_encode_to_finite_vectors(values, replaced):
+    for k, text in replaced.items():
+        values[k] = text
+    try:
+        record = parse_kdd_line(_line_with(values))
+    except ParseError:
+        return
+    assert np.isfinite(encode_features(record)).all()
 
 
 def test_parse_unlabeled_line():

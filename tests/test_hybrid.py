@@ -12,6 +12,7 @@ from hybrid_ids import random_forest as rf
 from hybrid_ids.centroids import CentroidEntry, CentroidModel
 from hybrid_ids.dataset import (
     CoarseLabel,
+    Dataset,
     N_FEATURES,
     StandardizationStats,
     Taxonomy,
@@ -24,9 +25,7 @@ from hybrid_ids.dataset import (
 from hybrid_ids.hybrid import (
     HybridConfig,
     HybridModel,
-    batch_predict,
     load_hybrid,
-    predict,
     predict_dataset,
     route,
     save_hybrid,
@@ -46,6 +45,10 @@ def test_route_truth_table():
     assert route(NORMAL, DOS) is True
     assert route(DOS, DOS) is True
     assert route(DOS, PROBE) is True
+    # the batched path routes whole vote arrays with the same rule
+    nn_votes = np.array([NORMAL, DOS, NORMAL, DOS, DOS])
+    rf_votes = np.array([NORMAL, NORMAL, DOS, DOS, PROBE])
+    assert route(nn_votes, rf_votes).tolist() == [False, True, True, True, True]
 
 
 def test_route_symmetric():
@@ -77,7 +80,7 @@ def _forced_forest(cls: CoarseLabel) -> rf.ForestModel:
     )
 
 
-def _stub_hybrid(nn_vote, rf_vote, normal_at, attack_at, mode="verify") -> HybridModel:
+def _stub_hybrid(nn_vote, rf_vote, normal_at, attack_at) -> HybridModel:
     entries = [
         CentroidEntry("neptune", DOS, attack_at, 1),
         CentroidEntry("normal", NORMAL, normal_at, 1),
@@ -89,7 +92,6 @@ def _stub_hybrid(nn_vote, rf_vote, normal_at, attack_at, mode="verify") -> Hybri
         centroids=CentroidModel(entries),
         stats=StandardizationStats(np.zeros(N_FEATURES), np.ones(N_FEATURES)),
         taxonomy=Taxonomy.default(),
-        mode=mode,
     )
 
 
@@ -97,11 +99,18 @@ def _normal_record():
     return parse_kdd_line(make_kdd_line("normal", np.random.default_rng(0)))
 
 
+def _predict_one(h: HybridModel, x: np.ndarray):
+    """The batched chain on a one-row dataset."""
+    preds, stats = predict_dataset(h, Dataset(x[None, :], ["normal"], [int(NORMAL)]))
+    assert len(preds) == 1 and stats.total == 1
+    return preds[0]
+
+
 def test_predict_not_routed_when_both_normal():
     record = _normal_record()
     x = encode_features(record)
     h = _stub_hybrid(NORMAL, NORMAL, normal_at=x, attack_at=x + 100.0)
-    pred = predict(h, record)
+    pred = _predict_one(h, x)
     assert pred.routed is False
     assert pred.coarse == NORMAL
     assert pred.fine is None
@@ -113,7 +122,7 @@ def test_predict_consistent_attack_chain():
     record = _normal_record()
     x = encode_features(record)
     h = _stub_hybrid(DOS, DOS, normal_at=x + 100.0, attack_at=x)
-    pred = predict(h, record)
+    pred = _predict_one(h, x)
     assert pred.routed is True
     assert pred.coarse == DOS
     assert pred.fine == "neptune"
@@ -123,8 +132,8 @@ def test_predict_consistent_attack_chain():
 def test_predict_verify_mode_trims_false_positive():
     record = _normal_record()
     x = encode_features(record)
-    h = _stub_hybrid(PROBE, NORMAL, normal_at=x, attack_at=x + 100.0, mode="verify")
-    pred = predict(h, record)
+    h = _stub_hybrid(PROBE, NORMAL, normal_at=x, attack_at=x + 100.0)
+    pred = _predict_one(h, x)
     assert pred.routed is True
     assert pred.coarse == NORMAL  # alarm trimmed by the misuse stage
     assert pred.fine == "normal"
@@ -136,7 +145,7 @@ def test_predict_disagreeing_attacks_arbitrated_by_misuse():
     record = _normal_record()
     x = encode_features(record)
     h = _stub_hybrid(DOS, PROBE, normal_at=x + 100.0, attack_at=x)
-    pred = predict(h, record)
+    pred = _predict_one(h, x)
     assert pred.routed is True
     assert pred.coarse == DOS
     assert pred.fine == "neptune"
@@ -147,7 +156,7 @@ def test_fine_present_iff_routed():
     x = encode_features(record)
     for votes in [(NORMAL, NORMAL), (DOS, NORMAL), (DOS, DOS)]:
         h = _stub_hybrid(*votes, normal_at=x, attack_at=x + 100.0)
-        pred = predict(h, record)
+        pred = _predict_one(h, x)
         assert (pred.fine is not None) == pred.routed
         assert (pred.misuse_vote is not None) == pred.routed
 
@@ -155,24 +164,10 @@ def test_fine_present_iff_routed():
 def test_batch_predict_empty():
     h = _stub_hybrid(NORMAL, NORMAL,
                      normal_at=np.zeros(N_FEATURES), attack_at=np.ones(N_FEATURES))
-    preds, stats = batch_predict(h, [])
+    preds, stats = predict_dataset(h, Dataset(np.empty((0, N_FEATURES)), [], []))
     assert preds == []
     assert stats.total == 0 and stats.routed == 0
-    assert stats.trimmed == 0 and stats.confirmed == 0 and stats.errors == 0
-
-
-def test_batch_predict_collects_record_errors():
-    from hybrid_ids.dataset import RawRecord
-
-    good = _normal_record()
-    bad = RawRecord(fields=("oops",) * 41, fine_label="normal")
-    x = encode_features(good)
-    h = _stub_hybrid(NORMAL, NORMAL, normal_at=x, attack_at=x + 100.0)
-    preds, stats = batch_predict(h, [good, bad, good])
-    assert stats.total == 3
-    assert stats.errors == 1
-    assert preds[1] is None
-    assert preds[0] is not None and preds[2] is not None
+    assert stats.trimmed == 0 and stats.confirmed == 0
 
 
 def test_batch_predict_stats_partition():
@@ -184,14 +179,13 @@ def test_batch_predict_stats_partition():
     assert 0 < stats.routed < stats.total  # attacks and normals both present
 
 
-def _fast_config(mode="verify") -> HybridConfig:
+def _fast_config() -> HybridConfig:
     return HybridConfig(
         nn=TrainConfig(hidden_dims=(16, 8), epochs=60, seed=2, learning_rate=0.05,
                        batch_size=16),
         rf=ForestConfig(n_trees=5, seed=3),
         clusters_per_label=1,
         misuse_seed=4,
-        mode=mode,
     )
 
 
@@ -263,37 +257,21 @@ def test_verify_mode_false_positives_bounded_by_union():
         assert final_fp < union_fp
 
 
-def test_predict_scalar_and_dataset_paths_agree():
-    ds = separable_dataset(n_per_label=8, seed=6)
-    h = train_all(ds, _fast_config())
-    sample = separable_dataset(n_per_label=3, seed=66)
-    vec_preds, _ = predict_dataset(h, sample)
-    for i in range(len(sample)):
-        x_std = (sample.X[i] - h.stats.mean) / h.stats.divisor
-        nn_vote = nn.predict(h.mlp, x_std)
-        rf_vote = rf.predict(h.forest, x_std)
-        assert vec_preds[i].nn_vote == nn_vote
-        assert vec_preds[i].rf_vote == rf_vote
-        assert vec_preds[i].routed == route(nn_vote, rf_vote)
-        if vec_preds[i].routed:
-            fine, coarse, _ = misuse.assign(h.centroids, x_std)
-            assert vec_preds[i].fine == fine
-            assert vec_preds[i].coarse == coarse
-        else:
-            assert vec_preds[i].coarse == NORMAL and vec_preds[i].fine is None
-
-
 def test_hybrid_manifest_round_trip(tmp_path):
     ds = separable_dataset(n_per_label=8, seed=7)
-    h = train_all(ds, _fast_config(mode="classify"))
+    h = train_all(ds, _fast_config())
     manifest = save_hybrid(tmp_path, h)
-    assert manifest.read_text().startswith("hybrid-ids hybrid v1")
-    loaded = load_hybrid(manifest)
-    assert loaded.mode == "classify"
+    text = manifest.read_text()
+    assert text.startswith("hybrid-ids hybrid v1")
     sample = separable_dataset(n_per_label=4, seed=77)
     a, _ = predict_dataset(h, sample)
-    b, _ = predict_dataset(loaded, sample)
+    b, _ = predict_dataset(load_hybrid(manifest), sample)
     assert a == b
+    # manifests written while a mode= line existed still load
+    first, rest = text.split("\n", 1)
+    manifest.write_text(f"{first}\nmode=classify\n{rest}")
+    c, _ = predict_dataset(load_hybrid(manifest), sample)
+    assert c == a
 
 
 def test_hybrid_manifest_detects_stats_mismatch(tmp_path):
@@ -330,7 +308,3 @@ def test_hybrid_manifest_detects_taxonomy_conflict(tmp_path):
     with pytest.raises(ValueError, match="taxonomy maps it"):
         load_hybrid(manifest)
 
-
-def test_invalid_mode_rejected():
-    with pytest.raises(ValueError, match="mode"):
-        HybridConfig(mode="audit").validate()

@@ -17,7 +17,6 @@ from hybrid_ids.neural_net import (
     init_model,
     load_mlp,
     loss_and_gradient,
-    predict,
     predict_batch,
     save_mlp,
     train,
@@ -209,10 +208,10 @@ def test_train_aborts_on_divergence():
 def test_predict_argmax_and_ties():
     probs = [0.1, 0.7, 0.1, 0.05, 0.05]
     model = bias_only_model(np.log(probs))
-    assert predict(model, np.zeros(N_FEATURES)) == CoarseLabel.DOS
+    assert predict_batch(model, np.zeros((1, N_FEATURES))).tolist() == [CoarseLabel.DOS]
     tie = bias_only_model([3.0, 3.0, 0.0, 0.0, 0.0])
-    assert predict(tie, np.zeros(N_FEATURES)) == CoarseLabel.NORMAL
-    assert predict(zero_model(), np.ones(N_FEATURES)) == CoarseLabel.NORMAL
+    assert predict_batch(tie, np.zeros((1, N_FEATURES))).tolist() == [CoarseLabel.NORMAL]
+    assert predict_batch(zero_model(), np.ones((1, N_FEATURES))).tolist() == [CoarseLabel.NORMAL]
 
 
 def test_predict_invariant_under_logit_shift():

@@ -15,7 +15,6 @@ from hybrid_ids.random_forest import (
     feature_importance,
     gini,
     load_forest,
-    predict,
     predict_batch,
     prune_and_retrain,
     save_forest,
@@ -153,18 +152,18 @@ def test_single_tree_forest_equals_tree():
 def test_vote_mode_hand_cases():
     x = np.zeros((1, N_FEATURES))
     three = forest_of([leaf([0, 5, 0, 0, 0]), leaf([0, 5, 0, 0, 0]), leaf([5, 0, 0, 0, 0])])
-    assert predict(three, x[0]) == CoarseLabel.DOS
+    assert predict_batch(three, x).tolist() == [CoarseLabel.DOS]
     # 1-1 vote with equal mass: lower class index wins
     equal = forest_of([leaf([5, 0, 0, 0, 0]), leaf([0, 5, 0, 0, 0])])
-    assert predict(equal, x[0]) == CoarseLabel.NORMAL
+    assert predict_batch(equal, x).tolist() == [CoarseLabel.NORMAL]
     # 1-1 vote, heavier summed mass on dos: dos wins
     heavy = forest_of([leaf([5, 2, 0, 0, 0]), leaf([0, 9, 0, 0, 0])])
-    assert predict(heavy, x[0]) == CoarseLabel.DOS
+    assert predict_batch(heavy, x).tolist() == [CoarseLabel.DOS]
 
 
 def test_leaf_tie_goes_to_lower_class_index():
     model = forest_of([leaf([3, 3, 0, 0, 0])])
-    assert predict(model, np.zeros(N_FEATURES)) == CoarseLabel.NORMAL
+    assert predict_batch(model, np.zeros((1, N_FEATURES))).tolist() == [CoarseLabel.NORMAL]
 
 
 def test_forest_vote_matches_exhaustive_oracle():
