@@ -31,4 +31,13 @@ class UnmappedLabelError(ValueError):
 
 
 class FormatError(ValueError):
-    """A persistence file has a bad or mismatched format version."""
+    """A persistence file is malformed, truncated, or has a mismatched
+    format version. Names the file and the 1-based line when known."""
+
+    def __init__(self, message: str, path=None, line_no: int | None = None):
+        self.path = path
+        self.line_no = line_no
+        if path is not None:
+            where = str(path) if line_no is None else f"{path}, line {line_no}"
+            message = f"{where}: {message}"
+        super().__init__(message)

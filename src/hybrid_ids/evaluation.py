@@ -39,6 +39,16 @@ def _as_name(label) -> str:
     return str(label)
 
 
+def _coarse_codes(labels: Sequence) -> np.ndarray | None:
+    """``labels`` as an int64 array when every one is a CoarseLabel or an
+    int, else None (fine-label strings)."""
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+        return labels.astype(np.int64, copy=False)
+    if all(isinstance(v, (CoarseLabel, int, np.integer)) for v in labels):
+        return np.array(labels, dtype=np.int64)
+    return None
+
+
 def confusion(
     preds: Sequence, truths: Sequence, classes: Sequence[str] | None = None
 ) -> ConfusionMatrix:
@@ -50,15 +60,20 @@ def confusion(
     """
     if len(preds) != len(truths):
         raise ValueError(f"length mismatch: {len(preds)} predictions, {len(truths)} truths")
+    if classes is None or tuple(classes) == COARSE_NAMES:
+        pred_codes, truth_codes = _coarse_codes(preds), _coarse_codes(truths)
+        if pred_codes is not None and truth_codes is not None:
+            k = len(COARSE_NAMES)
+            for kind, codes in (("truth", truth_codes), ("predicted", pred_codes)):
+                bad = (codes < 0) | (codes >= k)
+                if bad.any():
+                    raise ValueError(f"unknown {kind} label '{codes[bad][0]}'")
+            counts = np.bincount(truth_codes * k + pred_codes, minlength=k * k)
+            return ConfusionMatrix(classes=COARSE_NAMES, counts=counts.reshape(k, k))
     pred_names = [_as_name(p) for p in preds]
     truth_names = [_as_name(t) for t in truths]
     if classes is None:
-        if all(isinstance(p, (CoarseLabel, int, np.integer)) for p in preds) and all(
-            isinstance(t, (CoarseLabel, int, np.integer)) for t in truths
-        ):
-            classes = COARSE_NAMES
-        else:
-            classes = tuple(sorted(set(pred_names) | set(truth_names)))
+        classes = tuple(sorted(set(pred_names) | set(truth_names)))
     classes = tuple(classes)
     index = {name: i for i, name in enumerate(classes)}
     counts = np.zeros((len(classes), len(classes)), dtype=np.int64)

@@ -30,6 +30,56 @@ def check_version(line: str, kind: str, version: int = 1) -> None:
         raise FormatError(f"expected format line '{expected}', got '{line.strip()}'")
 
 
+class LineReader:
+    """The lines of a text artifact, read in order; every error it makes
+    names the file and the 1-based number of the last line read."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self.line_no = 0
+        try:
+            with open(path) as fh:
+                self.lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not a text file ({exc})", path) from None
+
+    def error(self, message: str) -> FormatError:
+        return FormatError(message, self.path, self.line_no)
+
+    def next(self, expected: str) -> str:
+        self.line_no += 1
+        if self.line_no > len(self.lines):
+            raise self.error(f"unexpected end of file, expected {expected}")
+        return self.lines[self.line_no - 1]
+
+    def version(self, kind: str) -> None:
+        try:
+            check_version(self.next("the format line"), kind)
+        except FormatError as exc:
+            raise self.error(str(exc)) from None
+
+    def value(self, key: str) -> str:
+        """The text after ``<key>=`` on the next line."""
+        line = self.next(f"'{key}='").strip()
+        name, sep, value = line.partition("=")
+        if not sep or name != key:
+            raise self.error(f"expected '{key}=', got '{line}'")
+        return value
+
+    def number(self, text: str, kind: type, what: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise self.error(f"{what} '{text}' is not a valid {kind.__name__}") from None
+
+    def end(self) -> None:
+        """Fail when anything but blank lines follows the last read line."""
+        for line in self.lines[self.line_no:]:
+            self.line_no += 1
+            if line.strip():
+                raise self.error(f"unexpected content after the end: '{line}'")
+
+
 @contextmanager
 def atomic_open(path: str | Path) -> Iterator[TextIO]:
     """Text handle on a temp file that replaces ``path`` when the block

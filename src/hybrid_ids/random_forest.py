@@ -9,6 +9,7 @@ Routing rule everywhere: ``x[feature] <= threshold`` goes left.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,12 +17,14 @@ import numpy as np
 
 from .dataset import CoarseLabel, Dataset, N_FEATURES
 from .evaluation import confusion, overall_accuracy
-from .persist import atomic_write, check_version, fmt_floats, version_line
+from .errors import FormatError
+from .persist import LineReader, atomic_write, fmt_floats, version_line
 
 log = logging.getLogger(__name__)
 
 N_CLASSES = len(CoarseLabel)
 _MIN_GAIN = 1e-12
+_DENSE_BINS_PER_KEY = 8  # bincount when its table is at most this many bins per key
 
 
 @dataclass(frozen=True)
@@ -72,44 +75,76 @@ def gini(counts) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _find_split(X, y_onehot, idx, features, parent_counts):
+def rank_columns(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per column, its sorted distinct values and every row's int32 rank
+    among them (``values[f][ranks[r, f]] == X[r, f]``)."""
+    X = np.asarray(X, dtype=np.float64)
+    ranks = np.empty(X.shape, dtype=np.int32)
+    values = []
+    for f in range(X.shape[1]):
+        uniq, ranks[:, f] = np.unique(X[:, f], return_inverse=True)
+        values.append(uniq)
+    return ranks, values
+
+
+def _find_split(ranks, values, y, idx, features, parent_counts):
     """Best (feature, threshold) minimizing weighted child Gini.
 
-    Thresholds sit at midpoints of adjacent distinct sorted values. Ties
-    break to the lower feature index (features scanned ascending), then the
-    lower threshold (first argmin). Returns None when no split reduces
-    impurity.
+    The class counts of every distinct value of every candidate feature at
+    the node come from one count of (value rank + feature offset, label)
+    keys: a bincount while its table is small next to the keys, a sort
+    otherwise. Costs are evaluated only between adjacent present values,
+    and thresholds sit at their midpoints. Ties break to the lower feature
+    index, then the lower threshold (first argmin over features ascending,
+    ranks ascending). Returns None when no split reduces impurity.
     """
     n = len(idx)
     total = parent_counts.sum()
     parent_gini = 1.0 - ((parent_counts / total) ** 2).sum()
-    onehot = y_onehot[idx]
-    best_cost = np.inf
-    best: tuple[int, float] | None = None
-    for f in features:
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        if sv[0] == sv[-1]:
-            continue
-        cum = np.cumsum(onehot[order][:-1], axis=0).astype(np.float64)
-        boundary = sv[1:] != sv[:-1]
-        left_n = np.arange(1, n, dtype=np.float64)
-        right_n = n - left_n
-        right = parent_counts.astype(np.float64) - cum
-        gini_l = 1.0 - ((cum / left_n[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((right / right_n[:, None]) ** 2).sum(axis=1)
-        cost = np.where(boundary, (left_n * gini_l + right_n * gini_r) / n, np.inf)
-        i = int(np.argmin(cost))
-        if cost[i] < best_cost:
-            thr = (sv[i] + sv[i + 1]) / 2.0
-            if thr >= sv[i + 1]:  # midpoint rounded up between adjacent floats
-                thr = float(sv[i])
-            best_cost = float(cost[i])
-            best = (int(f), float(thr))
-    if best is None or parent_gini - best_cost <= _MIN_GAIN:
+    sizes = np.array([len(values[f]) for f in features])
+    offsets = np.cumsum(sizes) - sizes
+    keys = (ranks[idx[:, None], features] + offsets) * N_CLASSES + y[idx, None]
+    keys = keys.ravel()
+    n_bins = int(sizes.sum()) * N_CLASSES
+    if n_bins <= _DENSE_BINS_PER_KEY * len(keys):
+        counts = np.bincount(keys, minlength=n_bins)
+        nonzero = np.flatnonzero(counts)
+        counts = counts[nonzero]
+    else:  # many distinct values, few rows: sort the keys instead
+        nonzero, counts = np.unique(keys, return_counts=True)
+    value_bin, label = np.divmod(nonzero, N_CLASSES)
+    first = np.concatenate(([True], value_bin[1:] != value_bin[:-1]))
+    row = np.cumsum(first) - 1
+    present = value_bin[first]
+    hist = np.zeros((len(present), N_CLASSES), dtype=np.int64)
+    hist[row, label] = counts
+    seg = np.searchsorted(offsets, present, side="right") - 1
+    # every feature's bins hold all n rows, so the running count entering
+    # segment j is j * parent_counts
+    cum = np.cumsum(hist, axis=0) - seg[:, None] * parent_counts
+    boundary = np.flatnonzero(seg[1:] == seg[:-1])
+    if len(boundary) == 0:
         return None
-    return best[0], best[1], parent_gini, best_cost
+    left = cum[boundary].astype(np.float64)
+    left_n = left.sum(axis=1)
+    right_n = n - left_n
+    right = parent_counts.astype(np.float64) - left
+    gini_l = 1.0 - ((left / left_n[:, None]) ** 2).sum(axis=1)
+    gini_r = 1.0 - ((right / right_n[:, None]) ** 2).sum(axis=1)
+    cost = (left_n * gini_l + right_n * gini_r) / n
+    i = int(np.argmin(cost))
+    best_cost = float(cost[i])
+    if parent_gini - best_cost <= _MIN_GAIN:
+        return None
+    b = boundary[i]
+    j = seg[b]
+    f = int(features[j])
+    lo = values[f][present[b] - offsets[j]]
+    hi = values[f][present[b + 1] - offsets[j]]
+    thr = (lo + hi) / 2.0
+    if thr >= hi:  # midpoint rounded up between adjacent floats
+        thr = lo
+    return f, float(thr), parent_gini, best_cost
 
 
 def train_tree(
@@ -120,16 +155,19 @@ def train_tree(
     rng: np.random.Generator,
     active_features: np.ndarray,
     importance_out: np.ndarray | None = None,
+    ranked: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> TreeNode:
     """Grow one CART tree over ``sample_idx`` rows (duplicates allowed).
 
-    Stops on purity, the depth bound, min_samples_split, or when no
-    candidate split reduces impurity. Uses an explicit stack, so tree depth
-    is not limited by the interpreter recursion limit.
+    ``ranked`` is ``rank_columns(X)``, computed here when not given (a
+    forest ranks once and shares it across its trees). Stops on purity,
+    the depth bound, min_samples_split, or when no candidate split reduces
+    impurity. Uses an explicit stack, so tree depth is not limited by the
+    interpreter recursion limit.
     """
     if len(sample_idx) == 0:
         raise ValueError("empty training sample")
-    y_onehot = (y[:, None] == np.arange(N_CLASSES)).astype(np.int64)
+    ranks, values = ranked if ranked is not None else rank_columns(X)
     n_total = len(sample_idx)
     m = min(config.features_per_split, len(active_features))
     root = TreeNode()
@@ -141,7 +179,7 @@ def train_tree(
         depth_ok = config.max_depth is None or depth < config.max_depth
         if depth_ok and counts.max() < len(idx) and len(idx) >= config.min_samples_split:
             cand = np.sort(rng.choice(active_features, size=m, replace=False))
-            split = _find_split(X, y_onehot, idx, cand, counts)
+            split = _find_split(ranks, values, y, idx, cand, counts)
         if split is None:
             node.counts = counts
             continue
@@ -207,12 +245,15 @@ def train_forest(
     trees = []
     importance_sum = np.zeros(n_features)
     n = len(ds)
+    ranked = rank_columns(ds.X)
     for stream in streams:
         rng = np.random.default_rng(stream)
         sample = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
         tree_importance = np.zeros(n_features)
         trees.append(
-            train_tree(ds.X, ds.coarse, sample, config, rng, active, tree_importance)
+            train_tree(
+                ds.X, ds.coarse, sample, config, rng, active, tree_importance, ranked
+            )
         )
         importance_sum += tree_importance
     importances = importance_sum / config.n_trees
@@ -314,50 +355,102 @@ def save_forest(path: str | Path, model: ForestModel) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _parse_node(line: str) -> TreeNode:
-    node = TreeNode()
-    parts = line.split()
-    if parts[0] == "L":
-        node.counts = np.array([int(v) for v in parts[1:]], dtype=np.int64)
-    elif parts[0] == "I":
-        node.feature = int(parts[1])
-        node.threshold = float(parts[2])
-    else:
-        raise ValueError(f"bad tree node line '{line}'")
-    return node
+def _read_tree(r: LineReader, t: int, n_features: int) -> TreeNode:
+    """Rebuild tree ``t`` from its header and preorder node lines."""
+    head = r.next(f"'tree {t} <nodes>'").split()
+    if len(head) != 3 or head[0] != "tree" or head[1] != str(t):
+        raise r.error(f"expected 'tree {t} <nodes>'")
+    n_nodes = r.number(head[2], int, "node count")
+    if n_nodes < 1:
+        raise r.error(f"tree {t} has no nodes")
+    first = r.line_no
+    body = r.lines[first:first + n_nodes]
+    if len(body) < n_nodes:
+        r.line_no = len(r.lines) + 1
+        raise r.error(f"unexpected end of file: tree {t} declares {n_nodes} nodes")
+
+    def bad(k: int, message: str) -> FormatError:
+        r.line_no = first + k + 1
+        return r.error(message)
+
+    leaves, leaf_text = [], []
+    pending: list[TreeNode] = []
+    for k, line in enumerate(body):
+        parts = line.split()
+        tag = parts[0] if parts else ""
+        node = TreeNode()
+        if tag == "L" and len(parts) == N_CLASSES + 1:
+            leaves.append(node)
+            leaf_text.append(parts[1:])
+        elif tag == "I" and len(parts) == 3:
+            try:
+                node.feature = int(parts[1])
+                node.threshold = float(parts[2])
+            except ValueError:
+                node.feature = -1
+            if not 0 <= node.feature < n_features or not math.isfinite(node.threshold):
+                raise bad(k, f"bad split '{line}'")
+        else:
+            raise bad(k, f"bad tree node '{line}': expected 'L' and {N_CLASSES} counts"
+                         " or 'I <feature> <threshold>'")
+        if k == 0:
+            root = node
+        elif not pending:
+            raise bad(k, f"tree {t} is complete after {k} of its {n_nodes} nodes")
+        elif pending[-1].left is None:
+            pending[-1].left = node
+        else:
+            pending.pop().right = node
+        if not node.is_leaf:
+            pending.append(node)
+    if pending:
+        raise bad(n_nodes - 1, f"tree {t} is incomplete after its {n_nodes} nodes")
+    try:  # one conversion for all leaves; rescan only to place an error
+        counts = np.array(leaf_text, dtype=np.int64)
+        if counts.min() < 0:
+            raise ValueError
+    except (ValueError, OverflowError):
+        for k, line in enumerate(body):
+            parts = line.split()
+            try:
+                ok = parts[0] != "L" or all(0 <= int(v) < 2**63 for v in parts[1:])
+            except ValueError:
+                ok = False
+            if not ok:
+                raise bad(k, f"leaf counts must be non-negative integers: '{line}'") from None
+        raise bad(-1, f"bad leaf counts in tree {t}") from None
+    for node, row in zip(leaves, counts):
+        node.counts = row
+    r.line_no = first + n_nodes
+    return root
 
 
 def load_forest(path: str | Path) -> ForestModel:
-    with open(path) as fh:
-        check_version(fh.readline(), "forest")
-        stats_id = fh.readline().strip().split("=", 1)[1]
-        n_trees = int(fh.readline().strip().split("=", 1)[1])
-        n_features = int(fh.readline().strip().split("=", 1)[1])
-        active_text = fh.readline().strip().split("=", 1)[1]
-        active = np.array(
-            [int(v) for v in active_text.split(",") if v], dtype=np.int64
-        )
-        _, imp_text = fh.readline().split(" ", 1)
-        importances = np.array([float(v) for v in imp_text.split()])
-        trees = []
-        for _ in range(n_trees):
-            head = fh.readline().split()
-            if len(head) != 3 or head[0] != "tree":
-                raise ValueError(f"malformed forest file {path}")
-            n_nodes = int(head[2])
-            root = _parse_node(fh.readline().strip())
-            pending = [root] if not root.is_leaf else []
-            for _ in range(n_nodes - 1):
-                node = _parse_node(fh.readline().strip())
-                parent = pending[-1]
-                if parent.left is None:
-                    parent.left = node
-                else:
-                    parent.right = node
-                    pending.pop()
-                if not node.is_leaf:
-                    pending.append(node)
-            trees.append(root)
+    """Read a ``save_forest`` file. Raises FormatError naming the file and
+    line on truncated, garbled or inconsistent content."""
+    r = LineReader(path)
+    r.version("forest")
+    stats_id = r.value("stats_id")
+    n_trees = r.number(r.value("n_trees"), int, "n_trees")
+    if n_trees < 1:
+        raise r.error("n_trees must be >= 1")
+    n_features = r.number(r.value("n_features"), int, "n_features")
+    if n_features < 1:
+        raise r.error("n_features must be >= 1")
+    active = np.array(
+        [r.number(v, int, "active feature") for v in r.value("active_features").split(",") if v],
+        dtype=np.int64,
+    )
+    if len(active) and (active.min() < 0 or active.max() >= n_features):
+        raise r.error(f"active feature out of 0..{n_features - 1}")
+    head, _, imp_text = r.next("'importances'").partition(" ")
+    if head != "importances":
+        raise r.error("expected 'importances <values>'")
+    importances = np.array([r.number(v, float, "importance") for v in imp_text.split()])
+    if len(importances) != n_features:
+        raise r.error(f"expected {n_features} importances, got {len(importances)}")
+    trees = [_read_tree(r, t, n_features) for t in range(n_trees)]
+    r.end()
     return ForestModel(
         trees=trees,
         config=ForestConfig(n_trees=n_trees),

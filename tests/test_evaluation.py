@@ -52,6 +52,35 @@ def test_unknown_label_errors():
         confusion(["smurf"], ["neptune"], classes=("neptune",))
 
 
+@pytest.mark.parametrize("as_enum", [False, True])
+def test_coarse_confusion_equals_plain_loop(as_enum):
+    rng = np.random.default_rng(1)
+    for n in (0, 1, 7, 500):
+        truths = rng.integers(0, 5, size=n)
+        preds = rng.integers(0, 5, size=n)
+        expected = np.zeros((5, 5), dtype=np.int64)
+        for t, p in zip(truths, preds):
+            expected[t, p] += 1
+        if as_enum:
+            truths = [CoarseLabel(int(v)) for v in truths]
+            preds = [CoarseLabel(int(v)) for v in preds]
+        m = confusion(preds, truths)
+        assert m.classes == COARSE_NAMES
+        assert m.counts.dtype == np.int64
+        assert np.array_equal(m.counts, expected)
+        assert np.array_equal(confusion(preds, truths, classes=COARSE_NAMES).counts, expected)
+
+
+@pytest.mark.parametrize("preds, truths", [
+    (np.array([0, 5]), np.array([0, 1])),
+    (np.array([0, 1]), np.array([-1, 1])),
+    ([0, 1], [1, 9]),
+])
+def test_out_of_range_coarse_class_errors(preds, truths):
+    with pytest.raises(ValueError, match="unknown (truth|predicted) label"):
+        confusion(preds, truths)
+
+
 def test_fine_label_matrix_uses_sorted_union():
     m = confusion(["b", "a"], ["a", "a"])
     assert m.classes == ("a", "b")
