@@ -24,7 +24,6 @@ log = logging.getLogger(__name__)
 
 N_CLASSES = len(CoarseLabel)
 _MIN_GAIN = 1e-12
-_DENSE_BINS_PER_KEY = 8  # bincount when its table is at most this many bins per key
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,7 @@ def _find_split(ranks, values, y, idx, features, parent_counts):
 
     The class counts of every distinct value of every candidate feature at
     the node come from one count of (value rank + feature offset, label)
-    keys: a bincount while its table is small next to the keys, a sort
-    otherwise. Costs are evaluated only between adjacent present values,
+    keys. Costs are evaluated only between adjacent present values,
     and thresholds sit at their midpoints. Ties break to the lower feature
     index, then the lower threshold (first argmin over features ascending,
     ranks ascending). Returns None when no split reduces impurity.
@@ -104,15 +102,8 @@ def _find_split(ranks, values, y, idx, features, parent_counts):
     sizes = np.array([len(values[f]) for f in features])
     offsets = np.cumsum(sizes) - sizes
     keys = (ranks[idx[:, None], features] + offsets) * N_CLASSES + y[idx, None]
-    keys = keys.ravel()
-    n_bins = int(sizes.sum()) * N_CLASSES
-    if n_bins <= _DENSE_BINS_PER_KEY * len(keys):
-        counts = np.bincount(keys, minlength=n_bins)
-        nonzero = np.flatnonzero(counts)
-        counts = counts[nonzero]
-    else:  # many distinct values, few rows: sort the keys instead
-        nonzero, counts = np.unique(keys, return_counts=True)
-    value_bin, label = np.divmod(nonzero, N_CLASSES)
+    present_keys, counts = np.unique(keys.ravel(), return_counts=True)
+    value_bin, label = np.divmod(present_keys, N_CLASSES)
     first = np.concatenate(([True], value_bin[1:] != value_bin[:-1]))
     row = np.cumsum(first) - 1
     present = value_bin[first]
@@ -142,7 +133,7 @@ def _find_split(ranks, values, y, idx, features, parent_counts):
     lo = values[f][present[b] - offsets[j]]
     hi = values[f][present[b + 1] - offsets[j]]
     thr = (lo + hi) / 2.0
-    if thr >= hi:  # midpoint rounded up between adjacent floats
+    if not lo <= thr < hi:  # rounded onto hi (adjacent floats) or overflowed
         thr = lo
     return f, float(thr), parent_gini, best_cost
 
@@ -355,6 +346,13 @@ def save_forest(path: str | Path, model: ForestModel) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _leaf_counts_ok(parts: list[str]) -> bool:
+    try:
+        return parts[0] != "L" or all(0 <= int(v) < 2**63 for v in parts[1:])
+    except ValueError:
+        return False
+
+
 def _read_tree(r: LineReader, t: int, n_features: int) -> TreeNode:
     """Rebuild tree ``t`` from its header and preorder node lines."""
     head = r.next(f"'tree {t} <nodes>'").split()
@@ -410,15 +408,9 @@ def _read_tree(r: LineReader, t: int, n_features: int) -> TreeNode:
         if counts.min() < 0:
             raise ValueError
     except (ValueError, OverflowError):
-        for k, line in enumerate(body):
-            parts = line.split()
-            try:
-                ok = parts[0] != "L" or all(0 <= int(v) < 2**63 for v in parts[1:])
-            except ValueError:
-                ok = False
-            if not ok:
-                raise bad(k, f"leaf counts must be non-negative integers: '{line}'") from None
-        raise bad(-1, f"bad leaf counts in tree {t}") from None
+        # numpy converts each string with int(), so the rescan finds the line
+        k = next(k for k, line in enumerate(body) if not _leaf_counts_ok(line.split()))
+        raise bad(k, f"leaf counts must be non-negative integers: '{body[k]}'") from None
     for node, row in zip(leaves, counts):
         node.counts = row
     r.line_no = first + n_nodes

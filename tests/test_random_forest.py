@@ -326,6 +326,27 @@ def test_forest_persistence_round_trip(tmp_path):
     assert np.array_equal(predict_batch(loaded, probe), predict_batch(model, probe))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("pair", [(-np.finfo(float).max, -1e308), (1e308, np.finfo(float).max)])
+def test_overflowing_midpoint_splits_at_lower_value(tmp_path, pair):
+    # the midpoint of two huge same-sign values overflows to +-inf; a split
+    # at -inf would send every row right and save a file load_forest rejects
+    lo, hi = pair
+    X = np.zeros((4, N_FEATURES))
+    X[:, 0] = [lo, hi, lo, hi]
+    ds = Dataset(X, ["x"] * 4, np.array([0, 1, 0, 1]))
+    config = ForestConfig(n_trees=2, max_depth=3, bootstrap=False)
+    model = train_forest(ds, config, active_features=np.array([0]))
+    for tree in model.trees:
+        assert tree.feature == 0 and tree.threshold == lo
+        assert tree.left.is_leaf and tree.right.is_leaf
+    path = tmp_path / "forest.model"
+    save_forest(path, model)
+    loaded = load_forest(path)
+    assert [t.threshold for t in loaded.trees] == [lo, lo]
+    assert list(predict_batch(loaded, X)) == [0, 1, 0, 1]
+
+
 # ---------------------------------------------------------------------------
 # load_forest on damaged files: always a FormatError naming file and line.
 

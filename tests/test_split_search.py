@@ -55,7 +55,7 @@ def oracle_find_split(X, y_onehot, idx, features, parent_counts):
         i = int(np.argmin(cost))
         if cost[i] < best_cost:
             thr = (sv[i] + sv[i + 1]) / 2.0
-            if thr >= sv[i + 1]:
+            if not sv[i] <= thr < sv[i + 1]:
                 thr = float(sv[i])
             best_cost = float(cost[i])
             best = (int(f), float(thr))
@@ -111,10 +111,10 @@ _TINY = 5e-324
 _MAX = np.finfo(np.float64).max
 # few distinct values per column: signed zeros, adjacent floats (their
 # midpoint rounds onto the upper value), subnormals and values whose sum
-# overflows, so the midpoint rounding guard fires
+# overflows to +inf or -inf, so the midpoint rounding guard fires
 VALUE_POOL = (
     0.0, -0.0, _TINY, -_TINY, 1.0, float(np.nextafter(1.0, 2.0)),
-    -1.5, float(np.nextafter(-1.5, -2.0)), 2.5, 1e308, _MAX, -_MAX, 0.3,
+    -1.5, float(np.nextafter(-1.5, -2.0)), 2.5, 1e308, _MAX, -1e308, -_MAX, 0.3,
 )
 
 
