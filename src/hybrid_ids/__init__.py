@@ -23,7 +23,7 @@ from .dataset import (
     stratified_split,
 )
 from .errors import FormatError, ParseError, UnmappedLabelError
-from .hybrid import FinalPrediction, HybridConfig, HybridModel, route, train_all
+from .hybrid import FinalPrediction, HybridConfig, HybridModel, Verdicts, route, train_all
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,7 @@ __all__ = [
     "StandardizationStats",
     "Taxonomy",
     "UnmappedLabelError",
+    "Verdicts",
     "deduplicate",
     "encode",
     "parse_kdd_line",

@@ -88,7 +88,11 @@ def fit(ds: Dataset, clusters_per_label: int = 1, seed: int = 0) -> CentroidMode
     for label in labels:
         mask = ds.fine_labels == label
         points = ds.X[mask]
-        coarse = CoarseLabel(int(ds.coarse[mask][0]))
+        classes = np.unique(ds.coarse[mask])
+        if len(classes) > 1:
+            names = ", ".join(str(CoarseLabel(int(c))) for c in classes)
+            raise ValueError(f"fine label '{label}' has rows of more than one coarse class: {names}")
+        coarse = CoarseLabel(int(classes[0]))
         if clusters_per_label == 1:
             entries.append(
                 CentroidEntry(label, coarse, points.mean(axis=0), int(mask.sum()))

@@ -26,6 +26,7 @@ from . import centroids as misuse_mod
 from . import neural_net as nn_mod
 from . import random_forest as rf_mod
 from .dataset import (
+    COARSE_NAMES,
     CoarseLabel,
     Dataset,
     SamplingPlan,
@@ -56,9 +57,9 @@ from .evaluation import (
     write_metrics_csv,
 )
 from .hybrid import (
-    FinalPrediction,
     HybridConfig,
     RoutingStats,
+    Verdicts,
     load_hybrid,
     predict_dataset,
     save_hybrid,
@@ -408,8 +409,7 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
         std_test = standardize_dataset(stats, test_ds)
         result = misuse_mod.evaluate_misuse(model, std_test)
         nearest, _ = misuse_mod.assign_batch(model, std_test.X)
-        coarse_preds = [model.entries[int(i)].coarse_label for i in nearest]
-        matrix = confusion(coarse_preds, test_ds.coarse)
+        matrix = confusion(model._coarse[nearest], test_ds.coarse)
         title = "Misuse (centroid signatures)"
         table = "\n".join(
             [
@@ -425,7 +425,7 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
     elif which == "hybrid":
         model = load_hybrid(cfg.out_path("hybrid.manifest"))
         preds, routing = predict_dataset(model, test_ds)
-        matrix = confusion([p.coarse for p in preds], test_ds.coarse)
+        matrix = confusion(preds.coarse, test_ds.coarse)
         title = "Hybrid pipeline"
         routing_text = "\n".join(
             [
@@ -471,12 +471,18 @@ def _encoded_chunks(lines: Iterable[str], rejects: list[str]) -> Iterator[np.nda
         yield np.array(chunk)
 
 
-def _verdict_row(pred: FinalPrediction) -> str:
-    fine = pred.fine if pred.fine is not None else "-"
-    misuse_vote = str(pred.misuse_vote) if pred.misuse_vote is not None else "-"
-    return (
-        f"{pred.coarse},{fine},{str(pred.routed).lower()},"
-        f"{pred.nn_vote},{pred.rf_vote},{misuse_vote}"
+def _verdict_rows(verdicts: Verdicts) -> str:
+    """The rows of ``predictions.csv``, formatted from the verdict columns
+    through string tables: one per centroid entry and one per vote pair."""
+    # a routed row takes the columns of its entry; -1 picks the last, unrouted one
+    heads = [f"{e.coarse_label},{e.fine_label},true," for e in verdicts.entries]
+    heads.append("normal,-,false,")
+    tails = [f",{e.coarse_label}\n" for e in verdicts.entries] + [",-\n"]
+    votes = [f"{nn},{rf}" for nn in COARSE_NAMES for rf in COARSE_NAMES]
+    pairs = verdicts.nn_votes * len(COARSE_NAMES) + verdicts.rf_votes
+    return "".join(
+        heads[e] + votes[p] + tails[e]
+        for e, p in zip(verdicts.entry.tolist(), pairs.tolist())
     )
 
 
@@ -490,8 +496,8 @@ def cmd_predict(cfg: RunConfig, input_path: str) -> int:
                   "coarse,fine,routed,nn_vote,rf_vote,misuse_vote\n")
         for X in _encoded_chunks(fh, reject_lines):
             # predict_dataset reads only X; the label columns are placeholders.
-            preds, chunk_stats = predict_dataset(model, Dataset(X, [""] * len(X), [0] * len(X)))
-            rows = "".join(_verdict_row(pred) + "\n" for pred in preds)
+            verdicts, chunk_stats = predict_dataset(model, Dataset(X, [""] * len(X), [0] * len(X)))
+            rows = _verdict_rows(verdicts)
             out.write(rows)
             print(rows, end="")
             stats += chunk_stats

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import gzip
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -19,14 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ParseError, UnmappedLabelError
-from .persist import (
-    atomic_write,
-    check_version,
-    fmt_floats,
-    parse_floats,
-    stats_fingerprint,
-    version_line,
-)
+from .persist import LineReader, atomic_write, fmt_floats, stats_fingerprint, version_line
 
 # Canonical KDD column order; the 42nd field is the label.
 KDD_COLUMNS = (
@@ -529,31 +523,66 @@ def save_dataset(path: str | Path, ds: Dataset) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+_DATASET_HEADER = ",".join(ENCODED_COLUMNS + ("fine_label", "coarse_label"))
+_PROVENANCE = re.compile(r"# provenance: source=(.*) dedup=(true|false)(?: sampling=(.*))?")
+_COARSE_CODES = {name: code for code, name in enumerate(COARSE_NAMES)}
+
+
+def _parse_rows(rows: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...], list[int]]:
+    """Features, fine labels and coarse codes of stripped, non-blank data
+    rows. Raises ValueError or KeyError when any row is not 41 finite
+    numbers, a fine label and a coarse class name."""
+    heads, fine, names = zip(*(row.rsplit(",", 2) for row in rows))
+    X = np.loadtxt(heads, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    if X.shape != (len(rows), N_FEATURES) or not np.isfinite(X).all():
+        raise ValueError("not a block of finite feature rows")
+    return X, fine, [_COARSE_CODES[name] for name in names]
+
+
+def _row_problem(line: str) -> str | None:
+    """Why one data line cannot load, or None when it can (or is blank)."""
+    row = line.strip()
+    if not row:
+        return None
+    fields = row.split(",")
+    if len(fields) != N_FEATURES + 2:
+        return f"expected {N_FEATURES + 2} fields, got {len(fields)}"
+    if fields[-1] not in _COARSE_CODES:
+        return f"unknown coarse class '{fields[-1]}'"
+    try:
+        _parse_rows([row])
+    except ValueError:
+        for column, text in zip(ENCODED_COLUMNS, fields):
+            try:
+                if not math.isfinite(float(text)):
+                    return f"non-finite value '{text}' in column '{column}'"
+            except ValueError:
+                return f"unparseable number '{text}' in column '{column}'"
+        # float() takes some forms numpy's parser does not, such as '1_000'
+        return f"unparseable numbers in '{row}'"
+    return None
+
+
 def load_dataset(path: str | Path) -> Dataset:
-    with open(path) as fh:
-        check_version(fh.readline(), "dataset")
-        provenance_line = fh.readline().strip()
-        header = fh.readline().strip()
-        expected_header = ",".join(ENCODED_COLUMNS + ("fine_label", "coarse_label"))
-        if header != expected_header:
-            raise ValueError(f"unexpected dataset header in {path}")
-        X, fine, coarse = [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != N_FEATURES + 2:
-                raise ValueError(f"bad row width in {path}: {len(parts)}")
-            X.append([float(v) for v in parts[:N_FEATURES]])
-            fine.append(parts[N_FEATURES])
-            coarse.append(int(CoarseLabel.from_name(parts[N_FEATURES + 1])))
-    source = ""
-    if provenance_line.startswith("# provenance: "):
-        source = provenance_line[len("# provenance: "):]
-    prov = Provenance(source=source)
-    X_arr = np.array(X, dtype=np.float64) if X else np.empty((0, N_FEATURES))
-    return Dataset(X_arr, fine, coarse, prov)
+    """Read a ``save_dataset`` file. Raises FormatError naming the file and
+    line on a bad format line, provenance line or header, and on a row that
+    is not 41 finite numbers, a fine label and a coarse class name."""
+    r = LineReader(path)
+    r.version("dataset")
+    provenance = _PROVENANCE.fullmatch(r.next("the provenance line").strip())
+    if provenance is None:
+        raise r.error("expected '# provenance: source=<source> dedup=<true|false> ...'")
+    source, dedup, sampling = provenance.groups()
+    if r.next("the column header").strip() != _DATASET_HEADER:
+        raise r.error("unexpected dataset header")
+    rows = [row for row in map(str.strip, r.lines[r.line_no:]) if row]
+    try:
+        X, fine, coarse = _parse_rows(rows) if rows else (np.empty((0, N_FEATURES)), (), [])
+    except (ValueError, KeyError):
+        # A block fails only through a row that fails alone; rescan to name it.
+        raise r.error(next(p for p in map(_row_problem, r.rest()) if p)) from None
+    prov = Provenance("" if source == "-" else source, dedup == "true", sampling or "")
+    return Dataset(X, fine, coarse, prov)
 
 
 def save_stats(path: str | Path, stats: StandardizationStats) -> None:
@@ -568,18 +597,30 @@ def save_stats(path: str | Path, stats: StandardizationStats) -> None:
     atomic_write(path, text + "\n")
 
 
+def _float_row(r: LineReader, key: str) -> np.ndarray:
+    """The next line, ``<key>`` and N_FEATURES finite floats."""
+    head, _, text = r.next(f"'{key} <values>'").partition(" ")
+    if head != key:
+        raise r.error(f"expected '{key} <values>', got '{head}'")
+    values = np.array([r.number(v, float, key) for v in text.split()])
+    if len(values) != N_FEATURES:
+        raise r.error(f"expected {N_FEATURES} {key} values, got {len(values)}")
+    if not np.isfinite(values).all():
+        raise r.error(f"non-finite {key} value")
+    return values
+
+
 def load_stats(path: str | Path) -> StandardizationStats:
-    with open(path) as fh:
-        check_version(fh.readline(), "stats")
-        fh.readline()  # id line, recomputed below
-        mean_line = fh.readline().split(maxsplit=1)
-        std_line = fh.readline().split(maxsplit=1)
-    if mean_line[0] != "mean" or std_line[0] != "stddev":
-        raise ValueError(f"malformed stats file {path}")
-    return StandardizationStats(
-        mean=parse_floats(mean_line[1], N_FEATURES),
-        stddev=parse_floats(std_line[1], N_FEATURES),
-    )
+    """Read a ``save_stats`` file; FormatError naming file and line on a
+    truncated or garbled one. The ``id=`` value is not read back: the
+    fingerprint is recomputed from the values."""
+    r = LineReader(path)
+    r.version("stats")
+    r.value("id")
+    mean = _float_row(r, "mean")
+    stddev = _float_row(r, "stddev")
+    r.end()
+    return StandardizationStats(mean=mean, stddev=stddev)
 
 
 def save_taxonomy(path: str | Path, taxonomy: Taxonomy) -> None:
@@ -589,13 +630,21 @@ def save_taxonomy(path: str | Path, taxonomy: Taxonomy) -> None:
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
+    """Read a ``save_taxonomy`` file: one ``<fine label> <coarse class>``
+    pair per line. FormatError naming file and line on anything else."""
+    r = LineReader(path)
+    r.version("taxonomy")
     mapping: dict[str, CoarseLabel] = {}
-    with open(path) as fh:
-        check_version(fh.readline(), "taxonomy")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fine, coarse = line.split()
-            mapping[fine] = CoarseLabel.from_name(coarse)
+    for line in r.rest():
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise r.error(f"expected '<fine label> <coarse class>', got '{line.strip()}'")
+        if parts[0] in mapping:
+            raise r.error(f"fine label '{parts[0]}' is mapped twice")
+        try:
+            mapping[parts[0]] = CoarseLabel.from_name(parts[1])
+        except ValueError as exc:
+            raise r.error(str(exc)) from None
     return Taxonomy(mapping)

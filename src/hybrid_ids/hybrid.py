@@ -12,13 +12,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import centroids as misuse
 from . import neural_net as nn
 from . import random_forest as rf
-from .centroids import CentroidModel
+from .centroids import CentroidEntry, CentroidModel
 from .dataset import (
     CoarseLabel,
     Dataset,
@@ -53,6 +54,40 @@ class FinalPrediction:
     nn_vote: CoarseLabel
     rf_vote: CoarseLabel
     misuse_vote: CoarseLabel | None
+
+
+@dataclass(frozen=True, eq=False)
+class Verdicts:
+    """The chain's verdicts on a batch, one array element per row: the two
+    anomaly votes, the nearest centroid entry of each routed row (-1 where
+    the row is not routed), the routing mask and the final coarse class.
+    Indexing or iterating gives :class:`FinalPrediction` rows, built on
+    demand from the columns."""
+
+    nn_votes: np.ndarray
+    rf_votes: np.ndarray
+    entry: np.ndarray
+    routed: np.ndarray
+    coarse: np.ndarray
+    entries: Sequence[CentroidEntry]
+
+    def __len__(self) -> int:
+        return len(self.coarse)
+
+    def __getitem__(self, i: int) -> FinalPrediction:
+        coarse = CoarseLabel(int(self.coarse[i]))
+        routed = bool(self.routed[i])
+        return FinalPrediction(
+            coarse=coarse,
+            fine=self.entries[int(self.entry[i])].fine_label if routed else None,
+            routed=routed,
+            nn_vote=CoarseLabel(int(self.nn_votes[i])),
+            rf_vote=CoarseLabel(int(self.rf_votes[i])),
+            misuse_vote=coarse if routed else None,
+        )
+
+    def __iter__(self) -> Iterator[FinalPrediction]:
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass
@@ -126,44 +161,24 @@ def train_all(
     return HybridModel(mlp=mlp, forest=forest, centroids=cen, stats=stats, taxonomy=taxonomy)
 
 
-def _tally(stats: RoutingStats, pred: FinalPrediction) -> None:
-    stats.total += 1
-    if pred.routed:
-        stats.routed += 1
-        if pred.coarse == CoarseLabel.NORMAL:
-            stats.trimmed += 1
-        else:
-            stats.confirmed += 1
-
-
-def predict_dataset(h: HybridModel, ds: Dataset) -> tuple[list[FinalPrediction], RoutingStats]:
+def predict_dataset(h: HybridModel, ds: Dataset) -> tuple[Verdicts, RoutingStats]:
     """Vectorized chain over an encoded (unstandardized) dataset: both
     anomaly votes on every row, the misuse verdict on the routed rows.
     Only ``ds.X`` is read."""
     X = standardize_apply(h.stats, ds.X)
     nn_votes = nn.predict_batch(h.mlp, X)
     rf_votes = rf.predict_batch(h.forest, X)
-    routed_idx = np.flatnonzero(route(nn_votes, rf_votes))
-    entry_of_row = np.full(len(X), -1)
-    entry_of_row[routed_idx] = misuse.assign_batch(h.centroids, X[routed_idx])[0]
-    preds: list[FinalPrediction] = []
-    stats = RoutingStats()
-    for nn_vote, rf_vote, entry in zip(nn_votes.tolist(), rf_votes.tolist(), entry_of_row.tolist()):
-        nn_vote, rf_vote = CoarseLabel(nn_vote), CoarseLabel(rf_vote)
-        if entry < 0:
-            pred = FinalPrediction(
-                coarse=CoarseLabel.NORMAL, fine=None, routed=False,
-                nn_vote=nn_vote, rf_vote=rf_vote, misuse_vote=None,
-            )
-        else:
-            e = h.centroids.entries[entry]
-            pred = FinalPrediction(
-                coarse=e.coarse_label, fine=e.fine_label, routed=True,
-                nn_vote=nn_vote, rf_vote=rf_vote, misuse_vote=e.coarse_label,
-            )
-        preds.append(pred)
-        _tally(stats, pred)
-    return preds, stats
+    routed = route(nn_votes, rf_votes)
+    entry = np.full(len(X), -1, dtype=np.int64)
+    entry[routed] = misuse.assign_batch(h.centroids, X[routed])[0]
+    # entry -1 (not routed) picks the appended normal
+    coarse = np.append(h.centroids._coarse, int(CoarseLabel.NORMAL))[entry]
+    n_routed = int(routed.sum())
+    trimmed = int(np.count_nonzero(coarse[routed] == CoarseLabel.NORMAL))
+    stats = RoutingStats(
+        total=len(X), routed=n_routed, trimmed=trimmed, confirmed=n_routed - trimmed
+    )
+    return Verdicts(nn_votes, rf_votes, entry, routed, coarse, h.centroids.entries), stats
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,15 @@ class LineReader:
         except ValueError:
             raise self.error(f"{what} '{text}' is not a valid {kind.__name__}") from None
 
+    def rest(self) -> Iterator[str]:
+        """The lines after the last read one; each counts as read once yielded."""
+        while self.line_no < len(self.lines):
+            self.line_no += 1
+            yield self.lines[self.line_no - 1]
+
     def end(self) -> None:
         """Fail when anything but blank lines follows the last read line."""
-        for line in self.lines[self.line_no:]:
-            self.line_no += 1
+        for line in self.rest():
             if line.strip():
                 raise self.error(f"unexpected content after the end: '{line}'")
 

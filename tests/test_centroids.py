@@ -77,6 +77,18 @@ def test_fit_requires_normal_class():
         fit(ds)
 
 
+@pytest.mark.parametrize("clusters_per_label", [1, 2])
+def test_fit_rejects_fine_label_with_two_coarse_classes(clusters_per_label):
+    ds = tiny_dataset([
+        ("normal", 0, vec(0.0)),
+        ("smurf", 1, vec(1.0)),
+        ("smurf", 2, vec(2.0)),
+        ("smurf", 1, vec(3.0)),
+    ])
+    with pytest.raises(ValueError, match="fine label 'smurf' has rows of more than one coarse class: dos, probe"):
+        fit(ds, clusters_per_label)
+
+
 def test_fit_empty_dataset_errors():
     ds = Dataset(np.empty((0, N_FEATURES)), [], [])
     with pytest.raises(ValueError, match="empty"):

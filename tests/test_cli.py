@@ -12,8 +12,16 @@ import pytest
 
 from hybrid_ids import cli
 from hybrid_ids.cli import build_config, main, parse_config_file
-from hybrid_ids.dataset import Dataset, encode_features, load_dataset, parse_kdd_line
-from hybrid_ids.hybrid import load_hybrid, predict_dataset
+from hybrid_ids.centroids import CentroidEntry
+from hybrid_ids.dataset import (
+    N_FEATURES,
+    CoarseLabel,
+    Dataset,
+    encode_features,
+    load_dataset,
+    parse_kdd_line,
+)
+from hybrid_ids.hybrid import Verdicts, load_hybrid, predict_dataset
 from hybrid_ids.random_forest import load_forest, predict_batch as rf_predict_batch
 
 from conftest import DEFAULT_SYNTH_COUNTS, make_kdd_lines
@@ -335,6 +343,28 @@ def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monke
     assert stats.describe() in captured.err
     rejects = (workspace["out"] / "predictions.rejects.txt").read_text().splitlines()
     assert [r.split(":")[0] for r in rejects] == ["line 3", "line 11, column 'src_bytes'"]
+
+
+def test_verdict_rows_cover_every_vote_pair_and_entry():
+    entries = [
+        CentroidEntry("neptune", CoarseLabel.DOS, np.zeros(N_FEATURES), 1),
+        CentroidEntry("normal", CoarseLabel.NORMAL, np.ones(N_FEATURES), 1),
+        CentroidEntry("satan", CoarseLabel.PROBE, np.full(N_FEATURES, 2.0), 1),
+    ]
+    pair = np.arange(25)
+    entry = pair % 4 - 1
+    coarse = np.array([1, 0, 2, 0])[entry]
+    verdicts = Verdicts(pair // 5, pair % 5, entry, entry >= 0, coarse, entries)
+    rows = cli._verdict_rows(verdicts).splitlines()
+    assert rows[0] == "normal,-,false,normal,normal,-"
+    assert rows[6] == "normal,normal,true,dos,dos,normal"
+    assert rows[7] == "probe,satan,true,dos,probe,probe"
+    assert rows[21] == "dos,neptune,true,u2r,dos,dos"
+    assert rows == [
+        f"{p.coarse},{'-' if p.fine is None else p.fine},{str(p.routed).lower()},"
+        f"{p.nn_vote},{p.rf_vote},{'-' if p.misuse_vote is None else p.misuse_vote}"
+        for p in verdicts
+    ]
 
 
 def test_report_renders_saved_tables(workspace, capsys):

@@ -165,7 +165,7 @@ def test_batch_predict_empty():
     h = _stub_hybrid(NORMAL, NORMAL,
                      normal_at=np.zeros(N_FEATURES), attack_at=np.ones(N_FEATURES))
     preds, stats = predict_dataset(h, Dataset(np.empty((0, N_FEATURES)), [], []))
-    assert preds == []
+    assert len(preds) == 0 and list(preds) == []
     assert stats.total == 0 and stats.routed == 0
     assert stats.trimmed == 0 and stats.confirmed == 0
 
@@ -218,7 +218,36 @@ def test_train_all_deterministic_end_to_end():
     b = train_all(ds, _fast_config())
     preds_a, _ = predict_dataset(a, test)
     preds_b, _ = predict_dataset(b, test)
-    assert preds_a == preds_b
+    assert list(preds_a) == list(preds_b)
+
+
+def test_verdict_columns_equal_their_rows():
+    ds = separable_dataset(n_per_label=14, seed=4, spread=2.0)
+    train, test = stratified_split(ds, 0.3, seed=1)
+    h = train_all(train, _fast_config())
+    verdicts, stats = predict_dataset(h, test)
+    rows = list(verdicts)
+    assert len(verdicts) == len(rows) == len(test)
+    assert [verdicts[i] for i in range(len(test))] == rows
+    assert verdicts[-1] == rows[-1]
+    for column in (verdicts.nn_votes, verdicts.rf_votes, verdicts.entry, verdicts.coarse):
+        assert column.dtype.kind == "i"
+    assert verdicts.nn_votes.tolist() == [int(p.nn_vote) for p in rows]
+    assert verdicts.rf_votes.tolist() == [int(p.rf_vote) for p in rows]
+    assert verdicts.routed.tolist() == [p.routed for p in rows]
+    assert verdicts.coarse.tolist() == [int(p.coarse) for p in rows]
+    entries = h.centroids.entries
+    for p, e in zip(rows, verdicts.entry.tolist()):
+        assert (e >= 0) == p.routed
+        if p.routed:
+            assert (p.fine, p.coarse, p.misuse_vote) == (entries[e].fine_label,) + (entries[e].coarse_label,) * 2
+        else:
+            assert (p.fine, p.coarse, p.misuse_vote) == (None, NORMAL, None)
+    assert verdicts.routed.tolist() == route(verdicts.nn_votes, verdicts.rf_votes).tolist()
+    assert stats.total == len(rows)
+    assert stats.routed == sum(p.routed for p in rows) > 0
+    assert stats.trimmed == sum(p.routed and p.coarse == NORMAL for p in rows)
+    assert stats.confirmed == sum(p.routed and p.coarse != NORMAL for p in rows) > 0
 
 
 def test_no_misuse_only_alarms_and_verify_subset():
@@ -266,12 +295,12 @@ def test_hybrid_manifest_round_trip(tmp_path):
     sample = separable_dataset(n_per_label=4, seed=77)
     a, _ = predict_dataset(h, sample)
     b, _ = predict_dataset(load_hybrid(manifest), sample)
-    assert a == b
+    assert list(a) == list(b)
     # manifests written while a mode= line existed still load
     first, rest = text.split("\n", 1)
     manifest.write_text(f"{first}\nmode=classify\n{rest}")
     c, _ = predict_dataset(load_hybrid(manifest), sample)
-    assert c == a
+    assert list(c) == list(a)
 
 
 def test_hybrid_manifest_detects_stats_mismatch(tmp_path):
