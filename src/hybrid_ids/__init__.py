@@ -8,13 +8,11 @@ alarms is verified and refined by a nearest-centroid misuse stage.
 from .dataset import (
     CoarseLabel,
     Dataset,
-    EncodedRecord,
     RawRecord,
     SamplingPlan,
     StandardizationStats,
     Taxonomy,
     deduplicate,
-    encode,
     parse_kdd_line,
     resample,
     standardize_apply,
@@ -30,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoarseLabel",
     "Dataset",
-    "EncodedRecord",
     "FinalPrediction",
     "FormatError",
     "HybridConfig",
@@ -43,7 +40,6 @@ __all__ = [
     "UnmappedLabelError",
     "Verdicts",
     "deduplicate",
-    "encode",
     "parse_kdd_line",
     "resample",
     "route",

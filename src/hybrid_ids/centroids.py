@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import CoarseLabel, Dataset
-from .persist import atomic_write, check_version, fmt_floats, parse_floats, version_line
+from .dataset import CoarseLabel, Dataset, N_FEATURES
+from .persist import LineReader, atomic_write, fmt_floats, version_line
 
 _CHUNK = 2048
 
@@ -132,6 +132,7 @@ class MisuseEvaluation:
     fine_accuracy: float  # percent, exact fine-label match
     coarse_accuracy: float  # percent, coarse family match
     n_fine_classes: int
+    predicted_coarse: np.ndarray  # per test row, the nearest entry's coarse class
 
 
 def evaluate_misuse(model: CentroidModel, test: Dataset) -> MisuseEvaluation:
@@ -146,6 +147,7 @@ def evaluate_misuse(model: CentroidModel, test: Dataset) -> MisuseEvaluation:
         fine_accuracy=fine_acc,
         coarse_accuracy=coarse_acc,
         n_fine_classes=len(set(model.fine_labels)),
+        predicted_coarse=assigned_coarse,
     )
 
 
@@ -173,22 +175,31 @@ def save_centroids(path: str | Path, model: CentroidModel) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _read_entry(r: LineReader) -> CentroidEntry:
+    expected = "'entry <fine label> <coarse class> <support> <values>'"
+    parts = r.next(expected).split()
+    if len(parts) < 4 or parts[0] != "entry":
+        raise r.error(f"expected {expected}")
+    try:
+        coarse = CoarseLabel.from_name(parts[2])
+    except ValueError as exc:
+        raise r.error(str(exc)) from None
+    support = r.number(parts[3], int, "support")
+    if support < 0:
+        raise r.error(f"negative support {support}")
+    return CentroidEntry(parts[1], coarse, r.floats(parts[4:], N_FEATURES, "centroid"), support)
+
+
 def load_centroids(path: str | Path) -> CentroidModel:
-    with open(path) as fh:
-        check_version(fh.readline(), "centroids")
-        stats_id = fh.readline().strip().split("=", 1)[1]
-        n = int(fh.readline().strip().split("=", 1)[1])
-        entries = []
-        for _ in range(n):
-            parts = fh.readline().split(maxsplit=4)
-            if len(parts) != 5 or parts[0] != "entry":
-                raise ValueError(f"malformed centroid file {path}")
-            entries.append(
-                CentroidEntry(
-                    fine_label=parts[1],
-                    coarse_label=CoarseLabel.from_name(parts[2]),
-                    support=int(parts[3]),
-                    centroid=parse_floats(parts[4]),
-                )
-            )
+    """Read a ``save_centroids`` file. Raises FormatError naming the file and
+    line on truncated, garbled or inconsistent content, including an
+    ``entries=`` count that disagrees with the entry lines present."""
+    r = LineReader(path)
+    r.version("centroids")
+    stats_id = r.value("stats_id")
+    n_entries = r.number(r.value("entries"), int, "entries")
+    if n_entries < 1:
+        raise r.error("entries must be >= 1")
+    entries = [_read_entry(r) for _ in range(n_entries)]
+    r.end()
     return CentroidModel(entries, stats_fingerprint=stats_id)

@@ -29,12 +29,10 @@ from .dataset import (
     COARSE_NAMES,
     CoarseLabel,
     Dataset,
+    Provenance,
     SamplingPlan,
     Taxonomy,
-    coarse_counts,
     deduplicate,
-    encode,
-    encode_features,
     load_dataset,
     load_stats,
     load_taxonomy,
@@ -272,10 +270,13 @@ def cmd_prepare(cfg: RunConfig) -> int:
     if not records:
         raise ValueError(f"input file {cfg.data} contains no records")
     distinct = deduplicate(records)
-    before = coarse_counts(distinct, taxonomy)
-    encoded = Dataset.from_records(encode(r, taxonomy) for r in distinct)
-    encoded.provenance.source = str(cfg.data)
-    encoded.provenance.deduplicated = True
+    encoded = Dataset(
+        np.stack([r.x for r in distinct]),
+        [r.fine_label for r in distinct],
+        [taxonomy.coarse(r.fine_label) for r in distinct],
+        Provenance(str(cfg.data), deduplicated=True),
+    )
+    before = encoded.counts_by_coarse()
     sampled = resample(encoded, cfg.sampling_plan())
     after = sampled.counts_by_coarse()
     train_ds, test_ds = stratified_split(sampled, cfg.test_fraction, cfg.split_seed)
@@ -406,10 +407,8 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
     elif which == "misuse":
         model = misuse_mod.load_centroids(cfg.out_path("centroids.model"))
         stats = _check_stats(cfg, model.stats_fingerprint)
-        std_test = standardize_dataset(stats, test_ds)
-        result = misuse_mod.evaluate_misuse(model, std_test)
-        nearest, _ = misuse_mod.assign_batch(model, std_test.X)
-        matrix = confusion(model._coarse[nearest], test_ds.coarse)
+        result = misuse_mod.evaluate_misuse(model, standardize_dataset(stats, test_ds))
+        matrix = confusion(result.predicted_coarse, test_ds.coarse)
         title = "Misuse (centroid signatures)"
         table = "\n".join(
             [
@@ -458,9 +457,8 @@ def _encoded_chunks(lines: Iterable[str], rejects: list[str]) -> Iterator[np.nda
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        n_fields = len(line.strip().split(","))
         try:
-            chunk.append(encode_features(parse_kdd_line(line, line_no, labeled=n_fields != 41)))
+            chunk.append(parse_kdd_line(line, line_no, labeled=line.count(",") != 40).x)
         except ParseError as exc:
             rejects.append(str(exc))
             continue

@@ -13,9 +13,9 @@ import enum
 import gzip
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -141,46 +141,52 @@ class Taxonomy:
         return sorted(self._mapping.items())
 
 
-def map_fine_to_coarse(taxonomy: Taxonomy, fine_label: str) -> CoarseLabel:
-    return taxonomy.coarse(fine_label)
-
-
 @dataclass(frozen=True, slots=True)
 class RawRecord:
     """One parsed KDD connection line.
 
-    ``fields`` keeps the 41 feature values as the original strings so that
-    duplicate detection is string-exact; numeric conversion happens at
-    encode time.
+    ``text`` keeps the 41 feature fields as the line gives them, so that
+    duplicate detection (equality and hashing on ``text`` and the label) is
+    string-exact. ``x`` is their encoded 41-vector in ``ENCODED_COLUMNS``
+    order; ``text`` determines it, so it takes no part in comparisons.
     """
 
-    fields: tuple[str, ...]
+    text: str
     fine_label: str
+    x: np.ndarray = field(compare=False)
+
+
+# Encoded protocol columns (tcp, udp, icmp) per protocol_type value.
+_ONE_HOT = {p: tuple(float(p == q) for q in PROTOCOLS) for p in PROTOCOLS}
 
 
 def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawRecord:
-    """Parse one comma-separated KDD record.
+    """Parse and encode one comma-separated KDD record in one pass.
 
     A trailing '.' on the label is stripped. ``labeled=False`` accepts
     41-field lines (prediction inputs without ground truth); the record
     then carries an empty fine label. Numeric fields must be finite and
-    non-negative.
+    non-negative; each is converted once, and the first bad column, in
+    column order, is reported.
     """
-    parts = line.strip().split(",")
+    text = line.strip()
+    parts = text.split(",")
     expected = N_RAW_FEATURES + 1 if labeled else N_RAW_FEATURES
     if len(parts) != expected:
         raise ParseError(f"expected {expected} fields, got {len(parts)}", line_no)
     if labeled:
-        fine_label = parts[-1].rstrip(".")
+        text, _, label = text.rpartition(",")
+        fine_label = label.rstrip(".")
         if not fine_label:
             raise ParseError("empty label field", line_no, "label")
-        parts = parts[:-1]
     else:
         fine_label = ""
-    if parts[PROTOCOL_INDEX] not in PROTOCOLS:
+    protocol = parts[PROTOCOL_INDEX]
+    if protocol not in PROTOCOLS:
         raise ParseError(
-            f"unknown protocol_type '{parts[PROTOCOL_INDEX]}'", line_no, "protocol_type"
+            f"unknown protocol_type '{protocol}'", line_no, "protocol_type"
         )
+    values = []
     for i in _NUMERIC_INDICES:
         try:
             value = float(parts[i])
@@ -196,7 +202,9 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
             raise ParseError(
                 f"negative value {parts[i]}", line_no, KDD_COLUMNS[i]
             )
-    return RawRecord(fields=tuple(parts), fine_label=fine_label)
+        values.append(value)
+    values[1:1] = _ONE_HOT[protocol]
+    return RawRecord(text, fine_label, np.array(values))
 
 
 def read_kdd_file(path: str | Path) -> Iterator[RawRecord]:
@@ -217,43 +225,12 @@ def read_kdd_file(path: str | Path) -> Iterator[RawRecord]:
 def deduplicate(records: Sequence[RawRecord]) -> list[RawRecord]:
     """Collapse exact duplicates (all 41 fields and the label equal) to the
     first occurrence, preserving relative order."""
-    seen: set[tuple] = set()
-    out = []
-    for rec in records:
-        key = (rec.fields, rec.fine_label)
-        if key not in seen:
-            seen.add(key)
-            out.append(rec)
-    return out
-
-
-@dataclass(frozen=True, slots=True)
-class EncodedRecord:
-    x: np.ndarray  # 41 floats, fixed ENCODED_COLUMNS order
-    fine_label: str
-    coarse_label: CoarseLabel
+    return list(dict.fromkeys(records))
 
 
 def encode_features(record: RawRecord) -> np.ndarray:
     """Numeric 41-vector for one record (drop service/flag, one-hot protocol)."""
-    f = record.fields
-    x = np.empty(N_FEATURES, dtype=np.float64)
-    x[0] = float(f[0])
-    proto = f[PROTOCOL_INDEX]
-    x[1] = 1.0 if proto == "tcp" else 0.0
-    x[2] = 1.0 if proto == "udp" else 0.0
-    x[3] = 1.0 if proto == "icmp" else 0.0
-    for out_i, raw_i in enumerate(range(4, N_RAW_FEATURES), start=4):
-        x[out_i] = float(f[raw_i])
-    return x
-
-
-def encode(record: RawRecord, taxonomy: Taxonomy) -> EncodedRecord:
-    return EncodedRecord(
-        x=encode_features(record),
-        fine_label=record.fine_label,
-        coarse_label=taxonomy.coarse(record.fine_label),
-    )
+    return record.x
 
 
 @dataclass
@@ -292,22 +269,6 @@ class Dataset:
             raise ValueError("X, fine_labels and coarse must have equal length")
         self.provenance = provenance or Provenance()
 
-    @classmethod
-    def from_records(
-        cls, records: Iterable[EncodedRecord], provenance: Provenance | None = None
-    ) -> "Dataset":
-        records = list(records)
-        if records:
-            X = np.stack([r.x for r in records])
-        else:
-            X = np.empty((0, N_FEATURES))
-        return cls(
-            X,
-            [r.fine_label for r in records],
-            [int(r.coarse_label) for r in records],
-            provenance,
-        )
-
     def __len__(self) -> int:
         return len(self.X)
 
@@ -332,14 +293,6 @@ class Dataset:
         for label in self.fine_labels:
             out[label] = out.get(label, 0) + 1
         return dict(sorted(out.items()))
-
-
-def coarse_counts(records: Sequence[RawRecord], taxonomy: Taxonomy) -> dict[CoarseLabel, int]:
-    """Per-class record counts for raw (pre-encoding) records."""
-    out = {c: 0 for c in CoarseLabel}
-    for rec in records:
-        out[taxonomy.coarse(rec.fine_label)] += 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -597,19 +550,6 @@ def save_stats(path: str | Path, stats: StandardizationStats) -> None:
     atomic_write(path, text + "\n")
 
 
-def _float_row(r: LineReader, key: str) -> np.ndarray:
-    """The next line, ``<key>`` and N_FEATURES finite floats."""
-    head, _, text = r.next(f"'{key} <values>'").partition(" ")
-    if head != key:
-        raise r.error(f"expected '{key} <values>', got '{head}'")
-    values = np.array([r.number(v, float, key) for v in text.split()])
-    if len(values) != N_FEATURES:
-        raise r.error(f"expected {N_FEATURES} {key} values, got {len(values)}")
-    if not np.isfinite(values).all():
-        raise r.error(f"non-finite {key} value")
-    return values
-
-
 def load_stats(path: str | Path) -> StandardizationStats:
     """Read a ``save_stats`` file; FormatError naming file and line on a
     truncated or garbled one. The ``id=`` value is not read back: the
@@ -617,8 +557,8 @@ def load_stats(path: str | Path) -> StandardizationStats:
     r = LineReader(path)
     r.version("stats")
     r.value("id")
-    mean = _float_row(r, "mean")
-    stddev = _float_row(r, "stddev")
+    mean = r.float_row("mean", N_FEATURES)
+    stddev = r.float_row("stddev", N_FEATURES)
     r.end()
     return StandardizationStats(mean=mean, stddev=stddev)
 

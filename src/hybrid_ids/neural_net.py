@@ -9,18 +9,20 @@ seed reproduces weights bit-for-bit on the same platform.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import CoarseLabel, Dataset, N_FEATURES
 from .evaluation import confusion, overall_accuracy
-from .persist import atomic_write, check_version, fmt_floats, parse_floats, version_line
+from .persist import LineReader, atomic_write, fmt_floats, version_line
 
 log = logging.getLogger(__name__)
 
 N_CLASSES = len(CoarseLabel)
+# What _forward_pass computes; save_mlp records it and load_mlp accepts nothing else.
+_ACTIVATIONS = "relu,relu,softmax"
 
 
 @dataclass(frozen=True)
@@ -47,16 +49,7 @@ class MLPModel:
     dims: list[int]  # [n_in, h1, h2, n_out]
     weights: list[np.ndarray]  # W_l has shape (dims[l+1], dims[l])
     biases: list[np.ndarray]
-    activations: list[str] = field(default_factory=lambda: ["relu", "relu", "softmax"])
     stats_fingerprint: str = ""
-
-    def check_shapes(self) -> None:
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (self.dims[l + 1], self.dims[l]):
-                raise ValueError(f"weight {l} has shape {w.shape}, expected "
-                                 f"({self.dims[l + 1]}, {self.dims[l]})")
-            if b.shape != (self.dims[l + 1],):
-                raise ValueError(f"bias {l} has shape {b.shape}")
 
 
 def init_model(
@@ -199,7 +192,7 @@ def save_mlp(path: str | Path, model: MLPModel) -> None:
         version_line("mlp"),
         f"stats_id={model.stats_fingerprint}",
         "dims=" + ",".join(str(d) for d in model.dims),
-        "activations=" + ",".join(model.activations),
+        "activations=" + _ACTIVATIONS,
     ]
     for l in range(3):
         lines.append(f"W{l} " + fmt_floats(model.weights[l].ravel()))
@@ -208,22 +201,21 @@ def save_mlp(path: str | Path, model: MLPModel) -> None:
 
 
 def load_mlp(path: str | Path) -> MLPModel:
-    with open(path) as fh:
-        check_version(fh.readline(), "mlp")
-        stats_id = fh.readline().strip().split("=", 1)[1]
-        dims = [int(v) for v in fh.readline().strip().split("=", 1)[1].split(",")]
-        activations = fh.readline().strip().split("=", 1)[1].split(",")
-        weights, biases = [], []
-        for l in range(3):
-            _, w_text = fh.readline().split(" ", 1)
-            weights.append(
-                parse_floats(w_text, dims[l + 1] * dims[l]).reshape(dims[l + 1], dims[l])
-            )
-            _, b_text = fh.readline().split(" ", 1)
-            biases.append(parse_floats(b_text, dims[l + 1]))
-    model = MLPModel(
-        dims=dims, weights=weights, biases=biases,
-        activations=activations, stats_fingerprint=stats_id,
-    )
-    model.check_shapes()
-    return model
+    """Read a ``save_mlp`` file. Raises FormatError naming the file and line
+    on truncated, garbled or inconsistent content."""
+    r = LineReader(path)
+    r.version("mlp")
+    stats_id = r.value("stats_id")
+    dims = [r.number(v, int, "dimension") for v in r.value("dims").split(",")]
+    if len(dims) != 4 or min(dims) < 1 or dims[3] != N_CLASSES:
+        raise r.error(
+            f"expected dims=<inputs>,<hidden1>,<hidden2>,{N_CLASSES} of positive integers"
+        )
+    if r.value("activations") != _ACTIVATIONS:
+        raise r.error(f"expected activations={_ACTIVATIONS}")
+    weights, biases = [], []
+    for l in range(3):
+        weights.append(r.float_row(f"W{l}", dims[l + 1] * dims[l]).reshape(dims[l + 1], dims[l]))
+        biases.append(r.float_row(f"b{l}", dims[l + 1]))
+    r.end()
+    return MLPModel(dims=dims, weights=weights, biases=biases, stats_fingerprint=stats_id)

@@ -72,6 +72,25 @@ class LineReader:
         except ValueError:
             raise self.error(f"{what} '{text}' is not a valid {kind.__name__}") from None
 
+    def floats(self, texts: list[str], count: int, what: str) -> np.ndarray:
+        """``texts`` as exactly ``count`` finite float64 values."""
+        try:
+            values = np.array(texts, dtype=np.float64)
+        except ValueError:  # numpy converts with float(); rescan to name the value
+            values = np.array([self.number(v, float, what) for v in texts])
+        if len(values) != count:
+            raise self.error(f"expected {count} {what} values, got {len(values)}")
+        if not np.isfinite(values).all():
+            raise self.error(f"non-finite {what} value")
+        return values
+
+    def float_row(self, key: str, count: int) -> np.ndarray:
+        """The next line: ``<key>`` and ``count`` finite floats."""
+        head, _, text = self.next(f"'{key} <values>'").partition(" ")
+        if head != key:
+            raise self.error(f"expected '{key} <values>', got '{head}'")
+        return self.floats(text.split(), count, key)
+
     def rest(self) -> Iterator[str]:
         """The lines after the last read one; each counts as read once yielded."""
         while self.line_no < len(self.lines):
@@ -112,13 +131,6 @@ def atomic_write(path: str | Path, text: str) -> None:
 
 def fmt_floats(values) -> str:
     return " ".join(repr(float(v)) for v in values)
-
-
-def parse_floats(text: str, expected: int | None = None) -> np.ndarray:
-    parts = text.split()
-    if expected is not None and len(parts) != expected:
-        raise FormatError(f"expected {expected} values, got {len(parts)}")
-    return np.array([float(p) for p in parts], dtype=np.float64)
 
 
 def stats_fingerprint(mean: np.ndarray, stddev: np.ndarray) -> str:

@@ -34,7 +34,6 @@ class ForestConfig:
     features_per_split: int = 7  # ceil(sqrt(41))
     seed: int = 0
     importance_keep_threshold: float = 0.99
-    bootstrap: bool = True  # test hook; production forests always bag
 
     def validate(self, n_features: int = N_FEATURES) -> None:
         if self.n_trees < 1:
@@ -239,7 +238,7 @@ def train_forest(
     ranked = rank_columns(ds.X)
     for stream in streams:
         rng = np.random.default_rng(stream)
-        sample = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        sample = rng.integers(0, n, size=n)
         tree_importance = np.zeros(n_features)
         trees.append(
             train_tree(

@@ -297,9 +297,8 @@ def test_criterion_6e_data_and_metric_identities():
     assert deduplicate(once) == once
 
     # one-hot block sums to exactly 1
-    from hybrid_ids.dataset import encode_features
     for line in lines:
-        x = encode_features(parse_kdd_line(line))
+        x = parse_kdd_line(line).x
         assert x[1:4].sum() == 1.0
         assert set(x[1:4]) <= {0.0, 1.0}
 

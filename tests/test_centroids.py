@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybrid_ids.centroids import (
     assign_batch,
@@ -16,6 +17,7 @@ from hybrid_ids.centroids import (
     save_centroids,
     signature_collisions,
 )
+from hybrid_ids.errors import FormatError
 from hybrid_ids.dataset import CoarseLabel, Dataset, N_FEATURES, standardize_apply, standardize_dataset, standardize_fit
 
 from conftest import separable_dataset
@@ -257,3 +259,111 @@ def test_centroid_persistence_round_trip(tmp_path):
     got_a, _ = assign_batch(loaded, probe)
     got_b, _ = assign_batch(model, probe)
     assert np.array_equal(got_a, got_b)
+
+
+# ---------------------------------------------------------------------------
+# load_centroids on damaged files: always a FormatError naming file and line.
+
+def _centroid_file(tmp_path):
+    model = fit(separable_dataset(n_per_label=4, seed=21))
+    model.stats_fingerprint = "0123456789ab"
+    path = tmp_path / "centroids.model"
+    save_centroids(path, model)
+    return path, path.read_text().splitlines()
+
+
+def _expect_load_error(path, lines, line_no, match):
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(FormatError, match=match) as info:
+        load_centroids(path)
+    assert info.value.line_no == line_no
+    assert str(info.value).startswith(f"{path}, line {line_no}: ")
+
+
+def test_load_centroids_truncated(tmp_path):
+    path, lines = _centroid_file(tmp_path)
+    assert lines[2] == "entries=6" and len(lines) == 9
+    for keep in range(len(lines)):
+        _expect_load_error(path, lines[:keep], keep + 1, "unexpected end of file")
+
+
+def test_load_centroids_entry_count_must_match_lines(tmp_path):
+    path, lines = _centroid_file(tmp_path)
+    _expect_load_error(path, lines + ["entry junk"], 10, "unexpected content after the end")
+    _expect_load_error(path, lines[:2] + ["entries=5"] + lines[3:], 9,
+                       "unexpected content after the end")
+    _expect_load_error(path, lines[:2] + ["entries=7"] + lines[3:], 10, "unexpected end of file")
+    path.write_text("\n".join(lines) + "\n\n  \n")
+    assert len(load_centroids(path)) == 6
+
+
+@pytest.mark.parametrize("index, edit, match", [
+    (0, lambda line: "hybrid-ids centroids v2", "expected format line"),
+    (1, lambda line: "stats=0123456789ab", "expected 'stats_id='"),
+    (2, lambda line: "entries=x", "entries 'x' is not a valid int"),
+    (2, lambda line: "entries=0", "entries must be >= 1"),
+    (2, lambda line: "count=6", "expected 'entries='"),
+    (3, lambda line: line.replace("entry", "entree", 1), "expected 'entry <fine label>"),
+    (3, lambda line: "entry normal normal", "expected 'entry <fine label>"),
+    (3, lambda line: "", "expected 'entry <fine label>"),
+    (4, lambda line: _token(line, 2, "dso"), "unknown coarse class 'dso'"),
+    (5, lambda line: _token(line, 3, "x"), "support 'x' is not a valid int"),
+    (6, lambda line: _token(line, 3, "-1"), "negative support -1"),
+    (7, lambda line: line.rsplit(" ", 1)[0], "expected 41 centroid values, got 40"),
+    (8, lambda line: line + " 0.5", "expected 41 centroid values, got 42"),
+    (3, lambda line: _token(line, 4, "nan"), "non-finite centroid value"),
+    (4, lambda line: _token(line, 9, "-inf"), "non-finite centroid value"),
+    (5, lambda line: _token(line, 6, "x"), "centroid 'x' is not a valid float"),
+])
+def test_load_centroids_garbled(tmp_path, index, edit, match):
+    path, lines = _centroid_file(tmp_path)
+    lines[index] = edit(lines[index])
+    _expect_load_error(path, lines, index + 1, match)
+
+
+def _token(line: str, k: int, text: str) -> str:
+    parts = line.split(" ")
+    parts[k] = text
+    return " ".join(parts)
+
+
+_GARBLE_TEXT = st.sampled_from(
+    ["", "x", "0", "-1", "1.5", "nan", "inf", "1e400", "=", "entry", "entries=2",
+     "normal", "dos", "rtl", "dso", "stats_id=", "99999999999999999999", " "]
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_load_centroids_garbled_raises_only_format_error(tmp_path_factory, data):
+    path, lines = _centroid_file(tmp_path_factory.mktemp("garble"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(st.sampled_from(["delete", "duplicate", "replace", "token", "cut", "swap"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "replace":
+            lines[i] = data.draw(_GARBLE_TEXT)
+        elif op == "token":
+            parts = lines[i].split(" ")
+            lines[i] = _token(lines[i], data.draw(st.integers(0, len(parts) - 1)),
+                              data.draw(_GARBLE_TEXT))
+        elif op == "cut":
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
+            del lines[i + 1:]
+        else:
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        if not lines:
+            break
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        model = load_centroids(path)
+    except FormatError as exc:
+        assert str(exc).startswith(f"{path}, line {exc.line_no}: ")
+        return
+    # the edits left a well-formed file: the model must be usable as loaded
+    nearest, dist = assign_batch(model, np.zeros((3, N_FEATURES)))
+    assert len(nearest) == 3 and np.isfinite(dist).all()

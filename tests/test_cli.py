@@ -12,12 +12,12 @@ import pytest
 
 from hybrid_ids import cli
 from hybrid_ids.cli import build_config, main, parse_config_file
-from hybrid_ids.centroids import CentroidEntry
+from hybrid_ids import centroids as misuse_mod
+from hybrid_ids.centroids import CentroidEntry, assign_batch
 from hybrid_ids.dataset import (
     N_FEATURES,
     CoarseLabel,
     Dataset,
-    encode_features,
     load_dataset,
     parse_kdd_line,
 )
@@ -145,6 +145,38 @@ def test_prepare_rerun_is_byte_identical(workspace, tmp_path):
     assert first == second
 
 
+# SHA-256 of the files ``prepare`` writes for the corpus of
+# test_prepare_files_match_golden_hashes, as produced by the two-pass parser
+# (validate, keep the field strings, convert them again to encode).
+GOLDEN_PREPARE = {
+    "train.csv": "0966240634d401198acf76591b2de985d56bacfc629e7fe4f6a3441dc4ba6af7",
+    "test.csv": "90bcc6477393d7f02d3ed4d4fad39848d3742ab7c5ae85100f9f5d56d529f67d",
+    "taxonomy.txt": "85cba0a543012aa7263a359032b6f5909064b14dfc7472039b537945a86fc32d",
+    "prepare_summary.txt": "f8d24d98f4cc502e1ff5ee104c95be563947f20a257ca372904ded2667547783",
+}
+
+
+def test_prepare_files_match_golden_hashes(tmp_path, monkeypatch):
+    # prepare writes the input path into the files, so it must be the same
+    # relative path on every run
+    monkeypatch.chdir(tmp_path)
+    lines = make_kdd_lines(DEFAULT_SYNTH_COUNTS, seed=7)
+    odd = lines[0].split(",")
+    odd[0], odd[4], odd[5], odd[24], odd[28] = "1_000", " 7", ".5", "-0", "1E-2"
+    lines += [
+        ",".join(odd), ",".join(odd) + "  ",  # equal once stripped: one distinct record
+        "", lines[1].replace("normal.", "normal.."),  # same record, label spelled differently
+    ]
+    Path("data.txt").write_text("\n".join(lines) + "\n")
+    Path("run.cfg").write_text(
+        "data=data.txt\nout=out\nseed=5\nsplit.test_fraction=0.25\n"
+        "sampling.normal=100\nsampling.dos=70\nsampling.probe=40\n"
+        "sampling.r2l=35\nsampling.u2r=25\n"
+    )
+    assert main(["prepare", "--config", "run.cfg"]) == 0
+    assert {name: _sha(Path("out", name)) for name in GOLDEN_PREPARE} == GOLDEN_PREPARE
+
+
 def test_prepare_empty_input_errors(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -254,6 +286,20 @@ def test_evaluate_misuse_emits_both_accuracy_lines(workspace, capsys):
     assert 0.0 <= float(fine_class) <= 100.0
 
 
+def test_evaluate_misuse_assigns_each_row_once(workspace, monkeypatch):
+    _prepared(workspace)
+    assert main(["train", "misuse", "--config", str(workspace["config"])]) == 0
+    calls = []
+
+    def counting(model, X):
+        calls.append(len(X))
+        return assign_batch(model, X)
+
+    monkeypatch.setattr(misuse_mod, "assign_batch", counting)
+    assert main(["evaluate", "misuse", "--config", str(workspace["config"])]) == 0
+    assert calls == [len(load_dataset(workspace["out"] / "test.csv"))]
+
+
 def test_evaluate_detects_stats_mismatch(workspace):
     _prepared(workspace)
     assert main(["train", "nn", "--config", str(workspace["config"])]) == 0
@@ -326,7 +372,7 @@ def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monke
     assert main(["predict", "--config", str(workspace["config"]), "--input", str(inputs)]) == 0
     assert chunk_sizes == [3, 3, 3, 1]
 
-    X = np.array([encode_features(parse_kdd_line(l, labeled=l.count(",") == 41)) for l in good])
+    X = np.array([parse_kdd_line(l, labeled=l.count(",") == 41).x for l in good])
     preds, stats = predict_dataset(load_hybrid(workspace["out"] / "hybrid.manifest"),
                                    Dataset(X, [""] * len(X), [0] * len(X)))
     expected = [

@@ -20,12 +20,9 @@ from hybrid_ids.dataset import (
     SamplingPlan,
     Taxonomy,
     deduplicate,
-    encode,
-    encode_features,
     load_dataset,
     load_stats,
     load_taxonomy,
-    map_fine_to_coarse,
     parse_kdd_line,
     read_kdd_file,
     resample,
@@ -53,16 +50,17 @@ SAMPLE_LINE = (
 
 def test_parse_sample_line_fields():
     rec = parse_kdd_line(SAMPLE_LINE)
-    assert len(rec.fields) == 41
-    assert rec.fields[0] == "0"
-    assert rec.fields[1] == "tcp"
-    assert rec.fields[2] == "http"
-    assert rec.fields[3] == "SF"
-    assert rec.fields[4] == "181"
-    assert rec.fields[5] == "5450"
-    assert rec.fields[22] == "8"
-    assert rec.fields[31] == "9"
-    assert rec.fields[35] == "0.11"
+    fields = rec.text.split(",")
+    assert len(fields) == 41
+    assert fields[0] == "0"
+    assert fields[1] == "tcp"
+    assert fields[2] == "http"
+    assert fields[3] == "SF"
+    assert fields[4] == "181"
+    assert fields[5] == "5450"
+    assert fields[22] == "8"
+    assert fields[31] == "9"
+    assert fields[35] == "0.11"
     assert rec.fine_label == "normal"
 
 
@@ -163,14 +161,14 @@ def test_parse_accepted_lines_encode_to_finite_vectors(values, replaced):
         record = parse_kdd_line(_line_with(values))
     except ParseError:
         return
-    assert np.isfinite(encode_features(record)).all()
+    assert np.isfinite(record.x).all()
 
 
 def test_parse_unlabeled_line():
     unlabeled = ",".join(SAMPLE_LINE.split(",")[:41])
     rec = parse_kdd_line(unlabeled, labeled=False)
     assert rec.fine_label == ""
-    assert len(rec.fields) == 41
+    assert len(rec.text.split(",")) == 41
 
 
 def test_read_kdd_file_gzip(tmp_path):
@@ -203,11 +201,11 @@ def test_dedup_label_participates_in_key():
 
 def test_taxonomy_mappings():
     tax = Taxonomy.default()
-    assert map_fine_to_coarse(tax, "neptune") == CoarseLabel.DOS
-    assert map_fine_to_coarse(tax, "normal") == CoarseLabel.NORMAL
-    assert map_fine_to_coarse(tax, "guess_passwd") == CoarseLabel.R2L
-    assert map_fine_to_coarse(tax, "satan") == CoarseLabel.PROBE
-    assert map_fine_to_coarse(tax, "rootkit") == CoarseLabel.U2R
+    assert tax.coarse("neptune") == CoarseLabel.DOS
+    assert tax.coarse("normal") == CoarseLabel.NORMAL
+    assert tax.coarse("guess_passwd") == CoarseLabel.R2L
+    assert tax.coarse("satan") == CoarseLabel.PROBE
+    assert tax.coarse("rootkit") == CoarseLabel.U2R
 
 
 def test_taxonomy_unmapped_label_errors():
@@ -230,21 +228,21 @@ def test_coarse_label_rtl_alias_and_order():
 
 
 def test_encode_one_hot_blocks():
-    tax = Taxonomy.default()
-    tcp = encode(parse_kdd_line(SAMPLE_LINE), tax)
+    tcp = parse_kdd_line(SAMPLE_LINE)
     assert tuple(tcp.x[1:4]) == (1.0, 0.0, 0.0)
     udp_line = SAMPLE_LINE.replace(",tcp,", ",udp,")
-    assert tuple(encode(parse_kdd_line(udp_line), tax).x[1:4]) == (0.0, 1.0, 0.0)
+    assert tuple(parse_kdd_line(udp_line).x[1:4]) == (0.0, 1.0, 0.0)
     icmp_line = SAMPLE_LINE.replace(",tcp,", ",icmp,")
-    assert tuple(encode(parse_kdd_line(icmp_line), tax).x[1:4]) == (0.0, 0.0, 1.0)
+    assert tuple(parse_kdd_line(icmp_line).x[1:4]) == (0.0, 0.0, 1.0)
 
 
 def test_encode_dimension_and_columns():
     assert len(ENCODED_COLUMNS) == 41
     assert len(KDD_COLUMNS) == 41
-    rec = encode(parse_kdd_line(SAMPLE_LINE), Taxonomy.default())
+    rec = parse_kdd_line(SAMPLE_LINE)
     assert rec.x.shape == (N_FEATURES,)
-    assert rec.coarse_label == CoarseLabel.NORMAL
+    assert rec.x.dtype == np.float64
+    assert Taxonomy.default().coarse(rec.fine_label) == CoarseLabel.NORMAL
     # spot-check passthrough positions against the documented order
     assert rec.x[0] == 0.0
     assert rec.x[4] == 181.0
@@ -256,13 +254,13 @@ def test_encode_ignores_dropped_columns():
     a = parse_kdd_line(SAMPLE_LINE)
     b = parse_kdd_line(SAMPLE_LINE.replace(",SF,", ",REJ,"))
     c = parse_kdd_line(SAMPLE_LINE.replace(",http,", ",smtp,"))
-    assert np.array_equal(encode_features(a), encode_features(b))
-    assert np.array_equal(encode_features(a), encode_features(c))
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.x, c.x)
 
 
 def test_encode_deterministic():
-    a = encode_features(parse_kdd_line(SAMPLE_LINE))
-    b = encode_features(parse_kdd_line(SAMPLE_LINE))
+    a = parse_kdd_line(SAMPLE_LINE).x
+    b = parse_kdd_line(SAMPLE_LINE).x
     assert np.array_equal(a, b)
 
 

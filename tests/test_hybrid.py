@@ -16,7 +16,6 @@ from hybrid_ids.dataset import (
     N_FEATURES,
     StandardizationStats,
     Taxonomy,
-    encode_features,
     parse_kdd_line,
     standardize_dataset,
     standardize_fit,
@@ -107,8 +106,7 @@ def _predict_one(h: HybridModel, x: np.ndarray):
 
 
 def test_predict_not_routed_when_both_normal():
-    record = _normal_record()
-    x = encode_features(record)
+    x = _normal_record().x
     h = _stub_hybrid(NORMAL, NORMAL, normal_at=x, attack_at=x + 100.0)
     pred = _predict_one(h, x)
     assert pred.routed is False
@@ -119,8 +117,7 @@ def test_predict_not_routed_when_both_normal():
 
 
 def test_predict_consistent_attack_chain():
-    record = _normal_record()
-    x = encode_features(record)
+    x = _normal_record().x
     h = _stub_hybrid(DOS, DOS, normal_at=x + 100.0, attack_at=x)
     pred = _predict_one(h, x)
     assert pred.routed is True
@@ -130,8 +127,7 @@ def test_predict_consistent_attack_chain():
 
 
 def test_predict_verify_mode_trims_false_positive():
-    record = _normal_record()
-    x = encode_features(record)
+    x = _normal_record().x
     h = _stub_hybrid(PROBE, NORMAL, normal_at=x, attack_at=x + 100.0)
     pred = _predict_one(h, x)
     assert pred.routed is True
@@ -142,8 +138,7 @@ def test_predict_verify_mode_trims_false_positive():
 
 
 def test_predict_disagreeing_attacks_arbitrated_by_misuse():
-    record = _normal_record()
-    x = encode_features(record)
+    x = _normal_record().x
     h = _stub_hybrid(DOS, PROBE, normal_at=x + 100.0, attack_at=x)
     pred = _predict_one(h, x)
     assert pred.routed is True
@@ -152,8 +147,7 @@ def test_predict_disagreeing_attacks_arbitrated_by_misuse():
 
 
 def test_fine_present_iff_routed():
-    record = _normal_record()
-    x = encode_features(record)
+    x = _normal_record().x
     for votes in [(NORMAL, NORMAL), (DOS, NORMAL), (DOS, DOS)]:
         h = _stub_hybrid(*votes, normal_at=x, attack_at=x + 100.0)
         pred = _predict_one(h, x)

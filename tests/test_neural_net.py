@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybrid_ids.dataset import CoarseLabel, Dataset, N_FEATURES, standardize_dataset, standardize_fit
+from hybrid_ids.errors import FormatError
 from hybrid_ids.neural_net import (
     MLPModel,
     TrainConfig,
@@ -53,7 +55,7 @@ def test_init_shapes_chain():
     assert model.weights[0].shape == (64, 41)
     assert model.weights[1].shape == (32, 64)
     assert model.weights[2].shape == (5, 32)
-    model.check_shapes()
+    assert [b.shape for b in model.biases] == [(64,), (32,), (5,)]
     for w in model.weights:
         assert np.all(np.isfinite(w))
     for b in model.biases:
@@ -274,3 +276,114 @@ def test_mlp_persistence_round_trip(tmp_path):
         assert np.array_equal(a, b)
     X = np.random.default_rng(0).normal(size=(20, N_FEATURES))
     assert np.array_equal(predict_batch(loaded, X), predict_batch(model, X))
+
+
+# ---------------------------------------------------------------------------
+# load_mlp on damaged files: always a FormatError naming file and line.
+
+def _mlp_file(tmp_path):
+    model = init_model(TrainConfig(hidden_dims=(3, 2), seed=4))
+    model.biases = [np.random.default_rng(l).normal(size=len(b)) for l, b in enumerate(model.biases)]
+    model.stats_fingerprint = "abc123def456"
+    path = tmp_path / "mlp.model"
+    save_mlp(path, model)
+    return path, path.read_text().splitlines()
+
+
+def _expect_load_error(path, lines, line_no, match):
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(FormatError, match=match) as info:
+        load_mlp(path)
+    assert info.value.line_no == line_no
+    assert str(info.value).startswith(f"{path}, line {line_no}: ")
+
+
+def test_save_mlp_writes_the_fixed_activations_line(tmp_path):
+    _, lines = _mlp_file(tmp_path)
+    assert lines[:4] == ["hybrid-ids mlp v1", "stats_id=abc123def456",
+                         "dims=41,3,2,5", "activations=relu,relu,softmax"]
+    assert [line.split()[0] for line in lines[4:]] == ["W0", "b0", "W1", "b1", "W2", "b2"]
+
+
+def test_load_mlp_truncated(tmp_path):
+    path, lines = _mlp_file(tmp_path)
+    for keep in range(len(lines)):
+        _expect_load_error(path, lines[:keep], keep + 1, "unexpected end of file")
+
+
+def test_load_mlp_trailing_content(tmp_path):
+    path, lines = _mlp_file(tmp_path)
+    _expect_load_error(path, lines + ["", lines[-1]], len(lines) + 2,
+                       "unexpected content after the end")
+    path.write_text("\n".join(lines) + "\n\n  \n")
+    assert load_mlp(path).dims == [N_FEATURES, 3, 2, 5]
+
+
+@pytest.mark.parametrize("index, edit, match", [
+    (0, lambda line: "hybrid-ids mlp v2", "expected format line"),
+    (1, lambda line: "stats=abc", "expected 'stats_id='"),
+    (2, lambda line: "dims=41,3,2", "expected dims="),
+    (2, lambda line: "dims=41,3,2,5,5", "expected dims="),
+    (2, lambda line: "dims=41,0,2,5", "expected dims="),
+    (2, lambda line: "dims=41,3,2,4", "expected dims="),
+    (2, lambda line: "dims=41,3,x,5", "dimension 'x' is not a valid int"),
+    (3, lambda line: "activations=sigmoid,sigmoid,softmax", "expected activations=relu,relu,softmax"),
+    (3, lambda line: "activation=relu,relu,softmax", "expected 'activations='"),
+    (4, lambda line: line.replace("W0", "W1", 1), "expected 'W0 <values>', got 'W1'"),
+    (5, lambda line: line.rsplit(" ", 1)[0], "expected 3 b0 values, got 2"),
+    (6, lambda line: line + " 0.5", "expected 6 W1 values, got 7"),
+    (7, lambda line: "b1", "expected 2 b1 values, got 0"),
+    (8, lambda line: line.replace(" ", " nan ", 1).rsplit(" ", 1)[0], "non-finite W2 value"),
+    (9, lambda line: line.replace(" ", " 1e400 ", 1).rsplit(" ", 1)[0], "non-finite b2 value"),
+    (9, lambda line: line.replace(" ", " x ", 1), "b2 'x' is not a valid float"),
+])
+def test_load_mlp_garbled(tmp_path, index, edit, match):
+    path, lines = _mlp_file(tmp_path)
+    lines[index] = edit(lines[index])
+    _expect_load_error(path, lines, index + 1, match)
+
+
+_GARBLE_TEXT = st.sampled_from(
+    ["", "x", "0", "-1", "1.5", "nan", "inf", "1e400", "=", "W0", "b0", "W2 1 2",
+     "dims=41,3,2,5", "activations=relu", "stats_id=", "99999999999999999999", " "]
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_load_mlp_garbled_raises_only_format_error(tmp_path_factory, data):
+    path, lines = _mlp_file(tmp_path_factory.mktemp("garble"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(st.sampled_from(["delete", "duplicate", "replace", "token", "cut", "swap"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "replace":
+            lines[i] = data.draw(_GARBLE_TEXT)
+        elif op == "token":
+            parts = lines[i].replace("=", " ").replace(",", " ").split(" ")
+            j = data.draw(st.integers(0, len(parts) - 1))
+            old = parts[j]
+            lines[i] = lines[i].replace(old, data.draw(_GARBLE_TEXT), 1) if old else lines[i]
+        elif op == "cut":
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
+            del lines[i + 1:]
+        else:
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        if not lines:
+            break
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        model = load_mlp(path)
+    except FormatError as exc:
+        assert str(exc).startswith(f"{path}, line {exc.line_no}: ")
+        return
+    # the edits left a well-formed file: the model must be usable as loaded
+    for l in range(3):
+        assert model.weights[l].shape == (model.dims[l + 1], model.dims[l])
+        assert model.biases[l].shape == (model.dims[l + 1],)
+    probs = forward(model, np.zeros((3, model.dims[0])))
+    assert probs.shape == (3, 5) and np.isfinite(probs).all()

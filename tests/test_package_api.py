@@ -1,0 +1,54 @@
+"""The package calls that the benchmark under ``perfbench/`` makes. A change
+that breaks one of them fails every benchmark command, so it must fail a
+test here first."""
+
+from __future__ import annotations
+
+import numpy as np
+
+import hybrid_ids
+from hybrid_ids import cli
+from hybrid_ids.dataset import CoarseLabel, Dataset, deduplicate, encode_features, parse_kdd_line
+from hybrid_ids.hybrid import load_hybrid, predict_dataset
+
+from conftest import make_kdd_lines
+
+
+def test_every_exported_name_resolves():
+    for name in hybrid_ids.__all__:
+        assert getattr(hybrid_ids, name) is not None, name
+
+
+def test_benchmark_calls_work(tmp_path):
+    lines = make_kdd_lines({"normal": 30, "neptune": 12, "ipsweep": 8, "guess_passwd": 6,
+                            "buffer_overflow": 5}, seed=3)
+    data = tmp_path / "kdd.txt"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"data={data}\nout={out}\nsampling.normal=30\nsampling.dos=12\nsampling.probe=8\n"
+        "sampling.r2l=6\nsampling.u2r=5\nnn.epochs=2\nrf.trees=2\n"
+    )
+    assert cli.main(["prepare", "--config", str(config)]) == 0
+    assert cli.main(["train", "hybrid", "--config", str(config)]) == 0
+
+    X = np.array([encode_features(parse_kdd_line(line.rsplit(",", 1)[0], labeled=False))
+                  for line in lines])
+    assert X.shape == (len(lines), 41)
+    assert parse_kdd_line(lines[-1]).fine_label == "buffer_overflow"
+
+    records = [parse_kdd_line(line) for line in lines + lines[:5]]
+    distinct = deduplicate(records)
+    assert isinstance(distinct, list) and len(distinct) <= len(records) - 5
+
+    names = {str(c) for c in CoarseLabel}
+    ds = Dataset(X, ["normal"] * len(X), [0] * len(X))
+    rows = list(predict_dataset(load_hybrid(out / "hybrid.manifest"), ds)[0])
+    assert len(rows) == len(lines)
+    for row in rows:
+        assert {str(row.coarse), str(row.nn_vote), str(row.rf_vote)} <= names
+        if bool(row.routed):
+            assert isinstance(row.fine, str) and str(row.misuse_vote) in names
+        else:
+            assert row.fine is None and row.misuse_vote is None

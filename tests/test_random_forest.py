@@ -140,11 +140,19 @@ def test_tree_order_invariance():
     assert np.array_equal(tree_apply(a, probe)[0], tree_apply(b, probe)[0])
 
 
+def _unbagged_forest(X, y, config, active) -> ForestModel:
+    """``config.n_trees`` trees grown on every row once, without bagging."""
+    rng = np.random.default_rng(config.seed)
+    trees = [train_tree(X, y, np.arange(len(X)), config, rng, active)
+             for _ in range(config.n_trees)]
+    return ForestModel(trees=trees, config=config,
+                       feature_importances=np.zeros(X.shape[1]), active_features=active)
+
+
 def test_single_tree_forest_equals_tree():
     ds = separable_dataset(n_per_label=12, seed=4)
-    cfg = ForestConfig(n_trees=1, seed=2, bootstrap=False,
-                       features_per_split=N_FEATURES)
-    model = train_forest(ds, cfg)
+    cfg = ForestConfig(n_trees=1, seed=2, features_per_split=N_FEATURES)
+    model = _unbagged_forest(ds.X, ds.coarse, cfg, np.arange(N_FEATURES))
     rng = np.random.default_rng(0)
     probe = rng.normal(size=(100, N_FEATURES)) * 4
     tree_preds, _ = tree_apply(model.trees[0], probe)
@@ -334,9 +342,8 @@ def test_overflowing_midpoint_splits_at_lower_value(tmp_path, pair):
     lo, hi = pair
     X = np.zeros((4, N_FEATURES))
     X[:, 0] = [lo, hi, lo, hi]
-    ds = Dataset(X, ["x"] * 4, np.array([0, 1, 0, 1]))
-    config = ForestConfig(n_trees=2, max_depth=3, bootstrap=False)
-    model = train_forest(ds, config, active_features=np.array([0]))
+    config = ForestConfig(n_trees=2, max_depth=3)
+    model = _unbagged_forest(X, np.array([0, 1, 0, 1]), config, np.array([0]))
     for tree in model.trees:
         assert tree.feature == 0 and tree.threshold == lo
         assert tree.left.is_leaf and tree.right.is_leaf
