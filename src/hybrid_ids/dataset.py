@@ -288,12 +288,6 @@ class Dataset:
         counts = np.bincount(self.coarse, minlength=len(CoarseLabel))
         return {c: int(counts[c]) for c in CoarseLabel}
 
-    def counts_by_fine(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for label in self.fine_labels:
-            out[label] = out.get(label, 0) + 1
-        return dict(sorted(out.items()))
-
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -370,10 +364,6 @@ class StandardizationStats:
     @property
     def divisor(self) -> np.ndarray:
         return np.where(self.stddev == 0.0, 1.0, self.stddev)
-
-    @property
-    def zero_variance_columns(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.stddev == 0.0))
 
     @property
     def fingerprint(self) -> str:

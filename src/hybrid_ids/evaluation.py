@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import COARSE_NAMES, CoarseLabel
-from .persist import atomic_write, check_version, version_line
+from .persist import LineReader, atomic_write, version_line
 
 
 @dataclass
@@ -177,17 +177,25 @@ def write_confusion_csv(path: str | Path, m: ConfusionMatrix, seed: int | None =
 
 
 def load_confusion_csv(path: str | Path) -> ConfusionMatrix:
-    with open(path) as fh:
-        check_version(fh.readline(), "confusion")
-        line = fh.readline()
-        while line.startswith("#"):
-            line = fh.readline()
-        classes = tuple(line.strip().split(",")[1:])
-        counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-        for i, row in enumerate(fh):
-            row = row.strip()
-            if not row:
-                continue
-            parts = row.split(",")
-            counts[i] = [int(v) for v in parts[1:]]
-    return ConfusionMatrix(classes=classes, counts=counts)
+    """Read a ``write_confusion_csv`` file. Raises FormatError naming the
+    file and line on a wrong header or row, a cut or trailing content."""
+    r = LineReader(path)
+    r.version("confusion")
+    line = r.next("the header").strip()
+    while line.startswith("#"):
+        line = r.next("the header").strip()
+    head, *classes = line.split(",")
+    if head != "truth\\pred" or not classes or "" in classes or len(set(classes)) < len(classes):
+        raise r.error(f"expected 'truth\\pred' and distinct class names, got '{line}'")
+    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for i, name in enumerate(classes):
+        line = r.next(f"the row of '{name}'").strip()
+        cells = line.split(",")
+        if cells[0] != name or len(cells) != len(classes) + 1:
+            raise r.error(f"expected '{name}' and {len(classes)} counts, got '{line}'")
+        row = [r.number(v, int, "count") for v in cells[1:]]
+        if not all(0 <= v < 2**63 for v in row):
+            raise r.error(f"counts must be non-negative 64-bit integers: '{line}'")
+        counts[i] = row
+    r.end()
+    return ConfusionMatrix(classes=tuple(classes), counts=counts)

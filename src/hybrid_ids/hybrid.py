@@ -34,7 +34,7 @@ from .dataset import (
     standardize_fit,
 )
 from .neural_net import MLPModel, TrainConfig
-from .persist import atomic_write, check_version, version_line
+from .persist import LineReader, atomic_write, version_line
 from .random_forest import ForestConfig, ForestModel
 
 log = logging.getLogger(__name__)
@@ -210,20 +210,25 @@ def save_hybrid(directory: str | Path, h: HybridModel, manifest_name: str = "hyb
 
 
 def load_hybrid(manifest_path: str | Path) -> HybridModel:
-    manifest_path = Path(manifest_path)
-    directory = manifest_path.parent
+    """Load the manifest's models, ignoring unknown keys. A line that is not
+    ``<key>=<file>``, a repeated key or a missing entry is a FormatError."""
+    directory = Path(manifest_path).parent
+    r = LineReader(manifest_path)
+    r.version("hybrid")
     entries: dict[str, str] = {}
-    with open(manifest_path) as fh:
-        check_version(fh.readline(), "hybrid")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, value = line.split("=", 1)
-            entries[key] = value
+    for line in r.rest():
+        line = line.strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or not value:
+            raise r.error(f"expected '<key>=<file>', got '{line}'")
+        if key in entries:
+            raise r.error(f"repeated key '{key}'")
+        entries[key] = value
     missing = [k for k in MANIFEST_FILES if k not in entries]
     if missing:
-        raise ValueError(f"manifest missing entries: {missing}")
+        raise r.error(f"manifest missing entries: {missing}")
     stats = load_stats(directory / entries["stats"])
     taxonomy = load_taxonomy(directory / entries["taxonomy"])
     mlp = nn.load_mlp(directory / entries["mlp"])

@@ -23,13 +23,6 @@ def version_line(kind: str, version: int = 1) -> str:
     return f"hybrid-ids {kind} v{version}"
 
 
-def check_version(line: str, kind: str, version: int = 1) -> None:
-    expected = version_line(kind, version)
-    got = line.strip().lstrip("# ").strip()
-    if got != expected:
-        raise FormatError(f"expected format line '{expected}', got '{line.strip()}'")
-
-
 class LineReader:
     """The lines of a text artifact, read in order; every error it makes
     names the file and the 1-based number of the last line read."""
@@ -53,10 +46,11 @@ class LineReader:
         return self.lines[self.line_no - 1]
 
     def version(self, kind: str) -> None:
-        try:
-            check_version(self.next("the format line"), kind)
-        except FormatError as exc:
-            raise self.error(str(exc)) from None
+        """The format line, with or without the ``# `` of comma-separated files."""
+        expected = version_line(kind)
+        line = self.next("the format line").strip()
+        if line.lstrip("# ").strip() != expected:
+            raise self.error(f"expected format line '{expected}', got '{line}'")
 
     def value(self, key: str) -> str:
         """The text after ``<key>=`` on the next line."""

@@ -3,7 +3,10 @@ bootstrap bagging with per-tree seeded RNG streams, mode voting, mean
 decrease-in-impurity feature importance, and an importance-based
 drop-and-retrain step.
 
-Routing rule everywhere: ``x[feature] <= threshold`` goes left.
+A forest has one form, ``ForestModel``: preorder node arrays concatenated
+over its trees. Training appends to them, the vote walks them, and the
+model file holds them one node per line. Routing rule everywhere:
+``x[feature] <= threshold`` goes left, to node ``i + 1``, else to ``right[i]``.
 """
 
 from __future__ import annotations
@@ -46,21 +49,37 @@ class ForestConfig:
             raise ValueError("importance_keep_threshold must be in (0, 1]")
 
 
-class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (class counts)."""
+@dataclass
+class ForestModel:
+    """The nodes of all trees in preorder, tree after tree. The left child
+    of internal node ``i`` is ``i + 1``."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "counts")
+    feature: np.ndarray  # int64, -1 at leaves
+    threshold: np.ndarray  # float64, 0.0 at leaves
+    right: np.ndarray  # int64 index of the right child, -1 at leaves
+    counts: np.ndarray  # (nodes, N_CLASSES) int64 class counts at leaves, 0 elsewhere
+    starts: np.ndarray  # int64 index of each tree's root
+    feature_importances: np.ndarray  # length n_features, sums to 1 (or all 0)
+    active_features: np.ndarray  # sorted feature indices the trees may test
+    n_features: int = N_FEATURES
+    stats_fingerprint: str = ""
 
-    def __init__(self):
-        self.feature: int | None = None
-        self.threshold: float = 0.0
-        self.left: "TreeNode | None" = None
-        self.right: "TreeNode | None" = None
-        self.counts: np.ndarray | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    @classmethod
+    def from_trees(cls, trees: list[tuple], **fields) -> "ForestModel":
+        """Concatenate per-tree ``(feature, threshold, right, counts)`` with
+        ``right`` counted from the tree's root; ``fields`` are the rest."""
+        feature, threshold, right, counts = zip(*trees)
+        sizes = [len(f) for f in feature]
+        starts = np.cumsum([0] + sizes[:-1])
+        right, offset = np.concatenate(right), np.repeat(starts, sizes)
+        return cls(
+            feature=np.concatenate(feature).astype(np.int64),
+            threshold=np.concatenate(threshold).astype(np.float64),
+            right=np.where(right < 0, -1, right + offset),
+            counts=np.concatenate(counts).astype(np.int64),
+            starts=starts,
+            **fields,
+        )
 
 
 def gini(counts) -> float:
@@ -146,75 +165,50 @@ def train_tree(
     active_features: np.ndarray,
     importance_out: np.ndarray | None = None,
     ranked: tuple[np.ndarray, list[np.ndarray]] | None = None,
-) -> TreeNode:
+) -> tuple[list, list, list, list]:
     """Grow one CART tree over ``sample_idx`` rows (duplicates allowed).
 
     ``ranked`` is ``rank_columns(X)``, computed here when not given (a
     forest ranks once and shares it across its trees). Stops on purity,
     the depth bound, min_samples_split, or when no candidate split reduces
     impurity. Uses an explicit stack, so tree depth is not limited by the
-    interpreter recursion limit.
+    interpreter recursion limit. The stack pops nodes in preorder, the
+    order ``ForestModel.from_trees`` takes them in.
     """
     if len(sample_idx) == 0:
         raise ValueError("empty training sample")
     ranks, values = ranked if ranked is not None else rank_columns(X)
     n_total = len(sample_idx)
     m = min(config.features_per_split, len(active_features))
-    root = TreeNode()
-    stack = [(sample_idx, 0, root)]
+    feature, threshold, right, counts = [], [], [], []
+    stack = [(sample_idx, 0, -1)]  # rows, depth, parent of a right child
     while stack:
-        idx, depth, node = stack.pop()
-        counts = np.bincount(y[idx], minlength=N_CLASSES)
+        idx, depth, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        node_counts = np.bincount(y[idx], minlength=N_CLASSES)
         split = None
         depth_ok = config.max_depth is None or depth < config.max_depth
-        if depth_ok and counts.max() < len(idx) and len(idx) >= config.min_samples_split:
+        if depth_ok and node_counts.max() < len(idx) and len(idx) >= config.min_samples_split:
             cand = np.sort(rng.choice(active_features, size=m, replace=False))
-            split = _find_split(ranks, values, y, idx, cand, counts)
+            split = _find_split(ranks, values, y, idx, cand, node_counts)
+        right.append(-1)
         if split is None:
-            node.counts = counts
+            feature.append(-1)
+            threshold.append(0.0)
+            counts.append(node_counts)
             continue
         f, thr, parent_gini, cost = split
         if importance_out is not None:
             importance_out[f] += (parent_gini - cost) * (len(idx) / n_total)
-        node.feature = f
-        node.threshold = thr
-        node.left = TreeNode()
-        node.right = TreeNode()
+        feature.append(f)
+        threshold.append(thr)
+        counts.append(np.zeros(N_CLASSES, dtype=np.int64))
         mask = X[idx, f] <= thr
-        stack.append((idx[~mask], depth + 1, node.right))
-        stack.append((idx[mask], depth + 1, node.left))
-    return root
-
-
-def tree_apply(root: TreeNode, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Route a batch through one tree: per-row (leaf majority class, leaf
-    class counts). Leaf ties resolve to the lowest class index."""
-    n = len(X)
-    out_class = np.zeros(n, dtype=np.int64)
-    out_counts = np.zeros((n, N_CLASSES), dtype=np.int64)
-    stack = [(root, np.arange(n))]
-    while stack:
-        node, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        if node.is_leaf:
-            out_class[idx] = int(np.argmax(node.counts))
-            out_counts[idx] = node.counts
-        else:
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-    return out_class, out_counts
-
-
-@dataclass
-class ForestModel:
-    trees: list[TreeNode]
-    config: ForestConfig
-    feature_importances: np.ndarray  # length n_features, sums to 1 (or all 0)
-    active_features: np.ndarray  # sorted feature indices the trees may test
-    n_features: int = N_FEATURES
-    stats_fingerprint: str = ""
+        stack.append((idx[~mask], depth + 1, node))
+        stack.append((idx[mask], depth + 1, -1))
+    return feature, threshold, right, counts
 
 
 def train_forest(
@@ -250,9 +244,8 @@ def train_forest(
     total = importances.sum()
     if total > 0:
         importances = importances / total
-    return ForestModel(
-        trees=trees,
-        config=config,
+    return ForestModel.from_trees(
+        trees,
         feature_importances=importances,
         active_features=active,
         n_features=n_features,
@@ -260,24 +253,44 @@ def train_forest(
 
 
 def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Modal vote over trees. Modal ties go to the class with the larger
-    summed leaf-count mass across all trees, then the lower class index."""
+    """Modal vote over trees. A leaf votes for its majority class, ties to
+    the lower class index. Modal ties go to the class with the larger
+    summed leaf-count mass across all trees, then the lower class index.
+
+    Each tree partitions the row indices down its nodes, so a node
+    compares only the rows that reach it. Stepping all rows one level at a
+    time to the deepest leaf was measured 3x slower on large batches.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (n, {model.n_features}) inputs")
-    votes = np.zeros((len(X), N_CLASSES), dtype=np.int64)
-    mass = np.zeros((len(X), N_CLASSES), dtype=np.int64)
-    for tree in model.trees:
-        cls, counts = tree_apply(tree, X)
-        votes[np.arange(len(X)), cls] += 1
-        mass += counts
+    n = len(X)
+    majority = np.argmax(model.counts, axis=1)
+    # per node: its class counts, then the one-hot vote of their majority
+    tally = np.hstack([model.counts, np.eye(N_CLASSES, dtype=np.int64)[majority]])
+    feature, threshold, right = (
+        model.feature.tolist(), model.threshold.tolist(), model.right.tolist()
+    )
+    total = np.zeros((n, 2 * N_CLASSES), dtype=np.int64)
+    leaf = np.empty(n, dtype=np.int64)
+    for root in model.starts.tolist():
+        stack = [(root, np.arange(n))]
+        while stack:
+            node, idx = stack.pop()
+            if len(idx) == 0:
+                continue
+            f = feature[node]
+            if f < 0:
+                leaf[idx] = node
+            else:
+                mask = X[idx, f] <= threshold[node]
+                stack.append((node + 1, idx[mask]))
+                stack.append((right[node], idx[~mask]))
+        total += tally[leaf]
+    mass, votes = total[:, :N_CLASSES], total[:, N_CLASSES:]
     top = votes.max(axis=1, keepdims=True)
     tied_mass = np.where(votes == top, mass, -1)
     return np.argmax(tied_mass, axis=1)
-
-
-def feature_importance(model: ForestModel) -> np.ndarray:
-    return model.feature_importances.copy()
 
 
 def prune_and_retrain(
@@ -324,24 +337,19 @@ def save_forest(path: str | Path, model: ForestModel) -> None:
     lines = [
         version_line("forest"),
         f"stats_id={model.stats_fingerprint}",
-        f"n_trees={len(model.trees)}",
+        f"n_trees={len(model.starts)}",
         f"n_features={model.n_features}",
         "active_features=" + ",".join(str(int(f)) for f in model.active_features),
         "importances " + fmt_floats(model.feature_importances),
     ]
-    for i, tree in enumerate(model.trees):
-        nodes = []
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                nodes.append("L " + " ".join(str(int(c)) for c in node.counts))
-            else:
-                nodes.append(f"I {node.feature} {node.threshold!r}")
-                stack.append(node.right)
-                stack.append(node.left)
-        lines.append(f"tree {i} {len(nodes)}")
-        lines.extend(nodes)
+    # .tolist() gives Python floats, whose repr is the shortest exact text
+    columns = zip(model.feature.tolist(), model.threshold.tolist(), model.counts.tolist())
+    nodes = [f"I {f} {thr!r}" if f >= 0 else "L " + " ".join(map(str, c))
+             for f, thr, c in columns]
+    bounds = [*model.starts.tolist(), len(nodes)]
+    for t in range(len(model.starts)):
+        lines.append(f"tree {t} {bounds[t + 1] - bounds[t]}")
+        lines.extend(nodes[bounds[t]:bounds[t + 1]])
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -352,8 +360,8 @@ def _leaf_counts_ok(parts: list[str]) -> bool:
         return False
 
 
-def _read_tree(r: LineReader, t: int, n_features: int) -> TreeNode:
-    """Rebuild tree ``t`` from its header and preorder node lines."""
+def _read_tree(r: LineReader, t: int, n_features: int) -> tuple:
+    """Tree ``t``, as ``ForestModel.from_trees`` takes it, from its lines."""
     head = r.next(f"'tree {t} <nodes>'").split()
     if len(head) != 3 or head[0] != "tree" or head[1] != str(t):
         raise r.error(f"expected 'tree {t} <nodes>'")
@@ -370,50 +378,45 @@ def _read_tree(r: LineReader, t: int, n_features: int) -> TreeNode:
         r.line_no = first + k + 1
         return r.error(message)
 
+    feature, threshold, right = [-1] * n_nodes, [0.0] * n_nodes, [-1] * n_nodes
     leaves, leaf_text = [], []
-    pending: list[TreeNode] = []
+    awaiting = []  # internal nodes whose right child is still to come
     for k, line in enumerate(body):
         parts = line.split()
         tag = parts[0] if parts else ""
-        node = TreeNode()
         if tag == "L" and len(parts) == N_CLASSES + 1:
-            leaves.append(node)
+            leaves.append(k)
             leaf_text.append(parts[1:])
         elif tag == "I" and len(parts) == 3:
             try:
-                node.feature = int(parts[1])
-                node.threshold = float(parts[2])
+                feature[k], threshold[k] = int(parts[1]), float(parts[2])
             except ValueError:
-                node.feature = -1
-            if not 0 <= node.feature < n_features or not math.isfinite(node.threshold):
+                pass  # feature[k] stays -1, which the range check rejects
+            if not 0 <= feature[k] < n_features or not math.isfinite(threshold[k]):
                 raise bad(k, f"bad split '{line}'")
         else:
             raise bad(k, f"bad tree node '{line}': expected 'L' and {N_CLASSES} counts"
                          " or 'I <feature> <threshold>'")
-        if k == 0:
-            root = node
-        elif not pending:
-            raise bad(k, f"tree {t} is complete after {k} of its {n_nodes} nodes")
-        elif pending[-1].left is None:
-            pending[-1].left = node
-        else:
-            pending.pop().right = node
-        if not node.is_leaf:
-            pending.append(node)
-    if pending:
+        if k > 0 and feature[k - 1] < 0:  # a node after a leaf is a right child
+            if not awaiting:
+                raise bad(k, f"tree {t} is complete after {k} of its {n_nodes} nodes")
+            right[awaiting.pop()] = k
+        if feature[k] >= 0:
+            awaiting.append(k)
+    if awaiting:
         raise bad(n_nodes - 1, f"tree {t} is incomplete after its {n_nodes} nodes")
     try:  # one conversion for all leaves; rescan only to place an error
-        counts = np.array(leaf_text, dtype=np.int64)
-        if counts.min() < 0:
+        leaf_counts = np.array(leaf_text, dtype=np.int64)
+        if leaf_counts.min() < 0:
             raise ValueError
     except (ValueError, OverflowError):
         # numpy converts each string with int(), so the rescan finds the line
         k = next(k for k, line in enumerate(body) if not _leaf_counts_ok(line.split()))
         raise bad(k, f"leaf counts must be non-negative integers: '{body[k]}'") from None
-    for node, row in zip(leaves, counts):
-        node.counts = row
+    counts = np.zeros((n_nodes, N_CLASSES), dtype=np.int64)
+    counts[leaves] = leaf_counts
     r.line_no = first + n_nodes
-    return root
+    return feature, threshold, right, counts
 
 
 def load_forest(path: str | Path) -> ForestModel:
@@ -442,9 +445,8 @@ def load_forest(path: str | Path) -> ForestModel:
         raise r.error(f"expected {n_features} importances, got {len(importances)}")
     trees = [_read_tree(r, t, n_features) for t in range(n_trees)]
     r.end()
-    return ForestModel(
-        trees=trees,
-        config=ForestConfig(n_trees=n_trees),
+    return ForestModel.from_trees(
+        trees,
         feature_importances=importances,
         active_features=active,
         n_features=n_features,

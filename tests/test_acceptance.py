@@ -236,15 +236,16 @@ def test_criterion_6c_forest_vote_oracle_and_gini():
     got = rf.predict_batch(model, probe)
 
     def route_one(node, x):
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.counts
+        while model.feature[node] >= 0:
+            go_left = x[model.feature[node]] <= model.threshold[node]
+            node = node + 1 if go_left else model.right[node]
+        return model.counts[node]
 
     for i, x in enumerate(probe):
         votes = np.zeros(5, dtype=int)
         mass = np.zeros(5, dtype=int)
-        for tree in model.trees:
-            counts = route_one(tree, x)
+        for root in model.starts:
+            counts = route_one(root, x)
             votes[int(np.argmax(counts))] += 1
             mass += counts
         best = np.flatnonzero(votes == votes.max())

@@ -21,6 +21,7 @@ from hybrid_ids.dataset import (
     load_dataset,
     parse_kdd_line,
 )
+from hybrid_ids.evaluation import confusion, write_confusion_csv
 from hybrid_ids.hybrid import Verdicts, load_hybrid, predict_dataset
 from hybrid_ids.random_forest import load_forest, predict_batch as rf_predict_batch
 
@@ -423,6 +424,16 @@ def test_report_renders_saved_tables(workspace, capsys):
     out = capsys.readouterr().out
     assert "misuse" in out
     assert "Precision:" in out
+
+
+def test_report_on_truncated_confusion_csv_errors(tmp_path, capsys):
+    path = tmp_path / "confusion_nn.csv"
+    write_confusion_csv(path, confusion([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]))
+    path.write_text("".join(line + "\n" for line in path.read_text().splitlines()[:4]))
+    rc = main(["report", "nn", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}, line 5: unexpected end of file, expected the row of 'probe'\n"
 
 
 def test_report_without_artifacts_errors(tmp_path, capsys):

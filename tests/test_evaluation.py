@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hybrid_ids.dataset import COARSE_NAMES, CoarseLabel
+from hybrid_ids.errors import FormatError
 from hybrid_ids.evaluation import (
     ConfusionMatrix,
     confusion,
@@ -206,3 +207,33 @@ def test_csv_outputs_round_trip(tmp_path):
     assert np.array_equal(loaded.counts, m.counts)
     header = metrics_path.read_text().splitlines()[2]
     assert header == "class,precision,recall,accuracy,flags"
+
+
+def _set(i, text):
+    return lambda lines: lines[:i] + [text] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("edit, line_no, match", [
+    (lambda lines: lines[:5], 6, "unexpected end of file, expected the row of 'probe'"),
+    (lambda lines: lines[:2], 3, "unexpected end of file, expected the header"),
+    (_set(0, "# hybrid-ids metrics v1"), 1, "expected format line 'hybrid-ids confusion v1'"),
+    (_set(2, "truth,normal,dos,probe,r2l,u2r"), 3, "expected 'truth\\\\pred'"),
+    (_set(2, "truth\\pred,normal,dos,dos,r2l,u2r"), 3, "distinct class names"),
+    (_set(2, "truth\\pred"), 3, "distinct class names"),
+    (_set(3, "dos,1,0,0,0,0"), 4, "expected 'normal' and 5 counts"),
+    (_set(4, "dos,0,x,0,0,0"), 5, "count 'x' is not a valid int"),
+    (_set(5, "probe,0,0,1"), 6, "expected 'probe' and 5 counts, got 'probe,0,0,1'"),
+    (_set(6, "r2l,0,0,0,-1,0"), 7, "counts must be non-negative 64-bit integers"),
+    (_set(7, "u2r,0,0,0,0,99999999999999999999"), 8, "counts must be non-negative"),
+    (lambda lines: lines + ["normal,1,0,0,0,0"], 9, "unexpected content after the end"),
+])
+def test_load_confusion_csv_rejects_damage(tmp_path, edit, line_no, match):
+    path = tmp_path / "confusion.csv"
+    write_confusion_csv(path, confusion([0, 1, 2, 3, 4, 1], [0, 1, 2, 3, 4, 2]), seed=7)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 8  # format line, seed, header, five rows
+    path.write_text("".join(line + "\n" for line in edit(lines)))
+    with pytest.raises(FormatError, match=match) as info:
+        load_confusion_csv(path)
+    assert info.value.line_no == line_no
+    assert str(info.value).startswith(f"{path}, line {line_no}: ")

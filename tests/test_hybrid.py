@@ -22,6 +22,7 @@ from hybrid_ids.dataset import (
     stratified_split,
 )
 from hybrid_ids.hybrid import (
+    MANIFEST_FILES,
     HybridConfig,
     HybridModel,
     load_hybrid,
@@ -30,6 +31,7 @@ from hybrid_ids.hybrid import (
     save_hybrid,
     train_all,
 )
+from hybrid_ids.errors import FormatError
 from hybrid_ids.neural_net import TrainConfig
 from hybrid_ids.random_forest import ForestConfig
 
@@ -67,13 +69,11 @@ def _forced_mlp(cls: CoarseLabel) -> nn.MLPModel:
 
 
 def _forced_forest(cls: CoarseLabel) -> rf.ForestModel:
-    leaf = rf.TreeNode()
     counts = np.zeros(5, dtype=np.int64)
     counts[int(cls)] = 7
-    leaf.counts = counts
-    return rf.ForestModel(
-        trees=[leaf],
-        config=ForestConfig(n_trees=1),
+    leaf = [-1], [0.0], [-1], [counts]  # a one-node tree
+    return rf.ForestModel.from_trees(
+        [leaf],
         feature_importances=np.zeros(N_FEATURES),
         active_features=np.arange(N_FEATURES),
     )
@@ -331,3 +331,23 @@ def test_hybrid_manifest_detects_taxonomy_conflict(tmp_path):
     with pytest.raises(ValueError, match="taxonomy maps it"):
         load_hybrid(manifest)
 
+
+
+@pytest.mark.parametrize("edit, line_no, match", [
+    (lambda lines: lines[:2] + ["stats"] + lines[2:], 3, "expected '<key>=<file>', got 'stats'"),
+    (lambda lines: lines[:4] + ["stats="] + lines[5:], 5, "expected '<key>=<file>', got 'stats='"),
+    (lambda lines: lines + ["stats=other.txt"], 7, "repeated key 'stats'"),
+    (lambda lines: [line for line in lines if not line.startswith("centroids=")], 5,
+     r"manifest missing entries: \['centroids'\]"),
+    (lambda lines: ["hybrid-ids forest v1"] + lines[1:], 1, "expected format line"),
+    (lambda lines: [], 1, "unexpected end of file"),
+])
+def test_hybrid_manifest_malformed(tmp_path, edit, line_no, match):
+    # the manifest is checked before any model file is opened
+    lines = ["hybrid-ids hybrid v1"] + [f"{key}={name}" for key, name in MANIFEST_FILES.items()]
+    manifest = tmp_path / "hybrid.manifest"
+    manifest.write_text("".join(line + "\n" for line in edit(lines)))
+    with pytest.raises(FormatError, match=match) as info:
+        load_hybrid(manifest)
+    assert info.value.line_no == line_no
+    assert str(info.value).startswith(f"{manifest}, line {line_no}: ")

@@ -13,8 +13,6 @@ from hybrid_ids.errors import FormatError
 from hybrid_ids.random_forest import (
     ForestConfig,
     ForestModel,
-    TreeNode,
-    feature_importance,
     gini,
     load_forest,
     predict_batch,
@@ -22,25 +20,42 @@ from hybrid_ids.random_forest import (
     save_forest,
     train_forest,
     train_tree,
-    tree_apply,
 )
 
 from conftest import separable_dataset
 
 
-def leaf(counts) -> TreeNode:
-    node = TreeNode()
-    node.counts = np.asarray(counts, dtype=np.int64)
-    return node
+def leaf(counts) -> tuple:
+    """A one-node tree: a leaf holding ``counts``."""
+    return [-1], [0.0], [-1], [counts]
 
 
-def forest_of(leaves: list[TreeNode]) -> ForestModel:
-    return ForestModel(
-        trees=leaves,
-        config=ForestConfig(n_trees=len(leaves)),
-        feature_importances=np.zeros(N_FEATURES),
-        active_features=np.arange(N_FEATURES),
+def forest_of(trees: list[tuple], n_features: int = N_FEATURES) -> ForestModel:
+    return ForestModel.from_trees(
+        trees,
+        feature_importances=np.zeros(n_features),
+        active_features=np.arange(n_features),
+        n_features=n_features,
     )
+
+
+def route_one(model, node, x):
+    """Leaf counts that ``x`` reaches from ``node``, one node at a time."""
+    while model.feature[node] >= 0:
+        node = node + 1 if x[model.feature[node]] <= model.threshold[node] else model.right[node]
+    return model.counts[node]
+
+
+def leaf_depths(model, root=0) -> dict[int, int]:
+    """Depth of every leaf below ``root``, found by following the links."""
+    out, stack = {}, [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if model.feature[node] < 0:
+            out[node] = depth
+        else:
+            stack += [(node + 1, depth + 1), (model.right[node], depth + 1)]
+    return out
 
 
 def pad(X: np.ndarray) -> np.ndarray:
@@ -70,7 +85,8 @@ def test_gini_range_property():
         assert 0.0 <= gini(counts) <= 0.8 + 1e-12
 
 
-def _grow(X, y, config=None, seed=0, all_features=True):
+def _grow(X, y, config=None, seed=0, all_features=True) -> ForestModel:
+    """One tree from ``train_tree``, as a one-tree forest."""
     config = config or ForestConfig()
     n_features = X.shape[1]
     if all_features:
@@ -80,53 +96,45 @@ def _grow(X, y, config=None, seed=0, all_features=True):
             features_per_split=n_features, seed=seed,
         )
     rng = np.random.default_rng(seed)
-    return train_tree(
-        X, np.asarray(y), np.arange(len(X)), config, rng, np.arange(n_features)
-    )
+    tree = train_tree(X, np.asarray(y), np.arange(len(X)), config, rng, np.arange(n_features))
+    return forest_of([tree], n_features)
 
 
 def test_tree_single_label_is_leaf():
     X = np.random.default_rng(0).normal(size=(10, 5))
-    root = _grow(X, [2] * 10)
-    assert root.is_leaf
-    assert root.counts[2] == 10
+    tree = _grow(X, [2] * 10)
+    assert tree.feature.tolist() == [-1]
+    assert tree.counts[0, 2] == 10
 
 
 def test_tree_one_dimensional_stump():
     X = np.array([[0.0], [1.0]])
-    root = _grow(X, [0, 1])
-    assert not root.is_leaf
-    assert root.feature == 0
-    assert root.threshold == 0.5
-    assert root.left.is_leaf and root.right.is_leaf
-    assert root.left.counts[0] == 1 and root.right.counts[1] == 1
+    tree = _grow(X, [0, 1])
+    assert tree.feature.tolist() == [0, -1, -1]  # root, then its two leaves
+    assert tree.threshold[0] == 0.5
+    assert tree.right.tolist() == [2, -1, -1]  # left child is node 1
+    assert tree.counts[1, 0] == 1 and tree.counts[2, 1] == 1
 
 
 def test_tree_identical_features_mixed_labels():
     X = np.ones((6, 4))
-    root = _grow(X, [0, 0, 1, 1, 1, 0])
-    assert root.is_leaf
-    assert root.counts[0] == 3 and root.counts[1] == 3
+    tree = _grow(X, [0, 0, 1, 1, 1, 0])
+    assert tree.feature.tolist() == [-1]
+    assert tree.counts[0, 0] == 3 and tree.counts[0, 1] == 3
 
 
 def test_tree_depth_bound():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(50, 3))
     y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0).astype(int)
-    root = _grow(X, y, config=ForestConfig(max_depth=1))
-
-    def depth(node):
-        if node.is_leaf:
-            return 0
-        return 1 + max(depth(node.left), depth(node.right))
-
-    assert depth(root) <= 1
+    tree = _grow(X, y, config=ForestConfig(max_depth=1))
+    assert max(leaf_depths(tree).values()) <= 1
 
 
 def test_tree_min_samples_split():
     X = np.array([[0.0], [1.0], [2.0]])
-    root = _grow(X, [0, 1, 1], config=ForestConfig(min_samples_split=4))
-    assert root.is_leaf
+    tree = _grow(X, [0, 1, 1], config=ForestConfig(min_samples_split=4))
+    assert tree.feature.tolist() == [-1]
 
 
 def test_tree_order_invariance():
@@ -137,7 +145,8 @@ def test_tree_order_invariance():
     perm = rng.permutation(40)
     b = _grow(X[perm], y[perm], seed=5)
     probe = rng.normal(size=(100, 5))
-    assert np.array_equal(tree_apply(a, probe)[0], tree_apply(b, probe)[0])
+    assert [np.argmax(route_one(a, 0, x)) for x in probe] == \
+        [np.argmax(route_one(b, 0, x)) for x in probe]
 
 
 def _unbagged_forest(X, y, config, active) -> ForestModel:
@@ -145,8 +154,8 @@ def _unbagged_forest(X, y, config, active) -> ForestModel:
     rng = np.random.default_rng(config.seed)
     trees = [train_tree(X, y, np.arange(len(X)), config, rng, active)
              for _ in range(config.n_trees)]
-    return ForestModel(trees=trees, config=config,
-                       feature_importances=np.zeros(X.shape[1]), active_features=active)
+    return ForestModel.from_trees(trees, feature_importances=np.zeros(X.shape[1]),
+                                  active_features=active)
 
 
 def test_single_tree_forest_equals_tree():
@@ -155,8 +164,8 @@ def test_single_tree_forest_equals_tree():
     model = _unbagged_forest(ds.X, ds.coarse, cfg, np.arange(N_FEATURES))
     rng = np.random.default_rng(0)
     probe = rng.normal(size=(100, N_FEATURES)) * 4
-    tree_preds, _ = tree_apply(model.trees[0], probe)
-    assert np.array_equal(predict_batch(model, probe), tree_preds)
+    tree_preds = [np.argmax(route_one(model, 0, x)) for x in probe]
+    assert predict_batch(model, probe).tolist() == tree_preds
 
 
 def test_vote_mode_hand_cases():
@@ -181,18 +190,12 @@ def test_forest_vote_matches_exhaustive_oracle():
     model = train_forest(ds, ForestConfig(n_trees=7, seed=8))
     rng = np.random.default_rng(9)
     probe = rng.normal(size=(100, N_FEATURES)) * 5
-
-    def route_one(node, x):
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.counts
-
     got = predict_batch(model, probe)
     for i, x in enumerate(probe):
         votes = np.zeros(5, dtype=int)
         mass = np.zeros(5, dtype=int)
-        for tree in model.trees:
-            counts = route_one(tree, x)
+        for root in model.starts:
+            counts = route_one(model, root, x)
             votes[int(np.argmax(counts))] += 1
             mass += counts
         best = np.flatnonzero(votes == votes.max())
@@ -212,7 +215,7 @@ def test_importance_concentrates_on_splitting_feature():
     y = (X[:, 3] > 0).astype(int)
     ds = Dataset(X, ["a"] * 60, y)
     model = train_forest(ds, ForestConfig(n_trees=5, seed=1, features_per_split=41))
-    imp = feature_importance(model)
+    imp = model.feature_importances
     assert imp[3] == pytest.approx(1.0)
     assert np.all(imp[np.arange(N_FEATURES) != 3] == 0.0)
 
@@ -220,7 +223,7 @@ def test_importance_concentrates_on_splitting_feature():
 def test_importances_nonnegative_sum_to_one():
     ds = separable_dataset(n_per_label=15, seed=7)
     model = train_forest(ds, ForestConfig(n_trees=10, seed=3))
-    imp = feature_importance(model)
+    imp = model.feature_importances
     assert np.all(imp >= 0)
     assert imp.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -231,7 +234,7 @@ def test_informative_feature_ranks_first():
     y = (X[:, 7] > 0.5).astype(int)
     ds = Dataset(X, ["a"] * 300, y)
     model = train_forest(ds, ForestConfig(n_trees=20, seed=4))
-    imp = feature_importance(model)
+    imp = model.feature_importances
     assert int(np.argmax(imp)) == 7
 
 
@@ -306,30 +309,59 @@ def test_prune_keeps_unpruned_model_on_degradation():
 def test_tree_paths_and_leaf_counts_invariant():
     ds = separable_dataset(n_per_label=10, seed=15)
     model = train_forest(ds, ForestConfig(n_trees=4, seed=8, max_depth=6))
-
-    def walk(node, depth):
-        if node.is_leaf:
-            assert node.counts.sum() >= 1
+    ends = [*model.starts[1:], len(model.feature)]
+    for root, end in zip(model.starts, ends):
+        depths = leaf_depths(model, root)
+        for node, depth in depths.items():
+            assert model.counts[node].sum() >= 1
             assert depth <= 6
-            return
-        walk(node.left, depth + 1)
-        walk(node.right, depth + 1)
-
-    for tree in model.trees:
-        walk(tree, 0)
+        # the links reach every leaf of the tree's node range exactly once
+        assert sorted(depths) == [i for i in range(root, end) if model.feature[i] < 0]
 
 
-def test_forest_persistence_round_trip(tmp_path):
-    ds = separable_dataset(n_per_label=10, seed=16)
-    model = train_forest(ds, ForestConfig(n_trees=4, seed=9))
-    model.stats_fingerprint = "cafe01234567"
-    path = tmp_path / "forest.model"
+_MAX = np.finfo(np.float64).max
+# 5e-324 (between 0 and 1e-323) and -max (below -1e308) become thresholds
+# through the midpoint guard; -0.0 and +max never can, so they are written
+# into drawn internal nodes
+_COLUMN_POOL = (0.0, 5e-324, 1e-323, 1.0, -1.5, 1e308, _MAX, -1e308, -_MAX, 0.3)
+_SPECIAL_THRESHOLDS = (-0.0, 5e-324, -5e-324, _MAX, -_MAX)
+
+
+@st.composite
+def trained_forests(draw):
+    n_rows = draw(st.integers(2, 30))
+    X = np.zeros((n_rows, N_FEATURES))
+    for f in range(3):
+        X[:, f] = draw(st.lists(st.sampled_from(_COLUMN_POOL), min_size=n_rows, max_size=n_rows))
+    y = np.array(draw(st.lists(st.integers(0, 4), min_size=n_rows, max_size=n_rows)))
+    config = ForestConfig(n_trees=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32 - 1)),
+                          features_per_split=draw(st.integers(1, N_FEATURES)))
+    model = train_forest(Dataset(X, ["a"] * n_rows, y), config)
+    for node in np.flatnonzero(model.feature >= 0):
+        model.threshold[node] = draw(st.sampled_from((model.threshold[node],) + _SPECIAL_THRESHOLDS))
+    model.stats_fingerprint = draw(st.sampled_from(["", "cafe01234567"]))
+    return model
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(deadline=None, max_examples=150)
+@given(model=trained_forests())
+def test_forest_persistence_round_trip(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("round_trip") / "forest.model"
     save_forest(path, model)
-    assert path.read_text().startswith("hybrid-ids forest v1")
+    text = path.read_text()
+    assert text.startswith("hybrid-ids forest v1")
     loaded = load_forest(path)
-    assert loaded.stats_fingerprint == "cafe01234567"
-    assert np.array_equal(loaded.active_features, model.active_features)
-    assert np.allclose(loaded.feature_importances, model.feature_importances)
+    for name in ("feature", "right", "counts", "starts", "active_features"):
+        got, want = getattr(loaded, name), getattr(model, name)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), name
+    for name in ("threshold", "feature_importances"):  # bit patterns: -0.0 != 0.0
+        got, want = getattr(loaded, name), getattr(model, name)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    assert loaded.n_features == model.n_features
+    assert loaded.stats_fingerprint == model.stats_fingerprint
+    save_forest(path, loaded)
+    assert path.read_text() == text
     probe = np.random.default_rng(3).normal(size=(60, N_FEATURES)) * 4
     assert np.array_equal(predict_batch(loaded, probe), predict_batch(model, probe))
 
@@ -344,13 +376,14 @@ def test_overflowing_midpoint_splits_at_lower_value(tmp_path, pair):
     X[:, 0] = [lo, hi, lo, hi]
     config = ForestConfig(n_trees=2, max_depth=3)
     model = _unbagged_forest(X, np.array([0, 1, 0, 1]), config, np.array([0]))
-    for tree in model.trees:
-        assert tree.feature == 0 and tree.threshold == lo
-        assert tree.left.is_leaf and tree.right.is_leaf
+    # each tree: a root splitting feature 0 at lo, then two leaves
+    assert model.starts.tolist() == [0, 3]
+    assert model.feature.tolist() == [0, -1, -1, 0, -1, -1]
+    assert model.threshold[model.starts].tolist() == [lo, lo]
     path = tmp_path / "forest.model"
     save_forest(path, model)
     loaded = load_forest(path)
-    assert [t.threshold for t in loaded.trees] == [lo, lo]
+    assert loaded.threshold[loaded.starts].tolist() == [lo, lo]
     assert list(predict_batch(loaded, X)) == [0, 1, 0, 1]
 
 
@@ -480,7 +513,7 @@ def test_load_forest_not_text(tmp_path):
 def test_load_forest_tolerates_trailing_blank_lines(tmp_path):
     path, lines = _forest_file(tmp_path)
     path.write_text("\n".join(lines) + "\n\n  \n")
-    assert len(load_forest(path).trees) == 3
+    assert len(load_forest(path).starts) == 3
 
 
 _GARBLE_TEXT = st.sampled_from(
@@ -523,5 +556,7 @@ def test_load_forest_garbled_raises_only_format_error(tmp_path_factory, data):
         assert str(exc).startswith(f"{path}, line {exc.line_no}: ")
         return
     # the edits left a well-formed forest: it must be usable as loaded
-    assert len(model.trees) == model.config.n_trees
+    assert len(model.starts) == sum(line.startswith("tree ") for line in lines)
+    n_nodes = len(model.feature)
+    assert len(model.threshold) == len(model.right) == len(model.counts) == n_nodes
     predict_batch(model, np.zeros((3, model.n_features)))

@@ -21,7 +21,7 @@ from hybrid_ids.dataset import Dataset, N_FEATURES
 from hybrid_ids.random_forest import (
     N_CLASSES,
     ForestConfig,
-    TreeNode,
+    ForestModel,
     prune_and_retrain,
     save_forest,
     train_forest,
@@ -65,13 +65,14 @@ def oracle_find_split(X, y_onehot, idx, features, parent_counts):
 
 
 def oracle_train_tree(X, y, sample_idx, config, rng, active_features, importance_out):
+    """The tree's node list in preorder, as ``preorder`` gives it."""
     y_onehot = (y[:, None] == np.arange(N_CLASSES)).astype(np.int64)
     n_total = len(sample_idx)
     m = min(config.features_per_split, len(active_features))
-    root = TreeNode()
-    stack = [(sample_idx, 0, root)]
+    out = []
+    stack = [(sample_idx, 0)]
     while stack:
-        idx, depth, node = stack.pop()
+        idx, depth = stack.pop()
         counts = np.bincount(y[idx], minlength=N_CLASSES)
         split = None
         depth_ok = config.max_depth is None or depth < config.max_depth
@@ -79,32 +80,25 @@ def oracle_train_tree(X, y, sample_idx, config, rng, active_features, importance
             cand = np.sort(rng.choice(active_features, size=m, replace=False))
             split = oracle_find_split(X, y_onehot, idx, cand, counts)
         if split is None:
-            node.counts = counts
+            out.append(("L", tuple(int(c) for c in counts)))
             continue
         f, thr, parent_gini, cost = split
         importance_out[f] += (parent_gini - cost) * (len(idx) / n_total)
-        node.feature = f
-        node.threshold = thr
-        node.left = TreeNode()
-        node.right = TreeNode()
+        out.append(("I", f, float(thr).hex()))
         mask = X[idx, f] <= thr
-        stack.append((idx[~mask], depth + 1, node.right))
-        stack.append((idx[mask], depth + 1, node.left))
-    return root
-
-
-def preorder(root: TreeNode) -> list[tuple]:
-    """Node list with thresholds as bit patterns, so -0.0 != 0.0."""
-    out, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            out.append(("L", tuple(int(c) for c in node.counts)))
-        else:
-            out.append(("I", node.feature, float(node.threshold).hex()))
-            stack.append(node.right)
-            stack.append(node.left)
+        stack.append((idx[~mask], depth + 1))
+        stack.append((idx[mask], depth + 1))  # popped next: preorder
     return out
+
+
+def preorder(model: ForestModel, t: int) -> list[tuple]:
+    """Tree ``t``'s node list with thresholds as bit patterns, so -0.0 != 0.0."""
+    end = model.starts[t + 1] if t + 1 < len(model.starts) else len(model.feature)
+    return [
+        ("L", tuple(int(c) for c in model.counts[i])) if model.feature[i] < 0
+        else ("I", int(model.feature[i]), float(model.threshold[i]).hex())
+        for i in range(model.starts[t], end)
+    ]
 
 
 _TINY = 5e-324
@@ -149,7 +143,9 @@ def test_train_tree_matches_sort_based_oracle(problem):
     got_imp, want_imp = np.zeros(X.shape[1]), np.zeros(X.shape[1])
     got = train_tree(X, y, sample, config, got_rng, active, got_imp)
     want = oracle_train_tree(X, y, sample, config, want_rng, active, want_imp)
-    assert preorder(got) == preorder(want)
+    one_tree = ForestModel.from_trees([got], feature_importances=got_imp, active_features=active,
+                                      n_features=X.shape[1])
+    assert preorder(one_tree, 0) == want
     assert [v.hex() for v in got_imp] == [v.hex() for v in want_imp]
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -175,14 +171,14 @@ def test_train_forest_matches_oracle_forest():
     config = ForestConfig(n_trees=4, seed=3)
     model = train_forest(ds, config)
     importances = np.zeros(N_FEATURES)
-    for tree, stream in zip(model.trees, np.random.SeedSequence(config.seed).spawn(4)):
+    for t, stream in enumerate(np.random.SeedSequence(config.seed).spawn(4)):
         rng = np.random.default_rng(stream)
         sample = rng.integers(0, len(ds), size=len(ds))
         tree_importance = np.zeros(N_FEATURES)
         want = oracle_train_tree(
             ds.X, ds.coarse, sample, config, rng, np.arange(N_FEATURES), tree_importance
         )
-        assert preorder(tree) == preorder(want)
+        assert preorder(model, t) == want
         importances += tree_importance
     importances /= config.n_trees
     assert np.array_equal(model.feature_importances, importances / importances.sum())
