@@ -153,7 +153,7 @@ def evaluate_misuse(model: CentroidModel, test: Dataset) -> MisuseEvaluation:
 
 def signature_collisions(model: CentroidModel) -> list[str]:
     """Fine labels whose own centroid assigns elsewhere (shadowed
-    signatures); reported as warnings by the CLI."""
+    signatures); logged as a warning when the misuse stage is trained."""
     nearest, _ = assign_batch(model, model._matrix)
     collisions = []
     for i, e in enumerate(model.entries):

@@ -6,9 +6,10 @@ Every command is deterministic given its config file. A single root seed
     sampling = seed      split   = seed + 1    neural net = seed + 2
     forest   = seed + 3  misuse  = seed + 4    CV folds   = seed + 5
 
-Config files are flat ``key=value`` text with ``#`` comments; see
-``CONFIG_KEYS`` for the accepted keys. All artifacts are plain text and
-live in the output directory under fixed names.
+Config files are flat ``key=value`` text with ``#`` comments;
+``CONFIG_TABLE`` and ``CONFIG_PREFIXES`` map each accepted key to the
+setting it fills. All artifacts are plain text and live in the output
+directory under fixed names.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ from .hybrid import (
     predict_dataset,
     save_hybrid,
     train_all,
+    train_misuse,
+    train_nn,
+    train_rf,
 )
 from .neural_net import TrainConfig
 from .persist import atomic_open, atomic_write, version_line
@@ -75,96 +79,23 @@ TEST_FILE = "test.csv"
 # more encoded records in memory.
 _PREDICT_CHUNK = 1024
 
-CONFIG_KEYS = {
-    "data", "out", "seed", "split.test_fraction",
-    "sampling.normal", "sampling.dos", "sampling.probe", "sampling.r2l",
-    "sampling.rtl", "sampling.u2r",
-    "nn.hidden1", "nn.hidden2", "nn.learning_rate", "nn.epochs",
-    "nn.batch_size", "nn.folds",
-    "rf.trees", "rf.max_depth", "rf.min_samples_split",
-    "rf.features_per_split", "rf.importance_threshold", "rf.prune",
-    "misuse.clusters_per_label",
-}
-
 
 @dataclass
 class RunConfig:
+    """The settings of one command: the run's own, and the three stages'
+    model configs in ``hybrid``. :func:`build_config` fills it in and
+    stamps the seeds derived from ``seed``."""
+
     data: str = ""
     out: str = "out"
     seed: int = DEFAULT_SEED
     test_fraction: float = 0.30
-    sampling: dict[CoarseLabel, int] = dc_field(
-        default_factory=lambda: dict(SamplingPlan.DEFAULT_TARGETS)
-    )
+    cv_folds: int = 2
+    sampling: SamplingPlan = dc_field(default_factory=SamplingPlan.default)
     taxonomy_extra: dict[str, CoarseLabel] = dc_field(default_factory=dict)
-    nn_hidden: tuple[int, int] = (64, 32)
-    nn_learning_rate: float = 0.01
-    nn_epochs: int = 30
-    nn_batch_size: int = 128
-    nn_folds: int = 2
-    rf_trees: int = 100
-    rf_max_depth: int | None = None
-    rf_min_samples_split: int = 2
-    rf_features_per_split: int = 7
-    rf_importance_threshold: float = 0.99
-    rf_prune: bool = True
-    misuse_clusters: int = 1
-
-    # Per-component seeds, derived from the root seed by fixed offsets.
-    @property
-    def sampling_seed(self) -> int:
-        return self.seed
-
-    @property
-    def split_seed(self) -> int:
-        return self.seed + 1
-
-    @property
-    def nn_seed(self) -> int:
-        return self.seed + 2
-
-    @property
-    def rf_seed(self) -> int:
-        return self.seed + 3
-
-    @property
-    def misuse_seed(self) -> int:
-        return self.seed + 4
-
-    @property
-    def fold_seed(self) -> int:
-        return self.seed + 5
-
-    def nn_config(self) -> TrainConfig:
-        return TrainConfig(
-            hidden_dims=self.nn_hidden,
-            learning_rate=self.nn_learning_rate,
-            epochs=self.nn_epochs,
-            batch_size=self.nn_batch_size,
-            seed=self.nn_seed,
-        )
-
-    def rf_config(self) -> ForestConfig:
-        return ForestConfig(
-            n_trees=self.rf_trees,
-            max_depth=self.rf_max_depth,
-            min_samples_split=self.rf_min_samples_split,
-            features_per_split=self.rf_features_per_split,
-            seed=self.rf_seed,
-            importance_keep_threshold=self.rf_importance_threshold,
-        )
-
-    def hybrid_config(self) -> HybridConfig:
-        return HybridConfig(
-            nn=self.nn_config(),
-            rf=self.rf_config(),
-            clusters_per_label=self.misuse_clusters,
-            misuse_seed=self.misuse_seed,
-            prune_forest=self.rf_prune,
-        )
-
-    def sampling_plan(self) -> SamplingPlan:
-        return SamplingPlan(dict(self.sampling), rng_seed=self.sampling_seed)
+    hybrid: HybridConfig = dc_field(default_factory=HybridConfig)
+    split_seed: int = 0
+    fold_seed: int = 0
 
     def taxonomy(self) -> Taxonomy:
         return Taxonomy.default().extended(self.taxonomy_extra)
@@ -182,75 +113,117 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got '{value}'")
 
 
+def _max_depth(value: str) -> int | None:
+    depth = int(value)
+    if depth < 0:
+        raise ValueError(f"expected a depth >= 0 (0 means no limit), got {depth}")
+    return depth or None
+
+
+# the class each sampling.<name> key targets
+_SAMPLING_CLASSES = {**{str(c): c for c in CoarseLabel}, "rtl": CoarseLabel.R2L}
+
+# key -> (section, field, converter). The sections are RunConfig ("run"),
+# the neural net's TrainConfig ("nn"), the forest's ForestConfig ("rf") and
+# the rest of HybridConfig ("hybrid"); nn.hidden1 and nn.hidden2 fill the
+# one hidden_dims tuple.
+CONFIG_TABLE = {
+    "data": ("run", "data", str),
+    "out": ("run", "out", str),
+    "seed": ("run", "seed", int),
+    "split.test_fraction": ("run", "test_fraction", float),
+    "nn.hidden1": ("nn", "hidden1", int),
+    "nn.hidden2": ("nn", "hidden2", int),
+    "nn.learning_rate": ("nn", "learning_rate", float),
+    "nn.epochs": ("nn", "epochs", int),
+    "nn.batch_size": ("nn", "batch_size", int),
+    "nn.folds": ("run", "cv_folds", int),
+    "rf.trees": ("rf", "n_trees", int),
+    "rf.max_depth": ("rf", "max_depth", _max_depth),
+    "rf.min_samples_split": ("rf", "min_samples_split", int),
+    "rf.features_per_split": ("rf", "features_per_split", int),
+    "rf.importance_threshold": ("rf", "importance_keep_threshold", float),
+    "rf.prune": ("hybrid", "prune_forest", _parse_bool),
+    "misuse.clusters_per_label": ("hybrid", "clusters_per_label", int),
+}
+# key prefix -> (section, converter of the rest of the key, converter of the
+# value); the section is a dict that the converted key indexes
+CONFIG_PREFIXES = {
+    "sampling.": ("sampling", _SAMPLING_CLASSES.__getitem__, int),
+    "taxonomy.": ("taxonomy", str, CoarseLabel.from_name),
+}
+
+
+def _setting(key: str, value: str) -> tuple[str, object, object]:
+    """(section, field, converted value) of one entry; KeyError if the key
+    is unknown, ValueError if its converter rejects the value."""
+    if key in CONFIG_TABLE:
+        section, name, convert = CONFIG_TABLE[key]
+        return section, name, convert(value)
+    prefix, dot, rest = key.partition(".")
+    section, convert_rest, convert = CONFIG_PREFIXES[prefix + dot]
+    return section, convert_rest(rest), convert(value)
+
+
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment; unknown keys are errors
-    unless they are taxonomy extensions."""
+    """Flat key=value lines; '#' starts a comment. A line without '=', an
+    unknown or repeated key, or a value its key rejects is an error that
+    names the file and line."""
     entries: dict[str, str] = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{line_no}"
             if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key=value, got '{raw.strip()}'")
+                raise ValueError(f"{where}: expected key=value, got '{raw.strip()}'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS and not key.startswith("taxonomy."):
-                raise ValueError(f"{path}:{line_no}: unknown config key '{key}'")
+            if key in entries:
+                raise ValueError(f"{where}: repeated key '{key}'")
+            try:
+                _setting(key, value)
+            except KeyError:
+                raise ValueError(f"{where}: unknown config key '{key}'") from None
+            except ValueError as exc:
+                raise ValueError(f"{where}: {key}: {exc}") from None
             entries[key] = value
     return entries
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    entries = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, value in entries.items():
-        if key == "data":
-            cfg.data = value
-        elif key == "out":
-            cfg.out = value
-        elif key == "seed":
-            cfg.seed = int(value)
-        elif key == "split.test_fraction":
-            cfg.test_fraction = float(value)
-        elif key.startswith("sampling."):
-            cls = CoarseLabel.from_name(key.split(".", 1)[1])
-            cfg.sampling[cls] = int(value)
-        elif key.startswith("taxonomy."):
-            cfg.taxonomy_extra[key.split(".", 1)[1]] = CoarseLabel.from_name(value)
-        elif key == "nn.hidden1":
-            cfg.nn_hidden = (int(value), cfg.nn_hidden[1])
-        elif key == "nn.hidden2":
-            cfg.nn_hidden = (cfg.nn_hidden[0], int(value))
-        elif key == "nn.learning_rate":
-            cfg.nn_learning_rate = float(value)
-        elif key == "nn.epochs":
-            cfg.nn_epochs = int(value)
-        elif key == "nn.batch_size":
-            cfg.nn_batch_size = int(value)
-        elif key == "nn.folds":
-            cfg.nn_folds = int(value)
-        elif key == "rf.trees":
-            cfg.rf_trees = int(value)
-        elif key == "rf.max_depth":
-            depth = int(value)
-            cfg.rf_max_depth = None if depth == 0 else depth
-        elif key == "rf.min_samples_split":
-            cfg.rf_min_samples_split = int(value)
-        elif key == "rf.features_per_split":
-            cfg.rf_features_per_split = int(value)
-        elif key == "rf.importance_threshold":
-            cfg.rf_importance_threshold = float(value)
-        elif key == "rf.prune":
-            cfg.rf_prune = _parse_bool(value)
-        elif key == "misuse.clusters_per_label":
-            cfg.misuse_clusters = int(value)
-    if getattr(args, "data", None):
-        cfg.data = args.data
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    return cfg
+    """The defaults, overridden by the config file, overridden by --data,
+    --out and --seed; then the seeds derived from the root seed."""
+    sections: dict[str, dict] = {
+        name: {} for name in ("run", "nn", "rf", "hybrid", "sampling", "taxonomy")
+    }
+    if getattr(args, "config", None):
+        for key, value in parse_config_file(args.config).items():
+            section, name, converted = _setting(key, value)
+            sections[section][name] = converted
+    run, nn = sections["run"], sections["nn"]
+    for name in ("data", "out", "seed"):
+        if getattr(args, name, None) not in (None, ""):
+            run[name] = getattr(args, name)
+    hidden = TrainConfig.hidden_dims
+    nn["hidden_dims"] = (nn.pop("hidden1", hidden[0]), nn.pop("hidden2", hidden[1]))
+
+    seed = run.get("seed", DEFAULT_SEED)
+    return RunConfig(
+        **run,
+        sampling=SamplingPlan(
+            {**SamplingPlan.DEFAULT_TARGETS, **sections["sampling"]}, rng_seed=seed
+        ),
+        split_seed=seed + 1,
+        hybrid=HybridConfig(
+            nn=TrainConfig(**nn, seed=seed + 2),
+            rf=ForestConfig(**sections["rf"], seed=seed + 3),
+            misuse_seed=seed + 4,
+            **sections["hybrid"],
+        ),
+        fold_seed=seed + 5,
+        taxonomy_extra=sections["taxonomy"],
+    )
 
 
 _TABLE_ORDER = (CoarseLabel.DOS, CoarseLabel.NORMAL, CoarseLabel.PROBE,
@@ -260,6 +233,14 @@ _TABLE_ORDER = (CoarseLabel.DOS, CoarseLabel.NORMAL, CoarseLabel.PROBE,
 def _counts_row(title: str, counts: dict[CoarseLabel, int]) -> str:
     cells = "".join(str(counts.get(c, 0)).rjust(9) for c in _TABLE_ORDER)
     return title.ljust(17) + cells
+
+
+def _write_record(cfg: RunConfig, name: str, kind: str, lines: list[str]) -> str:
+    """Write ``lines`` to ``name`` under the version and seed lines; return
+    the whole text."""
+    text = "\n".join([version_line(kind), f"seed={cfg.seed}", *lines])
+    atomic_write(cfg.out_path(name), text + "\n")
+    return text
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
@@ -277,7 +258,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
         Provenance(str(cfg.data), deduplicated=True),
     )
     before = encoded.counts_by_coarse()
-    sampled = resample(encoded, cfg.sampling_plan())
+    sampled = resample(encoded, cfg.sampling)
     after = sampled.counts_by_coarse()
     train_ds, test_ds = stratified_split(sampled, cfg.test_fraction, cfg.split_seed)
 
@@ -287,96 +268,62 @@ def cmd_prepare(cfg: RunConfig) -> int:
     save_taxonomy(cfg.out_path("taxonomy.txt"), taxonomy)
 
     header = "Label:".ljust(17) + "".join(str(c).rjust(9) for c in _TABLE_ORDER)
-    summary = "\n".join(
-        [
-            version_line("prepare-summary"),
-            f"seed={cfg.seed}",
-            f"source={cfg.data}",
-            f"parsed={len(records)} distinct={len(distinct)}",
-            header,
-            _counts_row("Before Sampling:", before),
-            _counts_row("After Sampling:", after),
-            f"train={len(train_ds)} test={len(test_ds)} "
-            f"(test_fraction={cfg.test_fraction})",
-        ]
-    )
-    atomic_write(cfg.out_path("prepare_summary.txt"), summary + "\n")
-    print(summary)
+    print(_write_record(cfg, "prepare_summary.txt", "prepare-summary", [
+        f"source={cfg.data}",
+        f"parsed={len(records)} distinct={len(distinct)}",
+        header,
+        _counts_row("Before Sampling:", before),
+        _counts_row("After Sampling:", after),
+        f"train={len(train_ds)} test={len(test_ds)} "
+        f"(test_fraction={cfg.test_fraction})",
+    ]))
     return 0
 
 
-def _load_train(cfg: RunConfig) -> Dataset:
-    path = cfg.out_path(TRAIN_FILE)
+def _load_split(path: Path) -> Dataset:
     if not path.exists():
         raise FileNotFoundError(f"{path} not found; run 'prepare' first")
     return load_dataset(path)
 
 
-def _prepared_taxonomy(cfg: RunConfig, train_ds: Dataset) -> Taxonomy:
-    path = cfg.out_path("taxonomy.txt")
-    if path.exists():
-        return load_taxonomy(path)
-    mapping = {
-        fine: CoarseLabel(int(c))
-        for fine, c in zip(train_ds.fine_labels, train_ds.coarse)
-    }
-    return Taxonomy(mapping)
+# stage -> (model file, trainer, saver, loader, report title, what "wrote <file>" adds)
+_STAGES = {
+    "nn": ("mlp.model", train_nn, nn_mod.save_mlp, nn_mod.load_mlp,
+           "Neural Network (anomaly stage)", lambda mlp: ""),
+    "rf": ("forest.model", train_rf, rf_mod.save_forest, rf_mod.load_forest,
+           "Random Forest (anomaly stage)",
+           lambda f: f" ({len(f.active_features)}/{f.n_features} features active)"),
+    "misuse": ("centroids.model", train_misuse, misuse_mod.save_centroids,
+               misuse_mod.load_centroids, "Misuse (centroid signatures)",
+               lambda cen: f" ({len(cen)} signatures)"),
+}
 
 
 def cmd_train(cfg: RunConfig, which: str) -> int:
-    train_ds = _load_train(cfg)
+    train_ds = _load_split(cfg.out_path(TRAIN_FILE))
     started = time.perf_counter()
 
     if which == "hybrid":
-        taxonomy = _prepared_taxonomy(cfg, train_ds)
-        model = train_all(train_ds, cfg.hybrid_config(), taxonomy)
-        manifest = save_hybrid(cfg.out, model)
-        print(f"wrote {manifest}")
-        print(f"training time: {time.perf_counter() - started:.1f}s")
-        return 0
-
-    stats = standardize_fit(train_ds)
-    std_train = standardize_dataset(stats, train_ds)
-    if which == "nn":
-        cv = nn_mod.cross_validate(std_train, cfg.nn_folds, cfg.nn_config(), cfg.fold_seed)
-        print(
-            f"{cfg.nn_folds}-fold CV mean overall accuracy: {cv.mean_accuracy:.3f} "
-            f"(folds: {', '.join(f'{a:.3f}' for a in cv.fold_accuracies)})"
-        )
-        model = nn_mod.train(std_train, cfg.nn_config())
-        model.stats_fingerprint = stats.fingerprint
-        save_stats(cfg.out_path("stats.txt"), stats)
-        nn_mod.save_mlp(cfg.out_path("mlp.model"), model)
-        print(f"wrote {cfg.out_path('mlp.model')}")
-    elif which == "rf":
-        forest = rf_mod.train_forest(std_train, cfg.rf_config())
-        if cfg.rf_prune:
-            forest = rf_mod.prune_and_retrain(std_train, forest, cfg.rf_config())
-        forest.stats_fingerprint = stats.fingerprint
-        save_stats(cfg.out_path("stats.txt"), stats)
-        rf_mod.save_forest(cfg.out_path("forest.model"), forest)
-        print(f"wrote {cfg.out_path('forest.model')} "
-              f"({len(forest.active_features)}/{forest.n_features} features active)")
-    elif which == "misuse":
-        model = misuse_mod.fit(std_train, cfg.misuse_clusters, cfg.misuse_seed)
-        model.stats_fingerprint = stats.fingerprint
-        collisions = misuse_mod.signature_collisions(model)
-        if collisions:
-            print(f"warning: shadowed signatures: {', '.join(collisions)}", file=sys.stderr)
-        save_stats(cfg.out_path("stats.txt"), stats)
-        misuse_mod.save_centroids(cfg.out_path("centroids.model"), model)
-        print(f"wrote {cfg.out_path('centroids.model')} ({len(model)} signatures)")
+        path = cfg.out_path("taxonomy.txt")
+        taxonomy = load_taxonomy(path) if path.exists() else None
+        model = train_all(train_ds, cfg.hybrid, taxonomy)
+        print(f"wrote {save_hybrid(cfg.out, model)}")
     else:
-        raise ValueError(f"unknown train target '{which}'")
+        file, train, save, _, _, summary = _STAGES[which]
+        stats = standardize_fit(train_ds)
+        std_train = standardize_dataset(stats, train_ds)
+        if which == "nn":
+            cv = nn_mod.cross_validate(std_train, cfg.cv_folds, cfg.hybrid.nn, cfg.fold_seed)
+            print(
+                f"{cfg.cv_folds}-fold CV mean overall accuracy: {cv.mean_accuracy:.3f} "
+                f"(folds: {', '.join(f'{a:.3f}' for a in cv.fold_accuracies)})"
+            )
+        model = train(std_train, cfg.hybrid, stats.fingerprint)
+        save_stats(cfg.out_path("stats.txt"), stats)
+        save(cfg.out_path(file), model)
+        print(f"wrote {cfg.out_path(file)}{summary(model)}")
     print(f"training time: {time.perf_counter() - started:.1f}s")
     return 0
-
-
-def _load_test(cfg: RunConfig, override: str | None) -> Dataset:
-    path = Path(override) if override else cfg.out_path(TEST_FILE)
-    if not path.exists():
-        raise FileNotFoundError(f"{path} not found; run 'prepare' first")
-    return load_dataset(path)
 
 
 def _check_stats(cfg: RunConfig, model_fingerprint: str):
@@ -390,57 +337,37 @@ def _check_stats(cfg: RunConfig, model_fingerprint: str):
 
 
 def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -> int:
-    test_ds = _load_test(cfg, test_override)
+    test_ds = _load_split(Path(test_override) if test_override else cfg.out_path(TEST_FILE))
 
-    if which == "nn":
-        model = nn_mod.load_mlp(cfg.out_path("mlp.model"))
-        stats = _check_stats(cfg, model.stats_fingerprint)
-        preds = nn_mod.predict_batch(model, standardize_dataset(stats, test_ds).X)
-        matrix = confusion(preds, test_ds.coarse)
-        title = "Neural Network (anomaly stage)"
-    elif which == "rf":
-        model = rf_mod.load_forest(cfg.out_path("forest.model"))
-        stats = _check_stats(cfg, model.stats_fingerprint)
-        preds = rf_mod.predict_batch(model, standardize_dataset(stats, test_ds).X)
-        matrix = confusion(preds, test_ds.coarse)
-        title = "Random Forest (anomaly stage)"
-    elif which == "misuse":
-        model = misuse_mod.load_centroids(cfg.out_path("centroids.model"))
-        stats = _check_stats(cfg, model.stats_fingerprint)
-        result = misuse_mod.evaluate_misuse(model, standardize_dataset(stats, test_ds))
-        matrix = confusion(result.predicted_coarse, test_ds.coarse)
-        title = "Misuse (centroid signatures)"
-        table = "\n".join(
-            [
+    if which == "hybrid":
+        model = load_hybrid(cfg.out_path("hybrid.manifest"))
+        verdicts, routing = predict_dataset(model, test_ds)
+        preds = verdicts.coarse
+        title = "Hybrid pipeline"
+        _write_record(cfg, "routing_hybrid.txt", "routing", [
+            f"total={routing.total}",
+            f"routed={routing.routed}",
+            f"trimmed={routing.trimmed}",
+            f"confirmed={routing.confirmed}",
+        ])
+        print(routing.describe())
+    else:
+        file, _, _, load, title, _ = _STAGES[which]
+        model = load(cfg.out_path(file))
+        std_test = standardize_dataset(_check_stats(cfg, model.stats_fingerprint), test_ds)
+        if which == "misuse":
+            result = misuse_mod.evaluate_misuse(model, std_test)
+            preds = result.predicted_coarse
+            table = [
                 f"Type of Classification:   5 Class   {result.n_fine_classes} Class",
                 f"Accuracy:               {result.coarse_accuracy:9.3f} {result.fine_accuracy:9.3f}",
             ]
-        )
-        print(table)
-        atomic_write(
-            cfg.out_path("report_misuse_accuracy.txt"),
-            version_line("misuse-accuracy") + f"\nseed={cfg.seed}\n" + table + "\n",
-        )
-    elif which == "hybrid":
-        model = load_hybrid(cfg.out_path("hybrid.manifest"))
-        preds, routing = predict_dataset(model, test_ds)
-        matrix = confusion(preds.coarse, test_ds.coarse)
-        title = "Hybrid pipeline"
-        routing_text = "\n".join(
-            [
-                version_line("routing"),
-                f"seed={cfg.seed}",
-                f"total={routing.total}",
-                f"routed={routing.routed}",
-                f"trimmed={routing.trimmed}",
-                f"confirmed={routing.confirmed}",
-            ]
-        )
-        atomic_write(cfg.out_path("routing_hybrid.txt"), routing_text + "\n")
-        print(routing.describe())
-    else:
-        raise ValueError(f"unknown evaluate target '{which}'")
+            print("\n".join(table))
+            _write_record(cfg, "report_misuse_accuracy.txt", "misuse-accuracy", table)
+        else:
+            preds = (nn_mod if which == "nn" else rf_mod).predict_batch(model, std_test.X)
 
+    matrix = confusion(preds, test_ds.coarse)
     report = format_report(matrix, title, seed=cfg.seed)
     print(report)
     write_confusion_csv(cfg.out_path(f"confusion_{which}.csv"), matrix, seed=cfg.seed)
@@ -540,41 +467,35 @@ def make_parser() -> argparse.ArgumentParser:
     p_prepare = sub.add_parser("prepare", help="parse, dedup, encode, resample, split")
     common(p_prepare)
     p_prepare.add_argument("--data", help="KDD-format input file (.gz ok)")
+    p_prepare.set_defaults(run=lambda cfg, args: cmd_prepare(cfg))
 
     p_train = sub.add_parser("train", help="train models on the prepared split")
     p_train.add_argument("which", choices=["nn", "rf", "misuse", "hybrid"])
     common(p_train)
+    p_train.set_defaults(run=lambda cfg, args: cmd_train(cfg, args.which))
 
     p_eval = sub.add_parser("evaluate", help="evaluate a trained model")
     p_eval.add_argument("which", choices=["nn", "rf", "misuse", "hybrid"])
     common(p_eval)
     p_eval.add_argument("--test-file", help="override the test split file")
+    p_eval.set_defaults(run=lambda cfg, args: cmd_evaluate(cfg, args.which, args.test_file))
 
     p_pred = sub.add_parser("predict", help="stream verdicts for KDD-format lines")
     common(p_pred)
     p_pred.add_argument("--input", required=True, help="KDD lines, labeled or not")
+    p_pred.set_defaults(run=lambda cfg, args: cmd_predict(cfg, args.input))
 
     p_rep = sub.add_parser("report", help="re-render saved evaluation tables")
     common(p_rep)
     p_rep.add_argument("targets", nargs="*", help="subset of nn rf misuse hybrid")
+    p_rep.set_defaults(run=lambda cfg, args: cmd_report(cfg, args.targets))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-        if args.command == "prepare":
-            return cmd_prepare(cfg)
-        if args.command == "train":
-            return cmd_train(cfg, args.which)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.which, args.test_file)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.input)
-        if args.command == "report":
-            return cmd_report(cfg, args.targets)
-        raise ValueError(f"unknown command {args.command}")
+        return args.run(build_config(args), args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -129,33 +129,49 @@ class HybridModel:
     taxonomy: Taxonomy
 
 
+def train_nn(std_train: Dataset, config: HybridConfig, fingerprint: str) -> MLPModel:
+    """The neural net stage, tagged with the stats ``fingerprint``."""
+    mlp = nn.train(std_train, config.nn)
+    mlp.stats_fingerprint = fingerprint
+    return mlp
+
+
+def train_rf(std_train: Dataset, config: HybridConfig, fingerprint: str) -> ForestModel:
+    """The forest stage, retrained on its important features when
+    ``config.prune_forest`` is set, tagged with the stats ``fingerprint``."""
+    forest = rf.train_forest(std_train, config.rf)
+    if config.prune_forest:
+        forest = rf.prune_and_retrain(std_train, forest, config.rf)
+    forest.stats_fingerprint = fingerprint
+    return forest
+
+
+def train_misuse(std_train: Dataset, config: HybridConfig, fingerprint: str) -> CentroidModel:
+    """The misuse stage's centroids, tagged with the stats ``fingerprint``.
+    Shadowed signatures (see ``signature_collisions``) are logged as a
+    warning."""
+    cen = misuse.fit(std_train, config.clusters_per_label, config.misuse_seed)
+    cen.stats_fingerprint = fingerprint
+    collisions = misuse.signature_collisions(cen)
+    if collisions:
+        log.warning("signature collisions (shadowed centroids): %s", ", ".join(collisions))
+    return cen
+
+
 def train_all(
     train: Dataset, config: HybridConfig, taxonomy: Taxonomy | None = None
 ) -> HybridModel:
     """Fit standardization on the training split, then train all three
-    sub-models on the same standardized data.
+    stages on the same standardized data.
 
     When no taxonomy is given, the fine-to-coarse mapping observed in the
     training data is recorded in the manifest.
     """
     stats = standardize_fit(train)
     std_train = standardize_dataset(stats, train)
-
-    mlp = nn.train(std_train, config.nn)
-    mlp.stats_fingerprint = stats.fingerprint
-
-    forest = rf.train_forest(std_train, config.rf)
-    forest.stats_fingerprint = stats.fingerprint
-    if config.prune_forest:
-        forest = rf.prune_and_retrain(std_train, forest, config.rf)
-        forest.stats_fingerprint = stats.fingerprint
-
-    cen = misuse.fit(std_train, config.clusters_per_label, config.misuse_seed)
-    cen.stats_fingerprint = stats.fingerprint
-    collisions = misuse.signature_collisions(cen)
-    if collisions:
-        log.warning("signature collisions (shadowed centroids): %s", ", ".join(collisions))
-
+    mlp = train_nn(std_train, config, stats.fingerprint)
+    forest = train_rf(std_train, config, stats.fingerprint)
+    cen = train_misuse(std_train, config, stats.fingerprint)
     if taxonomy is None:
         taxonomy = Taxonomy({e.fine_label: e.coarse_label for e in cen.entries})
     return HybridModel(mlp=mlp, forest=forest, centroids=cen, stats=stats, taxonomy=taxonomy)

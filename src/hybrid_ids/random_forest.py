@@ -41,6 +41,8 @@ class ForestConfig:
     def validate(self, n_features: int = N_FEATURES) -> None:
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1, or None for no limit")
         if not 1 <= self.features_per_split <= n_features:
             raise ValueError(f"features_per_split must be in 1..{n_features}")
         if self.min_samples_split < 2:

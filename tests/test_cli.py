@@ -4,6 +4,7 @@ config parsing, determinism of produced files."""
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from hybrid_ids.dataset import (
     Dataset,
     load_dataset,
     parse_kdd_line,
+    save_dataset,
 )
 from hybrid_ids.evaluation import confusion, write_confusion_csv
 from hybrid_ids.hybrid import Verdicts, load_hybrid, predict_dataset
@@ -100,6 +102,37 @@ def test_config_unknown_key_rejected(tmp_path):
     bad.write_text("sampling.dos=5\nturbo=yes\n")
     with pytest.raises(ValueError, match="unknown config key 'turbo'"):
         parse_config_file(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed=3\nnn.epochs=abc\n",
+         "{path}:2: nn.epochs: invalid literal for int() with base 10: 'abc'"),
+        ("rf.prune=maybe\n", "{path}:1: rf.prune: expected a boolean, got 'maybe'"),
+        ("rf.max_depth=-2\n",
+         "{path}:1: rf.max_depth: expected a depth >= 0 (0 means no limit), got -2"),
+        ("sampling.dos=1.5\n",
+         "{path}:1: sampling.dos: invalid literal for int() with base 10: '1.5'"),
+        ("taxonomy.saint=scan\n", "{path}:1: taxonomy.saint: unknown coarse class 'scan'"),
+        ("seed=3\n# again\nseed=4\n", "{path}:3: repeated key 'seed'"),
+    ],
+)
+def test_config_errors_name_file_line_and_key(tmp_path, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        parse_config_file(path)
+    assert str(info.value) == message.format(path=path)
+
+
+def test_readme_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    listed = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split(" | ")[0])}
+    assert {key for key in listed if "<" not in key} == set(cli.CONFIG_TABLE)
+    assert {key.split("<")[0] for key in listed if "<" in key} == set(cli.CONFIG_PREFIXES)
 
 
 def test_config_taxonomy_extension(tmp_path):
@@ -215,6 +248,19 @@ def test_train_nn_prints_cv_accuracy(workspace, capsys):
     assert (workspace["out"] / "mlp.model").exists()
     assert (workspace["out"] / "stats.txt").exists()
     assert "training time" in out
+
+
+def test_train_misuse_logs_one_collision_warning(tmp_path, capsys, caplog):
+    """The misuse stage reports a shadowed signature once, through the
+    log, and ``train misuse`` prints no second warning of its own."""
+    rows = np.full((2, N_FEATURES), 1.0)  # smurf's centroid is normal's
+    save_dataset(tmp_path / "train.csv", Dataset(rows, ["normal", "smurf"], [0, 1]))
+    with caplog.at_level("WARNING", logger="hybrid_ids.hybrid"):
+        assert main(["train", "misuse", "--out", str(tmp_path)]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "signature collisions (shadowed centroids): smurf"
+    ]
+    assert "shadowed signatures" not in capsys.readouterr().err
 
 
 def test_train_rf_reload_predicts_identically(workspace):
@@ -447,7 +493,7 @@ def test_cli_seed_override(workspace):
     cfg = build_config(type("A", (), {"config": str(workspace["config"]),
                                       "data": None, "out": None, "seed": 7})())
     assert cfg.seed == 7
-    assert cfg.nn_seed == 9  # documented fixed offset
+    assert cfg.hybrid.nn.seed == 9  # documented fixed offset
 
 
 def test_evaluate_on_own_training_data_smoke(workspace):

@@ -560,3 +560,15 @@ def test_load_forest_garbled_raises_only_format_error(tmp_path_factory, data):
     n_nodes = len(model.feature)
     assert len(model.threshold) == len(model.right) == len(model.counts) == n_nodes
     predict_batch(model, np.zeros((3, model.n_features)))
+
+
+@pytest.mark.parametrize("depth", [0, -2])
+def test_forest_config_rejects_non_positive_depth(depth):
+    """A depth below 1 would grow one-leaf trees; ``None`` means no limit."""
+    with pytest.raises(ValueError, match="max_depth must be >= 1"):
+        ForestConfig(max_depth=depth).validate()
+    ds = Dataset(np.eye(N_FEATURES)[:4], ["normal"] * 2 + ["smurf"] * 2, [0, 0, 1, 1])
+    with pytest.raises(ValueError, match="max_depth must be >= 1"):
+        train_forest(ds, ForestConfig(n_trees=1, max_depth=depth))
+    ForestConfig(max_depth=None).validate()
+    ForestConfig(max_depth=1).validate()
