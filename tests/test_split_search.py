@@ -189,6 +189,9 @@ def test_train_forest_matches_oracle_forest():
 # prune_and_retrain + save_forest calls, hashed with hashlib.sha256.
 GOLDEN_FULL_SHA256 = "f06ad5de472946bfbde85fe87e09ba9f2498ee86a9e198eb50ed62f11cfcac7f"
 GOLDEN_PRUNED_SHA256 = "92db4808c3c30dd17672995513871c52236952f78db76379a134119894f64eac"
+# The same for a forest whose depth bound, min_samples_split, candidate
+# count and active feature subset are all off their defaults.
+GOLDEN_BOUNDED_SHA256 = "e6bfcb242f5c1139f3d9929c682749abfde2efd33f566016db685b8f1b500e2f"
 
 
 def test_golden_forest_files(tmp_path):
@@ -202,3 +205,13 @@ def test_golden_forest_files(tmp_path):
     digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest("full.model") == GOLDEN_FULL_SHA256
     assert digest("pruned.model") == GOLDEN_PRUNED_SHA256
+
+
+def test_golden_bounded_forest_file(tmp_path):
+    config = ForestConfig(n_trees=8, seed=11, max_depth=4, min_samples_split=5,
+                          features_per_split=3)
+    active = np.array([0, 1, 3, 7, 9, 12, 20, 33])
+    model = train_forest(golden_dataset(), config, active_features=active)
+    save_forest(tmp_path / "bounded.model", model)
+    digest = hashlib.sha256((tmp_path / "bounded.model").read_bytes()).hexdigest()
+    assert digest == GOLDEN_BOUNDED_SHA256
