@@ -15,6 +15,8 @@ directory under fixed names.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import logging
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -33,6 +35,7 @@ from .dataset import (
     Provenance,
     SamplingPlan,
     Taxonomy,
+    check_test_fraction,
     deduplicate,
     load_dataset,
     load_stats,
@@ -96,6 +99,13 @@ class RunConfig:
     hybrid: HybridConfig = dc_field(default_factory=HybridConfig)
     split_seed: int = 0
     fold_seed: int = 0
+
+    def validate(self) -> None:
+        """The range checks of the run's own settings and of the three
+        stages' configs; ValueError names the setting."""
+        check_test_fraction(self.test_fraction)
+        self.hybrid.nn.validate()
+        self.hybrid.rf.validate()
 
     def taxonomy(self) -> Taxonomy:
         return Taxonomy.default().extended(self.taxonomy_extra)
@@ -167,8 +177,9 @@ def _setting(key: str, value: str) -> tuple[str, object, object]:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat key=value lines; '#' starts a comment. A line without '=', an
-    unknown or repeated key, or a value its key rejects is an error that
-    names the file and line."""
+    unknown or repeated key, or a value its key rejects (by its converter,
+    or by ``RunConfig.validate`` with that one setting on the defaults) is
+    an error that names the file, line and key."""
     entries: dict[str, str] = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -182,7 +193,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             if key in entries:
                 raise ValueError(f"{where}: repeated key '{key}'")
             try:
-                _setting(key, value)
+                section, name, converted = _setting(key, value)
+                _run_config({section: {name: converted}}).validate()
             except KeyError:
                 raise ValueError(f"{where}: unknown config key '{key}'") from None
             except ValueError as exc:
@@ -191,39 +203,44 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """The defaults, overridden by the config file, overridden by --data,
-    --out and --seed; then the seeds derived from the root seed."""
-    sections: dict[str, dict] = {
-        name: {} for name in ("run", "nn", "rf", "hybrid", "sampling", "taxonomy")
-    }
-    if getattr(args, "config", None):
-        for key, value in parse_config_file(args.config).items():
-            section, name, converted = _setting(key, value)
-            sections[section][name] = converted
-    run, nn = sections["run"], sections["nn"]
-    for name in ("data", "out", "seed"):
-        if getattr(args, name, None) not in (None, ""):
-            run[name] = getattr(args, name)
+def _run_config(sections: dict[str, dict]) -> RunConfig:
+    """The run config that ``sections`` (section -> field -> converted
+    value, as ``_setting`` gives them) fill in on the defaults, with the
+    seeds derived from the root seed."""
+    run, nn = sections.get("run", {}), dict(sections.get("nn", {}))
     hidden = TrainConfig.hidden_dims
     nn["hidden_dims"] = (nn.pop("hidden1", hidden[0]), nn.pop("hidden2", hidden[1]))
-
     seed = run.get("seed", DEFAULT_SEED)
     return RunConfig(
         **run,
         sampling=SamplingPlan(
-            {**SamplingPlan.DEFAULT_TARGETS, **sections["sampling"]}, rng_seed=seed
+            {**SamplingPlan.DEFAULT_TARGETS, **sections.get("sampling", {})}, rng_seed=seed
         ),
         split_seed=seed + 1,
         hybrid=HybridConfig(
             nn=TrainConfig(**nn, seed=seed + 2),
-            rf=ForestConfig(**sections["rf"], seed=seed + 3),
+            rf=ForestConfig(**sections.get("rf", {}), seed=seed + 3),
             misuse_seed=seed + 4,
-            **sections["hybrid"],
+            **sections.get("hybrid", {}),
         ),
         fold_seed=seed + 5,
-        taxonomy_extra=sections["taxonomy"],
+        taxonomy_extra=sections.get("taxonomy", {}),
     )
+
+
+def build_config(args: argparse.Namespace) -> RunConfig:
+    """The defaults, overridden by the config file, overridden by --data,
+    --out and --seed; then the seeds derived from the root seed."""
+    sections: dict[str, dict] = {}
+    if getattr(args, "config", None):
+        for key, value in parse_config_file(args.config).items():
+            section, name, converted = _setting(key, value)
+            sections.setdefault(section, {})[name] = converted
+    run = sections.setdefault("run", {})
+    for name in ("data", "out", "seed"):
+        if getattr(args, name, None) not in (None, ""):
+            run[name] = getattr(args, name)
+    return _run_config(sections)
 
 
 _TABLE_ORDER = (CoarseLabel.DOS, CoarseLabel.NORMAL, CoarseLabel.PROBE,
@@ -463,6 +480,9 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, help="root seed (default 1999)")
         p.add_argument("--out", help="output directory (default 'out')")
+        p.add_argument("--log-level", choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                       help="print the package's log lines of this level and above to "
+                            "stderr (default: warnings and errors, message only)")
 
     p_prepare = sub.add_parser("prepare", help="parse, dedup, encode, resample, split")
     common(p_prepare)
@@ -492,13 +512,36 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level: str | None):
+    """With a level, the package's log records of that level and above go
+    to stderr, tagged with level and logger, until the block ends. Without
+    one, logging stays as the caller set it up (by default Python prints
+    warnings and errors, message only)."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("hybrid_ids")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(old_level)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    try:
-        return args.run(build_config(args), args)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _log_to_stderr(args.log_level):
+        try:
+            return args.run(build_config(args), args)
+        except Exception as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

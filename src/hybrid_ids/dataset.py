@@ -433,12 +433,16 @@ def stratified_kfold(
     return splits
 
 
+def check_test_fraction(test_fraction: float) -> None:
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must be in (0, 1)")
+
+
 def stratified_split(
     ds: Dataset, test_fraction: float, seed: int = 0
 ) -> tuple[Dataset, Dataset]:
     """Single train/test split, stratified by coarse class."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+    check_test_fraction(test_fraction)
     rng = np.random.default_rng(seed)
     test_parts, train_parts = [], []
     for idx in _per_class_shuffled(ds, rng):

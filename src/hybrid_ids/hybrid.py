@@ -139,9 +139,10 @@ def train_nn(std_train: Dataset, config: HybridConfig, fingerprint: str) -> MLPM
 def train_rf(std_train: Dataset, config: HybridConfig, fingerprint: str) -> ForestModel:
     """The forest stage, retrained on its important features when
     ``config.prune_forest`` is set, tagged with the stats ``fingerprint``."""
-    forest = rf.train_forest(std_train, config.rf)
+    ranked = rf.rank_columns(std_train.X)  # shared by the forest and its retrain
+    forest = rf.train_forest(std_train, config.rf, ranked=ranked)
     if config.prune_forest:
-        forest = rf.prune_and_retrain(std_train, forest, config.rf)
+        forest = rf.prune_and_retrain(std_train, forest, config.rf, ranked=ranked)
     forest.stats_fingerprint = fingerprint
     return forest
 

@@ -7,6 +7,16 @@ A forest has one form, ``ForestModel``: preorder node arrays concatenated
 over its trees. Training appends to them, the vote walks them, and the
 model file holds them one node per line. Routing rule everywhere:
 ``x[feature] <= threshold`` goes left, to node ``i + 1``, else to ``right[i]``.
+
+The trees of a forest grow in lockstep. Each keeps its own stack and RNG
+stream; a step pops one node from every unfinished tree and searches them
+together: the class counts of every present value of every (node,
+candidate feature) pair come from one ``bincount`` over a dense key
+space, and the step's rows are cut and their children's classes counted
+in one pass. Every tree still meets its nodes and draws from its stream in
+the order it would alone, and no count, cost or tie-break depends on the
+other trees, so the forest is bit for bit the one that growing the trees
+one after another by sorting each node's values would make.
 """
 
 from __future__ import annotations
@@ -27,6 +37,9 @@ log = logging.getLogger(__name__)
 
 N_CLASSES = len(CoarseLabel)
 _MIN_GAIN = 1e-12
+# (row, candidate feature) keys one batched split search holds at most,
+# unless a single node has more
+_SEARCH_KEYS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -106,119 +119,265 @@ def rank_columns(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return ranks, values
 
 
-def _find_split(ranks, values, y, idx, features, parent_counts):
-    """Best (feature, threshold) minimizing weighted child Gini.
+def _class_counts(ranks, rows, labels, sizes, cand):
+    """The class counts of every present value of every (node, candidate)
+    pair, from one ``bincount`` over a dense key space.
 
-    The class counts of every distinct value of every candidate feature at
-    the node come from one count of (value rank + feature offset, label)
-    keys. Costs are evaluated only between adjacent present values,
-    and thresholds sit at their midpoints. Ties break to the lower feature
-    index, then the lower threshold (first argmin over features ascending,
-    ranks ascending). Returns None when no split reduces impurity.
+    Pair ``p = node * m + slot`` holds the node's rows in the slot's
+    candidate feature, and its keys are (rank - the pair's lowest rank +
+    the pair's offset) * N_CLASSES + label. A pair whose rank range is no
+    wider than its node owns a dense run of the key space. The keys of a
+    wider pair are sorted instead, so a small node on a column of many
+    distinct values costs its rows, not the column's values.
+
+    Returns, in key order (run after run, rank after rank): each present
+    value's class counts, its run, and its rank in its feature; and each
+    run's pair. The dense pairs' runs come first, then the sorted ones',
+    each in pair order.
     """
-    n = len(idx)
-    total = parent_counts.sum()
-    parent_gini = 1.0 - ((parent_counts / total) ** 2).sum()
-    sizes = np.array([len(values[f]) for f in features])
-    offsets = np.cumsum(sizes) - sizes
-    keys = (ranks[idx[:, None], features] + offsets) * N_CLASSES + y[idx, None]
-    present_keys, counts = np.unique(keys.ravel(), return_counts=True)
-    value_bin, label = np.divmod(present_keys, N_CLASSES)
+    k, m = cand.shape
+    at = np.repeat(cand.T, sizes, axis=1)
+    at += rows * ranks.shape[1]
+    r = ranks.ravel()[at]  # (slot, row) -> rank
+    del at
+    starts = np.cumsum(sizes) - sizes
+    lo = np.minimum.reduceat(r, starts, axis=1).T.ravel()
+    span = np.maximum.reduceat(r, starts, axis=1).T.ravel() - lo + 1
+    dense = span <= np.repeat(sizes, m)
+    pair_of_run = np.concatenate([np.flatnonzero(dense), np.flatnonzero(~dense)])
+    run_start = np.cumsum(span[pair_of_run]) - span[pair_of_run]
+    offset = np.empty_like(run_start)
+    offset[pair_of_run] = run_start
+    keys = np.repeat((offset - lo).reshape(k, m).T, sizes, axis=1)
+    keys += r
+    del r
+    keys *= N_CLASSES
+    keys += labels
+    keys = keys.ravel()
+    n_dense = int(span[dense].sum()) * N_CLASSES
+    if dense.all():  # the common case on large nodes: no keys to split off
+        dense_counts = np.bincount(keys, minlength=n_dense)
+        sorted_keys = sorted_counts = np.zeros(0, dtype=np.int64)
+    else:
+        in_dense = keys < n_dense
+        dense_counts = np.bincount(keys[in_dense], minlength=n_dense)
+        sorted_keys, sorted_counts = np.unique(keys[~in_dense], return_counts=True)
+    del keys
+    dense_keys = np.flatnonzero(dense_counts)
+    value_bin, label = np.divmod(np.concatenate([dense_keys, sorted_keys]), N_CLASSES)
     first = np.concatenate(([True], value_bin[1:] != value_bin[:-1]))
-    row = np.cumsum(first) - 1
     present = value_bin[first]
     hist = np.zeros((len(present), N_CLASSES), dtype=np.int64)
-    hist[row, label] = counts
-    seg = np.searchsorted(offsets, present, side="right") - 1
-    # every feature's bins hold all n rows, so the running count entering
-    # segment j is j * parent_counts
-    cum = np.cumsum(hist, axis=0) - seg[:, None] * parent_counts
-    boundary = np.flatnonzero(seg[1:] == seg[:-1])
-    if len(boundary) == 0:
-        return None
+    hist[np.cumsum(first) - 1, label] = np.concatenate([dense_counts[dense_keys], sorted_counts])
+    run = np.searchsorted(run_start, present, side="right") - 1
+    rank = present - run_start[run] + lo[pair_of_run[run]]
+    return hist, run, rank, pair_of_run
+
+
+def _pair_cuts(ranks, rows, labels, sizes, cand, counts):
+    """Each (node, candidate) pair's lowest-cost cut: a ``(nodes, m)``
+    array of weighted child Gini (``inf`` where the pair has one value
+    only), and the ranks of the values either side of the cut. Costs are
+    evaluated only between adjacent present values; ties go to the lower
+    rank. Each large temporary is dropped once used, which bounds the
+    search's memory by the largest of them."""
+    k, m = cand.shape
+    hist, run, rank, pair_of_run = _class_counts(ranks, rows, labels, sizes, cand)
+    # a run's values hold all its node's rows, so the running count
+    # entering a run is the counts of the nodes of the runs before it
+    run_counts = counts[pair_of_run // m]
+    cum = np.cumsum(hist, axis=0) - (np.cumsum(run_counts, axis=0) - run_counts)[run]
+    del hist
+    boundary = np.flatnonzero(run[1:] == run[:-1])
+    b_run = run[boundary]
+    node = pair_of_run[b_run] // m
+    n = sizes[node]
     left = cum[boundary].astype(np.float64)
+    del cum
     left_n = left.sum(axis=1)
     right_n = n - left_n
-    right = parent_counts.astype(np.float64) - left
+    right = counts[node].astype(np.float64) - left
     gini_l = 1.0 - ((left / left_n[:, None]) ** 2).sum(axis=1)
+    del left
     gini_r = 1.0 - ((right / right_n[:, None]) ** 2).sum(axis=1)
+    del right
     cost = (left_n * gini_l + right_n * gini_r) / n
-    i = int(np.argmin(cost))
-    best_cost = float(cost[i])
-    if parent_gini - best_cost <= _MIN_GAIN:
-        return None
-    b = boundary[i]
-    j = seg[b]
-    f = int(features[j])
-    lo = values[f][present[b] - offsets[j]]
-    hi = values[f][present[b + 1] - offsets[j]]
-    thr = (lo + hi) / 2.0
-    if not lo <= thr < hi:  # rounded onto hi (adjacent floats) or overflowed
-        thr = lo
-    return f, float(thr), parent_gini, best_cost
+    # the first argmin within each run of boundaries
+    head = np.ones(len(b_run), dtype=bool)
+    head[1:] = b_run[1:] != b_run[:-1]
+    heads = np.flatnonzero(head)
+    run_min = np.minimum.reduceat(cost, heads)[np.cumsum(head) - 1]
+    best = np.minimum.reduceat(np.where(cost == run_min, np.arange(len(cost)), len(cost)), heads)
+    pair, at = pair_of_run[b_run[best]], boundary[best]
+    pair_cost = np.full(k * m, np.inf)
+    lo_rank, hi_rank = np.zeros(k * m, dtype=np.int64), np.zeros(k * m, dtype=np.int64)
+    pair_cost[pair], lo_rank[pair], hi_rank[pair] = cost[best], rank[at], rank[at + 1]
+    return pair_cost.reshape(k, m), lo_rank.reshape(k, m), hi_rank.reshape(k, m)
 
 
-def train_tree(
+def _partition(X, rows, labels, sizes, feature, threshold):
+    """Every node's rows cut by ``X[row, feature] <= threshold`` (per
+    node), and the class counts of both sides, in one pass over all rows:
+    lists of left and right row arrays, and ``(nodes, 2, N_CLASSES)``."""
+    goes_left = (X.ravel()[rows * X.shape[1] + np.repeat(feature, sizes)]
+                 <= np.repeat(threshold, sizes))
+    side = np.repeat(np.arange(0, 2 * len(sizes), 2), sizes) + ~goes_left  # 2 * node + right
+    counts = np.bincount(side * N_CLASSES + labels, minlength=2 * len(sizes) * N_CLASSES)
+    counts = counts.reshape(len(sizes), 2, N_CLASSES)
+    n_left = counts[:, 0].sum(axis=1)
+    return _pieces(rows[goes_left], n_left), _pieces(rows[~goes_left], sizes - n_left), counts
+
+
+def _pieces(a: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """``a`` cut into consecutive pieces of the given sizes (``np.split``
+    without its per-piece overhead)."""
+    ends = np.cumsum(sizes).tolist()
+    return [a[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _best_splits(X, ranks, values, y, nodes):
+    """The best split of each node in ``nodes``, searched together.
+
+    A node is ``(rows, class counts, sorted candidate features)`` with at
+    least two rows. Returns per node ``None`` when no split reduces
+    impurity, else ``(feature, threshold, parent gini, cost, children)``,
+    ``children`` being the left and right ``(rows, class counts, whether
+    the counts hold more than one class)``.
+    Thresholds sit at the midpoint of the values either side of the cut.
+    Ties break to the lower feature, then the lower threshold.
+    """
+    rows_of, counts, cand = zip(*nodes)
+    counts, cand = np.array(counts), np.array(cand)
+    k, m = cand.shape
+    sizes = np.array([len(r) for r in rows_of])
+    rows = np.concatenate(rows_of)
+    labels = y[rows]
+    cost, lo_rank, hi_rank = _pair_cuts(ranks, rows, labels, sizes, cand, counts)
+    slot = np.argmin(cost, axis=1)  # candidates ascend, so the lower feature wins ties
+    parent_gini = 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+    splits = [None] * k
+    feature, threshold = np.zeros(k, dtype=np.int64), np.full(k, np.inf)
+    for i, j in enumerate(slot.tolist()):
+        best_cost = float(cost[i, j])
+        if not parent_gini[i] - best_cost > _MIN_GAIN:  # also when no cut (inf)
+            continue
+        f = int(cand[i, j])
+        lo, hi = values[f][lo_rank[i, j]], values[f][hi_rank[i, j]]
+        thr = (lo + hi) / 2.0
+        if not lo <= thr < hi:  # rounded onto hi (adjacent floats) or overflowed
+            thr = lo
+        splits[i] = (f, float(thr), parent_gini[i], best_cost)
+        feature[i], threshold[i] = f, thr
+    # a node that does not split sends its rows left (threshold +inf); its
+    # children are dropped
+    lefts, rights, child_counts = _partition(X, rows, labels, sizes, feature, threshold)
+    mixed = (child_counts.max(axis=2) < child_counts.sum(axis=2)).tolist()
+    return [
+        None if split is None else
+        (*split, ((lefts[i], child_counts[i, 0], mixed[i][0]),
+                  (rights[i], child_counts[i, 1], mixed[i][1])))
+        for i, split in enumerate(splits)
+    ]
+
+
+def _groups(items: list, keys: list[int]):
+    """``items`` in consecutive groups whose ``keys`` add up to at most
+    ``_SEARCH_KEYS``; an item with more keys forms a group alone."""
+    group, size = [], 0
+    for item, n in zip(items, keys):
+        if group and size + n > _SEARCH_KEYS:
+            yield group
+            group, size = [], 0
+        group.append(item)
+        size += n
+    if group:
+        yield group
+
+
+def grow_trees(
     X: np.ndarray,
     y: np.ndarray,
-    sample_idx: np.ndarray,
+    samples: list[np.ndarray],
+    rngs: list[np.random.Generator],
     config: ForestConfig,
-    rng: np.random.Generator,
     active_features: np.ndarray,
-    importance_out: np.ndarray | None = None,
-    ranked: tuple[np.ndarray, list[np.ndarray]] | None = None,
-) -> tuple[list, list, list, list]:
-    """Grow one CART tree over ``sample_idx`` rows (duplicates allowed).
+    ranked: tuple[np.ndarray, list[np.ndarray]],
+) -> tuple[list[tuple], np.ndarray]:
+    """Grow one CART tree per row sample in ``samples`` (duplicates
+    allowed), tree ``t`` drawing its candidate features from ``rngs[t]``.
 
-    ``ranked`` is ``rank_columns(X)``, computed here when not given (a
-    forest ranks once and shares it across its trees). Stops on purity,
-    the depth bound, min_samples_split, or when no candidate split reduces
-    impurity. Uses an explicit stack, so tree depth is not limited by the
-    interpreter recursion limit. The stack pops nodes in preorder, the
-    order ``ForestModel.from_trees`` takes them in.
+    ``ranked`` is ``rank_columns(X)``. Returns each tree's ``(feature,
+    threshold, right, counts)`` in preorder, as ``ForestModel.from_trees``
+    takes them, and a ``(trees, features)`` array of each tree's impurity
+    decrease per feature, weighted by node size over sample size.
+
+    A node stops on purity, the depth bound, min_samples_split, or when no
+    candidate split reduces impurity. The trees grow in lockstep: each step
+    pops the next node of every unfinished tree from that tree's own stack,
+    so every tree meets its nodes, and draws from its stream, in the order
+    it would alone. The step searches all those nodes together, in groups
+    of at most ``_SEARCH_KEYS`` (row, candidate) keys, which bounds its
+    temporaries while every root still holds its whole sample.
     """
-    if len(sample_idx) == 0:
-        raise ValueError("empty training sample")
-    ranks, values = ranked if ranked is not None else rank_columns(X)
-    n_total = len(sample_idx)
+    ranks, values = ranked
+    X = np.ascontiguousarray(X, dtype=np.float64)  # split rows are read by flat index
     m = min(config.features_per_split, len(active_features))
-    feature, threshold, right, counts = [], [], [], []
-    stack = [(sample_idx, 0, -1)]  # rows, depth, parent of a right child
-    while stack:
-        idx, depth, parent = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            right[parent] = node
-        node_counts = np.bincount(y[idx], minlength=N_CLASSES)
-        split = None
-        depth_ok = config.max_depth is None or depth < config.max_depth
-        if depth_ok and node_counts.max() < len(idx) and len(idx) >= config.min_samples_split:
-            cand = np.sort(rng.choice(active_features, size=m, replace=False))
-            split = _find_split(ranks, values, y, idx, cand, node_counts)
-        right.append(-1)
-        if split is None:
+    trees = [([], [], [], []) for _ in samples]
+    importances = np.zeros((len(samples), X.shape[1]))
+    # per tree: rows, depth, parent of a right child, class counts, and
+    # whether those hold more than one class
+    root_counts = [np.bincount(y[s], minlength=N_CLASSES) for s in samples]
+    stacks = [[(s, 0, -1, c, c.max() < len(s))] for s, c in zip(samples, root_counts)]
+    while any(stacks):
+        searched = []
+        for t, stack in enumerate(stacks):
+            if not stack:
+                continue
+            rows, depth, parent, counts, mixed = stack.pop()
+            feature, threshold, right, node_counts = trees[t]
+            node = len(feature)
+            if parent >= 0:
+                right[parent] = node
             feature.append(-1)
             threshold.append(0.0)
-            counts.append(node_counts)
-            continue
-        f, thr, parent_gini, cost = split
-        if importance_out is not None:
-            importance_out[f] += (parent_gini - cost) * (len(idx) / n_total)
-        feature.append(f)
-        threshold.append(thr)
-        counts.append(np.zeros(N_CLASSES, dtype=np.int64))
-        mask = X[idx, f] <= thr
-        stack.append((idx[~mask], depth + 1, node))
-        stack.append((idx[mask], depth + 1, -1))
-    return feature, threshold, right, counts
+            right.append(-1)
+            node_counts.append(counts)
+            depth_ok = config.max_depth is None or depth < config.max_depth
+            if depth_ok and mixed and len(rows) >= config.min_samples_split:
+                cand = np.sort(rngs[t].choice(active_features, size=m, replace=False))
+                searched.append((t, node, depth, (rows, counts, cand)))
+        for group in _groups(searched, [len(entry[3][0]) * m for entry in searched]):
+            found = _best_splits(X, ranks, values, y, [entry[3] for entry in group])
+            for (t, node, depth, (rows, _, _)), split in zip(group, found):
+                if split is None:
+                    continue
+                f, thr, parent_gini, cost, (left, right) = split
+                feature, threshold, _, node_counts = trees[t]
+                feature[node], threshold[node] = f, thr
+                node_counts[node] = np.zeros(N_CLASSES, dtype=np.int64)
+                importances[t, f] += (parent_gini - cost) * (len(rows) / len(samples[t]))
+                stacks[t].append((right[0], depth + 1, node, *right[1:]))
+                stacks[t].append((left[0], depth + 1, -1, *left[1:]))
+    return trees, importances
 
 
 def train_forest(
-    ds: Dataset, config: ForestConfig, active_features: np.ndarray | None = None
+    ds: Dataset,
+    config: ForestConfig,
+    active_features: np.ndarray | None = None,
+    ranked: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> ForestModel:
     """Bag ``config.n_trees`` trees, each on a seeded bootstrap sample of
     size len(ds); deterministic per seed (one spawned RNG stream per tree,
-    merged in tree order)."""
+    merged in tree order).
+
+    ``ranked`` is ``rank_columns(ds.X)``, computed here when not given.
+    The trees grow in lockstep (see ``grow_trees``). Each tree draws its
+    sample, then its candidates, from its own stream in the order it would
+    alone, and no split depends on the other trees or on the order of a
+    node's rows, so the forest is the one its trees grown one after
+    another would make, to the bit.
+    """
     n_features = ds.X.shape[1]
     config.validate(n_features)
     if len(ds) == 0:
@@ -228,21 +387,15 @@ def train_forest(
     else:
         active = np.unique(np.asarray(active_features, dtype=np.int64))
     streams = np.random.SeedSequence(config.seed).spawn(config.n_trees)
-    trees = []
-    importance_sum = np.zeros(n_features)
+    rngs = [np.random.default_rng(stream) for stream in streams]
     n = len(ds)
-    ranked = rank_columns(ds.X)
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        sample = rng.integers(0, n, size=n)
-        tree_importance = np.zeros(n_features)
-        trees.append(
-            train_tree(
-                ds.X, ds.coarse, sample, config, rng, active, tree_importance, ranked
-            )
-        )
-        importance_sum += tree_importance
-    importances = importance_sum / config.n_trees
+    # sorted, so every node's rows are read in memory order
+    samples = [np.sort(rng.integers(0, n, size=n)) for rng in rngs]
+    trees, tree_importances = grow_trees(
+        ds.X, ds.coarse, samples, rngs, config, active,
+        ranked if ranked is not None else rank_columns(ds.X),
+    )
+    importances = tree_importances.sum(axis=0) / config.n_trees
     total = importances.sum()
     if total > 0:
         importances = importances / total
@@ -300,6 +453,7 @@ def prune_and_retrain(
     model: ForestModel,
     config: ForestConfig,
     holdout: Dataset | None = None,
+    ranked: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> ForestModel:
     """Drop low-importance features and retrain on the survivors.
 
@@ -307,14 +461,15 @@ def prune_and_retrain(
     ``importance_keep_threshold`` cumulative mass. If the retrained forest
     loses more than 0.5 accuracy points against the unpruned one (measured
     on ``holdout``, or on ``ds`` when no holdout is given), the unpruned
-    model is kept and a warning logged.
+    model is kept and a warning logged. ``ranked`` is ``rank_columns(ds.X)``,
+    as for ``train_forest``.
     """
     order = np.argsort(-model.feature_importances, kind="stable")
     cum = np.cumsum(model.feature_importances[order])
     keep = int(np.searchsorted(cum, config.importance_keep_threshold - 1e-9) + 1)
     keep = min(keep, int((model.feature_importances > 0).sum()) or 1)
     active = np.sort(order[:keep])
-    retrained = train_forest(ds, config, active_features=active)
+    retrained = train_forest(ds, config, active_features=active, ranked=ranked)
     eval_ds = holdout if holdout is not None else ds
     acc_before = overall_accuracy(confusion(predict_batch(model, eval_ds.X), eval_ds.coarse))
     acc_after = overall_accuracy(confusion(predict_batch(retrained, eval_ds.X), eval_ds.coarse))

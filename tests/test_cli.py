@@ -116,6 +116,10 @@ def test_config_unknown_key_rejected(tmp_path):
          "{path}:1: sampling.dos: invalid literal for int() with base 10: '1.5'"),
         ("taxonomy.saint=scan\n", "{path}:1: taxonomy.saint: unknown coarse class 'scan'"),
         ("seed=3\n# again\nseed=4\n", "{path}:3: repeated key 'seed'"),
+        ("seed=1\nrf.trees=0\n", "{path}:2: rf.trees: n_trees must be >= 1"),
+        ("nn.batch_size=0\n", "{path}:1: nn.batch_size: batch_size must be positive"),
+        ("data=x.txt\n\nsplit.test_fraction=1.5\n",
+         "{path}:3: split.test_fraction: test_fraction must be in (0, 1)"),
     ],
 )
 def test_config_errors_name_file_line_and_key(tmp_path, text, message):
@@ -276,6 +280,24 @@ def test_train_rf_reload_predicts_identically(workspace):
     again = rf_predict_batch(load_forest(workspace["out"] / "forest.model"), X)
     assert np.array_equal(first, again)
     assert model.stats_fingerprint == stats.fingerprint
+
+
+def test_log_level_info_shows_the_prune_decision(workspace, capsys):
+    _prepared(workspace)
+    capsys.readouterr()
+    config = str(workspace["config"])
+    assert main(["train", "rf", "--config", config]) == 0
+    default = capsys.readouterr()
+    assert main(["train", "rf", "--config", config, "--log-level", "INFO"]) == 0
+    shown = capsys.readouterr()
+    assert default.err == ""
+    assert re.fullmatch(r"INFO hybrid_ids\.random_forest: pruned forest to \d+/41 features "
+                        r"\(accuracy [\d.]+ -> [\d.]+\)\n", shown.err)
+    untimed = lambda out: [l for l in out.splitlines() if not l.startswith("training time")]
+    assert untimed(shown.out) == untimed(default.out)
+    # the level ends with the command
+    assert main(["train", "rf", "--config", config]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_train_hybrid_writes_loadable_bundle(workspace):

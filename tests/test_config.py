@@ -8,7 +8,7 @@ from argparse import Namespace
 
 import pytest
 
-from hybrid_ids.cli import build_config
+from hybrid_ids.cli import build_config, main
 
 
 def settings(cfg) -> dict:
@@ -199,3 +199,16 @@ def test_config_file_errors(tmp_path, text, message):
     with pytest.raises(ValueError) as info:
         build_config(Namespace(config=str(path), data=None, out=None, seed=None))
     assert str(info.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [("rf.trees=0\n", "rf.trees"), ("nn.batch_size=0\n", "nn.batch_size"),
+     ("split.test_fraction=1.5\n", "split.test_fraction")],
+)
+def test_prepare_refuses_out_of_range_values(tmp_path, capsys, text, key):
+    path, out = tmp_path / "run.cfg", tmp_path / "out"
+    path.write_text(text)
+    assert main(["prepare", "--config", str(path), "--data", "absent.txt", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:1: {key}: ")
+    assert not out.exists()

@@ -4,6 +4,8 @@ independently of the library code paths they verify."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +16,13 @@ from hybrid_ids.random_forest import (
     ForestConfig,
     ForestModel,
     gini,
+    grow_trees,
     load_forest,
     predict_batch,
     prune_and_retrain,
+    rank_columns,
     save_forest,
     train_forest,
-    train_tree,
 )
 
 from conftest import separable_dataset
@@ -86,7 +89,7 @@ def test_gini_range_property():
 
 
 def _grow(X, y, config=None, seed=0, all_features=True) -> ForestModel:
-    """One tree from ``train_tree``, as a one-tree forest."""
+    """One tree grown on every row once, as a one-tree forest."""
     config = config or ForestConfig()
     n_features = X.shape[1]
     if all_features:
@@ -95,9 +98,9 @@ def _grow(X, y, config=None, seed=0, all_features=True) -> ForestModel:
             min_samples_split=config.min_samples_split,
             features_per_split=n_features, seed=seed,
         )
-    rng = np.random.default_rng(seed)
-    tree = train_tree(X, np.asarray(y), np.arange(len(X)), config, rng, np.arange(n_features))
-    return forest_of([tree], n_features)
+    trees, _ = grow_trees(X, np.asarray(y), [np.arange(len(X))], [np.random.default_rng(seed)],
+                          config, np.arange(n_features), rank_columns(X))
+    return forest_of(trees, n_features)
 
 
 def test_tree_single_label_is_leaf():
@@ -151,9 +154,10 @@ def test_tree_order_invariance():
 
 def _unbagged_forest(X, y, config, active) -> ForestModel:
     """``config.n_trees`` trees grown on every row once, without bagging."""
-    rng = np.random.default_rng(config.seed)
-    trees = [train_tree(X, y, np.arange(len(X)), config, rng, active)
-             for _ in range(config.n_trees)]
+    streams = np.random.SeedSequence(config.seed).spawn(config.n_trees)
+    trees, _ = grow_trees(X, y, [np.arange(len(X))] * config.n_trees,
+                          [np.random.default_rng(s) for s in streams], config, active,
+                          rank_columns(X))
     return ForestModel.from_trees(trees, feature_importances=np.zeros(X.shape[1]),
                                   active_features=active)
 
@@ -572,3 +576,28 @@ def test_forest_config_rejects_non_positive_depth(depth):
         train_forest(ds, ForestConfig(n_trees=1, max_depth=depth))
     ForestConfig(max_depth=None).validate()
     ForestConfig(max_depth=1).validate()
+
+
+def test_forest_training_peak_memory_stays_bounded():
+    """The lockstep grower bounds its per-step temporaries: 20 trees on
+    5,000 rows peak below 4.85 MB of traced allocations (numpy reports its
+    buffers to tracemalloc). That is 1.25 times the 3.88 MB that growing
+    the trees one after another peaked at on this set; searching all 20
+    roots of the first step at once takes 12.7 MB."""
+    rng = np.random.default_rng(8)
+    n = 5000
+    y = rng.choice(5, size=n, p=[0.55, 0.39, 0.03, 0.02, 0.01])
+    templates = rng.integers(0, 6, size=(5, N_FEATURES))
+    # each cell takes another class's template value 30% of the time
+    source = np.where(rng.random((n, N_FEATURES)) < 0.3, rng.integers(0, 5, (n, N_FEATURES)),
+                      y[:, None])
+    X = templates[source, np.arange(N_FEATURES)].astype(np.float64)
+    X[:, :6] += rng.normal(size=(n, 6)).round(3)  # columns of many distinct values
+    ds = Dataset(X, ["x"] * n, y)
+    tracemalloc.start()
+    try:
+        train_forest(ds, ForestConfig(n_trees=20, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.85e6

@@ -4,9 +4,11 @@ and a golden pin of whole forest files.
 ``oracle_find_split``/``oracle_train_tree`` are the original sort-based
 CART search: per node and candidate feature, an ``argsort`` of the node's
 values and Gini evaluated at every sorted position, with non-boundary
-positions priced at ``inf``. The library must grow the same trees from
-value ranks and class histograms: same features, bit-identical thresholds,
-same leaf counts, same importances and the same RNG draws.
+positions priced at ``inf``, one tree after another. The library must grow
+the same trees from value ranks and class histograms, all trees of a
+forest in lockstep with the nodes of a step searched together: same
+features, bit-identical thresholds, same leaf counts, same importances and
+the same RNG draws.
 """
 
 from __future__ import annotations
@@ -17,15 +19,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybrid_ids import random_forest
 from hybrid_ids.dataset import Dataset, N_FEATURES
 from hybrid_ids.random_forest import (
     N_CLASSES,
     ForestConfig,
     ForestModel,
+    grow_trees,
     prune_and_retrain,
+    rank_columns,
     save_forest,
     train_forest,
-    train_tree,
 )
 
 _MIN_GAIN = 1e-12
@@ -112,42 +116,137 @@ VALUE_POOL = (
 )
 
 
+def oracle_forest(ds: Dataset, config: ForestConfig, active: np.ndarray) -> ForestModel:
+    """``train_forest``'s model as the oracle grows it: tree ``t`` alone on
+    stream ``t``, which draws the bootstrap sample first. The right links
+    are rebuilt from the preorder node kinds."""
+    trees, importances = [], np.zeros(ds.X.shape[1])
+    for stream in np.random.SeedSequence(config.seed).spawn(config.n_trees):
+        rng = np.random.default_rng(stream)
+        sample = rng.integers(0, len(ds), size=len(ds))
+        tree_importance = np.zeros(ds.X.shape[1])
+        nodes = oracle_train_tree(ds.X, ds.coarse, sample, config, rng, active, tree_importance)
+        importances += tree_importance
+        feature = [node[1] if node[0] == "I" else -1 for node in nodes]
+        right, awaiting = [-1] * len(nodes), []
+        for i, f in enumerate(feature):
+            if i > 0 and feature[i - 1] < 0:
+                right[awaiting.pop()] = i
+            if f >= 0:
+                awaiting.append(i)
+        trees.append((
+            feature,
+            [float.fromhex(node[2]) if node[0] == "I" else 0.0 for node in nodes],
+            right,
+            [node[1] if node[0] == "L" else (0,) * N_CLASSES for node in nodes],
+        ))
+    importances /= config.n_trees
+    if importances.sum() > 0:
+        importances = importances / importances.sum()
+    return ForestModel.from_trees(trees, feature_importances=importances,
+                                  active_features=active, n_features=ds.X.shape[1])
+
+
+def assert_same_forest(got: ForestModel, want: ForestModel) -> None:
+    """Every array bit for bit; thresholds and importances by their bits."""
+    for name in ("feature", "right", "counts", "starts", "active_features"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.threshold.view(np.int64).tolist() == want.threshold.view(np.int64).tolist()
+    assert [v.hex() for v in got.feature_importances] == \
+        [v.hex() for v in want.feature_importances]
+
+
 @st.composite
-def tree_problems(draw):
+def forest_problems(draw):
+    """A few live columns of tie-heavy values (the rest all zero), labels,
+    an active subset that may hold constant columns, and the bounds."""
     n_rows = draw(st.integers(1, 24))
-    n_features = draw(st.integers(1, 5))
-    columns = []
-    for _ in range(n_features):
+    n_live = draw(st.integers(1, 5))
+    X = np.zeros((n_rows, N_FEATURES))
+    for f in range(n_live):
         pool = draw(st.lists(st.sampled_from(VALUE_POOL), min_size=1, max_size=4))
-        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows)))
-    X = np.array(columns, dtype=np.float64).T.reshape(n_rows, n_features)
+        X[:, f] = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
     n_labels = draw(st.integers(1, N_CLASSES))
-    y = np.array(draw(st.lists(st.integers(0, n_labels - 1), min_size=n_rows, max_size=n_rows)))
-    sample = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=40)))
-    active = np.array(sorted(draw(st.sets(st.integers(0, n_features - 1), min_size=1))))
+    y = draw(st.lists(st.integers(0, n_labels - 1), min_size=n_rows, max_size=n_rows))
+    active = np.array(sorted(draw(st.sets(st.integers(0, n_live + 2), min_size=1))))
     config = ForestConfig(
-        n_trees=1,
-        max_depth=draw(st.none() | st.integers(0, 5)),
+        n_trees=draw(st.integers(1, 6)),
+        max_depth=draw(st.none() | st.integers(1, 5)),
         min_samples_split=draw(st.integers(2, 5)),
         features_per_split=draw(st.integers(1, len(active))),
+        seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return X, y, sample, active, config, draw(st.integers(0, 2**32 - 1))
+    return Dataset(X, ["x"] * n_rows, y), active, config
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(deadline=None, max_examples=300)
-@given(tree_problems())
-def test_train_tree_matches_sort_based_oracle(problem):
-    X, y, sample, active, config, seed = problem
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got_imp, want_imp = np.zeros(X.shape[1]), np.zeros(X.shape[1])
-    got = train_tree(X, y, sample, config, got_rng, active, got_imp)
-    want = oracle_train_tree(X, y, sample, config, want_rng, active, want_imp)
-    one_tree = ForestModel.from_trees([got], feature_importances=got_imp, active_features=active,
-                                      n_features=X.shape[1])
-    assert preorder(one_tree, 0) == want
-    assert [v.hex() for v in got_imp] == [v.hex() for v in want_imp]
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+@given(forest_problems())
+def test_train_forest_matches_sort_based_oracle(problem):
+    ds, active, config = problem
+    got = train_forest(ds, config, active_features=active)
+    assert_same_forest(got, oracle_forest(ds, config, active))
+
+
+def oracle_trees(X, y, samples, config, seeds, active):
+    """Each sample's tree, grown alone by the oracle on its own seed."""
+    return [
+        oracle_train_tree(X, y, sample, config, np.random.default_rng(seed), active,
+                          np.zeros(X.shape[1]))
+        for sample, seed in zip(samples, seeds)
+    ]
+
+
+def grow(X, y, samples, config, seeds, active) -> ForestModel:
+    trees, _ = grow_trees(X, y, samples, [np.random.default_rng(s) for s in seeds], config,
+                          active, rank_columns(X))
+    return ForestModel.from_trees(trees, feature_importances=np.zeros(X.shape[1]),
+                                  active_features=active, n_features=X.shape[1])
+
+
+def test_node_without_boundary_searched_with_nodes_that_split():
+    # one candidate of two per node: a root drawing the constant column 1
+    # has no boundary and stays an impure leaf, in the same step as roots
+    # drawing column 0, which split
+    X = np.zeros((12, 2))
+    X[:, 0] = np.arange(12) % 4
+    y = (np.arange(12) % 4 > 1).astype(int)
+    config = ForestConfig(n_trees=6, features_per_split=1)
+    samples, seeds = [np.arange(12)] * 6, range(6)
+    model = grow(X, y, samples, config, seeds, np.array([0, 1]))
+    roots = model.starts
+    assert (model.feature[roots] == -1).any() and (model.feature[roots] == 0).any()
+    assert (model.counts[roots][model.feature[roots] == -1] > 0).sum(axis=1).min() == 2
+    want = oracle_trees(X, y, samples, config, seeds, np.array([0, 1]))
+    assert [preorder(model, t) for t in range(6)] == want
+
+
+def test_nodes_with_equal_best_costs_in_one_step():
+    # the same rows in another order: every step searches two nodes whose
+    # histograms, and so best costs, are equal, and each keeps its own split
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, 3, size=(30, 4)).astype(np.float64)
+    y = (X[:, 0] + X[:, 2]).astype(int) % 3
+    samples = [np.arange(30), rng.permutation(30)]
+    config = ForestConfig(n_trees=2, features_per_split=4)
+    model = grow(X, y, samples, config, [5, 5], np.arange(4))
+    want = oracle_trees(X, y, samples, config, [5, 5], np.arange(4))
+    assert preorder(model, 0) == preorder(model, 1) == want[0] == want[1]
+    assert len(want[0]) > 5
+
+
+def test_tree_finishing_many_steps_before_the_others():
+    # a pure sample stops at its root; a two-row sample after one split; a
+    # noisy one grows for many steps after both are done
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(80, 3)).round(2)
+    y = rng.integers(0, 3, size=80)
+    samples = [np.flatnonzero(y == 1), np.flatnonzero(y != 1)[:2], rng.integers(0, 80, 80)]
+    config = ForestConfig(n_trees=3, features_per_split=2)
+    model = grow(X, y, samples, config, [1, 2, 3], np.arange(3))
+    want = oracle_trees(X, y, samples, config, [1, 2, 3], np.arange(3))
+    assert [preorder(model, t) for t in range(3)] == want
+    assert [len(tree) for tree in want[:2]] == [1, 3] and len(want[2]) > 20
 
 
 def golden_dataset() -> Dataset:
@@ -167,21 +266,16 @@ def golden_dataset() -> Dataset:
 
 
 def test_train_forest_matches_oracle_forest():
-    ds = golden_dataset()
-    config = ForestConfig(n_trees=4, seed=3)
-    model = train_forest(ds, config)
-    importances = np.zeros(N_FEATURES)
-    for t, stream in enumerate(np.random.SeedSequence(config.seed).spawn(4)):
-        rng = np.random.default_rng(stream)
-        sample = rng.integers(0, len(ds), size=len(ds))
-        tree_importance = np.zeros(N_FEATURES)
-        want = oracle_train_tree(
-            ds.X, ds.coarse, sample, config, rng, np.arange(N_FEATURES), tree_importance
-        )
-        assert preorder(model, t) == want
-        importances += tree_importance
-    importances /= config.n_trees
-    assert np.array_equal(model.feature_importances, importances / importances.sum())
+    ds, config = golden_dataset(), ForestConfig(n_trees=4, seed=3)
+    assert_same_forest(train_forest(ds, config), oracle_forest(ds, config, np.arange(N_FEATURES)))
+
+
+@pytest.mark.parametrize("budget", [1, 300])
+def test_search_groups_leave_the_forest_unchanged(monkeypatch, budget):
+    # every node searched alone, or a few nodes per search
+    monkeypatch.setattr(random_forest, "_SEARCH_KEYS", budget)
+    ds, config = golden_dataset(), ForestConfig(n_trees=12, seed=7)
+    assert_same_forest(train_forest(ds, config), oracle_forest(ds, config, np.arange(N_FEATURES)))
 
 
 # SHA-256 of the two files below as written by the sort-based split search
