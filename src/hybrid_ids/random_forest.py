@@ -155,7 +155,7 @@ def _class_counts(ranks, rows, labels, sizes, cand):
     keys += labels
     keys = keys.ravel()
     n_dense = int(span[dense].sum()) * N_CLASSES
-    if dense.all():  # the common case on large nodes: no keys to split off
+    if dense.all():  # no wide pair, so no keys to split off
         dense_counts = np.bincount(keys, minlength=n_dense)
         sorted_keys = sorted_counts = np.zeros(0, dtype=np.int64)
     else:
