@@ -215,6 +215,45 @@ def test_prepare_files_match_golden_hashes(tmp_path, monkeypatch):
     assert {name: _sha(Path("out", name)) for name in GOLDEN_PREPARE} == GOLDEN_PREPARE
 
 
+# SHA-256 of the files ``evaluate hybrid`` and ``predict`` write for the
+# repeated inputs of test_scoring_files_match_golden_hashes, as produced by
+# the code that parsed, converted and scored every copy of a record.
+GOLDEN_SCORING = {
+    "confusion_hybrid.csv": "70225699a96b630c3e2d8876dded55d3bc313b8a5d59cbd968819fcc0121315b",
+    "metrics_hybrid.csv": "cf1d234cca3c077c5a1037572fe5263db866ce52b186e87a1171f4bc2b26dceb",
+    "report_hybrid.txt": "c4586820632f57d328305ee2a289ed3cbc9530a5dabec555a3c6ca89196f3fa8",
+    "routing_hybrid.txt": "64d3ffe2716799cd9bc9e0a09da2e931fdf56c38385c09aca048864d8fdb1cba",
+    "predictions.csv": "8aaef5e7600ef4aac2f078ecd022afa87d9f8badeb95e92fc67e28db9bb9cde5",
+    "predictions.rejects.txt": "fe82119f52c0b5c540d6f85812bbe3d895ea1e81691a54326fd1ca1203ff40e2",
+}
+
+
+def test_scoring_files_match_golden_hashes(workspace, tmp_path):
+    """Evaluate and predict on inputs whose feature rows repeat, shuffled,
+    some with another label or without one: every file keeps one row or
+    count per input row."""
+    _prepared(workspace)
+    assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
+    lines = (workspace["out"] / "test.csv").read_text().splitlines()
+    rows = lines[3:]
+    relabeled = [row.rsplit(",", 2)[0] + ",normal,normal" for row in rows[:10]]
+    tiled = rows * 3 + relabeled
+    order = np.random.default_rng(0).permutation(len(tiled))
+    batch = tmp_path / "batch.csv"
+    batch.write_text("\n".join(lines[:3] + [tiled[i] for i in order]) + "\n")
+    assert main(["evaluate", "hybrid", "--config", str(workspace["config"]),
+                 "--test-file", str(batch)]) == 0
+
+    corpus = workspace["lines"]
+    stream = corpus + [line.rsplit(",", 1)[0] for line in corpus[::3]] + corpus[::2]
+    stream = [stream[i] for i in np.random.default_rng(1).permutation(len(stream))]
+    stream[5:5] = ["bad,line", ""]
+    inputs = tmp_path / "stream.txt"
+    inputs.write_text("\n".join(stream + corpus[:4]) + "\n")
+    assert main(["predict", "--config", str(workspace["config"]), "--input", str(inputs)]) == 0
+    assert {name: _sha(workspace["out"] / name) for name in GOLDEN_SCORING} == GOLDEN_SCORING
+
+
 def test_prepare_empty_input_errors(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
