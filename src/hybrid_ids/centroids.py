@@ -74,12 +74,16 @@ def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray,
     return centers[keep], sizes[keep]
 
 
+def check_clusters_per_label(clusters_per_label: int) -> None:
+    if clusters_per_label < 1:
+        raise ValueError("clusters_per_label must be >= 1")
+
+
 def fit(ds: Dataset, clusters_per_label: int = 1, seed: int = 0) -> CentroidModel:
     """Per-fine-label centroids of an already-standardized dataset."""
     if len(ds) == 0:
         raise ValueError("cannot fit centroids on an empty dataset")
-    if clusters_per_label < 1:
-        raise ValueError("clusters_per_label must be >= 1")
+    check_clusters_per_label(clusters_per_label)
     labels = sorted(set(ds.fine_labels))
     if "normal" not in labels:
         raise ValueError("training data has no 'normal' records; verification impossible")

@@ -35,6 +35,7 @@ from .dataset import (
     Provenance,
     SamplingPlan,
     Taxonomy,
+    check_folds,
     check_test_fraction,
     deduplicate,
     load_dataset,
@@ -104,6 +105,8 @@ class RunConfig:
         """The range checks of the run's own settings and of the three
         stages' configs; ValueError names the setting."""
         check_test_fraction(self.test_fraction)
+        check_folds(self.cv_folds)
+        misuse_mod.check_clusters_per_label(self.hybrid.clusters_per_label)
         self.hybrid.nn.validate()
         self.hybrid.rf.validate()
 

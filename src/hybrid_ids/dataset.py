@@ -210,22 +210,31 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
 def read_kdd_file(path: str | Path) -> Iterator[RawRecord]:
     """Yield records from an uncompressed or gzip KDD file.
 
-    Blank lines are skipped; any malformed line aborts with a
-    :class:`ParseError` naming the line number.
+    Blank lines are skipped; a malformed line aborts with a :class:`ParseError`
+    naming its line number. A repeated line yields its first copy's record.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
+    parsed: dict[str, RawRecord] = {}
     with opener(path, "rt") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            yield parse_kdd_line(line, line_no)
+            if line not in parsed:
+                parsed[line] = parse_kdd_line(line, line_no)
+            yield parsed[line]
 
 
 def deduplicate(records: Sequence[RawRecord]) -> list[RawRecord]:
     """Collapse exact duplicates (all 41 fields and the label equal) to the
     first occurrence, preserving relative order."""
     return list(dict.fromkeys(records))
+
+
+def first_seen(keys: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct keys in first-seen order, and each key's index among them."""
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    return list(index), np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
 
 
 def encode_features(record: RawRecord) -> np.ndarray:
@@ -404,6 +413,11 @@ def _per_class_shuffled(ds: Dataset, rng: np.random.Generator) -> list[np.ndarra
     return groups
 
 
+def check_folds(k: int) -> None:
+    if k < 2:
+        raise ValueError("k must be >= 2")
+
+
 def stratified_kfold(
     ds: Dataset, k: int, seed: int = 0
 ) -> list[tuple[Dataset, Dataset]]:
@@ -412,8 +426,7 @@ def stratified_kfold(
     Returns (train, validation) dataset pairs; the validation folds are
     pairwise disjoint and their union is the dataset.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    check_folds(k)
     counts = ds.counts_by_coarse()
     for c, n in counts.items():
         if 0 < n < k:
@@ -477,13 +490,14 @@ _COARSE_CODES = {name: code for code, name in enumerate(COARSE_NAMES)}
 
 def _parse_rows(rows: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...], list[int]]:
     """Features, fine labels and coarse codes of stripped, non-blank data
-    rows. Raises ValueError or KeyError when any row is not 41 finite
-    numbers, a fine label and a coarse class name."""
+    rows, each distinct feature text converted once. Raises ValueError or
+    KeyError when any row is not 41 finite numbers, a label and a class."""
     heads, fine, names = zip(*(row.rsplit(",", 2) for row in rows))
-    X = np.loadtxt(heads, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
-    if X.shape != (len(rows), N_FEATURES) or not np.isfinite(X).all():
+    distinct, inverse = first_seen(heads)
+    X = np.loadtxt(distinct, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    if X.shape != (len(distinct), N_FEATURES) or not np.isfinite(X).all():
         raise ValueError("not a block of finite feature rows")
-    return X, fine, [_COARSE_CODES[name] for name in names]
+    return X[inverse], fine, [_COARSE_CODES[name] for name in names]
 
 
 def _row_problem(line: str) -> str | None:

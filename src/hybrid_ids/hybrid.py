@@ -1,7 +1,7 @@
 """Sequential hybrid pipeline: both anomaly detectors run in parallel, the
 union of their alarms routes to the misuse stage, and the misuse stage's
 nearest-signature verdict verifies each alarm and refines it into a fine
-attack class.
+attack class. A distinct record is scored once; verdicts stay one per row.
 
 A record is never emitted as an attack unless at least one anomaly model
 flagged it: the misuse stage can only confirm, refine, or trim alarms.
@@ -25,6 +25,7 @@ from .dataset import (
     Dataset,
     StandardizationStats,
     Taxonomy,
+    first_seen,
     load_stats,
     load_taxonomy,
     save_stats,
@@ -179,21 +180,24 @@ def train_all(
 
 
 def predict_dataset(h: HybridModel, ds: Dataset) -> tuple[Verdicts, RoutingStats]:
-    """Vectorized chain over an encoded (unstandardized) dataset: both
-    anomaly votes on every row, the misuse verdict on the routed rows.
-    Only ``ds.X`` is read."""
-    X = standardize_apply(h.stats, ds.X)
+    """Vectorized chain over an encoded (unstandardized) dataset: both anomaly
+    votes on every row, the misuse verdict on the routed rows; rows of equal
+    bytes are scored once. Only ``ds.X`` is read."""
+    raw = np.ascontiguousarray(ds.X)
+    distinct, inverse = first_seen(raw.view(f"V{raw.itemsize * raw.shape[1]}").ravel().tolist())
+    X = standardize_apply(h.stats, np.frombuffer(b"".join(distinct)).reshape(-1, raw.shape[1]))
     nn_votes = nn.predict_batch(h.mlp, X)
     rf_votes = rf.predict_batch(h.forest, X)
     routed = route(nn_votes, rf_votes)
     entry = np.full(len(X), -1, dtype=np.int64)
     entry[routed] = misuse.assign_batch(h.centroids, X[routed])[0]
+    nn_votes, rf_votes, routed, entry = (a[inverse] for a in (nn_votes, rf_votes, routed, entry))
     # entry -1 (not routed) picks the appended normal
     coarse = np.append(h.centroids._coarse, int(CoarseLabel.NORMAL))[entry]
     n_routed = int(routed.sum())
     trimmed = int(np.count_nonzero(coarse[routed] == CoarseLabel.NORMAL))
     stats = RoutingStats(
-        total=len(X), routed=n_routed, trimmed=trimmed, confirmed=n_routed - trimmed
+        total=len(raw), routed=n_routed, trimmed=trimmed, confirmed=n_routed - trimmed
     )
     return Verdicts(nn_votes, rf_votes, entry, routed, coarse, h.centroids.entries), stats
 

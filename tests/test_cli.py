@@ -120,6 +120,9 @@ def test_config_unknown_key_rejected(tmp_path):
         ("nn.batch_size=0\n", "{path}:1: nn.batch_size: batch_size must be positive"),
         ("data=x.txt\n\nsplit.test_fraction=1.5\n",
          "{path}:3: split.test_fraction: test_fraction must be in (0, 1)"),
+        ("seed=2\nnn.folds=1\n", "{path}:2: nn.folds: k must be >= 2"),
+        ("misuse.clusters_per_label=0\n",
+         "{path}:1: misuse.clusters_per_label: clusters_per_label must be >= 1"),
     ],
 )
 def test_config_errors_name_file_line_and_key(tmp_path, text, message):

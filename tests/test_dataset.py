@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hybrid_ids.dataset import (
+    COARSE_NAMES,
     ENCODED_COLUMNS,
     KDD_COLUMNS,
     N_FEATURES,
@@ -177,6 +178,32 @@ def test_read_kdd_file_gzip(tmp_path):
         fh.write(SAMPLE_LINE + "\n\n" + SAMPLE_LINE.replace("normal.", "smurf.") + "\n")
     records = list(read_kdd_file(path))
     assert [r.fine_label for r in records] == ["normal", "smurf"]
+
+
+def test_read_kdd_file_repeated_lines_give_equal_records(tmp_path):
+    other = SAMPLE_LINE.replace("181", "182")
+    lines = [SAMPLE_LINE, other, SAMPLE_LINE, "", SAMPLE_LINE + "  ", other, SAMPLE_LINE]
+    path = tmp_path / "repeats.txt"
+    path.write_text("\n".join(lines) + "\n")
+    records = list(read_kdd_file(path))
+    oracle = [parse_kdd_line(line, i) for i, line in enumerate(lines, start=1) if line]
+    assert records == oracle
+    assert all(np.array_equal(r.x.view(np.int64), o.x.view(np.int64))
+               for r, o in zip(records, oracle))
+    assert records[2] is records[0] and records[5] is records[0] and records[4] is records[1]
+
+
+@pytest.mark.parametrize("lines, line_no", [
+    ([SAMPLE_LINE] * 3 + ["0,tcp,http,SF,1,normal."] + [SAMPLE_LINE], 4),
+    ([SAMPLE_LINE, SAMPLE_LINE, "", SAMPLE_LINE.replace("181", "-1"), SAMPLE_LINE,
+      SAMPLE_LINE.replace("181", "-1")], 4),
+])
+def test_read_kdd_file_malformed_line_after_repeats_names_its_line(tmp_path, lines, line_no):
+    path = tmp_path / "repeats.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        list(read_kdd_file(path))
+    assert info.value.line_no == line_no
 
 
 def test_dedup_collapses_exact_duplicates():
@@ -531,6 +558,34 @@ def test_dataset_file_round_trip_is_bit_exact(tmp_path_factory, X, data):
         prov.source, prov.deduplicated, prov.sampling)
 
 
+feature_text = st.one_of(
+    finite_floats.map(repr), st.sampled_from(["0", "0.00", "1.00", "1.0", "0.11", "1e3", "5E-2", "7"])
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    pool=st.lists(st.lists(feature_text, min_size=N_FEATURES, max_size=N_FEATURES),
+                  min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_load_dataset_repeated_rows_match_a_per_row_float_oracle(tmp_path_factory, pool, data):
+    """Rows whose feature text repeats, shuffled and under other labels,
+    load to the bits ``float`` gives each row on its own."""
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    labels = data.draw(st.lists(st.sampled_from(COARSE_NAMES), min_size=len(picks),
+                                max_size=len(picks)))
+    path = tmp_path_factory.mktemp("repeats") / "ds.csv"
+    save_dataset(path, Dataset(np.empty((0, N_FEATURES)), [], []))
+    rows = [",".join(pool[p]) + f",{name},{name}" for p, name in zip(picks, labels)]
+    path.write_text(path.read_text() + "\n".join(rows) + "\n")
+    loaded = load_dataset(path)
+    oracle = np.array([[float(text) for text in pool[p]] for p in picks])
+    assert np.array_equal(loaded.X.view(np.int64), oracle.view(np.int64))
+    assert list(loaded.fine_labels) == labels
+    assert loaded.coarse.tolist() == [COARSE_NAMES.index(name) for name in labels]
+
+
 def _dataset_file(tmp_path, n_per_label=1):
     ds = separable_dataset(n_per_label=n_per_label, seed=12)
     ds.provenance = Provenance(source="corpus.txt", deduplicated=True, sampling="normal:3")
@@ -585,6 +640,20 @@ def test_load_dataset_bad_row(tmp_path, column, text, match):
     bad = lines[k].rsplit(",", 1)[0] if column is None else _with_field(lines[k], column, text)
     damaged = lines[:4] + [""] + lines[4:k] + [bad] + lines[k + 1:]
     _expect_load_error(load_dataset, path, damaged, k + 2, match)
+
+
+@pytest.mark.parametrize("column, text, match", [
+    (4, "nan", "non-finite value 'nan' in column 'src_bytes'"),
+    (42, "dso", "unknown coarse class 'dso'"),
+])
+def test_load_dataset_bad_row_after_copies_names_its_line(tmp_path, column, text, match):
+    """The bad row shares its feature text with the copies before it (the
+    class case) or repeats later; the error names its own line."""
+    path, lines = _dataset_file(tmp_path)
+    good = lines[5]
+    bad = _with_field(good, column, text)
+    damaged = lines[:3] + [good] * 3 + [bad] + [good, bad] + lines[3:]
+    _expect_load_error(load_dataset, path, damaged, 7, match)
 
 
 def test_load_dataset_one_token_row(tmp_path):

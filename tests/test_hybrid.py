@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybrid_ids import centroids as misuse
 from hybrid_ids import neural_net as nn
@@ -242,6 +243,31 @@ def test_verdict_columns_equal_their_rows():
     assert stats.routed == sum(p.routed for p in rows) > 0
     assert stats.trimmed == sum(p.routed and p.coarse == NORMAL for p in rows)
     assert stats.confirmed == sum(p.routed and p.coarse != NORMAL for p in rows) > 0
+
+
+@pytest.fixture(scope="module")
+def scored_distinct_rows():
+    """A trained chain, distinct rows (two of them equal but for the sign of
+    a zero) and the chain's verdicts on them."""
+    ds = separable_dataset(n_per_label=14, seed=4, spread=2.0)
+    train, test = stratified_split(ds, 0.3, seed=1)
+    h = train_all(train, _fast_config())
+    zero, negative_zero = test.X[0].copy(), test.X[0].copy()
+    zero[3], negative_zero[3] = 0.0, -0.0
+    X = np.vstack([test.X, zero, negative_zero])
+    return h, X, predict_dataset(h, Dataset(X, [""] * len(X), [0] * len(X)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_repeated_rows_score_as_their_distinct_rows(scored_distinct_rows, data):
+    h, X, (expected, _) = scored_distinct_rows
+    picks = np.array(data.draw(st.lists(st.integers(0, len(X) - 1), max_size=80)), dtype=np.int64)
+    verdicts, stats = predict_dataset(h, Dataset(X[picks], [""] * len(picks), [0] * len(picks)))
+    for column in ("nn_votes", "rf_votes", "entry", "routed", "coarse"):
+        assert np.array_equal(getattr(verdicts, column), getattr(expected, column)[picks])
+    assert stats.total == len(picks)
+    assert stats.routed == stats.trimmed + stats.confirmed == int(expected.routed[picks].sum())
 
 
 def test_no_misuse_only_alarms_and_verify_subset():
