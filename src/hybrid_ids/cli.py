@@ -30,6 +30,7 @@ from . import neural_net as nn_mod
 from . import random_forest as rf_mod
 from .dataset import (
     COARSE_NAMES,
+    N_FEATURES,
     CoarseLabel,
     Dataset,
     Provenance,
@@ -41,7 +42,8 @@ from .dataset import (
     load_dataset,
     load_stats,
     load_taxonomy,
-    parse_kdd_line,
+    numbered_blocks,
+    parse_kdd_block,
     read_kdd_file,
     resample,
     save_dataset,
@@ -51,7 +53,6 @@ from .dataset import (
     standardize_fit,
     stratified_split,
 )
-from .errors import ParseError
 from .evaluation import (
     confusion,
     format_report,
@@ -397,23 +398,19 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
 
 
 def _encoded_chunks(lines: Iterable[str], rejects: list[str]) -> Iterator[np.ndarray]:
-    """Feature blocks of at most ``_PREDICT_CHUNK`` well-formed KDD lines,
-    labeled or not, each encoded as soon as it parses. The messages of
-    malformed lines go to ``rejects``."""
-    chunk: list[np.ndarray] = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            chunk.append(parse_kdd_line(line, line_no, labeled=line.count(",") != 40).x)
-        except ParseError as exc:
-            rejects.append(str(exc))
-            continue
-        if len(chunk) == _PREDICT_CHUNK:
-            yield np.array(chunk)
-            chunk = []
-    if chunk:
-        yield np.array(chunk)
+    """Feature blocks of ``_PREDICT_CHUNK`` well-formed KDD lines, labeled
+    or not, and a last, shorter one; the lines are parsed a block at a
+    time. The messages of malformed lines go to ``rejects``."""
+    pending = np.empty((0, N_FEATURES))
+    for block in numbered_blocks(lines):
+        X, errors = parse_kdd_block(block, labeled=None)
+        rejects.extend(map(str, errors))
+        pending = np.concatenate([pending, X])
+        while len(pending) >= _PREDICT_CHUNK:
+            yield pending[:_PREDICT_CHUNK]
+            pending = pending[_PREDICT_CHUNK:]
+    if len(pending):
+        yield pending
 
 
 def _verdict_rows(verdicts: Verdicts) -> str:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import enum
 import gzip
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -207,22 +208,107 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
     return RawRecord(text, fine_label, np.array(values))
 
 
+# Lines per parse_kdd_block call: enough to spread the fixed cost of one
+# loadtxt call, few enough that a block's text and rows stay small.
+BLOCK_LINES = 1024
+_PROTOCOL_CODES = {p: i for i, p in enumerate(PROTOCOLS)}
+# Encoded protocol columns (tcp, udp, icmp), one row per protocol code.
+_ONE_HOT_ROWS = np.eye(len(PROTOCOLS))
+
+
+def numbered_blocks(lines: Iterable[str]) -> Iterator[list[tuple[int, str]]]:
+    """The non-blank lines, stripped and numbered from 1, in lists of up to
+    ``BLOCK_LINES``."""
+    numbered = ((n, text) for n, line in enumerate(lines, start=1) if (text := line.strip()))
+    while block := list(itertools.islice(numbered, BLOCK_LINES)):
+        yield block
+
+
+def parse_kdd_block(
+    numbered: Sequence[tuple[int, str]], labeled: bool | None = True
+) -> tuple[np.ndarray, list[ParseError]]:
+    """Parse and encode numbered KDD lines a block at a time: the rows of
+    the lines that parse, and the error of each line that does not, both in
+    line order. ``labeled`` is as for :func:`parse_kdd_line`; None reads a
+    line of 41 fields as unlabeled and any other as labeled.
+
+    Cheap screens (the field count, a non-empty label, a known protocol)
+    pick the distinct lines that one ``np.loadtxt`` call converts, and a
+    vectorized check keeps the rows whose numbers are all finite and
+    non-negative. Every other line goes through :func:`parse_kdd_line`,
+    which alone decides it: it raises the line's error under the line's own
+    number, or returns its row, as for spellings such as ``1_000`` that
+    ``float`` accepts and ``loadtxt`` does not (a block ``loadtxt`` cannot
+    read is refused whole).
+    """
+    distinct, inverse = first_seen([line.strip() for _, line in numbered])
+    # the comma counts a line may have: 41 with a label, 40 without
+    allowed = {True: (41,), False: (40,), None: (40, 41)}[labeled]
+    passed, codes = [], []
+    for i, text in enumerate(distinct):
+        commas = text.count(",")
+        if commas not in allowed or (commas == 41 and not text.rpartition(",")[2].rstrip(".")):
+            continue
+        code = _PROTOCOL_CODES.get(text.split(",", 2)[1])
+        if code is not None:
+            passed.append(i)
+            codes.append(code)
+    rows = np.zeros((len(distinct), N_FEATURES))
+    good = np.zeros(len(distinct), dtype=bool)
+    if passed:
+        try:
+            values = np.loadtxt([distinct[i] for i in passed], delimiter=",", dtype=np.float64,
+                                comments=None, usecols=_NUMERIC_INDICES, ndmin=2)
+        except ValueError:
+            values = np.empty((0, 0))
+        if values.shape == (len(passed), len(_NUMERIC_INDICES)):
+            rows[passed, 0] = values[:, 0]
+            rows[passed, 1:4] = _ONE_HOT_ROWS[codes]
+            rows[passed, 4:] = values[:, 1:]
+            good[passed] = ((values >= 0) & (values < np.inf)).all(axis=1)
+    X, keep = rows[inverse], good[inverse]
+    errors = []
+    for p in np.flatnonzero(~keep).tolist():
+        line_no, line = numbered[p]
+        line_labeled = line.count(",") != 40 if labeled is None else labeled
+        try:
+            X[p] = parse_kdd_line(line, line_no, line_labeled).x
+        except ParseError as exc:
+            errors.append(exc)
+        else:
+            keep[p] = True
+    return (X[keep] if errors else X), errors
+
+
 def read_kdd_file(path: str | Path) -> Iterator[RawRecord]:
     """Yield records from an uncompressed or gzip KDD file.
 
     Blank lines are skipped; a malformed line aborts with a :class:`ParseError`
-    naming its line number. A repeated line yields its first copy's record.
+    naming its line number, after the records of the lines before it. The
+    lines are parsed a block at a time, and each distinct line once: a
+    repeated line yields its first copy's record.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
     parsed: dict[str, RawRecord] = {}
     with opener(path, "rt") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if line not in parsed:
-                parsed[line] = parse_kdd_line(line, line_no)
-            yield parsed[line]
+        for block in numbered_blocks(fh):
+            fresh: dict[str, int] = {}
+            for line_no, text in block:
+                if text not in parsed:
+                    fresh.setdefault(text, line_no)
+            X, errors = parse_kdd_block([(n, text) for text, n in fresh.items()])
+            # the lines before the first error all parsed, so they own X's first rows
+            stop = errors[0].line_no if errors else None
+            for (text, line_no), x in zip(fresh.items(), X):
+                if line_no == stop:
+                    break
+                head, _, label = text.rpartition(",")
+                parsed[text] = RawRecord(head, label.rstrip("."), x)
+            for line_no, text in block:
+                if line_no == stop:
+                    raise errors[0]
+                yield parsed[text]
 
 
 def deduplicate(records: Sequence[RawRecord]) -> list[RawRecord]:
@@ -477,9 +563,8 @@ def save_dataset(path: str | Path, ds: Dataset) -> None:
         f"# provenance: {ds.provenance.describe()}",
         ",".join(ENCODED_COLUMNS + ("fine_label", "coarse_label")),
     ]
-    for i in range(len(ds)):
-        row = ",".join(repr(float(v)) for v in ds.X[i])
-        lines.append(f"{row},{ds.fine_labels[i]},{CoarseLabel(ds.coarse[i])}")
+    for x, fine, coarse in zip(ds.X.tolist(), ds.fine_labels.tolist(), ds.coarse.tolist()):
+        lines.append(f"{','.join(map(repr, x))},{fine},{COARSE_NAMES[coarse]}")
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -488,16 +573,17 @@ _PROVENANCE = re.compile(r"# provenance: source=(.*) dedup=(true|false)(?: sampl
 _COARSE_CODES = {name: code for code, name in enumerate(COARSE_NAMES)}
 
 
-def _parse_rows(rows: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...], list[int]]:
+def _parse_rows(rows: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Features, fine labels and coarse codes of stripped, non-blank data
-    rows, each distinct feature text converted once. Raises ValueError or
+    rows, each distinct row split and converted once. Raises ValueError or
     KeyError when any row is not 41 finite numbers, a label and a class."""
-    heads, fine, names = zip(*(row.rsplit(",", 2) for row in rows))
-    distinct, inverse = first_seen(heads)
-    X = np.loadtxt(distinct, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    distinct, inverse = first_seen(rows)
+    heads, fine, names = zip(*(row.rsplit(",", 2) for row in distinct))
+    X = np.loadtxt(heads, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
     if X.shape != (len(distinct), N_FEATURES) or not np.isfinite(X).all():
         raise ValueError("not a block of finite feature rows")
-    return X[inverse], fine, [_COARSE_CODES[name] for name in names]
+    coarse = np.array([_COARSE_CODES[name] for name in names], dtype=np.int64)
+    return X[inverse], np.array(fine, dtype=object)[inverse], coarse[inverse]
 
 
 def _row_problem(line: str) -> str | None:

@@ -14,6 +14,7 @@ import pytest
 from hybrid_ids import cli
 from hybrid_ids.cli import build_config, main, parse_config_file
 from hybrid_ids import centroids as misuse_mod
+from hybrid_ids import dataset as dataset_mod
 from hybrid_ids.centroids import CentroidEntry, assign_batch
 from hybrid_ids.dataset import (
     N_FEATURES,
@@ -23,6 +24,7 @@ from hybrid_ids.dataset import (
     parse_kdd_line,
     save_dataset,
 )
+from hybrid_ids.errors import ParseError
 from hybrid_ids.evaluation import confusion, write_confusion_csv
 from hybrid_ids.hybrid import Verdicts, load_hybrid, predict_dataset
 from hybrid_ids.random_forest import load_forest, predict_batch as rf_predict_batch
@@ -500,6 +502,42 @@ def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monke
     assert stats.describe() in captured.err
     rejects = (workspace["out"] / "predictions.rejects.txt").read_text().splitlines()
     assert [r.split(":")[0] for r in rejects] == ["line 3", "line 11, column 'src_bytes'"]
+
+
+def test_predict_calls_the_line_parser_once_per_rejected_line(workspace, tmp_path, monkeypatch):
+    """The traced benchmark counts rejected lines as ``parse_kdd_line``
+    calls that raise: each rejected line must make exactly one, and no
+    accepted line any, also where lines repeat and where a number only
+    ``float()`` reads sends a whole block through the line parser."""
+    _prepared(workspace)
+    assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
+    good = [l if i % 3 else l.rsplit(",", 1)[0] for i, l in enumerate(workspace["lines"])]
+    stream = (good * 5)[:1500]
+    odd = stream[1200].split(",")
+    odd[5] = "1_000"  # loadtxt refuses the second block
+    stream[1200] = ",".join(odd)
+    faults = {3: "0,tcp,http,SF,1", 40: good[0].replace(",tcp,", ",sctp,"),
+              41: good[1].replace(",0,", ",-1,", 1), 900: "0,tcp,http,SF,1",
+              1100: good[2].replace(",0,", ",nan,", 1), 1400: good[1].replace(",0,", ",-1,", 1)}
+    for line_no, line in faults.items():
+        stream[line_no - 1] = line
+    inputs = tmp_path / "stream.txt"
+    inputs.write_text("\n".join(stream) + "\n")
+
+    raised: list[int] = []
+
+    def spy(line, line_no=1, labeled=True):
+        try:
+            return parse_kdd_line(line, line_no, labeled)
+        except ParseError:
+            raised.append(line_no)
+            raise
+
+    monkeypatch.setattr(dataset_mod, "parse_kdd_line", spy)
+    assert main(["predict", "--config", str(workspace["config"]), "--input", str(inputs)]) == 0
+    assert raised == sorted(faults)
+    rejects = (workspace["out"] / "predictions.rejects.txt").read_text().splitlines()
+    assert [int(r.split(":")[0].split(",")[0].split()[1]) for r in rejects] == sorted(faults)
 
 
 def test_verdict_rows_cover_every_vote_pair_and_entry():

@@ -197,13 +197,17 @@ def test_read_kdd_file_repeated_lines_give_equal_records(tmp_path):
     ([SAMPLE_LINE] * 3 + ["0,tcp,http,SF,1,normal."] + [SAMPLE_LINE], 4),
     ([SAMPLE_LINE, SAMPLE_LINE, "", SAMPLE_LINE.replace("181", "-1"), SAMPLE_LINE,
       SAMPLE_LINE.replace("181", "-1")], 4),
+    ([SAMPLE_LINE, SAMPLE_LINE, SAMPLE_LINE.replace("tcp", "sctp"), SAMPLE_LINE,
+      SAMPLE_LINE.replace("181", "nan")], 3),
 ])
 def test_read_kdd_file_malformed_line_after_repeats_names_its_line(tmp_path, lines, line_no):
     path = tmp_path / "repeats.txt"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as info:
         list(read_kdd_file(path))
-    assert info.value.line_no == line_no
+    with pytest.raises(ParseError) as expected:
+        parse_kdd_line(lines[line_no - 1], line_no)
+    assert (str(info.value), info.value.line_no) == (str(expected.value), line_no)
 
 
 def test_dedup_collapses_exact_duplicates():
