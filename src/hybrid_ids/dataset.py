@@ -274,6 +274,10 @@ def parse_kdd_block(
         try:
             X[p] = parse_kdd_line(line, line_no, line_labeled).x
         except ParseError as exc:
+            # Through its frames, a kept traceback (the error's or its
+            # context's) would tie this block's arrays into a reference
+            # cycle that only a full garbage collection frees.
+            exc.__traceback__ = exc.__context__ = None
             errors.append(exc)
         else:
             keep[p] = True

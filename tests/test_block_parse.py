@@ -4,6 +4,8 @@ the rows of the lines that parse and for the errors of those that do not."""
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +90,24 @@ def test_clean_block_calls_no_per_line_parser(monkeypatch):
     monkeypatch.setattr(dataset, "parse_kdd_line", None)  # any call fails
     X, errors = parse_kdd_block(numbered, labeled=None)
     assert errors == [] and X.tobytes() == expected.tobytes()
+
+
+def test_block_errors_leave_no_reference_cycle():
+    """A kept error must not hold the block's frame, and through it the
+    block's arrays, in a cycle: ``predict`` would then keep every block
+    with a rejected line until a full garbage collection."""
+    lines = make_kdd_lines({"normal": 30, "smurf": 20}, seed=2)
+    lines[3] = lines[3].replace(",0,", ",x,", 1)  # float() fails: a ValueError context
+    lines[7] = lines[7].replace(",0,", ",-1,", 1)
+    gc.collect()
+    gc.disable()
+    try:
+        X, errors = parse_kdd_block(list(enumerate(lines, start=1)))
+        assert [e.line_no for e in errors] == [4, 8]
+        del X, errors
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _faulty(line: str, fault: str) -> str:
