@@ -12,7 +12,6 @@ from .dataset import (
     SamplingPlan,
     StandardizationStats,
     Taxonomy,
-    deduplicate,
     parse_kdd_line,
     resample,
     standardize_apply,
@@ -39,7 +38,6 @@ __all__ = [
     "Taxonomy",
     "UnmappedLabelError",
     "Verdicts",
-    "deduplicate",
     "parse_kdd_line",
     "resample",
     "route",

@@ -33,18 +33,16 @@ from .dataset import (
     N_FEATURES,
     CoarseLabel,
     Dataset,
-    Provenance,
     SamplingPlan,
     Taxonomy,
     check_folds,
     check_test_fraction,
-    deduplicate,
     load_dataset,
     load_stats,
     load_taxonomy,
     numbered_blocks,
     parse_kdd_block,
-    read_kdd_file,
+    read_kdd_dataset,
     resample,
     save_dataset,
     save_stats,
@@ -268,18 +266,11 @@ def cmd_prepare(cfg: RunConfig) -> int:
     if not cfg.data:
         raise ValueError("prepare needs an input file (config key 'data' or --data)")
     taxonomy = cfg.taxonomy()
-    records = list(read_kdd_file(cfg.data))
-    if not records:
+    distinct, parsed = read_kdd_dataset(cfg.data, taxonomy)
+    if not parsed:
         raise ValueError(f"input file {cfg.data} contains no records")
-    distinct = deduplicate(records)
-    encoded = Dataset(
-        np.stack([r.x for r in distinct]),
-        [r.fine_label for r in distinct],
-        [taxonomy.coarse(r.fine_label) for r in distinct],
-        Provenance(str(cfg.data), deduplicated=True),
-    )
-    before = encoded.counts_by_coarse()
-    sampled = resample(encoded, cfg.sampling)
+    before = distinct.counts_by_coarse()
+    sampled = resample(distinct, cfg.sampling)
     after = sampled.counts_by_coarse()
     train_ds, test_ds = stratified_split(sampled, cfg.test_fraction, cfg.split_seed)
 
@@ -291,7 +282,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     header = "Label:".ljust(17) + "".join(str(c).rjust(9) for c in _TABLE_ORDER)
     print(_write_record(cfg, "prepare_summary.txt", "prepare-summary", [
         f"source={cfg.data}",
-        f"parsed={len(records)} distinct={len(distinct)}",
+        f"parsed={parsed} distinct={len(distinct)}",
         header,
         _counts_row("Before Sampling:", before),
         _counts_row("After Sampling:", after),
@@ -433,7 +424,9 @@ def cmd_predict(cfg: RunConfig, input_path: str) -> int:
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
     reject_lines: list[str] = []
     stats = RoutingStats()
-    with open(input_path) as fh, atomic_open(cfg.out_path("predictions.csv")) as out:
+    # an undecodable byte reads as a backslash escape, and its line is rejected
+    with (open(input_path, errors="backslashreplace") as fh,
+          atomic_open(cfg.out_path("predictions.csv")) as out):
         out.write("# " + version_line("predictions") + "\n"
                   "coarse,fine,routed,nn_vote,rf_vote,misuse_vote\n")
         for X in _encoded_chunks(fh, reject_lines):

@@ -284,41 +284,40 @@ def parse_kdd_block(
     return (X[keep] if errors else X), errors
 
 
-def read_kdd_file(path: str | Path) -> Iterator[RawRecord]:
-    """Yield records from an uncompressed or gzip KDD file.
+def read_kdd_dataset(path: str | Path, taxonomy: Taxonomy) -> tuple[Dataset, int]:
+    """The distinct records of an uncompressed or gzip KDD file in
+    first-seen order, and the number of its non-blank lines.
 
-    Blank lines are skipped; a malformed line aborts with a :class:`ParseError`
-    naming its line number, after the records of the lines before it. The
-    lines are parsed a block at a time, and each distinct line once: a
-    repeated line yields its first copy's record.
+    Two lines are one record when their 41 fields and their labels, trailing
+    dots stripped, are equal, so ``normal.`` and ``normal`` copies collapse.
+    Each record's first line is parsed, a block at a time. Undecodable bytes
+    read as backslash escapes, which the line's checks then refuse. The first
+    malformed line aborts with its :class:`ParseError`; labels map through
+    ``taxonomy`` only after the whole file is read, so that error wins over
+    an :class:`UnmappedLabelError`.
     """
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    parsed: dict[str, RawRecord] = {}
-    with opener(path, "rt") as fh:
+    opener = gzip.open if Path(path).suffix == ".gz" else open
+    seen: set[str] = set()
+    blocks, labels, parsed = [np.empty((0, N_FEATURES))], [], 0
+    with opener(path, "rt", errors="backslashreplace") as fh:
         for block in numbered_blocks(fh):
-            fresh: dict[str, int] = {}
+            parsed += len(block)
+            fresh = []
             for line_no, text in block:
-                if text not in parsed:
-                    fresh.setdefault(text, line_no)
-            X, errors = parse_kdd_block([(n, text) for text, n in fresh.items()])
-            # the lines before the first error all parsed, so they own X's first rows
-            stop = errors[0].line_no if errors else None
-            for (text, line_no), x in zip(fresh.items(), X):
-                if line_no == stop:
-                    break
-                head, _, label = text.rpartition(",")
-                parsed[text] = RawRecord(head, label.rstrip("."), x)
-            for line_no, text in block:
-                if line_no == stop:
-                    raise errors[0]
-                yield parsed[text]
-
-
-def deduplicate(records: Sequence[RawRecord]) -> list[RawRecord]:
-    """Collapse exact duplicates (all 41 fields and the label equal) to the
-    first occurrence, preserving relative order."""
-    return list(dict.fromkeys(records))
+                # a line with a comma keys on its 41 fields and its label
+                # without trailing dots; lines without one are all refused
+                key = text.rstrip(".")
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append((line_no, text))
+            X, errors = parse_kdd_block(fresh)
+            if errors:
+                raise errors[0]
+            blocks.append(X)
+            labels += [text.rpartition(",")[2].rstrip(".") for _, text in fresh]
+    coarse = [taxonomy.coarse(label) for label in labels]
+    return Dataset(np.concatenate(blocks), labels, coarse,
+                   Provenance(str(path), deduplicated=True)), parsed
 
 
 def first_seen(keys: Sequence) -> tuple[list, np.ndarray]:

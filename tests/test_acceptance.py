@@ -27,9 +27,9 @@ from hybrid_ids.dataset import (
     Dataset,
     SamplingPlan,
     Taxonomy,
-    deduplicate,
     load_dataset,
     parse_kdd_line,
+    read_kdd_dataset,
     resample,
     standardize_dataset,
     standardize_fit,
@@ -283,7 +283,7 @@ def test_criterion_6d_centroid_oracles():
              "exhaustive distance scan on 1000 points")
 
 
-def test_criterion_6e_data_and_metric_identities():
+def test_criterion_6e_data_and_metric_identities(tmp_path):
     # resample hits plan targets exactly
     ds = separable_dataset(n_per_label=24, seed=3)
     targets = {CoarseLabel.NORMAL: 10, CoarseLabel.DOS: 60, CoarseLabel.PROBE: 24,
@@ -293,9 +293,13 @@ def test_criterion_6e_data_and_metric_identities():
 
     # dedup idempotent on a corpus with duplicates
     lines = make_kdd_lines({"normal": 30, "neptune": 30}, seed=5)
-    records = [parse_kdd_line(l, i + 1) for i, l in enumerate(lines + lines)]
-    once = deduplicate(records)
-    assert deduplicate(once) == once
+    path = tmp_path / "kdd.txt"
+    path.write_text("\n".join(lines + lines) + "\n")
+    once, _ = read_kdd_dataset(path, Taxonomy.default())
+    path.write_text("\n".join(dict.fromkeys(lines)) + "\n")
+    twice, parsed = read_kdd_dataset(path, Taxonomy.default())
+    assert (twice.X.tobytes(), twice.fine_labels.tolist(), parsed) == (
+        once.X.tobytes(), once.fine_labels.tolist(), len(once))
 
     # one-hot block sums to exactly 1
     for line in lines:

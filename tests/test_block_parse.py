@@ -1,10 +1,12 @@
 """``parse_kdd_block`` parses KDD lines a block at a time for ``predict``
 and ``prepare``; ``parse_kdd_line`` run line by line is its oracle, for
-the rows of the lines that parse and for the errors of those that do not."""
+the rows of the lines that parse and for the errors of those that do not.
+``read_kdd_dataset`` has ``dict.fromkeys`` over those records as its."""
 
 from __future__ import annotations
 
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from hybrid_ids.dataset import (
     BLOCK_LINES,
     N_FEATURES,
     N_RAW_FEATURES,
+    Taxonomy,
     parse_kdd_block,
     parse_kdd_line,
-    read_kdd_file,
+    read_kdd_dataset,
 )
 from hybrid_ids.errors import ParseError
 
@@ -137,6 +140,30 @@ def test_predict_chunks_at_block_edges_match_oracle(position, fault):
     assert X.tobytes() == rows.tobytes()
 
 
+def file_oracle(lines):
+    """The rows, fine labels and count of the non-blank lines that
+    ``dict.fromkeys`` over their ``parse_kdd_line`` records gives; raises
+    the first line's ParseError."""
+    records = [parse_kdd_line(line, n) for n, line in enumerate(lines, start=1) if line.strip()]
+    distinct = list(dict.fromkeys(records))
+    rows = np.array([r.x for r in distinct]).reshape(-1, N_FEATURES)
+    return rows, [r.fine_label for r in distinct], len(records)
+
+
+def read_matches_oracle(path, lines):
+    try:
+        rows, labels, parsed = file_oracle(lines)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            read_kdd_dataset(path, Taxonomy.default())
+        assert (str(info.value), info.value.line_no) == (str(exc), exc.line_no)
+        return
+    ds, n = read_kdd_dataset(path, Taxonomy.default())
+    assert ds.X.tobytes() == rows.tobytes()
+    assert (ds.fine_labels.tolist(), n) == (labels, parsed)
+    assert ds.coarse.tolist() == [Taxonomy.default().coarse(label) for label in labels]
+
+
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("position", [BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1])
 def test_read_kdd_file_at_block_edges_matches_oracle(tmp_path, position, fault):
@@ -144,16 +171,33 @@ def test_read_kdd_file_at_block_edges_matches_oracle(tmp_path, position, fault):
     lines[position - 1] = _faulty(lines[position - 1], fault)
     path = tmp_path / "corpus.txt"
     path.write_text("\n".join(lines) + "\n")
-    records = []
-    if fault == "1_000":
-        records = list(read_kdd_file(path))
-    else:
-        with pytest.raises(ParseError) as info:
-            records.extend(read_kdd_file(path))
-        with pytest.raises(ParseError) as expected:
-            parse_kdd_line(lines[position - 1], position)
-        assert (str(info.value), info.value.line_no) == (str(expected.value), position)
-    oracle_records = [parse_kdd_line(l, n) for n, l in enumerate(lines[:len(records)], start=1)]
-    assert len(records) == (len(lines) if fault == "1_000" else position - 1)
-    assert records == oracle_records
-    assert all(r.x.tobytes() == o.x.tobytes() for r, o in zip(records, oracle_records))
+    read_matches_oracle(path, lines)
+
+
+@st.composite
+def kdd_files(draw):
+    """The lines of a labeled KDD file: copies of up to 12 well-formed lines,
+    their labels' dots and their padding spelled anew, blank lines, and at
+    times one line from ``kdd_lines`` or a line with no comma at all."""
+    pool = []
+    for _ in range(draw(st.integers(1, 12))):
+        fields = [draw(st.sampled_from(GOOD_NUMBERS + ["1_000"])) for _ in range(N_RAW_FEATURES)]
+        fields[1:4] = draw(st.sampled_from(["tcp", "udp", "icmp"])), "http", "SF"
+        pool.append(",".join(fields + [draw(st.sampled_from(["normal", "smurf", "neptune"]))]))
+    lines = [
+        draw(st.sampled_from(["", " "])) + line + draw(st.sampled_from(["", ".", "..", ". ", " "]))
+        for line in draw(st.lists(st.sampled_from(pool + [""]), max_size=40))
+    ]
+    extra = draw(st.sampled_from(["", "abc", "abc."]) | kdd_lines())
+    if extra:
+        lines.insert(draw(st.integers(0, len(lines))), extra.rstrip("\n"))
+    return lines
+
+
+@settings(deadline=None, max_examples=200)
+@given(kdd_files(), st.sampled_from([1, 2, 5, BLOCK_LINES]))
+def test_read_kdd_dataset_matches_oracle(tmp_path_factory, lines, block_lines):
+    path = tmp_path_factory.getbasetemp() / "oracle.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(dataset, "BLOCK_LINES", block_lines):
+        read_matches_oracle(path, lines)

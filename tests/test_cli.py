@@ -3,6 +3,7 @@ config parsing, determinism of produced files."""
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import re
 from collections import Counter
@@ -261,11 +262,82 @@ def test_scoring_files_match_golden_hashes(workspace, tmp_path):
 
 def test_prepare_empty_input_errors(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
-    empty.write_text("")
-    rc = main(["prepare", "--data", str(empty), "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert "no records" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "train.csv").exists()
+    for text in ("", "\n  \n\t\n"):  # empty, and blank lines only
+        empty.write_text(text)
+        rc = main(["prepare", "--data", str(empty), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "contains no records" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "train.csv").exists()
+
+
+def _prepare_lines(tmp_path: Path, lines: list[str | bytes], name: str = "data.txt") -> int:
+    """Run ``prepare`` on ``lines`` (bytes written as they are) with small
+    sampling targets; the files go to ``tmp_path/out``."""
+    data = tmp_path / name
+    payload = b"".join(l if isinstance(l, bytes) else l.encode() for l in lines)
+    data.write_bytes(gzip.compress(payload, mtime=0) if name.endswith(".gz") else payload)
+    (tmp_path / "run.cfg").write_text(
+        f"data={data}\nout={tmp_path / 'out'}\nsplit.test_fraction=0.5\n"
+        "sampling.normal=2\nsampling.dos=1\nsampling.probe=0\nsampling.r2l=0\nsampling.u2r=0\n")
+    return main(["prepare", "--config", str(tmp_path / "run.cfg")])
+
+
+def test_prepare_collapses_label_dot_and_padding_variants(tmp_path, capsys):
+    first, second = make_kdd_lines({"normal": 2}, seed=1)
+    head = first.rsplit(",", 1)[0]
+    lines = [f"{head},normal.\n", f"{head},normal\n", f"  {head},normal.  \n",
+             f"{head},normal..\n", f"{head},smurf.\n", second + "\n"]
+    assert _prepare_lines(tmp_path, lines) == 0
+    assert "parsed=6 distinct=3" in capsys.readouterr().out
+    train = load_dataset(tmp_path / "out" / "train.csv")
+    test = load_dataset(tmp_path / "out" / "test.csv")
+    assert sorted(train.fine_labels.tolist() + test.fine_labels.tolist()) == [
+        "normal", "normal", "smurf"]
+
+
+def test_prepare_unmapped_label_names_it(tmp_path, capsys):
+    lines = make_kdd_lines({"normal": 3, "neptune": 2}, seed=1)
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",saint."
+    assert _prepare_lines(tmp_path, [l + "\n" for l in lines]) == 1
+    assert "fine label 'saint' is not mapped" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "train.csv").exists()
+
+
+def test_prepare_malformed_line_after_unmapped_label_wins(tmp_path, capsys):
+    lines = make_kdd_lines({"normal": 3, "neptune": 2}, seed=1)
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",saint."
+    lines[3] = lines[3].replace(",tcp,", ",sctp,")
+    assert _prepare_lines(tmp_path, [l + "\n" for l in lines]) == 1
+    with pytest.raises(ParseError) as expected:
+        parse_kdd_line(lines[3], 4)
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+
+def test_prepare_reads_gzip_as_plain(tmp_path):
+    lines = [l + "\n" for l in make_kdd_lines({"normal": 6, "neptune": 4, "smurf": 2}, seed=2)]
+    lines += [lines[0], "\n", lines[6].replace("neptune.", "neptune")]
+    written = {}
+    for name in ("data.txt", "data.txt.gz"):
+        run = tmp_path / name.replace(".", "_")
+        run.mkdir()
+        assert _prepare_lines(run, lines, name) == 0
+        written[name] = {f.name: f.read_text().replace(str(run / name), "DATA")
+                         for f in sorted((run / "out").iterdir())}
+    assert written["data.txt"] == written["data.txt.gz"]
+    assert "parsed=14 distinct=12" in written["data.txt"]["prepare_summary.txt"]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (4, b"1\xff8", "line 3, column 'src_bytes': unparseable numeric value '1\\xff8'"),
+    (41, b"norm\xffal.", "fine label 'norm\\xffal' is not mapped"),
+])
+def test_prepare_undecodable_byte_fails_its_line(tmp_path, capsys, field, value, message):
+    lines = [l.encode() for l in make_kdd_lines({"normal": 4, "neptune": 2}, seed=1)]
+    fields = lines[2].split(b",")
+    fields[field] = value
+    lines[2] = b",".join(fields)
+    assert _prepare_lines(tmp_path, [l + b"\n" for l in lines]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_prepare_parse_error_names_line(tmp_path, capsys):
@@ -457,6 +529,26 @@ def test_predict_stream(workspace, tmp_path, capsys):
     assert "line 2" in rejects and "expected 42 fields" in rejects
     predictions = (workspace["out"] / "predictions.csv").read_text().splitlines()
     assert len(predictions) == 2 + 2  # version line + header + 2 rows
+
+
+def test_predict_undecodable_byte_rejects_only_its_line(workspace, tmp_path):
+    _prepared(workspace)
+    assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
+    stream = [l.encode() for l in workspace["lines"][::7]]
+    inputs = tmp_path / "stream.txt"
+    inputs.write_bytes(b"\n".join(stream) + b"\n")
+    assert main(["predict", "--config", str(workspace["config"]), "--input", str(inputs)]) == 0
+    clean = (workspace["out"] / "predictions.csv").read_bytes().splitlines()
+
+    fields = stream[4].split(b",")
+    fields[5] = b"\xff" + fields[5]
+    inputs.write_bytes(b"\n".join(stream[:4] + [b",".join(fields)] + stream[5:]) + b"\n")
+    assert main(["predict", "--config", str(workspace["config"]), "--input", str(inputs)]) == 0
+    # the version line and the header, then one row per accepted line
+    rows = (workspace["out"] / "predictions.csv").read_bytes().splitlines()
+    assert rows == clean[:6] + clean[7:]
+    assert (workspace["out"] / "predictions.rejects.txt").read_text() == (
+        f"line 5, column 'dst_bytes': unparseable numeric value '\\xff{fields[5][1:].decode()}'\n")
 
 
 def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monkeypatch):

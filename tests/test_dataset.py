@@ -20,12 +20,11 @@ from hybrid_ids.dataset import (
     Provenance,
     SamplingPlan,
     Taxonomy,
-    deduplicate,
     load_dataset,
     load_stats,
     load_taxonomy,
     parse_kdd_line,
-    read_kdd_file,
+    read_kdd_dataset,
     resample,
     save_dataset,
     save_stats,
@@ -172,25 +171,28 @@ def test_parse_unlabeled_line():
     assert len(rec.text.split(",")) == 41
 
 
+def _read(tmp_path, lines):
+    path = tmp_path / "kdd.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return read_kdd_dataset(path, Taxonomy.default())
+
+
 def test_read_kdd_file_gzip(tmp_path):
     path = tmp_path / "mini.gz"
     with gzip.open(path, "wt") as fh:
         fh.write(SAMPLE_LINE + "\n\n" + SAMPLE_LINE.replace("normal.", "smurf.") + "\n")
-    records = list(read_kdd_file(path))
-    assert [r.fine_label for r in records] == ["normal", "smurf"]
+    ds, parsed = read_kdd_dataset(path, Taxonomy.default())
+    assert (ds.fine_labels.tolist(), ds.coarse.tolist(), parsed) == (
+        ["normal", "smurf"], [CoarseLabel.NORMAL, CoarseLabel.DOS], 2)
+    assert ds.provenance.describe() == f"source={path} dedup=true"
 
 
 def test_read_kdd_file_repeated_lines_give_equal_records(tmp_path):
     other = SAMPLE_LINE.replace("181", "182")
     lines = [SAMPLE_LINE, other, SAMPLE_LINE, "", SAMPLE_LINE + "  ", other, SAMPLE_LINE]
-    path = tmp_path / "repeats.txt"
-    path.write_text("\n".join(lines) + "\n")
-    records = list(read_kdd_file(path))
-    oracle = [parse_kdd_line(line, i) for i, line in enumerate(lines, start=1) if line]
-    assert records == oracle
-    assert all(np.array_equal(r.x.view(np.int64), o.x.view(np.int64))
-               for r, o in zip(records, oracle))
-    assert records[2] is records[0] and records[5] is records[0] and records[4] is records[1]
+    ds, parsed = _read(tmp_path, lines)
+    oracle = np.array([parse_kdd_line(SAMPLE_LINE).x, parse_kdd_line(other).x])
+    assert ds.X.tobytes() == oracle.tobytes() and parsed == 6
 
 
 @pytest.mark.parametrize("lines, line_no", [
@@ -201,33 +203,34 @@ def test_read_kdd_file_repeated_lines_give_equal_records(tmp_path):
       SAMPLE_LINE.replace("181", "nan")], 3),
 ])
 def test_read_kdd_file_malformed_line_after_repeats_names_its_line(tmp_path, lines, line_no):
-    path = tmp_path / "repeats.txt"
-    path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as info:
-        list(read_kdd_file(path))
+        _read(tmp_path, lines)
     with pytest.raises(ParseError) as expected:
         parse_kdd_line(lines[line_no - 1], line_no)
     assert (str(info.value), info.value.line_no) == (str(expected.value), line_no)
 
 
-def test_dedup_collapses_exact_duplicates():
-    r = parse_kdd_line(SAMPLE_LINE)
-    s = parse_kdd_line(SAMPLE_LINE.replace("normal.", "smurf."))
-    assert deduplicate([r, r, s]) == [r, s]
+def test_dedup_collapses_exact_duplicates(tmp_path):
+    smurf = SAMPLE_LINE.replace("normal.", "smurf.")
+    ds, parsed = _read(tmp_path, [SAMPLE_LINE, SAMPLE_LINE, smurf])
+    assert ds.fine_labels.tolist() == ["normal", "smurf"] and parsed == 3
 
 
-def test_dedup_preserves_order_and_is_idempotent():
+def test_dedup_preserves_order_and_is_idempotent(tmp_path):
     lines = [SAMPLE_LINE, SAMPLE_LINE.replace("181", "182"), SAMPLE_LINE]
-    records = [parse_kdd_line(l) for l in lines]
-    once = deduplicate(records)
-    assert once == [records[0], records[1]]
-    assert deduplicate(once) == once
+    once, _ = _read(tmp_path, lines)
+    assert once.X[:, 4].tolist() == [181.0, 182.0]
+    twice, parsed = _read(tmp_path, lines[:2])
+    assert twice.X.tobytes() == once.X.tobytes() and parsed == 2
 
 
-def test_dedup_label_participates_in_key():
-    same_features_a = parse_kdd_line(SAMPLE_LINE)
-    same_features_b = parse_kdd_line(SAMPLE_LINE.replace("normal.", "smurf."))
-    assert len(deduplicate([same_features_a, same_features_b])) == 2
+def test_dedup_label_participates_in_key(tmp_path):
+    """The key is the 41 fields and the label without its trailing dots."""
+    head = SAMPLE_LINE.rsplit(",", 1)[0]
+    lines = [f"{head},normal.", f"{head},smurf.", f"{head},normal", f"{head},normal..",
+             f" {head},smurf "]
+    ds, parsed = _read(tmp_path, lines)
+    assert ds.fine_labels.tolist() == ["normal", "smurf"] and parsed == 5
 
 
 def test_taxonomy_mappings():

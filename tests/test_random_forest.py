@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybrid_ids.dataset import CoarseLabel, Dataset, N_FEATURES, deduplicate, read_kdd_file
+from hybrid_ids.dataset import CoarseLabel, Dataset, N_FEATURES, Taxonomy, read_kdd_dataset
 from hybrid_ids.errors import FormatError
 from hybrid_ids.random_forest import (
     ForestConfig,
@@ -604,11 +604,11 @@ def test_forest_training_peak_memory_stays_bounded():
 
 
 def test_reading_repeated_lines_peak_memory_stays_bounded(tmp_path):
-    """``prepare`` reads its input into a list and deduplicates it. On a
-    corpus where 64% of the lines repeat an earlier one, that peaks at
-    2.29 MB of traced allocations when a repeated line yields its first
-    copy's record, and at 5.05 MB when every copy is parsed into a record
-    of its own. The bound is 1.25 times the former."""
+    """``prepare`` reads the distinct records of its input. On a corpus
+    where 64% of the lines repeat an earlier one, that peaks at 2.70 MB of
+    traced allocations. Parsing every copy into a record of its own peaked
+    at 5.05 MB. The bound is 1.25 times the 2.29 MB that a list of one
+    shared record per line peaked at before the block parse."""
     distinct = list(dict.fromkeys(make_kdd_lines(
         {"normal": 1500, "neptune": 400, "ipsweep": 400, "guess_passwd": 200}, seed=3)))
     rng = np.random.default_rng(3)
@@ -618,9 +618,10 @@ def test_reading_repeated_lines_peak_memory_stays_bounded(tmp_path):
     path.write_text("\n".join(lines[i] for i in rng.permutation(len(lines))) + "\n")
     tracemalloc.start()
     try:
-        records = deduplicate(list(read_kdd_file(path)))
+        ds, parsed = read_kdd_dataset(path, Taxonomy.default())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(records) == len(distinct) and len(repeats) / len(lines) == pytest.approx(0.64, abs=1e-3)
+    assert (len(ds), parsed) == (len(distinct), len(lines))
+    assert len(repeats) / len(lines) == pytest.approx(0.64, abs=1e-3)
     assert peak < 2.86e6
