@@ -21,16 +21,12 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Iterable, Iterator
-
-import numpy as np
 
 from . import centroids as misuse_mod
 from . import neural_net as nn_mod
 from . import random_forest as rf_mod
 from .dataset import (
     COARSE_NAMES,
-    N_FEATURES,
     CoarseLabel,
     Dataset,
     SamplingPlan,
@@ -41,6 +37,7 @@ from .dataset import (
     load_stats,
     load_taxonomy,
     numbered_blocks,
+    open_kdd,
     parse_kdd_block,
     read_kdd_dataset,
     resample,
@@ -77,10 +74,6 @@ from .random_forest import ForestConfig
 DEFAULT_SEED = 1999
 TRAIN_FILE = "train.csv"
 TEST_FILE = "test.csv"
-# Records per predict_dataset call in ``predict``: every call walks every
-# tree node once, so small chunks repeat that walk, while large ones hold
-# more encoded records in memory.
-_PREDICT_CHUNK = 1024
 
 
 @dataclass
@@ -388,22 +381,6 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
     return 0
 
 
-def _encoded_chunks(lines: Iterable[str], rejects: list[str]) -> Iterator[np.ndarray]:
-    """Feature blocks of ``_PREDICT_CHUNK`` well-formed KDD lines, labeled
-    or not, and a last, shorter one; the lines are parsed a block at a
-    time. The messages of malformed lines go to ``rejects``."""
-    pending = np.empty((0, N_FEATURES))
-    for block in numbered_blocks(lines):
-        X, errors = parse_kdd_block(block, labeled=None)
-        rejects.extend(map(str, errors))
-        pending = np.concatenate([pending, X])
-        while len(pending) >= _PREDICT_CHUNK:
-            yield pending[:_PREDICT_CHUNK]
-            pending = pending[_PREDICT_CHUNK:]
-    if len(pending):
-        yield pending
-
-
 def _verdict_rows(verdicts: Verdicts) -> str:
     """The rows of ``predictions.csv``, formatted from the verdict columns
     through string tables: one per centroid entry and one per vote pair."""
@@ -424,18 +401,18 @@ def cmd_predict(cfg: RunConfig, input_path: str) -> int:
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
     reject_lines: list[str] = []
     stats = RoutingStats()
-    # an undecodable byte reads as a backslash escape, and its line is rejected
-    with (open(input_path, errors="backslashreplace") as fh,
-          atomic_open(cfg.out_path("predictions.csv")) as out):
+    with open_kdd(input_path) as fh, atomic_open(cfg.out_path("predictions.csv")) as out:
         out.write("# " + version_line("predictions") + "\n"
                   "coarse,fine,routed,nn_vote,rf_vote,misuse_vote\n")
-        for X in _encoded_chunks(fh, reject_lines):
+        for block in numbered_blocks(fh):
+            X, errors = parse_kdd_block(block, labeled=None)
+            reject_lines += map(str, errors)
             # predict_dataset reads only X; the label columns are placeholders.
-            verdicts, chunk_stats = predict_dataset(model, Dataset(X, [""] * len(X), [0] * len(X)))
+            verdicts, block_stats = predict_dataset(model, Dataset(X, [""] * len(X), [0] * len(X)))
             rows = _verdict_rows(verdicts)
             out.write(rows)
             print(rows, end="")
-            stats += chunk_stats
+            stats += block_stats
     rejects_path = cfg.out_path("predictions.rejects.txt")
     if reject_lines:
         atomic_write(rejects_path, "\n".join(reject_lines) + "\n")
@@ -495,7 +472,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_pred = sub.add_parser("predict", help="stream verdicts for KDD-format lines")
     common(p_pred)
-    p_pred.add_argument("--input", required=True, help="KDD lines, labeled or not")
+    p_pred.add_argument("--input", required=True, help="KDD lines, labeled or not (.gz ok)")
     p_pred.set_defaults(run=lambda cfg, args: cmd_predict(cfg, args.input))
 
     p_rep = sub.add_parser("report", help="re-render saved evaluation tables")

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -208,12 +208,21 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
     return RawRecord(text, fine_label, np.array(values))
 
 
-# Lines per parse_kdd_block call: enough to spread the fixed cost of one
-# loadtxt call, few enough that a block's text and rows stay small.
+# Lines per parse_kdd_block call, and so per predict_dataset call in
+# ``predict``: enough to spread the fixed costs of one loadtxt call and of a
+# vote that walks every tree node, few enough to keep a block's rows small.
 BLOCK_LINES = 1024
 _PROTOCOL_CODES = {p: i for i, p in enumerate(PROTOCOLS)}
 # Encoded protocol columns (tcp, udp, icmp), one row per protocol code.
 _ONE_HOT_ROWS = np.eye(len(PROTOCOLS))
+
+
+def open_kdd(path: str | Path) -> TextIO:
+    """A KDD file opened as text: gzip when its name ends in ``.gz``, plain
+    otherwise. Undecodable bytes read as backslash escapes, which the
+    line's checks then refuse."""
+    opener = gzip.open if Path(path).suffix == ".gz" else open
+    return opener(path, "rt", errors="backslashreplace")
 
 
 def numbered_blocks(lines: Iterable[str]) -> Iterator[list[tuple[int, str]]]:
@@ -290,16 +299,14 @@ def read_kdd_dataset(path: str | Path, taxonomy: Taxonomy) -> tuple[Dataset, int
 
     Two lines are one record when their 41 fields and their labels, trailing
     dots stripped, are equal, so ``normal.`` and ``normal`` copies collapse.
-    Each record's first line is parsed, a block at a time. Undecodable bytes
-    read as backslash escapes, which the line's checks then refuse. The first
-    malformed line aborts with its :class:`ParseError`; labels map through
-    ``taxonomy`` only after the whole file is read, so that error wins over
-    an :class:`UnmappedLabelError`.
+    Each record's first line is parsed, a block at a time, from the text
+    that :func:`open_kdd` reads. The first malformed line aborts with its
+    :class:`ParseError`; labels map through ``taxonomy`` only after the
+    whole file is read, so that error wins over an :class:`UnmappedLabelError`.
     """
-    opener = gzip.open if Path(path).suffix == ".gz" else open
     seen: set[str] = set()
     blocks, labels, parsed = [np.empty((0, N_FEATURES))], [], 0
-    with opener(path, "rt", errors="backslashreplace") as fh:
+    with open_kdd(path) as fh:
         for block in numbered_blocks(fh):
             parsed += len(block)
             fresh = []

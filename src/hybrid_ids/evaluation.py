@@ -1,9 +1,12 @@
 """Confusion matrices and per-class one-vs-rest metrics.
 
-Metrics follow the convention of scoring each class against the rest of
-the dataset pooled: for class c, precision = TP/(TP+FP), recall =
-TP/(TP+FN), accuracy = (TP+TN)/N, all reported as percentages with three
-decimals. Zero denominators yield 0 with an explicit undefined flag.
+:func:`confusion` counts integer coarse class codes over the five coarse
+classes; the metrics and reports also take a :class:`ConfusionMatrix` of
+other class names, as :func:`load_confusion_csv` may read. Metrics follow
+the convention of scoring each class against the rest of the dataset
+pooled: for class c, precision = TP/(TP+FP), recall = TP/(TP+FN),
+accuracy = (TP+TN)/N, all reported as percentages with three decimals.
+Zero denominators yield 0 with an explicit undefined flag.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import COARSE_NAMES, CoarseLabel
+from .dataset import COARSE_NAMES
 from .persist import LineReader, atomic_write, version_line
 
 
@@ -31,59 +34,29 @@ class ConfusionMatrix:
         return self.classes.index(label)
 
 
-def _as_name(label) -> str:
-    if isinstance(label, CoarseLabel):
-        return str(label)
-    if isinstance(label, (int, np.integer)):
-        return str(CoarseLabel(int(label)))
-    return str(label)
+def confusion(preds: Sequence, truths: Sequence) -> ConfusionMatrix:
+    """Count matrix over the five coarse classes in canonical order, rows
+    indexed by truth and columns by prediction.
 
-
-def _coarse_codes(labels: Sequence) -> np.ndarray | None:
-    """``labels`` as an int64 array when every one is a CoarseLabel or an
-    int, else None (fine-label strings)."""
-    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
-        return labels.astype(np.int64, copy=False)
-    if all(isinstance(v, (CoarseLabel, int, np.integer)) for v in labels):
-        return np.array(labels, dtype=np.int64)
-    return None
-
-
-def confusion(
-    preds: Sequence, truths: Sequence, classes: Sequence[str] | None = None
-) -> ConfusionMatrix:
-    """Count matrix with rows indexed by truth and columns by prediction.
-
-    Labels may be CoarseLabel values, ints, or fine-label strings. When
-    ``classes`` is omitted, coarse inputs use the canonical class order and
-    string inputs use the sorted union of observed labels.
+    Labels are integer class codes or CoarseLabel values; anything else,
+    such as label strings or floats, is a ValueError.
     """
     if len(preds) != len(truths):
         raise ValueError(f"length mismatch: {len(preds)} predictions, {len(truths)} truths")
-    if classes is None or tuple(classes) == COARSE_NAMES:
-        pred_codes, truth_codes = _coarse_codes(preds), _coarse_codes(truths)
-        if pred_codes is not None and truth_codes is not None:
-            k = len(COARSE_NAMES)
-            for kind, codes in (("truth", truth_codes), ("predicted", pred_codes)):
-                bad = (codes < 0) | (codes >= k)
-                if bad.any():
-                    raise ValueError(f"unknown {kind} label '{codes[bad][0]}'")
-            counts = np.bincount(truth_codes * k + pred_codes, minlength=k * k)
-            return ConfusionMatrix(classes=COARSE_NAMES, counts=counts.reshape(k, k))
-    pred_names = [_as_name(p) for p in preds]
-    truth_names = [_as_name(t) for t in truths]
-    if classes is None:
-        classes = tuple(sorted(set(pred_names) | set(truth_names)))
-    classes = tuple(classes)
-    index = {name: i for i, name in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(truth_names, pred_names):
-        if t not in index:
-            raise ValueError(f"unknown truth label '{t}'")
-        if p not in index:
-            raise ValueError(f"unknown predicted label '{p}'")
-        counts[index[t], index[p]] += 1
-    return ConfusionMatrix(classes=classes, counts=counts)
+    k = len(COARSE_NAMES)
+    codes = []
+    for kind, labels in (("truth", truths), ("predicted", preds)):
+        array = np.asarray(labels)
+        if array.size and array.dtype.kind not in "iu":
+            raise ValueError(f"{kind} labels must be integer class codes or CoarseLabel "
+                             f"values, got an array of {array.dtype}")
+        array = array.astype(np.int64, copy=False)
+        bad = (array < 0) | (array >= k)
+        if bad.any():
+            raise ValueError(f"unknown {kind} label '{array[bad][0]}'")
+        codes.append(array)
+    counts = np.bincount(codes[0] * k + codes[1], minlength=k * k)
+    return ConfusionMatrix(classes=COARSE_NAMES, counts=counts.reshape(k, k))
 
 
 @dataclass

@@ -215,7 +215,7 @@ MANIFEST_FILES = {
 }
 
 
-def save_hybrid(directory: str | Path, h: HybridModel, manifest_name: str = "hybrid.manifest") -> Path:
+def save_hybrid(directory: str | Path, h: HybridModel) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_stats(directory / MANIFEST_FILES["stats"], h.stats)
@@ -225,7 +225,7 @@ def save_hybrid(directory: str | Path, h: HybridModel, manifest_name: str = "hyb
     misuse.save_centroids(directory / MANIFEST_FILES["centroids"], h.centroids)
     lines = [version_line("hybrid")]
     lines += [f"{key}={name}" for key, name in MANIFEST_FILES.items()]
-    manifest = directory / manifest_name
+    manifest = directory / "hybrid.manifest"
     atomic_write(manifest, "\n".join(lines) + "\n")
     return manifest
 

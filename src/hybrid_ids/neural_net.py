@@ -53,16 +53,13 @@ class MLPModel:
 
 
 def init_model(
-    config: TrainConfig,
-    n_inputs: int = N_FEATURES,
-    n_outputs: int = N_CLASSES,
-    rng: np.random.Generator | None = None,
+    config: TrainConfig, n_inputs: int = N_FEATURES, rng: np.random.Generator | None = None
 ) -> MLPModel:
     """Seeded Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases."""
     config.validate()
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    dims = [n_inputs, config.hidden_dims[0], config.hidden_dims[1], n_outputs]
+    dims = [n_inputs, config.hidden_dims[0], config.hidden_dims[1], N_CLASSES]
     weights, biases = [], []
     for l in range(3):
         fan_in, fan_out = dims[l], dims[l + 1]
@@ -88,16 +85,14 @@ def _forward_pass(model: MLPModel, X: np.ndarray):
     return zs, activations, log_probs
 
 
-def forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
-    """Class probability vector(s); softmax output sums to 1."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if X.shape[1] != model.dims[0]:
-        raise ValueError(f"input has dimension {X.shape[1]}, model expects {model.dims[0]}")
+def forward(model: MLPModel, X: np.ndarray) -> np.ndarray:
+    """Class probabilities of each row of the (n, d) matrix ``X``; each
+    row's softmax output sums to 1."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.dims[0]:
+        raise ValueError(f"input of shape {X.shape} is not rows of dimension {model.dims[0]}")
     _, _, log_probs = _forward_pass(model, X)
-    probs = np.exp(log_probs)
-    return probs[0] if single else probs
+    return np.exp(log_probs)
 
 
 def loss_and_gradient(model: MLPModel, X: np.ndarray, y: np.ndarray):
@@ -158,8 +153,7 @@ def train(ds: Dataset, config: TrainConfig) -> MLPModel:
 
 def predict_batch(model: MLPModel, X: np.ndarray) -> np.ndarray:
     """Argmax class per row; exact ties resolve to the lowest class index."""
-    probs = forward(model, np.asarray(X, dtype=np.float64))
-    return np.argmax(probs, axis=1)
+    return np.argmax(forward(model, X), axis=1)
 
 
 @dataclass

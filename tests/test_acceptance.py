@@ -184,8 +184,7 @@ def test_criterion_6a_gradients_vs_finite_differences():
     checked = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        model = nn.init_model(TrainConfig(hidden_dims=(4, 3), seed=seed),
-                              n_inputs=6, n_outputs=5)
+        model = nn.init_model(TrainConfig(hidden_dims=(4, 3), seed=seed), n_inputs=6)
         model.biases = [rng.normal(0.0, 0.3, size=b.shape) for b in model.biases]
         X = rng.normal(size=(8, 6))
         y = rng.integers(0, 5, size=8)

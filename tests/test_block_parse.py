@@ -23,6 +23,7 @@ from hybrid_ids.dataset import (
     read_kdd_dataset,
 )
 from hybrid_ids.errors import ParseError
+from hybrid_ids.hybrid import RoutingStats, Verdicts
 
 from conftest import make_kdd_lines
 
@@ -127,14 +128,32 @@ def _faulty(line: str, fault: str) -> str:
 FAULTS = ["protocol", "-1", "1_000"]
 
 
+def predicted_rows(tmp_path, monkeypatch, lines):
+    """The rows that ``predict`` hands to ``predict_dataset`` for ``lines``,
+    and its rejects file, with the model's load and scoring stubbed out."""
+    scored = []
+
+    def score(model, ds):
+        scored.append(ds.X)
+        none = np.zeros(len(ds), dtype=np.int64)
+        return Verdicts(none, none, none - 1, none.astype(bool), none, []), RoutingStats(len(ds))
+
+    monkeypatch.setattr(cli, "load_hybrid", lambda path: None)
+    monkeypatch.setattr(cli, "predict_dataset", score)
+    path = tmp_path / "stream.txt"
+    path.write_text("".join(l + "\n" for l in lines))
+    assert cli.main(["predict", "--out", str(tmp_path), "--input", str(path)]) == 0
+    rejects = tmp_path / "predictions.rejects.txt"
+    return np.concatenate(scored), rejects.read_text().splitlines() if rejects.exists() else []
+
+
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("position", [BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1])
-def test_predict_chunks_at_block_edges_match_oracle(position, fault):
+def test_predict_chunks_at_block_edges_match_oracle(tmp_path, monkeypatch, position, fault):
     lines = make_kdd_lines({"normal": 700, "neptune": 300, "ipsweep": 100}, seed=5)
     lines = [l if i % 2 else l.rsplit(",", 1)[0] for i, l in enumerate(lines)]
     lines[position - 1] = _faulty(lines[position - 1], fault)
-    rejects: list[str] = []
-    X = np.concatenate(list(cli._encoded_chunks([l + "\n" for l in lines], rejects)))
+    X, rejects = predicted_rows(tmp_path, monkeypatch, lines)
     rows, messages = oracle(list(enumerate(lines, start=1)), None)
     assert rejects == messages and len(messages) == (fault != "1_000")
     assert X.tobytes() == rows.tobytes()

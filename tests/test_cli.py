@@ -552,6 +552,11 @@ def test_predict_undecodable_byte_rejects_only_its_line(workspace, tmp_path):
 
 
 def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monkeypatch):
+    """``predict`` scores each parse block with one ``predict_dataset`` call
+    and writes that block's rows before it parses the next. Whatever the
+    block size, and also where a block holds only rejected lines, its rows
+    equal one ``predict_dataset`` call over all accepted lines, and each
+    rejected line keeps its own number."""
     _prepared(workspace)
     assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
     by_label: dict[str, list[str]] = {}
@@ -561,21 +566,7 @@ def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monke
     good = [l if i % 2 else l.rsplit(",", 1)[0] for i, l in enumerate(good)]  # some unlabeled
     nan_line = good[0].split(",")
     nan_line[4] = "nan"
-    stream = good[:2] + ["bad,line"] + good[2:5] + [""] + good[5:8] + [",".join(nan_line)] + good[8:]
-    inputs = tmp_path / "stream.txt"
-    inputs.write_text("\n".join(stream) + "\n")
-
-    chunk_sizes = []
-
-    def spy(model, ds):
-        chunk_sizes.append(len(ds))
-        return predict_dataset(model, ds)
-
-    monkeypatch.setattr(cli, "_PREDICT_CHUNK", 3)
-    monkeypatch.setattr(cli, "predict_dataset", spy)
-    capsys.readouterr()
-    assert main(["predict", "--config", str(workspace["config"]), "--input", str(inputs)]) == 0
-    assert chunk_sizes == [3, 3, 3, 1]
+    mixed = good[:2] + ["bad,line"] + good[2:5] + [""] + good[5:8] + [",".join(nan_line)] + good[8:]
 
     X = np.array([parse_kdd_line(l, labeled=l.count(",") == 41).x for l in good])
     preds, stats = predict_dataset(load_hybrid(workspace["out"] / "hybrid.manifest"),
@@ -585,15 +576,64 @@ def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monke
         f"{p.nn_vote},{p.rf_vote},{'-' if p.misuse_vote is None else p.misuse_vote}"
         for p in preds
     ]
-    captured = capsys.readouterr()
-    assert captured.out.splitlines() == expected
-    csv_lines = (workspace["out"] / "predictions.csv").read_text().splitlines()
-    assert csv_lines[:2] == ["# hybrid-ids predictions v1", "coarse,fine,routed,nn_vote,rf_vote,misuse_vote"]
-    assert csv_lines[2:] == expected
     assert 0 < stats.routed < stats.total
-    assert stats.describe() in captured.err
-    rejects = (workspace["out"] / "predictions.rejects.txt").read_text().splitlines()
-    assert [r.split(":")[0] for r in rejects] == ["line 3", "line 11, column 'src_bytes'"]
+
+    for block_lines in (1, 2, 5, 1024):
+        # the first block holds only malformed lines
+        stream = ["0,tcp,http,SF,1"] * block_lines + mixed
+        inputs = tmp_path / "stream.txt"
+        inputs.write_text("\n".join(stream) + "\n")
+        calls, printed, scored = [], [], []
+
+        def parse_spy(block, labeled=True):
+            # the rows of every block scored so far are out
+            printed.extend(capsys.readouterr().out.splitlines())
+            assert len(printed) == sum(scored)
+            calls.append("parse")
+            return dataset_mod.parse_kdd_block(block, labeled)
+
+        def predict_spy(model, ds):
+            calls.append("predict")
+            scored.append(len(ds))
+            return predict_dataset(model, ds)
+
+        monkeypatch.setattr(dataset_mod, "BLOCK_LINES", block_lines)
+        monkeypatch.setattr(cli, "parse_kdd_block", parse_spy)
+        monkeypatch.setattr(cli, "predict_dataset", predict_spy)
+        capsys.readouterr()
+        assert main(["predict", "--config", str(workspace["config"]), "--input", str(inputs)]) == 0
+        captured = capsys.readouterr()
+        printed.extend(captured.out.splitlines())
+
+        n_blocks = -(-(len(stream) - 1) // block_lines)  # one line is blank
+        assert calls == ["parse", "predict"] * n_blocks
+        assert printed == expected
+        csv_lines = (workspace["out"] / "predictions.csv").read_text().splitlines()
+        assert csv_lines[:2] == ["# hybrid-ids predictions v1",
+                                 "coarse,fine,routed,nn_vote,rf_vote,misuse_vote"]
+        assert csv_lines[2:] == expected
+        assert stats.describe() in captured.err
+        rejects = (workspace["out"] / "predictions.rejects.txt").read_text().splitlines()
+        assert [r.split(":")[0] for r in rejects] == [
+            *(f"line {n}" for n in range(1, block_lines + 1)),
+            f"line {block_lines + 3}", f"line {block_lines + 11}, column 'src_bytes'"]
+
+
+def test_predict_reads_gzip_as_plain(workspace, tmp_path, capsys):
+    _prepared(workspace)
+    assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
+    payload = ("\n".join(workspace["lines"][::5] + ["bad,line", ""]) + "\n").encode()
+    outputs = []
+    for name in ("stream.txt", "stream.txt.gz"):
+        inputs = tmp_path / name
+        inputs.write_bytes(gzip.compress(payload, mtime=0) if name.endswith(".gz") else payload)
+        capsys.readouterr()
+        assert main(["predict", "--config", str(workspace["config"]), "--input", str(inputs)]) == 0
+        outputs.append((capsys.readouterr(),
+                        *((workspace["out"] / f).read_bytes()
+                          for f in ("predictions.csv", "predictions.rejects.txt"))))
+    assert outputs[0] == outputs[1]
+    assert b"line " in outputs[0][2] and len(outputs[0][1].splitlines()) > 2
 
 
 def test_predict_calls_the_line_parser_once_per_rejected_line(workspace, tmp_path, monkeypatch):

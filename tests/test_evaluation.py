@@ -49,8 +49,20 @@ def test_length_mismatch_errors():
 
 
 def test_unknown_label_errors():
-    with pytest.raises(ValueError, match="unknown"):
-        confusion(["smurf"], ["neptune"], classes=("neptune",))
+    with pytest.raises(ValueError, match="truth labels must be integer class codes"):
+        confusion([CoarseLabel.DOS], ["neptune"])
+
+
+@pytest.mark.parametrize("preds, truths, kind, dtype", [
+    (["smurf", "normal"], [1, 0], "predicted", "<U6"),
+    ([1, 0], ["dos", "normal"], "truth", "<U6"),
+    (np.array([0.0, 1.0]), np.array([0, 1]), "predicted", "float64"),
+    (np.array([0, 1]), [0, 1.5], "truth", "float64"),
+])
+def test_labels_that_are_not_class_codes_error(preds, truths, kind, dtype):
+    with pytest.raises(ValueError, match=f"^{kind} labels must be integer class codes "
+                                         f"or CoarseLabel values, got an array of {dtype}$"):
+        confusion(preds, truths)
 
 
 @pytest.mark.parametrize("as_enum", [False, True])
@@ -69,7 +81,6 @@ def test_coarse_confusion_equals_plain_loop(as_enum):
         assert m.classes == COARSE_NAMES
         assert m.counts.dtype == np.int64
         assert np.array_equal(m.counts, expected)
-        assert np.array_equal(confusion(preds, truths, classes=COARSE_NAMES).counts, expected)
 
 
 @pytest.mark.parametrize("preds, truths", [
@@ -82,13 +93,6 @@ def test_out_of_range_coarse_class_errors(preds, truths):
         confusion(preds, truths)
 
 
-def test_fine_label_matrix_uses_sorted_union():
-    m = confusion(["b", "a"], ["a", "a"])
-    assert m.classes == ("a", "b")
-    assert m.counts[0, 1] == 1  # truth a predicted b
-    assert m.counts[0, 0] == 1
-
-
 def test_identity_matrix_metrics_are_100():
     m = ConfusionMatrix(classes=COARSE_NAMES, counts=np.eye(5, dtype=np.int64) * 4)
     metrics = per_class_metrics(m)
@@ -99,8 +103,8 @@ def test_identity_matrix_metrics_are_100():
 
 
 def test_hand_counted_two_class_reduction():
-    # 4 records; class A: TP=1, FP=1, FN=0, TN=2
-    m = confusion(["A", "A", "B", "B"], ["A", "B", "B", "B"], classes=("A", "B"))
+    # 4 records, truth A B B B predicted A A B B; class A: TP=1, FP=1, FN=0, TN=2
+    m = ConfusionMatrix(classes=("A", "B"), counts=np.array([[1, 0], [1, 2]]))
     metrics = per_class_metrics(m)
     assert metrics["A"].precision == pytest.approx(50.0)
     assert metrics["A"].recall == pytest.approx(100.0)
@@ -162,12 +166,18 @@ def test_per_class_tp_fp_fn_tn_partition():
         assert tp + fp + fn + tn == n
 
 
+def _matrix(classes, preds, truths):
+    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for t, p in zip(truths, preds):
+        counts[classes.index(t), classes.index(p)] += 1
+    return ConfusionMatrix(classes=classes, counts=counts)
+
+
 def test_metrics_permutation_invariant():
-    rng = np.random.default_rng(4)
     truths = ["a", "b", "c", "a", "b", "c", "a"]
     preds = ["a", "b", "a", "c", "b", "c", "a"]
-    m1 = confusion(preds, truths, classes=("a", "b", "c"))
-    m2 = confusion(preds, truths, classes=("c", "a", "b"))
+    m1 = _matrix(("a", "b", "c"), preds, truths)
+    m2 = _matrix(("c", "a", "b"), preds, truths)
     met1 = per_class_metrics(m1)
     met2 = per_class_metrics(m2)
     for name in ("a", "b", "c"):

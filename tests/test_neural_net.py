@@ -70,8 +70,8 @@ def test_init_respects_glorot_bounds():
 
 def test_zero_model_gives_uniform_outputs():
     model = zero_model()
-    out = forward(model, np.ones(N_FEATURES))
-    assert np.allclose(out, 0.2)
+    out = forward(model, np.ones((3, N_FEATURES)))
+    assert out.shape == (3, 5) and np.allclose(out, 0.2)
 
 
 def test_forward_sums_to_one():
@@ -86,8 +86,9 @@ def test_forward_sums_to_one():
 
 def test_forward_dimension_mismatch():
     model = zero_model()
-    with pytest.raises(ValueError, match="dimension"):
-        forward(model, np.ones(7))
+    for X in (np.ones((2, 7)), np.ones(N_FEATURES)):  # a single vector is not rows
+        with pytest.raises(ValueError, match="dimension"):
+            forward(model, X)
 
 
 def test_forward_matches_hand_computed_chain():
@@ -101,7 +102,7 @@ def test_forward_matches_hand_computed_chain():
         ],
         biases=[np.array([0.0, -0.25]), np.array([0.1, 0.2]), np.zeros(2)],
     )
-    x = np.array([1.0, 2.0])
+    X = np.array([[1.0, 2.0]])
     z1_0 = 1.0 * 1.0 + (-1.0) * 2.0 + 0.0      # -1.0
     z1_1 = 0.5 * 1.0 + 0.5 * 2.0 - 0.25        # 1.25
     a1_0, a1_1 = max(z1_0, 0.0), max(z1_1, 0.0)
@@ -110,7 +111,8 @@ def test_forward_matches_hand_computed_chain():
     a2_0, a2_1 = max(z2_0, 0.0), max(z2_1, 0.0)
     e0, e1 = math.exp(a2_0), math.exp(a2_1)
     expected = np.array([e0, e1]) / (e0 + e1)
-    assert np.allclose(forward(model, x), expected, atol=1e-12)
+    probs = forward(model, X)
+    assert probs.shape == (1, 2) and np.allclose(probs[0], expected, atol=1e-12)
 
 
 def test_loss_perfect_prediction_is_zero():
@@ -136,7 +138,7 @@ def test_gradients_match_central_finite_differences():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         cfg = TrainConfig(hidden_dims=(4, 3), seed=seed)
-        model = init_model(cfg, n_inputs=6, n_outputs=5)
+        model = init_model(cfg, n_inputs=6)
         # random biases keep pre-activations off the rectifier kink at 0,
         # where central differences are one-sided
         model.biases = [rng.normal(0.0, 0.3, size=b.shape) for b in model.biases]
