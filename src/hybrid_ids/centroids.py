@@ -1,13 +1,13 @@
 """Centroid-signature misuse classifier.
 
 One stored centroid per fine attack label (the arithmetic mean of the
-label's standardized training vectors); classification picks the entry at
-minimum Euclidean distance. The "normal" signature makes alarm
+label's standardized training vectors); classification picks the signature
+at minimum Euclidean distance. The "normal" signature makes alarm
 verification possible: an alarm whose nearest centroid is normal is a
-false positive.
-
-``clusters_per_label`` > 1 optionally sub-clusters each label with a small
-seeded Lloyd iteration, producing several signatures per label.
+false positive. ``clusters_per_label`` > 1 optionally sub-clusters each
+label with a small seeded Lloyd iteration, producing several signatures
+per label. The model holds the signatures as parallel arrays;
+``save_centroids`` writes one ``entry`` line per signature.
 """
 
 from __future__ import annotations
@@ -17,39 +17,32 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import CoarseLabel, Dataset, N_FEATURES
+from .dataset import COARSE_NAMES, CoarseLabel, Dataset, N_FEATURES
 from .persist import LineReader, atomic_write, fmt_floats, version_line
 
 _CHUNK = 2048
 
 
-@dataclass(frozen=True)
-class CentroidEntry:
-    fine_label: str
-    coarse_label: CoarseLabel
-    centroid: np.ndarray
-    support: int
-
-
+@dataclass(eq=False)
 class CentroidModel:
-    """Entries sorted by (fine_label, sub-cluster index); sorting makes the
-    minimum-distance tie rule (lexicographically smallest fine label) fall
-    out of the first-argmin convention."""
+    """The signatures, one element of each field per signature: fine label,
+    coarse class code, centroid row and training support. They are sorted
+    by (fine label, sub-cluster index), so the minimum-distance tie rule
+    (lexicographically smallest fine label) falls out of the first-argmin
+    convention."""
 
-    def __init__(self, entries: list[CentroidEntry], stats_fingerprint: str = ""):
-        if not entries:
-            raise ValueError("centroid model needs at least one entry")
-        self.entries = entries
-        self.stats_fingerprint = stats_fingerprint
-        self._matrix = np.stack([e.centroid for e in entries])
-        self._coarse = np.array([int(e.coarse_label) for e in entries], dtype=np.int64)
+    fine_labels: list[str]
+    coarse: np.ndarray  # int64 CoarseLabel codes
+    centroids: np.ndarray  # (signatures, N_FEATURES) float64
+    support: np.ndarray  # int64 training rows per signature
+    stats_fingerprint: str = ""
 
-    @property
-    def fine_labels(self) -> list[str]:
-        return [e.fine_label for e in self.entries]
+    def __post_init__(self):
+        if not self.fine_labels:
+            raise ValueError("centroid model needs at least one signature")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.fine_labels)
 
 
 def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +81,7 @@ def fit(ds: Dataset, clusters_per_label: int = 1, seed: int = 0) -> CentroidMode
     if "normal" not in labels:
         raise ValueError("training data has no 'normal' records; verification impossible")
     rng = np.random.default_rng(seed)
-    entries: list[CentroidEntry] = []
+    fine, coarse, centers, support = [], [], [], []
     for label in labels:
         mask = ds.fine_labels == label
         points = ds.X[mask]
@@ -96,36 +89,36 @@ def fit(ds: Dataset, clusters_per_label: int = 1, seed: int = 0) -> CentroidMode
         if len(classes) > 1:
             names = ", ".join(str(CoarseLabel(int(c))) for c in classes)
             raise ValueError(f"fine label '{label}' has rows of more than one coarse class: {names}")
-        coarse = CoarseLabel(int(classes[0]))
         if clusters_per_label == 1:
-            entries.append(
-                CentroidEntry(label, coarse, points.mean(axis=0), int(mask.sum()))
-            )
+            label_centers, sizes = points.mean(axis=0)[None, :], [len(points)]
         else:
-            centers, sizes = _lloyd(points, clusters_per_label, rng)
-            for c, s in zip(centers, sizes):
-                entries.append(CentroidEntry(label, coarse, c, int(s)))
-    return CentroidModel(entries)
+            label_centers, sizes = _lloyd(points, clusters_per_label, rng)
+        fine += [label] * len(sizes)
+        coarse += [int(classes[0])] * len(sizes)
+        centers.append(label_centers)
+        support.extend(sizes)
+    return CentroidModel(fine, np.array(coarse, dtype=np.int64), np.concatenate(centers),
+                         np.array(support, dtype=np.int64))
 
 
 def _distances(model: CentroidModel, X: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean distances, chunked to bound memory."""
-    out = np.empty((len(X), len(model.entries)))
+    out = np.empty((len(X), len(model)))
     for start in range(0, len(X), _CHUNK):
         block = X[start : start + _CHUNK]
         out[start : start + _CHUNK] = (
-            (block[:, None, :] - model._matrix[None, :, :]) ** 2
+            (block[:, None, :] - model.centroids[None, :, :]) ** 2
         ).sum(axis=2)
     return out
 
 
 def assign_batch(model: CentroidModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (entry index, Euclidean distance) of the nearest centroid of
+    """Per-row (signature index, Euclidean distance) of the nearest centroid of
     standardized vectors. Exact distance ties pick the lexicographically
     smallest fine label."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model._matrix.shape[1]:
-        raise ValueError(f"expected (n, {model._matrix.shape[1]}) inputs")
+    if X.ndim != 2 or X.shape[1] != model.centroids.shape[1]:
+        raise ValueError(f"expected (n, {model.centroids.shape[1]}) inputs")
     d2 = _distances(model, X)
     nearest = np.argmin(d2, axis=1)
     return nearest, np.sqrt(d2[np.arange(len(X)), nearest])
@@ -136,7 +129,7 @@ class MisuseEvaluation:
     fine_accuracy: float  # percent, exact fine-label match
     coarse_accuracy: float  # percent, coarse family match
     n_fine_classes: int
-    predicted_coarse: np.ndarray  # per test row, the nearest entry's coarse class
+    predicted_coarse: np.ndarray  # per test row, the nearest signature's coarse class
 
 
 def evaluate_misuse(model: CentroidModel, test: Dataset) -> MisuseEvaluation:
@@ -144,7 +137,7 @@ def evaluate_misuse(model: CentroidModel, test: Dataset) -> MisuseEvaluation:
         raise ValueError("empty test set")
     nearest, _ = assign_batch(model, test.X)
     assigned_fine = np.array(model.fine_labels, dtype=object)[nearest]
-    assigned_coarse = model._coarse[nearest]
+    assigned_coarse = model.coarse[nearest]
     fine_acc = 100.0 * float((assigned_fine == test.fine_labels).mean())
     coarse_acc = 100.0 * float((assigned_coarse == test.coarse).mean())
     return MisuseEvaluation(
@@ -158,28 +151,26 @@ def evaluate_misuse(model: CentroidModel, test: Dataset) -> MisuseEvaluation:
 def signature_collisions(model: CentroidModel) -> list[str]:
     """Fine labels whose own centroid assigns elsewhere (shadowed
     signatures); logged as a warning when the misuse stage is trained."""
-    nearest, _ = assign_batch(model, model._matrix)
-    collisions = []
-    for i, e in enumerate(model.entries):
-        if model.entries[int(nearest[i])].fine_label != e.fine_label:
-            collisions.append(e.fine_label)
-    return collisions
+    nearest, _ = assign_batch(model, model.centroids)
+    labels = model.fine_labels
+    return [labels[i] for i, j in enumerate(nearest.tolist()) if labels[j] != labels[i]]
 
 
 def save_centroids(path: str | Path, model: CentroidModel) -> None:
     lines = [
         version_line("centroids"),
         f"stats_id={model.stats_fingerprint}",
-        f"entries={len(model.entries)}",
+        f"entries={len(model)}",
     ]
-    for e in model.entries:
-        lines.append(
-            f"entry {e.fine_label} {e.coarse_label} {e.support} " + fmt_floats(e.centroid)
-        )
+    for fine, coarse, support, centroid in zip(
+        model.fine_labels, model.coarse.tolist(), model.support.tolist(), model.centroids
+    ):
+        lines.append(f"entry {fine} {COARSE_NAMES[coarse]} {support} " + fmt_floats(centroid))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _read_entry(r: LineReader) -> CentroidEntry:
+def _read_entry(r: LineReader) -> tuple[str, int, int, np.ndarray]:
+    """One signature's (fine label, coarse code, support, centroid)."""
     expected = "'entry <fine label> <coarse class> <support> <values>'"
     parts = r.next(expected).split()
     if len(parts) < 4 or parts[0] != "entry":
@@ -191,7 +182,9 @@ def _read_entry(r: LineReader) -> CentroidEntry:
     support = r.number(parts[3], int, "support")
     if support < 0:
         raise r.error(f"negative support {support}")
-    return CentroidEntry(parts[1], coarse, r.floats(parts[4:], N_FEATURES, "centroid"), support)
+    if support >= 2**63:  # the model holds supports as int64
+        raise r.error(f"support {support} does not fit in 64 bits")
+    return parts[1], int(coarse), support, r.floats(parts[4:], N_FEATURES, "centroid")
 
 
 def load_centroids(path: str | Path) -> CentroidModel:
@@ -204,6 +197,7 @@ def load_centroids(path: str | Path) -> CentroidModel:
     n_entries = r.number(r.value("entries"), int, "entries")
     if n_entries < 1:
         raise r.error("entries must be >= 1")
-    entries = [_read_entry(r) for _ in range(n_entries)]
+    fine, coarse, support, centroids = zip(*(_read_entry(r) for _ in range(n_entries)))
     r.end()
-    return CentroidModel(entries, stats_fingerprint=stats_id)
+    return CentroidModel(list(fine), np.array(coarse, dtype=np.int64), np.stack(centroids),
+                         np.array(support, dtype=np.int64), stats_id)

@@ -31,6 +31,7 @@ from .dataset import (
     Dataset,
     SamplingPlan,
     Taxonomy,
+    check_fine_label,
     check_folds,
     check_test_fraction,
     load_dataset,
@@ -155,7 +156,7 @@ CONFIG_TABLE = {
 # value); the section is a dict that the converted key indexes
 CONFIG_PREFIXES = {
     "sampling.": ("sampling", _SAMPLING_CLASSES.__getitem__, int),
-    "taxonomy.": ("taxonomy", str, CoarseLabel.from_name),
+    "taxonomy.": ("taxonomy", check_fine_label, CoarseLabel.from_name),
 }
 
 
@@ -383,11 +384,12 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
 
 def _verdict_rows(verdicts: Verdicts) -> str:
     """The rows of ``predictions.csv``, formatted from the verdict columns
-    through string tables: one per centroid entry and one per vote pair."""
-    # a routed row takes the columns of its entry; -1 picks the last, unrouted one
-    heads = [f"{e.coarse_label},{e.fine_label},true," for e in verdicts.entries]
-    heads.append("normal,-,false,")
-    tails = [f",{e.coarse_label}\n" for e in verdicts.entries] + [",-\n"]
+    through string tables: one per centroid signature and one per vote pair."""
+    cen = verdicts.centroids
+    names = [COARSE_NAMES[c] for c in cen.coarse.tolist()]
+    # a routed row takes the columns of its signature; -1 picks the last, unrouted one
+    heads = [f"{c},{f},true," for c, f in zip(names, cen.fine_labels)] + ["normal,-,false,"]
+    tails = [f",{c}\n" for c in names] + [",-\n"]
     votes = [f"{nn},{rf}" for nn in COARSE_NAMES for rf in COARSE_NAMES]
     pairs = verdicts.nn_votes * len(COARSE_NAMES) + verdicts.rf_votes
     return "".join(

@@ -109,6 +109,14 @@ _DEFAULT_TAXONOMY = {
 }
 
 
+def check_fine_label(label: str) -> str:
+    """``label`` when the space-separated taxonomy and centroid files can
+    hold it; ValueError when it is empty or holds whitespace."""
+    if label.split() != [label]:
+        raise ValueError(f"fine label '{label}' is empty or holds whitespace")
+    return label
+
+
 class Taxonomy:
     """Total mapping from fine attack labels to coarse classes.
 
@@ -157,8 +165,9 @@ class RawRecord:
     x: np.ndarray = field(compare=False)
 
 
-# Encoded protocol columns (tcp, udp, icmp) per protocol_type value.
-_ONE_HOT = {p: tuple(float(p == q) for q in PROTOCOLS) for p in PROTOCOLS}
+_PROTOCOL_CODES = {p: i for i, p in enumerate(PROTOCOLS)}
+# Encoded protocol columns (tcp, udp, icmp), one row per protocol code.
+_ONE_HOT_ROWS = np.eye(len(PROTOCOLS))
 
 
 def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawRecord:
@@ -183,7 +192,7 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
     else:
         fine_label = ""
     protocol = parts[PROTOCOL_INDEX]
-    if protocol not in PROTOCOLS:
+    if protocol not in _PROTOCOL_CODES:
         raise ParseError(
             f"unknown protocol_type '{protocol}'", line_no, "protocol_type"
         )
@@ -204,7 +213,7 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
                 f"negative value {parts[i]}", line_no, KDD_COLUMNS[i]
             )
         values.append(value)
-    values[1:1] = _ONE_HOT[protocol]
+    values[1:1] = _ONE_HOT_ROWS[_PROTOCOL_CODES[protocol]]
     return RawRecord(text, fine_label, np.array(values))
 
 
@@ -212,9 +221,6 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
 # ``predict``: enough to spread the fixed costs of one loadtxt call and of a
 # vote that walks every tree node, few enough to keep a block's rows small.
 BLOCK_LINES = 1024
-_PROTOCOL_CODES = {p: i for i, p in enumerate(PROTOCOLS)}
-# Encoded protocol columns (tcp, udp, icmp), one row per protocol code.
-_ONE_HOT_ROWS = np.eye(len(PROTOCOLS))
 
 
 def open_kdd(path: str | Path) -> TextIO:
@@ -591,6 +597,8 @@ def _parse_rows(rows: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     KeyError when any row is not 41 finite numbers, a label and a class."""
     distinct, inverse = first_seen(rows)
     heads, fine, names = zip(*(row.rsplit(",", 2) for row in distinct))
+    for label in set(fine):
+        check_fine_label(label)
     X = np.loadtxt(heads, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
     if X.shape != (len(distinct), N_FEATURES) or not np.isfinite(X).all():
         raise ValueError("not a block of finite feature rows")
@@ -609,6 +617,10 @@ def _row_problem(line: str) -> str | None:
     if fields[-1] not in _COARSE_CODES:
         return f"unknown coarse class '{fields[-1]}'"
     try:
+        check_fine_label(fields[-2])
+    except ValueError as exc:
+        return str(exc)
+    try:
         _parse_rows([row])
     except ValueError:
         for column, text in zip(ENCODED_COLUMNS, fields):
@@ -625,7 +637,8 @@ def _row_problem(line: str) -> str | None:
 def load_dataset(path: str | Path) -> Dataset:
     """Read a ``save_dataset`` file. Raises FormatError naming the file and
     line on a bad format line, provenance line or header, and on a row that
-    is not 41 finite numbers, a fine label and a coarse class name."""
+    is not 41 finite numbers, a fine label (see :func:`check_fine_label`)
+    and a coarse class name."""
     r = LineReader(path)
     r.version("dataset")
     provenance = _PROVENANCE.fullmatch(r.next("the provenance line").strip())

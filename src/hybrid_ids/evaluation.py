@@ -106,14 +106,12 @@ def overall_accuracy(m: ConfusionMatrix) -> float:
     return 100.0 * float(np.trace(m.counts)) / m.total
 
 
-def format_report(m: ConfusionMatrix, title: str, seed: int | None = None) -> str:
+def format_report(m: ConfusionMatrix, title: str, seed: int) -> str:
     """Human-readable table mirroring the per-class layout of the results
-    tables (three decimals, classes as columns)."""
+    tables (three decimals, classes as columns), under the run's seed."""
     metrics = per_class_metrics(m)
     width = max(10, max(len(c) for c in m.classes) + 2)
-    lines = [title]
-    if seed is not None:
-        lines.append(f"seed={seed}")
+    lines = [title, f"seed={seed}"]
     header = "Label:".ljust(12) + "".join(c.rjust(width) for c in m.classes)
     lines.append(header)
     for row_name, attr in (("Precision:", "precision"), ("Recall:", "recall"), ("Accuracy:", "accuracy")):
@@ -126,12 +124,10 @@ def format_report(m: ConfusionMatrix, title: str, seed: int | None = None) -> st
     return "\n".join(lines)
 
 
-def write_metrics_csv(path: str | Path, m: ConfusionMatrix, seed: int | None = None) -> None:
+def write_metrics_csv(path: str | Path, m: ConfusionMatrix, seed: int) -> None:
     metrics = per_class_metrics(m)
-    lines = ["# " + version_line("metrics")]
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.append("class,precision,recall,accuracy,flags")
+    lines = ["# " + version_line("metrics"), f"# seed={seed}",
+             "class,precision,recall,accuracy,flags"]
     for c in m.classes:
         cm = metrics[c]
         lines.append(f"{c},{cm.precision:.3f},{cm.recall:.3f},{cm.accuracy:.3f},{cm.flags}")
@@ -139,11 +135,9 @@ def write_metrics_csv(path: str | Path, m: ConfusionMatrix, seed: int | None = N
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_confusion_csv(path: str | Path, m: ConfusionMatrix, seed: int | None = None) -> None:
-    lines = ["# " + version_line("confusion")]
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.append("truth\\pred," + ",".join(m.classes))
+def write_confusion_csv(path: str | Path, m: ConfusionMatrix, seed: int) -> None:
+    lines = ["# " + version_line("confusion"), f"# seed={seed}",
+             "truth\\pred," + ",".join(m.classes)]
     for i, c in enumerate(m.classes):
         lines.append(c + "," + ",".join(str(int(v)) for v in m.counts[i]))
     atomic_write(path, "\n".join(lines) + "\n")

@@ -12,14 +12,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from . import centroids as misuse
 from . import neural_net as nn
 from . import random_forest as rf
-from .centroids import CentroidEntry, CentroidModel
+from .centroids import CentroidModel
 from .dataset import (
     CoarseLabel,
     Dataset,
@@ -60,17 +60,17 @@ class FinalPrediction:
 @dataclass(frozen=True, eq=False)
 class Verdicts:
     """The chain's verdicts on a batch, one array element per row: the two
-    anomaly votes, the nearest centroid entry of each routed row (-1 where
-    the row is not routed), the routing mask and the final coarse class.
-    Indexing or iterating gives :class:`FinalPrediction` rows, built on
-    demand from the columns."""
+    anomaly votes, the index in ``centroids`` of each routed row's nearest
+    signature (-1 where the row is not routed), the routing mask and the
+    final coarse class. Indexing or iterating gives :class:`FinalPrediction`
+    rows, built on demand from the columns."""
 
     nn_votes: np.ndarray
     rf_votes: np.ndarray
     entry: np.ndarray
     routed: np.ndarray
     coarse: np.ndarray
-    entries: Sequence[CentroidEntry]
+    centroids: CentroidModel
 
     def __len__(self) -> int:
         return len(self.coarse)
@@ -80,7 +80,7 @@ class Verdicts:
         routed = bool(self.routed[i])
         return FinalPrediction(
             coarse=coarse,
-            fine=self.entries[int(self.entry[i])].fine_label if routed else None,
+            fine=self.centroids.fine_labels[int(self.entry[i])] if routed else None,
             routed=routed,
             nn_vote=CoarseLabel(int(self.nn_votes[i])),
             rf_vote=CoarseLabel(int(self.rf_votes[i])),
@@ -175,7 +175,7 @@ def train_all(
     forest = train_rf(std_train, config, stats.fingerprint)
     cen = train_misuse(std_train, config, stats.fingerprint)
     if taxonomy is None:
-        taxonomy = Taxonomy({e.fine_label: e.coarse_label for e in cen.entries})
+        taxonomy = Taxonomy(dict(zip(cen.fine_labels, map(CoarseLabel, cen.coarse.tolist()))))
     return HybridModel(mlp=mlp, forest=forest, centroids=cen, stats=stats, taxonomy=taxonomy)
 
 
@@ -193,13 +193,13 @@ def predict_dataset(h: HybridModel, ds: Dataset) -> tuple[Verdicts, RoutingStats
     entry[routed] = misuse.assign_batch(h.centroids, X[routed])[0]
     nn_votes, rf_votes, routed, entry = (a[inverse] for a in (nn_votes, rf_votes, routed, entry))
     # entry -1 (not routed) picks the appended normal
-    coarse = np.append(h.centroids._coarse, int(CoarseLabel.NORMAL))[entry]
+    coarse = np.append(h.centroids.coarse, int(CoarseLabel.NORMAL))[entry]
     n_routed = int(routed.sum())
     trimmed = int(np.count_nonzero(coarse[routed] == CoarseLabel.NORMAL))
     stats = RoutingStats(
         total=len(raw), routed=n_routed, trimmed=trimmed, confirmed=n_routed - trimmed
     )
-    return Verdicts(nn_votes, rf_votes, entry, routed, coarse, h.centroids.entries), stats
+    return Verdicts(nn_votes, rf_votes, entry, routed, coarse, h.centroids), stats
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +269,10 @@ def load_hybrid(manifest_path: str | Path) -> HybridModel:
     n_in = stats.mean.shape[0]
     if mlp.dims[0] != n_in or forest.n_features != n_in:
         raise ValueError("model input dimensions disagree with the stats file")
-    if cen.entries[0].centroid.shape[0] != n_in:
+    if cen.centroids.shape[1] != n_in:
         raise ValueError("centroid dimension disagrees with the stats file")
-    for e in cen.entries:
-        if e.fine_label in taxonomy and taxonomy.coarse(e.fine_label) != e.coarse_label:
-            raise ValueError(
-                f"centroid '{e.fine_label}' is tagged {e.coarse_label} but the "
-                f"taxonomy maps it to {taxonomy.coarse(e.fine_label)}"
-            )
+    for fine, coarse in zip(cen.fine_labels, map(CoarseLabel, cen.coarse.tolist())):
+        if fine in taxonomy and taxonomy.coarse(fine) != coarse:
+            raise ValueError(f"centroid '{fine}' is tagged {coarse} but the taxonomy "
+                             f"maps it to {taxonomy.coarse(fine)}")
     return HybridModel(mlp=mlp, forest=forest, centroids=cen, stats=stats, taxonomy=taxonomy)

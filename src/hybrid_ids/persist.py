@@ -19,8 +19,8 @@ import numpy as np
 from .errors import FormatError
 
 
-def version_line(kind: str, version: int = 1) -> str:
-    return f"hybrid-ids {kind} v{version}"
+def version_line(kind: str) -> str:
+    return f"hybrid-ids {kind} v1"
 
 
 class LineReader:

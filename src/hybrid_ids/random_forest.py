@@ -452,17 +452,15 @@ def prune_and_retrain(
     ds: Dataset,
     model: ForestModel,
     config: ForestConfig,
-    holdout: Dataset | None = None,
     ranked: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> ForestModel:
     """Drop low-importance features and retrain on the survivors.
 
     Keeps the smallest importance-ranked prefix covering
     ``importance_keep_threshold`` cumulative mass. If the retrained forest
-    loses more than 0.5 accuracy points against the unpruned one (measured
-    on ``holdout``, or on ``ds`` when no holdout is given), the unpruned
-    model is kept and a warning logged. ``ranked`` is ``rank_columns(ds.X)``,
-    as for ``train_forest``.
+    loses more than 0.5 accuracy points against the unpruned one on ``ds``,
+    the unpruned model is kept and a warning logged. ``ranked`` is
+    ``rank_columns(ds.X)``, as for ``train_forest``.
     """
     order = np.argsort(-model.feature_importances, kind="stable")
     cum = np.cumsum(model.feature_importances[order])
@@ -470,9 +468,8 @@ def prune_and_retrain(
     keep = min(keep, int((model.feature_importances > 0).sum()) or 1)
     active = np.sort(order[:keep])
     retrained = train_forest(ds, config, active_features=active, ranked=ranked)
-    eval_ds = holdout if holdout is not None else ds
-    acc_before = overall_accuracy(confusion(predict_batch(model, eval_ds.X), eval_ds.coarse))
-    acc_after = overall_accuracy(confusion(predict_batch(retrained, eval_ds.X), eval_ds.coarse))
+    acc_before = overall_accuracy(confusion(predict_batch(model, ds.X), ds.coarse))
+    acc_after = overall_accuracy(confusion(predict_batch(retrained, ds.X), ds.coarse))
     if acc_before - acc_after > 0.5:
         log.warning(
             "feature pruning dropped accuracy %.3f -> %.3f; keeping the unpruned forest",

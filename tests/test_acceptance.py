@@ -262,18 +262,17 @@ def test_criterion_6d_centroid_oracles():
     ds = separable_dataset(n_per_label=9, seed=1)
     std = standardize_dataset(standardize_fit(ds), ds)
     model = misuse.fit(std)
-    for entry in model.entries:
-        rows = [std.X[i] for i in range(len(std))
-                if std.fine_labels[i] == entry.fine_label]
+    for label, centroid in zip(model.fine_labels, model.centroids):
+        rows = [std.X[i] for i in range(len(std)) if std.fine_labels[i] == label]
         expected = [sum(r[j] for r in rows) / len(rows) for j in range(41)]
-        assert np.allclose(entry.centroid, expected, atol=1e-12)
+        assert np.allclose(centroid, expected, atol=1e-12)
     rng = np.random.default_rng(2)
     points = rng.normal(size=(1000, 41)) * 2.0
     nearest, dist = misuse.assign_batch(model, points)
     for i in range(1000):
         best_j, best_d = None, None
-        for j, entry in enumerate(model.entries):
-            d = math.sqrt(float(((points[i] - entry.centroid) ** 2).sum()))
+        for j, centroid in enumerate(model.centroids):
+            d = math.sqrt(float(((points[i] - centroid) ** 2).sum()))
             if best_d is None or d < best_d:
                 best_j, best_d = j, d
         assert int(nearest[i]) == best_j

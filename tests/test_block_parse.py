@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybrid_ids import cli, dataset
+from hybrid_ids.centroids import CentroidModel
 from hybrid_ids.dataset import (
     BLOCK_LINES,
     N_FEATURES,
@@ -132,11 +133,13 @@ def predicted_rows(tmp_path, monkeypatch, lines):
     """The rows that ``predict`` hands to ``predict_dataset`` for ``lines``,
     and its rejects file, with the model's load and scoring stubbed out."""
     scored = []
+    normal = CentroidModel(["normal"], np.zeros(1, dtype=np.int64), np.zeros((1, N_FEATURES)),
+                           np.ones(1, dtype=np.int64))
 
     def score(model, ds):
         scored.append(ds.X)
         none = np.zeros(len(ds), dtype=np.int64)
-        return Verdicts(none, none, none - 1, none.astype(bool), none, []), RoutingStats(len(ds))
+        return Verdicts(none, none, none - 1, none.astype(bool), none, normal), RoutingStats(len(ds))
 
     monkeypatch.setattr(cli, "load_hybrid", lambda path: None)
     monkeypatch.setattr(cli, "predict_dataset", score)

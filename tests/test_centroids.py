@@ -34,19 +34,21 @@ def vec(*head) -> np.ndarray:
     return x
 
 
-def nearest(model, *points: np.ndarray) -> list:
-    """Nearest entry of each point, through the batched lookup."""
+def nearest(model, *points: np.ndarray) -> list[str]:
+    """Fine label of each point's nearest signature, through the batched
+    lookup."""
     idx, _ = assign_batch(model, np.stack(points))
-    return [model.entries[int(i)] for i in idx]
+    return [model.fine_labels[i] for i in idx.tolist()]
 
 
 def test_fit_single_point_centroid_is_the_point():
     p = vec(3.5, -1.0, 2.0)
     ds = tiny_dataset([("normal", 0, p), ("smurf", 1, vec(9.0))])
     model = fit(ds)
-    entry = next(e for e in model.entries if e.fine_label == "normal")
-    assert np.array_equal(entry.centroid, p)
-    assert entry.support == 1
+    assert model.fine_labels == ["normal", "smurf"]
+    assert model.coarse.tolist() == [0, 1]
+    assert np.array_equal(model.centroids[0], p)
+    assert model.support.tolist() == [1, 1]
 
 
 def test_fit_midpoint():
@@ -58,19 +60,19 @@ def test_fit_midpoint():
         ]
     )
     model = fit(ds)
-    smurf = next(e for e in model.entries if e.fine_label == "smurf")
-    assert np.array_equal(smurf.centroid, vec(1.0))
+    assert np.array_equal(model.centroids[model.fine_labels.index("smurf")], vec(1.0))
 
 
 def test_fit_matches_brute_force_averages():
     ds = separable_dataset(n_per_label=17, seed=0)
     std = standardize_dataset(standardize_fit(ds), ds)
     model = fit(std)
-    for entry in model.entries:
-        rows = [std.X[i] for i in range(len(std)) if std.fine_labels[i] == entry.fine_label]
+    assert model.fine_labels == sorted(set(std.fine_labels))
+    for label, centroid, support in zip(model.fine_labels, model.centroids, model.support):
+        rows = [std.X[i] for i in range(len(std)) if std.fine_labels[i] == label]
         expected = [sum(r[j] for r in rows) / len(rows) for j in range(N_FEATURES)]
-        assert np.allclose(entry.centroid, expected, atol=1e-12)
-        assert entry.support == len(rows)
+        assert np.allclose(centroid, expected, atol=1e-12)
+        assert support == len(rows)
 
 
 def test_fit_requires_normal_class():
@@ -101,9 +103,8 @@ def test_assign_zero_distance_to_own_centroid():
     ds = tiny_dataset([("normal", 0, vec()), ("smurf", 1, vec(4.0, 4.0))])
     model = fit(ds)
     idx, distance = assign_batch(model, vec(4.0, 4.0)[None, :])
-    entry = model.entries[int(idx[0])]
-    assert entry.fine_label == "smurf"
-    assert entry.coarse_label == CoarseLabel.DOS
+    assert model.fine_labels[idx[0]] == "smurf"
+    assert model.coarse[idx[0]] == CoarseLabel.DOS
     assert distance[0] == 0.0
 
 
@@ -111,7 +112,7 @@ def test_assign_hand_distances():
     ds = tiny_dataset([("a_attack", 1, vec()), ("b_attack", 1, vec(10.0, 10.0)), ("normal", 0, vec(50.0))])
     model = fit(ds)
     idx, distance = assign_batch(model, vec(1.0, 1.0)[None, :])
-    assert model.entries[int(idx[0])].fine_label == "a_attack"
+    assert model.fine_labels[idx[0]] == "a_attack"
     assert distance[0] == pytest.approx(math.sqrt(2.0))
 
 
@@ -119,7 +120,7 @@ def test_assign_tie_breaks_lexicographically():
     same = vec(2.0, 2.0)
     ds = tiny_dataset([("bbb", 1, same), ("aaa", 1, same), ("normal", 0, vec(9.0))])
     model = fit(ds)
-    assert [e.fine_label for e in nearest(model, vec(2.0, 2.0))] == ["aaa"]
+    assert nearest(model, vec(2.0, 2.0)) == ["aaa"]
 
 
 def test_assign_matches_exhaustive_scan_on_1000_points():
@@ -131,8 +132,8 @@ def test_assign_matches_exhaustive_scan_on_1000_points():
     nearest, distances = assign_batch(model, points)
     for i in range(len(points)):
         best_j, best_d = None, None
-        for j, entry in enumerate(model.entries):
-            d = math.sqrt(float(((points[i] - entry.centroid) ** 2).sum()))
+        for j, centroid in enumerate(model.centroids):
+            d = math.sqrt(float(((points[i] - centroid) ** 2).sum()))
             if best_d is None or d < best_d:
                 best_j, best_d = j, d
         assert int(nearest[i]) == best_j
@@ -149,11 +150,7 @@ def test_assign_dimension_check():
 def test_evaluate_on_centroids_is_perfect():
     ds = separable_dataset(n_per_label=7, seed=3)
     model = fit(ds)
-    centroid_ds = Dataset(
-        np.stack([e.centroid for e in model.entries]),
-        [e.fine_label for e in model.entries],
-        [int(e.coarse_label) for e in model.entries],
-    )
+    centroid_ds = Dataset(model.centroids, model.fine_labels, model.coarse)
     result = evaluate_misuse(model, centroid_ds)
     assert result.fine_accuracy == 100.0
     assert result.coarse_accuracy == 100.0
@@ -174,8 +171,8 @@ def test_verify_alarm_normal_and_attack():
     ds = tiny_dataset([("normal", 0, vec()), ("neptune", 1, vec(6.0, 6.0))])
     model = fit(ds)
     # an alarm whose nearest signature is normal is cleared
-    verdicts = [e.coarse_label for e in nearest(model, vec(), vec(6.0, 6.0))]
-    assert verdicts == [CoarseLabel.NORMAL, CoarseLabel.DOS]
+    idx, _ = assign_batch(model, np.stack([vec(), vec(6.0, 6.0)]))
+    assert model.coarse[idx].tolist() == [CoarseLabel.NORMAL, CoarseLabel.DOS]
 
 
 def test_assign_scale_consistency():
@@ -209,8 +206,7 @@ def test_internal_consistency_fit_then_evaluate_on_train():
     result = evaluate_misuse(model, std)
     nearest, _ = assign_batch(model, std.X)
     manual = float(
-        np.mean([model.entries[int(j)].coarse_label == std.coarse[i]
-                 for i, j in enumerate(nearest)])
+        np.mean([model.coarse[j] == std.coarse[i] for i, j in enumerate(nearest)])
     ) * 100.0
     assert result.coarse_accuracy == pytest.approx(manual)
 
@@ -223,42 +219,41 @@ def test_sub_clustering_k2():
     rows += [("normal", 0, rng.normal(0.0, 0.2, size=N_FEATURES)) for _ in range(20)]
     ds = tiny_dataset(rows)
     model = fit(ds, clusters_per_label=2, seed=0)
-    smurf_entries = [e for e in model.entries if e.fine_label == "smurf"]
-    assert len(smurf_entries) == 2
-    means = sorted(float(e.centroid.mean()) for e in smurf_entries)
+    smurf = [i for i, label in enumerate(model.fine_labels) if label == "smurf"]
+    assert len(smurf) == 2
+    assert model.coarse[smurf].tolist() == [CoarseLabel.DOS] * 2
+    assert model.support[smurf].tolist() == [20, 20]
+    means = sorted(model.centroids[smurf].mean(axis=1).tolist())
     assert means[0] == pytest.approx(-5.0, abs=0.3)
     assert means[1] == pytest.approx(5.0, abs=0.3)
-    assert [e.fine_label for e in nearest(model, blob_a[0])] == ["smurf"]
+    assert nearest(model, blob_a[0]) == ["smurf"]
 
 
 def test_sub_clustering_deterministic():
     ds = separable_dataset(n_per_label=15, seed=8)
     a = fit(ds, clusters_per_label=3, seed=1)
     b = fit(ds, clusters_per_label=3, seed=1)
-    assert len(a.entries) == len(b.entries)
-    for ea, eb in zip(a.entries, b.entries):
-        assert ea.fine_label == eb.fine_label
-        assert np.array_equal(ea.centroid, eb.centroid)
+    assert a.fine_labels == b.fine_labels
+    assert np.array_equal(a.centroids, b.centroids)
 
 
 def test_centroid_persistence_round_trip(tmp_path):
     ds = separable_dataset(n_per_label=6, seed=9)
-    model = fit(ds)
-    model.stats_fingerprint = "0123456789ab"
-    path = tmp_path / "centroids.model"
-    save_centroids(path, model)
-    assert path.read_text().startswith("hybrid-ids centroids v1")
-    loaded = load_centroids(path)
-    assert loaded.stats_fingerprint == "0123456789ab"
-    assert loaded.fine_labels == model.fine_labels
-    for a, b in zip(loaded.entries, model.entries):
-        assert np.array_equal(a.centroid, b.centroid)
-        assert a.support == b.support
-        assert a.coarse_label == b.coarse_label
     probe = np.random.default_rng(1).normal(size=(50, N_FEATURES))
-    got_a, _ = assign_batch(loaded, probe)
-    got_b, _ = assign_batch(model, probe)
-    assert np.array_equal(got_a, got_b)
+    path = tmp_path / "centroids.model"
+    for clusters_per_label in (1, 2):
+        model = fit(ds, clusters_per_label, seed=3)
+        assert len(model) == clusters_per_label * len(set(model.fine_labels))
+        model.stats_fingerprint = "0123456789ab"
+        save_centroids(path, model)
+        assert path.read_text().startswith("hybrid-ids centroids v1")
+        loaded = load_centroids(path)
+        assert loaded.stats_fingerprint == "0123456789ab"
+        assert loaded.fine_labels == model.fine_labels
+        for got, want in ((loaded.coarse, model.coarse), (loaded.support, model.support),
+                          (loaded.centroids.view(np.uint64), model.centroids.view(np.uint64))):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(assign_batch(loaded, probe)[0], assign_batch(model, probe)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +304,7 @@ def test_load_centroids_entry_count_must_match_lines(tmp_path):
     (4, lambda line: _token(line, 2, "dso"), "unknown coarse class 'dso'"),
     (5, lambda line: _token(line, 3, "x"), "support 'x' is not a valid int"),
     (6, lambda line: _token(line, 3, "-1"), "negative support -1"),
+    (6, lambda line: _token(line, 3, str(2**63)), f"support {2**63} does not fit in 64 bits"),
     (7, lambda line: line.rsplit(" ", 1)[0], "expected 41 centroid values, got 40"),
     (8, lambda line: line + " 0.5", "expected 41 centroid values, got 42"),
     (3, lambda line: _token(line, 4, "nan"), "non-finite centroid value"),

@@ -16,10 +16,9 @@ from hybrid_ids import cli
 from hybrid_ids.cli import build_config, main, parse_config_file
 from hybrid_ids import centroids as misuse_mod
 from hybrid_ids import dataset as dataset_mod
-from hybrid_ids.centroids import CentroidEntry, assign_batch
+from hybrid_ids.centroids import CentroidModel, assign_batch
 from hybrid_ids.dataset import (
     N_FEATURES,
-    CoarseLabel,
     Dataset,
     load_dataset,
     parse_kdd_line,
@@ -673,15 +672,13 @@ def test_predict_calls_the_line_parser_once_per_rejected_line(workspace, tmp_pat
 
 
 def test_verdict_rows_cover_every_vote_pair_and_entry():
-    entries = [
-        CentroidEntry("neptune", CoarseLabel.DOS, np.zeros(N_FEATURES), 1),
-        CentroidEntry("normal", CoarseLabel.NORMAL, np.ones(N_FEATURES), 1),
-        CentroidEntry("satan", CoarseLabel.PROBE, np.full(N_FEATURES, 2.0), 1),
-    ]
+    centroids = CentroidModel(["neptune", "normal", "satan"], np.array([1, 0, 2]),
+                              np.repeat(np.arange(3.0)[:, None], N_FEATURES, axis=1),
+                              np.ones(3, dtype=np.int64))
     pair = np.arange(25)
     entry = pair % 4 - 1
     coarse = np.array([1, 0, 2, 0])[entry]
-    verdicts = Verdicts(pair // 5, pair % 5, entry, entry >= 0, coarse, entries)
+    verdicts = Verdicts(pair // 5, pair % 5, entry, entry >= 0, coarse, centroids)
     rows = cli._verdict_rows(verdicts).splitlines()
     assert rows[0] == "normal,-,false,normal,normal,-"
     assert rows[6] == "normal,normal,true,dos,dos,normal"
@@ -708,12 +705,12 @@ def test_report_renders_saved_tables(workspace, capsys):
 
 def test_report_on_truncated_confusion_csv_errors(tmp_path, capsys):
     path = tmp_path / "confusion_nn.csv"
-    write_confusion_csv(path, confusion([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]))
-    path.write_text("".join(line + "\n" for line in path.read_text().splitlines()[:4]))
+    write_confusion_csv(path, confusion([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]), seed=7)
+    path.write_text("".join(line + "\n" for line in path.read_text().splitlines()[:5]))
     rc = main(["report", "nn", "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == f"error: {path}, line 5: unexpected end of file, expected the row of 'probe'\n"
+    assert err == f"error: {path}, line 6: unexpected end of file, expected the row of 'probe'\n"
 
 
 def test_report_without_artifacts_errors(tmp_path, capsys):

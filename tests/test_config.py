@@ -191,6 +191,9 @@ def test_command_line_overrides_the_file(tmp_path):
         ("sampling.all=5\n", "{path}:1: unknown config key 'sampling.all'"),
         ("nn.hidden=5\n", "{path}:1: unknown config key 'nn.hidden'"),
         ("seed=1\n\nrf.trees 5\n", "{path}:3: expected key=value, got 'rf.trees 5'"),
+        ("taxonomy.guess passwd=r2l\n",
+         "{path}:1: taxonomy.guess passwd: fine label 'guess passwd' is empty or holds whitespace"),
+        ("seed=1\ntaxonomy.=dos\n", "{path}:2: taxonomy.: fine label '' is empty or holds whitespace"),
     ],
 )
 def test_config_file_errors(tmp_path, text, message):

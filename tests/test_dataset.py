@@ -546,8 +546,9 @@ path_text = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789/._- =", min_s
 )
 def test_dataset_file_round_trip_is_bit_exact(tmp_path_factory, X, data):
     n = len(X)
-    fine = data.draw(st.lists(st.text(alphabet="abcdefghijklmnopqrstuvwxyz_.-0123456789", max_size=12),
-                              min_size=n, max_size=n))
+    # load_dataset refuses an empty fine label, as check_fine_label does
+    fine = data.draw(st.lists(st.text(alphabet="abcdefghijklmnopqrstuvwxyz_.-0123456789",
+                                      min_size=1, max_size=12), min_size=n, max_size=n))
     coarse = data.draw(st.lists(st.sampled_from([int(c) for c in CoarseLabel]), min_size=n, max_size=n))
     prov = Provenance(
         source=data.draw(path_text.filter(lambda s: s != "-")),
@@ -640,6 +641,8 @@ def test_load_dataset_truncated_or_bad_head(tmp_path):
     (9, "1e400", "non-finite value '1e400' in column 'hot'"),
     (42, "dso", "unknown coarse class 'dso'"),
     (42, "DOS", "unknown coarse class 'DOS'"),
+    (41, "buffer overflow", "fine label 'buffer overflow' is empty or holds whitespace"),
+    (41, "", "fine label '' is empty or holds whitespace"),
 ])
 def test_load_dataset_bad_row(tmp_path, column, text, match):
     path, lines = _dataset_file(tmp_path)

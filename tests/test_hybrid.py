@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hybrid_ids import centroids as misuse
 from hybrid_ids import neural_net as nn
 from hybrid_ids import random_forest as rf
-from hybrid_ids.centroids import CentroidEntry, CentroidModel
+from hybrid_ids.centroids import CentroidModel
 from hybrid_ids.dataset import (
     CoarseLabel,
     Dataset,
@@ -81,15 +81,12 @@ def _forced_forest(cls: CoarseLabel) -> rf.ForestModel:
 
 
 def _stub_hybrid(nn_vote, rf_vote, normal_at, attack_at) -> HybridModel:
-    entries = [
-        CentroidEntry("neptune", DOS, attack_at, 1),
-        CentroidEntry("normal", NORMAL, normal_at, 1),
-    ]
-    entries.sort(key=lambda e: e.fine_label)
+    centroids = CentroidModel(["neptune", "normal"], np.array([int(DOS), int(NORMAL)]),
+                              np.stack([attack_at, normal_at]), np.ones(2, dtype=np.int64))
     return HybridModel(
         mlp=_forced_mlp(nn_vote),
         forest=_forced_forest(rf_vote),
-        centroids=CentroidModel(entries),
+        centroids=centroids,
         stats=StandardizationStats(np.zeros(N_FEATURES), np.ones(N_FEATURES)),
         taxonomy=Taxonomy.default(),
     )
@@ -231,11 +228,12 @@ def test_verdict_columns_equal_their_rows():
     assert verdicts.rf_votes.tolist() == [int(p.rf_vote) for p in rows]
     assert verdicts.routed.tolist() == [p.routed for p in rows]
     assert verdicts.coarse.tolist() == [int(p.coarse) for p in rows]
-    entries = h.centroids.entries
+    assert verdicts.centroids is h.centroids
     for p, e in zip(rows, verdicts.entry.tolist()):
         assert (e >= 0) == p.routed
         if p.routed:
-            assert (p.fine, p.coarse, p.misuse_vote) == (entries[e].fine_label,) + (entries[e].coarse_label,) * 2
+            coarse = h.centroids.coarse[e]
+            assert (p.fine, p.coarse, p.misuse_vote) == (h.centroids.fine_labels[e], coarse, coarse)
         else:
             assert (p.fine, p.coarse, p.misuse_vote) == (None, NORMAL, None)
     assert verdicts.routed.tolist() == route(verdicts.nn_votes, verdicts.rf_votes).tolist()
