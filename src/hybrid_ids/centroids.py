@@ -190,14 +190,22 @@ def _read_entry(r: LineReader) -> tuple[str, int, int, np.ndarray]:
 def load_centroids(path: str | Path) -> CentroidModel:
     """Read a ``save_centroids`` file. Raises FormatError naming the file and
     line on truncated, garbled or inconsistent content, including an
-    ``entries=`` count that disagrees with the entry lines present."""
+    ``entries=`` count that disagrees with the entry lines present and
+    entries out of fine-label order, which the tie rule of
+    :class:`CentroidModel` needs (equal labels are sub-clusters)."""
     r = LineReader(path)
     r.version("centroids")
     stats_id = r.value("stats_id")
     n_entries = r.number(r.value("entries"), int, "entries")
     if n_entries < 1:
         raise r.error("entries must be >= 1")
-    fine, coarse, support, centroids = zip(*(_read_entry(r) for _ in range(n_entries)))
+    entries = []
+    for _ in range(n_entries):
+        entry = _read_entry(r)
+        if entries and entry[0] < entries[-1][0]:
+            raise r.error(f"fine label '{entry[0]}' sorts before '{entries[-1][0]}' above it")
+        entries.append(entry)
+    fine, coarse, support, centroids = zip(*entries)
     r.end()
     return CentroidModel(list(fine), np.array(coarse, dtype=np.int64), np.stack(centroids),
                          np.array(support, dtype=np.int64), stats_id)

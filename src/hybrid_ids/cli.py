@@ -171,12 +171,16 @@ def _setting(key: str, value: str) -> tuple[str, object, object]:
     return section, convert_rest(rest), convert(value)
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment. A line without '=', an
-    unknown or repeated key, or a value its key rejects (by its converter,
-    or by ``RunConfig.validate`` with that one setting on the defaults) is
-    an error that names the file, line and key."""
-    entries: dict[str, str] = {}
+def parse_config_file(path: str | Path) -> dict[str, dict]:
+    """The settings of flat key=value lines ('#' starts a comment), as
+    section -> field -> converted value. A line without '=', an unknown
+    key, a key whose setting an earlier line filled (the same key or its
+    alias, such as ``sampling.rtl`` after ``sampling.r2l``), or a value its
+    key rejects (by its converter, or by ``RunConfig.validate`` with that
+    one setting on the defaults) is an error that names the file, line and
+    key."""
+    sections: dict[str, dict] = {}
+    keys: dict[tuple[str, object], str] = {}  # (section, field) -> the key that filled it
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -186,8 +190,6 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{where}: expected key=value, got '{raw.strip()}'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in entries:
-                raise ValueError(f"{where}: repeated key '{key}'")
             try:
                 section, name, converted = _setting(key, value)
                 _run_config({section: {name: converted}}).validate()
@@ -195,8 +197,13 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
                 raise ValueError(f"{where}: unknown config key '{key}'") from None
             except ValueError as exc:
                 raise ValueError(f"{where}: {key}: {exc}") from None
-            entries[key] = value
-    return entries
+            if (section, name) in keys:
+                first = keys[section, name]
+                alias = "" if first == key else f", the same setting as '{first}'"
+                raise ValueError(f"{where}: repeated key '{key}'{alias}")
+            keys[section, name] = key
+            sections.setdefault(section, {})[name] = converted
+    return sections
 
 
 def _run_config(sections: dict[str, dict]) -> RunConfig:
@@ -227,11 +234,7 @@ def _run_config(sections: dict[str, dict]) -> RunConfig:
 def build_config(args: argparse.Namespace) -> RunConfig:
     """The defaults, overridden by the config file, overridden by --data,
     --out and --seed; then the seeds derived from the root seed."""
-    sections: dict[str, dict] = {}
-    if getattr(args, "config", None):
-        for key, value in parse_config_file(args.config).items():
-            section, name, converted = _setting(key, value)
-            sections.setdefault(section, {})[name] = converted
+    sections = parse_config_file(args.config) if getattr(args, "config", None) else {}
     run = sections.setdefault("run", {})
     for name in ("data", "out", "seed"):
         if getattr(args, name, None) not in (None, ""):

@@ -154,10 +154,10 @@ class Taxonomy:
 class RawRecord:
     """One parsed KDD connection line.
 
-    ``text`` keeps the 41 feature fields as the line gives them, so that
-    duplicate detection (equality and hashing on ``text`` and the label) is
-    string-exact. ``x`` is their encoded 41-vector in ``ENCODED_COLUMNS``
-    order; ``text`` determines it, so it takes no part in comparisons.
+    ``text`` keeps the 41 feature fields as the line gives them. ``x`` is
+    their encoded 41-vector in ``ENCODED_COLUMNS`` order; ``text``
+    determines it, so it takes no part in comparisons. Deduplication does
+    not go through records: :func:`read_kdd_dataset` keys on the line text.
     """
 
     text: str

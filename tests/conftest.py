@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from hybrid_ids.dataset import CoarseLabel, Dataset, N_FEATURES
+from hybrid_ids.errors import FormatError
 
 # (fine label, coarse class, protocol, service, flag)
 SYNTH_CLASSES = (
@@ -116,6 +117,16 @@ def separable_dataset(n_per_label: int = 40, seed: int = 0, spread: float = 0.3)
         fine_labels.extend([fine] * n_per_label)
         coarse.extend([int(c)] * n_per_label)
     return Dataset(np.vstack(X), fine_labels, coarse)
+
+
+def expect_load_error(load, path: Path, lines: list[str], line_no: int, match: str) -> None:
+    """Write ``lines`` to ``path``: ``load(path)`` must raise a FormatError
+    matching ``match`` that names the file and line ``line_no``."""
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(FormatError, match=match) as info:
+        load(path)
+    assert info.value.line_no == line_no
+    assert str(info.value).startswith(f"{path}, line {line_no}: ")
 
 
 def find_kdd10() -> Path | None:

@@ -19,6 +19,7 @@ from hybrid_ids import dataset as dataset_mod
 from hybrid_ids.centroids import CentroidModel, assign_batch
 from hybrid_ids.dataset import (
     N_FEATURES,
+    CoarseLabel,
     Dataset,
     load_dataset,
     parse_kdd_line,
@@ -94,9 +95,10 @@ def _sha(path: Path) -> str:
 
 
 def test_config_parsing_and_aliases(workspace):
-    entries = parse_config_file(workspace["config"])
-    assert entries["seed"] == "1999"
-    assert "sampling.rtl" in entries
+    sections = parse_config_file(workspace["config"])
+    assert sections["run"]["seed"] == 1999 and sections["run"]["test_fraction"] == 0.30
+    assert sections["sampling"][CoarseLabel.R2L] == workspace["targets"]["r2l"]  # sampling.rtl
+    assert sections["nn"]["hidden1"] == 16 and sections["hybrid"]["clusters_per_label"] == 1
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -118,6 +120,8 @@ def test_config_unknown_key_rejected(tmp_path):
          "{path}:1: sampling.dos: invalid literal for int() with base 10: '1.5'"),
         ("taxonomy.saint=scan\n", "{path}:1: taxonomy.saint: unknown coarse class 'scan'"),
         ("seed=3\n# again\nseed=4\n", "{path}:3: repeated key 'seed'"),
+        ("sampling.r2l=5\nsampling.rtl=7\n",
+         "{path}:2: repeated key 'sampling.rtl', the same setting as 'sampling.r2l'"),
         ("seed=1\nrf.trees=0\n", "{path}:2: rf.trees: n_trees must be >= 1"),
         ("nn.batch_size=0\n", "{path}:1: nn.batch_size: batch_size must be positive"),
         ("data=x.txt\n\nsplit.test_fraction=1.5\n",

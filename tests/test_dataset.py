@@ -22,13 +22,11 @@ from hybrid_ids.dataset import (
     Taxonomy,
     load_dataset,
     load_stats,
-    load_taxonomy,
     parse_kdd_line,
     read_kdd_dataset,
     resample,
     save_dataset,
     save_stats,
-    save_taxonomy,
     standardize_apply,
     standardize_dataset,
     standardize_fit,
@@ -37,7 +35,8 @@ from hybrid_ids.dataset import (
 )
 from hybrid_ids.errors import FormatError, ParseError, UnmappedLabelError
 
-from conftest import separable_dataset
+from conftest import expect_load_error, separable_dataset
+from test_artifacts import saved
 
 # Hand-built line in canonical column order: an http connection with
 # duration 0, 181 bytes out, 5450 bytes back, 8 connections to the same
@@ -464,40 +463,6 @@ def test_stratified_split_fractions():
     assert len(train) == 14 and len(test) == 6
 
 
-def test_dataset_file_round_trip(tmp_path):
-    ds = separable_dataset(n_per_label=6, seed=8)
-    ds.provenance = Provenance(source="synthetic", deduplicated=True)
-    path = tmp_path / "ds.csv"
-    save_dataset(path, ds)
-    first = path.read_text().splitlines()[0]
-    assert first.startswith("# hybrid-ids dataset v1")
-    loaded = load_dataset(path)
-    assert np.array_equal(loaded.X, ds.X)
-    assert list(loaded.fine_labels) == list(ds.fine_labels)
-    assert np.array_equal(loaded.coarse, ds.coarse)
-
-
-def test_stats_file_round_trip(tmp_path):
-    ds = separable_dataset(n_per_label=6, seed=2)
-    stats = standardize_fit(ds)
-    path = tmp_path / "stats.txt"
-    save_stats(path, stats)
-    loaded = load_stats(path)
-    assert np.array_equal(loaded.mean, stats.mean)
-    assert np.array_equal(loaded.stddev, stats.stddev)
-    assert loaded.fingerprint == stats.fingerprint
-
-
-def test_taxonomy_file_round_trip(tmp_path):
-    tax = Taxonomy.default().extended({"saint": CoarseLabel.PROBE})
-    path = tmp_path / "taxonomy.txt"
-    save_taxonomy(path, tax)
-    loaded = load_taxonomy(path)
-    assert loaded.coarse("saint") == CoarseLabel.PROBE
-    assert loaded.coarse("neptune") == CoarseLabel.DOS
-    assert dict(loaded.items()) == dict(tax.items())
-
-
 def test_standardize_dataset_wrapper():
     ds = separable_dataset(n_per_label=5, seed=6)
     stats = standardize_fit(ds)
@@ -507,8 +472,6 @@ def test_standardize_dataset_wrapper():
 
 
 def test_version_mismatch_rejected(tmp_path):
-    from hybrid_ids.errors import FormatError
-
     ds = separable_dataset(n_per_label=4, seed=7)
     path = tmp_path / "ds.csv"
     save_dataset(path, ds)
@@ -526,8 +489,8 @@ def test_version_mismatch_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Processed-dataset files: bit-exact round trip, and a FormatError naming
-# file and line on every damaged file.
+# Processed-dataset files: the bit-exact round trip of any rows, and the
+# damage only a dataset file can have; test_artifacts.py holds the rest.
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1.5e-7, 1e16,
                123456789012345680.0, 1.7976931348623157e308)
@@ -594,39 +557,10 @@ def test_load_dataset_repeated_rows_match_a_per_row_float_oracle(tmp_path_factor
     assert loaded.coarse.tolist() == [COARSE_NAMES.index(name) for name in labels]
 
 
-def _dataset_file(tmp_path, n_per_label=1):
-    ds = separable_dataset(n_per_label=n_per_label, seed=12)
-    ds.provenance = Provenance(source="corpus.txt", deduplicated=True, sampling="normal:3")
-    path = tmp_path / "ds.csv"
-    save_dataset(path, ds)
-    return path, path.read_text().splitlines()
-
-
-def _expect_load_error(load, path, lines, line_no, match):
-    path.write_text("".join(line + "\n" for line in lines))
-    with pytest.raises(FormatError, match=match) as info:
-        load(path)
-    assert info.value.line_no == line_no
-    assert str(info.value).startswith(f"{path}, line {line_no}: ")
-
-
 def _with_field(line: str, index: int, text: str) -> str:
     fields = line.split(",")
     fields[index] = text
     return ",".join(fields)
-
-
-def test_load_dataset_truncated_or_bad_head(tmp_path):
-    path, lines = _dataset_file(tmp_path)
-    for keep in (0, 1, 2):
-        _expect_load_error(load_dataset, path, lines[:keep], keep + 1, "unexpected end of file")
-    _expect_load_error(load_dataset, path, ["# hybrid-ids stats v1"] + lines[1:], 1,
-                       "expected format line")
-    _expect_load_error(load_dataset, path, lines[:1] + lines[2:], 2, "expected '# provenance: ")
-    _expect_load_error(load_dataset, path, lines[:2] + lines[3:], 3, "unexpected dataset header")
-    wrong = lines[2].replace("duration", "length")
-    _expect_load_error(load_dataset, path, lines[:2] + [wrong] + lines[3:], 3,
-                       "unexpected dataset header")
 
 
 @pytest.mark.parametrize("column, text, match", [
@@ -645,11 +579,11 @@ def test_load_dataset_truncated_or_bad_head(tmp_path):
     (41, "", "fine label '' is empty or holds whitespace"),
 ])
 def test_load_dataset_bad_row(tmp_path, column, text, match):
-    path, lines = _dataset_file(tmp_path)
+    path, lines = saved("dataset", tmp_path)
     k = len(lines) - 2  # a late row, after a blank line
     bad = lines[k].rsplit(",", 1)[0] if column is None else _with_field(lines[k], column, text)
     damaged = lines[:4] + [""] + lines[4:k] + [bad] + lines[k + 1:]
-    _expect_load_error(load_dataset, path, damaged, k + 2, match)
+    expect_load_error(load_dataset, path, damaged, k + 2, match)
 
 
 @pytest.mark.parametrize("column, text, match", [
@@ -659,114 +593,15 @@ def test_load_dataset_bad_row(tmp_path, column, text, match):
 def test_load_dataset_bad_row_after_copies_names_its_line(tmp_path, column, text, match):
     """The bad row shares its feature text with the copies before it (the
     class case) or repeats later; the error names its own line."""
-    path, lines = _dataset_file(tmp_path)
+    path, lines = saved("dataset", tmp_path)
     good = lines[5]
     bad = _with_field(good, column, text)
     damaged = lines[:3] + [good] * 3 + [bad] + [good, bad] + lines[3:]
-    _expect_load_error(load_dataset, path, damaged, 7, match)
+    expect_load_error(load_dataset, path, damaged, 7, match)
 
 
 def test_load_dataset_one_token_row(tmp_path):
-    path, lines = _dataset_file(tmp_path)
-    _expect_load_error(load_dataset, path, lines[:4] + ["x"] + lines[4:], 5, "expected 43 fields, got 1")
-    _expect_load_error(load_dataset, path, lines + [",normal,normal"], len(lines) + 1,
-                       "expected 43 fields, got 3")
-
-
-def test_load_dataset_tolerates_blank_lines(tmp_path):
-    path, lines = _dataset_file(tmp_path)
-    expected = load_dataset(path)
-    path.write_text("\n".join(lines[:4] + ["", "  "] + lines[4:]) + "\n\n")
-    loaded = load_dataset(path)
-    assert np.array_equal(loaded.X, expected.X)
-    assert list(loaded.fine_labels) == list(expected.fine_labels)
-
-
-_GARBLE_TOKENS = st.sampled_from(
-    ["", "x", "nan", "inf", "-inf", "1e400", "1_000", "-0.0", "5e-324", "1e-5", "dos",
-     "normal", "rtl", ",", "1,2", " ", "\t", "# hybrid-ids dataset v1", "0x1p3", "+.5"]
-)
-
-
-@settings(deadline=None, max_examples=200)
-@given(data=st.data())
-def test_load_dataset_garbled_raises_only_format_error(tmp_path_factory, data):
-    path, lines = _dataset_file(tmp_path_factory.mktemp("garble"))
-    for _ in range(data.draw(st.integers(1, 3))):
-        i = data.draw(st.integers(0, len(lines) - 1))
-        op = data.draw(st.sampled_from(["delete", "duplicate", "replace", "field", "cut", "swap"]))
-        if op == "delete":
-            del lines[i]
-        elif op == "duplicate":
-            lines.insert(i, lines[i])
-        elif op == "replace":
-            lines[i] = data.draw(_GARBLE_TOKENS)
-        elif op == "field":
-            fields = lines[i].split(",")
-            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(_GARBLE_TOKENS)
-            lines[i] = ",".join(fields)
-        elif op == "cut":
-            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
-            del lines[i + 1:]
-        else:
-            j = data.draw(st.integers(0, len(lines) - 1))
-            lines[i], lines[j] = lines[j], lines[i]
-        if not lines:
-            break
-    path.write_text("\n".join(lines) + "\n")
-    try:
-        ds = load_dataset(path)
-    except FormatError as exc:
-        assert str(exc).startswith(f"{path}, line {exc.line_no}: ")
-        return
-    # the edits left a well-formed file: every row made it in, finite
-    assert ds.X.shape == (len(ds.fine_labels), N_FEATURES) == (len(ds.coarse), N_FEATURES)
-    assert np.isfinite(ds.X).all()
-
-
-def _stats_file(tmp_path):
-    path = tmp_path / "stats.txt"
-    save_stats(path, standardize_fit(separable_dataset(n_per_label=3, seed=13)))
-    return path, path.read_text().splitlines()
-
-
-def test_load_stats_truncated(tmp_path):
-    path, lines = _stats_file(tmp_path)
-    for keep in range(len(lines)):
-        _expect_load_error(load_stats, path, lines[:keep], keep + 1, "unexpected end of file")
-
-
-@pytest.mark.parametrize("index, edit, match", [
-    (1, lambda line: "fingerprint", "expected 'id='"),
-    (2, lambda line: line.replace("mean", "average", 1), "expected 'mean <values>', got 'average'"),
-    (3, lambda line: line.replace("stddev", "mean", 1), "expected 'stddev <values>', got 'mean'"),
-    (2, lambda line: line.rsplit(" ", 1)[0], "expected 41 mean values, got 40"),
-    (3, lambda line: line + " 1.0", "expected 41 stddev values, got 42"),
-    (2, lambda line: "mean", "expected 41 mean values, got 0"),
-    (3, lambda line: line.replace(" ", " x ", 1), "stddev 'x' is not a valid float"),
-    (2, lambda line: line.replace(" ", " nan ", 1).rsplit(" ", 1)[0], "non-finite mean value"),
-])
-def test_load_stats_garbled(tmp_path, index, edit, match):
-    path, lines = _stats_file(tmp_path)
-    lines[index] = edit(lines[index])
-    _expect_load_error(load_stats, path, lines, index + 1, match)
-
-
-def test_load_stats_trailing_content(tmp_path):
-    path, lines = _stats_file(tmp_path)
-    _expect_load_error(load_stats, path, lines + ["", lines[3]], 6, "unexpected content after the end")
-
-
-@pytest.mark.parametrize("line, match", [
-    ("neptune", "expected '<fine label> <coarse class>', got 'neptune'"),
-    ("neptune dos extra", "expected '<fine label> <coarse class>', got 'neptune dos extra'"),
-    ("neptune dso", "unknown coarse class 'dso'"),
-    ("back dos", "fine label 'back' is mapped twice"),
-])
-def test_load_taxonomy_garbled(tmp_path, line, match):
-    path = tmp_path / "taxonomy.txt"
-    save_taxonomy(path, Taxonomy.default())
-    lines = path.read_text().splitlines()
-    _expect_load_error(load_taxonomy, path, lines[:3] + [line] + lines[3:], 4, match)
-    _expect_load_error(load_taxonomy, path, ["hybrid-ids taxonomy v2"] + lines[1:], 1,
-                       "expected format line")
+    path, lines = saved("dataset", tmp_path)
+    expect_load_error(load_dataset, path, lines[:4] + ["x"] + lines[4:], 5, "expected 43 fields, got 1")
+    expect_load_error(load_dataset, path, lines + [",normal,normal"], len(lines) + 1,
+                      "expected 43 fields, got 3")

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from hybrid_ids.dataset import COARSE_NAMES, CoarseLabel
-from hybrid_ids.errors import FormatError
 from hybrid_ids.evaluation import (
     ConfusionMatrix,
     confusion,
     format_report,
-    load_confusion_csv,
     overall_accuracy,
     per_class_metrics,
     write_confusion_csv,
@@ -200,50 +198,11 @@ def test_format_report_layout():
     assert "100.000" in text  # three-decimal rendering
 
 
-def test_csv_outputs_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    truths = [CoarseLabel(int(v)) for v in rng.integers(0, 5, size=60)]
-    preds = [CoarseLabel(int(v)) for v in rng.integers(0, 5, size=60)]
-    m = confusion(preds, truths)
-    confusion_path = tmp_path / "confusion.csv"
-    metrics_path = tmp_path / "metrics.csv"
-    write_confusion_csv(confusion_path, m, seed=7)
-    write_metrics_csv(metrics_path, m, seed=7)
-    assert confusion_path.read_text().startswith("# hybrid-ids confusion v1")
-    assert metrics_path.read_text().startswith("# hybrid-ids metrics v1")
-    assert "# seed=7" in confusion_path.read_text()
-    loaded = load_confusion_csv(confusion_path)
-    assert loaded.classes == m.classes
-    assert np.array_equal(loaded.counts, m.counts)
-    header = metrics_path.read_text().splitlines()[2]
-    assert header == "class,precision,recall,accuracy,flags"
-
-
-def _set(i, text):
-    return lambda lines: lines[:i] + [text] + lines[i + 1:]
-
-
-@pytest.mark.parametrize("edit, line_no, match", [
-    (lambda lines: lines[:5], 6, "unexpected end of file, expected the row of 'probe'"),
-    (lambda lines: lines[:2], 3, "unexpected end of file, expected the header"),
-    (_set(0, "# hybrid-ids metrics v1"), 1, "expected format line 'hybrid-ids confusion v1'"),
-    (_set(2, "truth,normal,dos,probe,r2l,u2r"), 3, "expected 'truth\\\\pred'"),
-    (_set(2, "truth\\pred,normal,dos,dos,r2l,u2r"), 3, "distinct class names"),
-    (_set(2, "truth\\pred"), 3, "distinct class names"),
-    (_set(3, "dos,1,0,0,0,0"), 4, "expected 'normal' and 5 counts"),
-    (_set(4, "dos,0,x,0,0,0"), 5, "count 'x' is not a valid int"),
-    (_set(5, "probe,0,0,1"), 6, "expected 'probe' and 5 counts, got 'probe,0,0,1'"),
-    (_set(6, "r2l,0,0,0,-1,0"), 7, "counts must be non-negative 64-bit integers"),
-    (_set(7, "u2r,0,0,0,0,99999999999999999999"), 8, "counts must be non-negative"),
-    (lambda lines: lines + ["normal,1,0,0,0,0"], 9, "unexpected content after the end"),
-])
-def test_load_confusion_csv_rejects_damage(tmp_path, edit, line_no, match):
-    path = tmp_path / "confusion.csv"
-    write_confusion_csv(path, confusion([0, 1, 2, 3, 4, 1], [0, 1, 2, 3, 4, 2]), seed=7)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 8  # format line, seed, header, five rows
-    path.write_text("".join(line + "\n" for line in edit(lines)))
-    with pytest.raises(FormatError, match=match) as info:
-        load_confusion_csv(path)
-    assert info.value.line_no == line_no
-    assert str(info.value).startswith(f"{path}, line {line_no}: ")
+def test_csv_output_headers(tmp_path):
+    m = confusion([0, 1, 2, 3, 4, 1], [0, 1, 2, 3, 4, 2])
+    write_confusion_csv(tmp_path / "confusion.csv", m, seed=7)
+    write_metrics_csv(tmp_path / "metrics.csv", m, seed=7)
+    assert (tmp_path / "confusion.csv").read_text().splitlines()[:3] == [
+        "# hybrid-ids confusion v1", "# seed=7", "truth\\pred,normal,dos,probe,r2l,u2r"]
+    assert (tmp_path / "metrics.csv").read_text().splitlines()[:3] == [
+        "# hybrid-ids metrics v1", "# seed=7", "class,precision,recall,accuracy,flags"]

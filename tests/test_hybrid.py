@@ -32,11 +32,10 @@ from hybrid_ids.hybrid import (
     save_hybrid,
     train_all,
 )
-from hybrid_ids.errors import FormatError
 from hybrid_ids.neural_net import TrainConfig
 from hybrid_ids.random_forest import ForestConfig
 
-from conftest import make_kdd_line, separable_dataset
+from conftest import expect_load_error, make_kdd_line, separable_dataset
 
 NORMAL, DOS, PROBE = CoarseLabel.NORMAL, CoarseLabel.DOS, CoarseLabel.PROBE
 
@@ -370,8 +369,4 @@ def test_hybrid_manifest_malformed(tmp_path, edit, line_no, match):
     # the manifest is checked before any model file is opened
     lines = ["hybrid-ids hybrid v1"] + [f"{key}={name}" for key, name in MANIFEST_FILES.items()]
     manifest = tmp_path / "hybrid.manifest"
-    manifest.write_text("".join(line + "\n" for line in edit(lines)))
-    with pytest.raises(FormatError, match=match) as info:
-        load_hybrid(manifest)
-    assert info.value.line_no == line_no
-    assert str(info.value).startswith(f"{manifest}, line {line_no}: ")
+    expect_load_error(load_hybrid, manifest, edit(lines), line_no, match)

@@ -25,7 +25,8 @@ from hybrid_ids.random_forest import (
     train_forest,
 )
 
-from conftest import make_kdd_lines, separable_dataset
+from conftest import expect_load_error, make_kdd_lines, separable_dataset
+from test_artifacts import saved
 
 
 def leaf(counts) -> tuple:
@@ -392,119 +393,56 @@ def test_overflowing_midpoint_splits_at_lower_value(tmp_path, pair):
 
 
 # ---------------------------------------------------------------------------
-# load_forest on damaged files: always a FormatError naming file and line.
-
-def _forest_file(tmp_path, n_trees=3):
-    ds = separable_dataset(n_per_label=6, seed=17)
-    model = train_forest(ds, ForestConfig(n_trees=n_trees, seed=4))
-    path = tmp_path / "forest.model"
-    save_forest(path, model)
-    return path, path.read_text().splitlines()
-
+# Damage only a forest file can have; test_artifacts.py holds the rest.
 
 def _tree_headers(lines):
     return [i for i, line in enumerate(lines) if line.startswith("tree ")]
 
 
-def _expect_format_error(path, lines, line_no, match):
-    path.write_text("".join(line + "\n" for line in lines))
-    with pytest.raises(FormatError, match=match) as info:
-        load_forest(path)
-    assert info.value.line_no == line_no
-    assert str(info.value).startswith(f"{path}, line {line_no}: ")
-
-
-def test_load_forest_truncated(tmp_path):
-    path, lines = _forest_file(tmp_path)
-    for keep in (0, 3, 6, len(lines) // 2, len(lines) - 1):
-        _expect_format_error(path, lines[:keep], keep + 1, "unexpected end of file")
-
-
-@pytest.mark.parametrize("index, text, match", [
-    (1, "stats_id", "expected 'stats_id='"),
-    (2, "n_trees=three", "n_trees 'three' is not a valid int"),
-    (2, "trees=3", "expected 'n_trees='"),
-    (3, "n_features=", "n_features '' is not a valid int"),
-    (4, "active_features=1,x", "active feature 'x'"),
-    (4, "active_features=1,41", "active feature out of"),
-    (5, "importances 0.5", "expected 41 importances, got 1"),
-    (5, "weights 0.5", "expected 'importances"),
-])
-def test_load_forest_garbled_header(tmp_path, index, text, match):
-    path, lines = _forest_file(tmp_path)
-    lines[index] = text
-    _expect_format_error(path, lines, index + 1, match)
-
-
-def test_load_forest_missing_header_line(tmp_path):
-    path, lines = _forest_file(tmp_path)
-    del lines[2]  # n_trees=
-    _expect_format_error(path, lines, 3, "expected 'n_trees='")
-
-
-@pytest.mark.parametrize("node, match", [
-    ("X 3 0.5", "bad tree node"),
-    ("", "bad tree node"),
-    ("L 1 2 3", "bad tree node"),
-    ("L 1 x 0 0 0", "leaf counts must be non-negative integers"),
-    ("L 1.5 0 0 0 0", "leaf counts must be non-negative integers"),
-    ("L 1 -2 0 0 0", "leaf counts must be non-negative integers"),
-    ("L 99999999999999999999 0 0 0 0", "leaf counts must be non-negative integers"),
-    ("I 41 0.5", "bad split"),
-    ("I two 0.5", "bad split"),
-    ("I 3 nan", "bad split"),
-])
-def test_load_forest_bad_node(tmp_path, node, match):
-    path, lines = _forest_file(tmp_path)
-    last_leaf = max(i for i, line in enumerate(lines) if line.startswith("L "))
-    lines[last_leaf] = node
-    _expect_format_error(path, lines, last_leaf + 1, match)
-
-
 def test_load_forest_node_count_past_end_of_file(tmp_path):
-    path, lines = _forest_file(tmp_path)
+    path, lines = saved("forest", tmp_path)
     last = _tree_headers(lines)[-1]
     _, t, n = lines[last].split()
     lines[last] = f"tree {t} {int(n) + 2}"
-    _expect_format_error(path, lines, len(lines) + 1, f"tree {t} declares")
+    expect_load_error(load_forest, path, lines, len(lines) + 1, f"tree {t} declares")
 
 
 def test_load_forest_node_count_does_not_close_tree(tmp_path):
-    path, lines = _forest_file(tmp_path)
+    path, lines = saved("forest", tmp_path)
     first, second = _tree_headers(lines)[:2]
     n = int(lines[first].split()[2])
     short = list(lines)
     short[first] = f"tree 0 {n - 1}"
-    _expect_format_error(path, short, second - 1, "tree 0 is incomplete")
+    expect_load_error(load_forest, path, short, second - 1, "tree 0 is incomplete")
     long = list(lines)
     long[first] = f"tree 0 {n + 1}"
-    _expect_format_error(path, long, second + 1, "bad tree node 'tree 1 ")
+    expect_load_error(load_forest, path, long, second + 1, "bad tree node 'tree 1 ")
     last = _tree_headers(lines)[-1]
     m = int(lines[last].split()[2])
     extra = lines + ["L 1 0 0 0 0"]
     extra[last] = f"tree 2 {m + 1}"
-    _expect_format_error(path, extra, len(extra), f"tree 2 is complete after {m} of its {m + 1}")
+    expect_load_error(load_forest, path, extra, len(extra), f"tree 2 is complete after {m} of its {m + 1}")
     for header, match in (("tree 0", "expected 'tree 0 <nodes>'"),
                           ("tree 1 5", "expected 'tree 0 <nodes>'"),
                           ("tree 0 x", "node count 'x'"),
                           ("tree 0 0", "tree 0 has no nodes")):
         bad = list(lines)
         bad[first] = header
-        _expect_format_error(path, bad, first + 1, match)
+        expect_load_error(load_forest, path, bad, first + 1, match)
 
 
 def test_load_forest_n_trees_disagrees_with_trees(tmp_path):
-    path, lines = _forest_file(tmp_path, n_trees=3)
+    path, lines = saved("forest", tmp_path)
     headers = _tree_headers(lines)
     fewer = list(lines)
     fewer[2] = "n_trees=2"
-    _expect_format_error(path, fewer, headers[2] + 1, "unexpected content after the end")
+    expect_load_error(load_forest, path, fewer, headers[2] + 1, "unexpected content after the end")
     more = list(lines)
     more[2] = "n_trees=4"
-    _expect_format_error(path, more, len(lines) + 1, "expected 'tree 3 <nodes>'")
+    expect_load_error(load_forest, path, more, len(lines) + 1, "expected 'tree 3 <nodes>'")
     none = list(lines)
     none[2] = "n_trees=0"
-    _expect_format_error(path, none, 3, "n_trees must be >= 1")
+    expect_load_error(load_forest, path, none, 3, "n_trees must be >= 1")
 
 
 def test_load_forest_not_text(tmp_path):
@@ -512,58 +450,6 @@ def test_load_forest_not_text(tmp_path):
     path.write_bytes(b"hybrid-ids forest v1\n\xff\xfe\x00")
     with pytest.raises(FormatError, match=str(path)):
         load_forest(path)
-
-
-def test_load_forest_tolerates_trailing_blank_lines(tmp_path):
-    path, lines = _forest_file(tmp_path)
-    path.write_text("\n".join(lines) + "\n\n  \n")
-    assert len(load_forest(path).starts) == 3
-
-
-_GARBLE_TEXT = st.sampled_from(
-    ["", "L", "I", "tree", "0", "-1", "1.5", "nan", "x", "=", "L 1 0 0 0 0", "I 0 0.5",
-     "tree 0 1", "n_trees=2", "1e400", "99999999999999999999", " "]
-)
-
-
-@settings(deadline=None, max_examples=200)
-@given(data=st.data())
-def test_load_forest_garbled_raises_only_format_error(tmp_path_factory, data):
-    path, lines = _forest_file(tmp_path_factory.mktemp("garble"), n_trees=2)
-    lines = list(lines)
-    for _ in range(data.draw(st.integers(1, 3))):
-        i = data.draw(st.integers(0, len(lines) - 1))
-        op = data.draw(st.sampled_from(["delete", "duplicate", "replace", "token", "cut", "swap"]))
-        if op == "delete":
-            del lines[i]
-        elif op == "duplicate":
-            lines.insert(i, lines[i])
-        elif op == "replace":
-            lines[i] = data.draw(_GARBLE_TEXT)
-        elif op == "token":
-            parts = lines[i].split(" ")
-            j = data.draw(st.integers(0, len(parts) - 1))
-            parts[j] = data.draw(_GARBLE_TEXT)
-            lines[i] = " ".join(parts)
-        elif op == "cut":
-            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
-            del lines[i + 1:]
-        else:
-            j = data.draw(st.integers(0, len(lines) - 1))
-            lines[i], lines[j] = lines[j], lines[i]
-        if not lines:
-            break
-    path.write_text("\n".join(lines) + "\n")
-    try:
-        model = load_forest(path)
-    except FormatError as exc:
-        assert str(exc).startswith(f"{path}, line {exc.line_no}: ")
-        return
-    # the edits left a well-formed forest: it must be usable as loaded
-    assert len(model.starts) == sum(line.startswith("tree ") for line in lines)
-    n_nodes = len(model.feature)
-    assert len(model.threshold) == len(model.right) == len(model.counts) == n_nodes
-    predict_batch(model, np.zeros((3, model.n_features)))
 
 
 @pytest.mark.parametrize("depth", [0, -2])
