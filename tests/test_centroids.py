@@ -1,6 +1,6 @@
 """Nearest-centroid misuse classifier: fit/assign oracles, evaluation,
-alarm verification, sub-clustering. The file format is tested in
-test_artifacts.py."""
+alarm verification, sub-clustering, damaged model files. The rest of the
+file format is tested in test_artifacts.py."""
 
 from __future__ import annotations
 
@@ -13,11 +13,13 @@ from hybrid_ids.centroids import (
     assign_batch,
     evaluate_misuse,
     fit,
+    load_centroids,
     signature_collisions,
 )
 from hybrid_ids.dataset import CoarseLabel, Dataset, N_FEATURES, standardize_apply, standardize_dataset, standardize_fit
 
-from conftest import separable_dataset
+from conftest import expect_load_error, separable_dataset
+from test_artifacts import saved
 
 
 def tiny_dataset(rows: list[tuple[str, int, np.ndarray]]) -> Dataset:
@@ -232,3 +234,35 @@ def test_sub_clustering_deterministic():
     b = fit(ds, clusters_per_label=3, seed=1)
     assert a.fine_labels == b.fine_labels
     assert np.array_equal(a.centroids, b.centroids)
+
+
+@pytest.mark.parametrize("index, edit, match", [
+    (0, lambda line: "hybrid-ids centroids v2", "expected format line"),
+    (1, lambda line: "stats=0123456789ab", "expected 'stats_id='"),
+    (2, lambda line: "entries=x", "entries 'x' is not a valid int"),
+    (2, lambda line: "entries=0", "entries must be >= 1"),
+    (2, lambda line: "count=6", "expected 'entries='"),
+    (3, lambda line: line.replace("entry", "entree", 1), "expected 'entry <fine label>"),
+    (3, lambda line: "entry normal normal", "expected 'entry <fine label>"),
+    (3, lambda line: "", "expected 'entry <fine label>"),
+    (4, lambda line: _token(line, 2, "dso"), "unknown coarse class 'dso'"),
+    (5, lambda line: _token(line, 3, "x"), "support 'x' is not a valid int"),
+    (6, lambda line: _token(line, 3, "-1"), "negative support -1"),
+    (6, lambda line: _token(line, 3, str(2**63)), f"support {2**63} does not fit in 64 bits"),
+    (7, lambda line: line.rsplit(" ", 1)[0], "expected 41 centroid values, got 40"),
+    (8, lambda line: line + " 0.5", "expected 41 centroid values, got 42"),
+    (3, lambda line: _token(line, 4, "nan"), "non-finite centroid value"),
+    (4, lambda line: _token(line, 9, "-inf"), "non-finite centroid value"),
+    (5, lambda line: _token(line, 6, "x"), "centroid 'x' is not a valid float"),
+])
+def test_load_centroids_garbled(tmp_path, index, edit, match):
+    """One line of the artifact sample edited: the error names that line."""
+    path, lines = saved("centroids", tmp_path)
+    lines[index] = edit(lines[index])
+    expect_load_error(load_centroids, path, lines, index + 1, match)
+
+
+def _token(line: str, k: int, text: str) -> str:
+    parts = line.split(" ")
+    parts[k] = text
+    return " ".join(parts)

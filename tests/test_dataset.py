@@ -22,6 +22,7 @@ from hybrid_ids.dataset import (
     Taxonomy,
     load_dataset,
     load_stats,
+    load_taxonomy,
     parse_kdd_line,
     read_kdd_dataset,
     resample,
@@ -605,3 +606,35 @@ def test_load_dataset_one_token_row(tmp_path):
     expect_load_error(load_dataset, path, lines[:4] + ["x"] + lines[4:], 5, "expected 43 fields, got 1")
     expect_load_error(load_dataset, path, lines + [",normal,normal"], len(lines) + 1,
                       "expected 43 fields, got 3")
+
+
+# ---------------------------------------------------------------------------
+# Damaged stats and taxonomy files; test_artifacts.py holds the rest.
+
+@pytest.mark.parametrize("index, edit, match", [
+    (1, lambda line: "fingerprint", "expected 'id='"),
+    (2, lambda line: line.replace("mean", "average", 1), "expected 'mean <values>', got 'average'"),
+    (3, lambda line: line.replace("stddev", "mean", 1), "expected 'stddev <values>', got 'mean'"),
+    (2, lambda line: line.rsplit(" ", 1)[0], "expected 41 mean values, got 40"),
+    (3, lambda line: line + " 1.0", "expected 41 stddev values, got 42"),
+    (2, lambda line: "mean", "expected 41 mean values, got 0"),
+    (3, lambda line: line.replace(" ", " x ", 1), "stddev 'x' is not a valid float"),
+    (2, lambda line: line.replace(" ", " nan ", 1).rsplit(" ", 1)[0], "non-finite mean value"),
+])
+def test_load_stats_garbled(tmp_path, index, edit, match):
+    path, lines = saved("stats", tmp_path)
+    lines[index] = edit(lines[index])
+    expect_load_error(load_stats, path, lines, index + 1, match)
+
+
+@pytest.mark.parametrize("line, match", [
+    ("neptune", "expected '<fine label> <coarse class>', got 'neptune'"),
+    ("neptune dos extra", "expected '<fine label> <coarse class>', got 'neptune dos extra'"),
+    ("neptune dso", "unknown coarse class 'dso'"),
+    ("back dos", "fine label 'back' is mapped twice"),
+])
+def test_load_taxonomy_garbled(tmp_path, line, match):
+    path, lines = saved("taxonomy", tmp_path)
+    expect_load_error(load_taxonomy, path, lines[:3] + [line] + lines[3:], 4, match)
+    expect_load_error(load_taxonomy, path, ["hybrid-ids taxonomy v2"] + lines[1:], 1,
+                      "expected format line")

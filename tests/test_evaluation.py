@@ -10,11 +10,15 @@ from hybrid_ids.evaluation import (
     ConfusionMatrix,
     confusion,
     format_report,
+    load_confusion_csv,
     overall_accuracy,
     per_class_metrics,
     write_confusion_csv,
     write_metrics_csv,
 )
+
+from conftest import expect_load_error
+from test_artifacts import saved
 
 
 def test_perfect_predictions_are_diagonal():
@@ -206,3 +210,27 @@ def test_csv_output_headers(tmp_path):
         "# hybrid-ids confusion v1", "# seed=7", "truth\\pred,normal,dos,probe,r2l,u2r"]
     assert (tmp_path / "metrics.csv").read_text().splitlines()[:3] == [
         "# hybrid-ids metrics v1", "# seed=7", "class,precision,recall,accuracy,flags"]
+
+
+def _set(i, text):
+    return lambda lines: lines[:i] + [text] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("edit, line_no, match", [
+    (lambda lines: lines[:5], 6, "unexpected end of file, expected the row of 'probe'"),
+    (lambda lines: lines[:2], 3, "unexpected end of file, expected the header"),
+    (_set(0, "# hybrid-ids metrics v1"), 1, "expected format line 'hybrid-ids confusion v1'"),
+    (_set(2, "truth,normal,dos,probe,r2l,u2r"), 3, "expected 'truth\\\\pred'"),
+    (_set(2, "truth\\pred,normal,dos,dos,r2l,u2r"), 3, "distinct class names"),
+    (_set(2, "truth\\pred"), 3, "distinct class names"),
+    (_set(3, "dos,1,0,0,0,0"), 4, "expected 'normal' and 5 counts"),
+    (_set(4, "dos,0,x,0,0,0"), 5, "count 'x' is not a valid int"),
+    (_set(5, "probe,0,0,1"), 6, "expected 'probe' and 5 counts, got 'probe,0,0,1'"),
+    (_set(6, "r2l,0,0,0,-1,0"), 7, "counts must be non-negative 64-bit integers"),
+    (_set(7, "u2r,0,0,0,0,99999999999999999999"), 8, "counts must be non-negative"),
+    (lambda lines: lines + ["normal,1,0,0,0,0"], 9, "unexpected content after the end"),
+])
+def test_load_confusion_csv_rejects_damage(tmp_path, edit, line_no, match):
+    path, lines = saved("confusion", tmp_path)
+    assert len(lines) == 8  # format line, seed, header, five rows
+    expect_load_error(load_confusion_csv, path, edit(lines), line_no, match)

@@ -1,6 +1,6 @@
 """Feedforward classifier: shapes, forward math, gradients vs finite
-differences, training behavior. The file format is tested in
-test_artifacts.py."""
+differences, training behavior, damaged model files. The rest of the file
+format is tested in test_artifacts.py."""
 
 from __future__ import annotations
 
@@ -16,12 +16,13 @@ from hybrid_ids.neural_net import (
     cross_validate,
     forward,
     init_model,
+    load_mlp,
     loss_and_gradient,
     predict_batch,
     train,
 )
 
-from conftest import separable_dataset
+from conftest import expect_load_error, separable_dataset
 from test_artifacts import saved
 
 
@@ -266,3 +267,28 @@ def test_save_mlp_writes_the_fixed_activations_line(tmp_path):
     assert lines[:4] == ["hybrid-ids mlp v1", "stats_id=abc123def456",
                          "dims=41,3,2,5", "activations=relu,relu,softmax"]
     assert [line.split()[0] for line in lines[4:]] == ["W0", "b0", "W1", "b1", "W2", "b2"]
+
+
+@pytest.mark.parametrize("index, edit, match", [
+    (0, lambda line: "hybrid-ids mlp v2", "expected format line"),
+    (1, lambda line: "stats=abc", "expected 'stats_id='"),
+    (2, lambda line: "dims=41,3,2", "expected dims="),
+    (2, lambda line: "dims=41,3,2,5,5", "expected dims="),
+    (2, lambda line: "dims=41,0,2,5", "expected dims="),
+    (2, lambda line: "dims=41,3,2,4", "expected dims="),
+    (2, lambda line: "dims=41,3,x,5", "dimension 'x' is not a valid int"),
+    (3, lambda line: "activations=sigmoid,sigmoid,softmax", "expected activations=relu,relu,softmax"),
+    (3, lambda line: "activation=relu,relu,softmax", "expected 'activations='"),
+    (4, lambda line: line.replace("W0", "W1", 1), "expected 'W0 <values>', got 'W1'"),
+    (5, lambda line: line.rsplit(" ", 1)[0], "expected 3 b0 values, got 2"),
+    (6, lambda line: line + " 0.5", "expected 6 W1 values, got 7"),
+    (7, lambda line: "b1", "expected 2 b1 values, got 0"),
+    (8, lambda line: line.replace(" ", " nan ", 1).rsplit(" ", 1)[0], "non-finite W2 value"),
+    (9, lambda line: line.replace(" ", " 1e400 ", 1).rsplit(" ", 1)[0], "non-finite b2 value"),
+    (9, lambda line: line.replace(" ", " x ", 1), "b2 'x' is not a valid float"),
+])
+def test_load_mlp_garbled(tmp_path, index, edit, match):
+    """One line of the artifact sample edited: the error names that line."""
+    path, lines = saved("mlp", tmp_path)
+    lines[index] = edit(lines[index])
+    expect_load_error(load_mlp, path, lines, index + 1, match)

@@ -393,7 +393,43 @@ def test_overflowing_midpoint_splits_at_lower_value(tmp_path, pair):
 
 
 # ---------------------------------------------------------------------------
-# Damage only a forest file can have; test_artifacts.py holds the rest.
+# Damaged forest files; test_artifacts.py holds the rest of the file format.
+
+@pytest.mark.parametrize("index, text, match", [
+    (1, "stats_id", "expected 'stats_id='"),
+    (2, "n_trees=three", "n_trees 'three' is not a valid int"),
+    (2, "trees=3", "expected 'n_trees='"),
+    (3, "n_features=", "n_features '' is not a valid int"),
+    (4, "active_features=1,x", "active feature 'x'"),
+    (4, "active_features=1,41", "active feature out of"),
+    (4, "active_features=1,99999999999999999999", "active feature out of"),
+    (5, "importances 0.5", "expected 41 importances, got 1"),
+    (5, "weights 0.5", "expected 'importances"),
+])
+def test_load_forest_garbled_header(tmp_path, index, text, match):
+    path, lines = saved("forest", tmp_path)
+    lines[index] = text
+    expect_load_error(load_forest, path, lines, index + 1, match)
+
+
+@pytest.mark.parametrize("node, match", [
+    ("X 3 0.5", "bad tree node"),
+    ("", "bad tree node"),
+    ("L 1 2 3", "bad tree node"),
+    ("L 1 x 0 0 0", "leaf counts must be non-negative integers"),
+    ("L 1.5 0 0 0 0", "leaf counts must be non-negative integers"),
+    ("L 1 -2 0 0 0", "leaf counts must be non-negative integers"),
+    ("L 99999999999999999999 0 0 0 0", "leaf counts must be non-negative integers"),
+    ("I 41 0.5", "bad split"),
+    ("I two 0.5", "bad split"),
+    ("I 3 nan", "bad split"),
+])
+def test_load_forest_bad_node(tmp_path, node, match):
+    path, lines = saved("forest", tmp_path)
+    last_leaf = max(i for i, line in enumerate(lines) if line.startswith("L "))
+    lines[last_leaf] = node
+    expect_load_error(load_forest, path, lines, last_leaf + 1, match)
+
 
 def _tree_headers(lines):
     return [i for i, line in enumerate(lines) if line.startswith("tree ")]
