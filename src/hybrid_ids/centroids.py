@@ -4,9 +4,7 @@ One stored centroid per fine attack label (the arithmetic mean of the
 label's standardized training vectors); classification picks the signature
 at minimum Euclidean distance. The "normal" signature makes alarm
 verification possible: an alarm whose nearest centroid is normal is a
-false positive. ``clusters_per_label`` > 1 optionally sub-clusters each
-label with a small seeded Lloyd iteration, producing several signatures
-per label. The model holds the signatures as parallel arrays;
+false positive. The model holds the signatures as parallel arrays;
 ``save_centroids`` writes one ``entry`` line per signature.
 """
 
@@ -25,9 +23,9 @@ _CHUNK = 2048
 
 @dataclass(eq=False)
 class CentroidModel:
-    """The signatures, one element of each field per signature: fine label,
-    coarse class code, centroid row and training support. They are sorted
-    by (fine label, sub-cluster index), so the minimum-distance tie rule
+    """The signatures, one element of each field per fine label: the label,
+    its coarse class code, its centroid row and its training support. They
+    are sorted by fine label, so the minimum-distance tie rule
     (lexicographically smallest fine label) falls out of the first-argmin
     convention."""
 
@@ -45,59 +43,25 @@ class CentroidModel:
         return len(self.fine_labels)
 
 
-def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Plain k-means on one label's points; returns (centroids, sizes)."""
-    distinct = np.unique(X, axis=0)
-    k = min(k, len(distinct))
-    start = rng.choice(len(distinct), size=k, replace=False)
-    centers = distinct[np.sort(start)].copy()
-    assignment = None
-    for _round in range(100):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assignment = np.argmin(d2, axis=1)
-        if assignment is not None and np.array_equal(new_assignment, assignment):
-            break
-        assignment = new_assignment
-        for j in range(k):
-            members = X[assignment == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
-    sizes = np.bincount(assignment, minlength=k)
-    keep = sizes > 0
-    return centers[keep], sizes[keep]
-
-
-def check_clusters_per_label(clusters_per_label: int) -> None:
-    if clusters_per_label < 1:
-        raise ValueError("clusters_per_label must be >= 1")
-
-
-def fit(ds: Dataset, clusters_per_label: int = 1, seed: int = 0) -> CentroidModel:
-    """Per-fine-label centroids of an already-standardized dataset."""
+def fit(ds: Dataset) -> CentroidModel:
+    """Per-fine-label centroids of an already-standardized dataset: each
+    label's mean row, with the label's row count as its support."""
     if len(ds) == 0:
         raise ValueError("cannot fit centroids on an empty dataset")
-    check_clusters_per_label(clusters_per_label)
     labels = sorted(set(ds.fine_labels))
     if "normal" not in labels:
         raise ValueError("training data has no 'normal' records; verification impossible")
-    rng = np.random.default_rng(seed)
-    fine, coarse, centers, support = [], [], [], []
+    coarse, centers, support = [], [], []
     for label in labels:
         mask = ds.fine_labels == label
-        points = ds.X[mask]
         classes = np.unique(ds.coarse[mask])
         if len(classes) > 1:
             names = ", ".join(str(CoarseLabel(int(c))) for c in classes)
             raise ValueError(f"fine label '{label}' has rows of more than one coarse class: {names}")
-        if clusters_per_label == 1:
-            label_centers, sizes = points.mean(axis=0)[None, :], [len(points)]
-        else:
-            label_centers, sizes = _lloyd(points, clusters_per_label, rng)
-        fine += [label] * len(sizes)
-        coarse += [int(classes[0])] * len(sizes)
-        centers.append(label_centers)
-        support.extend(sizes)
-    return CentroidModel(fine, np.array(coarse, dtype=np.int64), np.concatenate(centers),
+        coarse.append(int(classes[0]))
+        centers.append(ds.X[mask].mean(axis=0))
+        support.append(int(mask.sum()))
+    return CentroidModel(labels, np.array(coarse, dtype=np.int64), np.stack(centers),
                          np.array(support, dtype=np.int64))
 
 
@@ -143,7 +107,7 @@ def evaluate_misuse(model: CentroidModel, test: Dataset) -> MisuseEvaluation:
     return MisuseEvaluation(
         fine_accuracy=fine_acc,
         coarse_accuracy=coarse_acc,
-        n_fine_classes=len(set(model.fine_labels)),
+        n_fine_classes=len(model),
         predicted_coarse=assigned_coarse,
     )
 
@@ -191,8 +155,8 @@ def load_centroids(path: str | Path) -> CentroidModel:
     """Read a ``save_centroids`` file. Raises FormatError naming the file and
     line on truncated, garbled or inconsistent content, including an
     ``entries=`` count that disagrees with the entry lines present and
-    entries out of fine-label order, which the tie rule of
-    :class:`CentroidModel` needs (equal labels are sub-clusters)."""
+    entries out of strict fine-label order: the tie rule of
+    :class:`CentroidModel` needs the order, and a label has one signature."""
     r = LineReader(path)
     r.version("centroids")
     stats_id = r.value("stats_id")
@@ -202,6 +166,8 @@ def load_centroids(path: str | Path) -> CentroidModel:
     entries = []
     for _ in range(n_entries):
         entry = _read_entry(r)
+        if entries and entry[0] == entries[-1][0]:
+            raise r.error(f"fine label '{entry[0]}' repeats the one above it")
         if entries and entry[0] < entries[-1][0]:
             raise r.error(f"fine label '{entry[0]}' sorts before '{entries[-1][0]}' above it")
         entries.append(entry)

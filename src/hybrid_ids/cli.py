@@ -4,7 +4,7 @@ Every command is deterministic given its config file. A single root seed
 (default 1999) derives per-component seeds by fixed offsets:
 
     sampling = seed      split   = seed + 1    neural net = seed + 2
-    forest   = seed + 3  misuse  = seed + 4    CV folds   = seed + 5
+    forest   = seed + 3  CV folds = seed + 5  (seed + 4 is unused)
 
 Config files are flat ``key=value`` text with ``#`` comments;
 ``CONFIG_TABLE`` and ``CONFIG_PREFIXES`` map each accepted key to the
@@ -99,7 +99,6 @@ class RunConfig:
         stages' configs; ValueError names the setting."""
         check_test_fraction(self.test_fraction)
         check_folds(self.cv_folds)
-        misuse_mod.check_clusters_per_label(self.hybrid.clusters_per_label)
         self.hybrid.nn.validate()
         self.hybrid.rf.validate()
 
@@ -108,15 +107,6 @@ class RunConfig:
 
     def out_path(self, name: str) -> Path:
         return Path(self.out) / name
-
-
-def _parse_bool(value: str) -> bool:
-    low = value.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got '{value}'")
 
 
 def _max_depth(value: str) -> int | None:
@@ -130,9 +120,8 @@ def _max_depth(value: str) -> int | None:
 _SAMPLING_CLASSES = {**{str(c): c for c in CoarseLabel}, "rtl": CoarseLabel.R2L}
 
 # key -> (section, field, converter). The sections are RunConfig ("run"),
-# the neural net's TrainConfig ("nn"), the forest's ForestConfig ("rf") and
-# the rest of HybridConfig ("hybrid"); nn.hidden1 and nn.hidden2 fill the
-# one hidden_dims tuple.
+# the neural net's TrainConfig ("nn") and the forest's ForestConfig ("rf");
+# nn.hidden1 and nn.hidden2 fill the one hidden_dims tuple.
 CONFIG_TABLE = {
     "data": ("run", "data", str),
     "out": ("run", "out", str),
@@ -149,8 +138,6 @@ CONFIG_TABLE = {
     "rf.min_samples_split": ("rf", "min_samples_split", int),
     "rf.features_per_split": ("rf", "features_per_split", int),
     "rf.importance_threshold": ("rf", "importance_keep_threshold", float),
-    "rf.prune": ("hybrid", "prune_forest", _parse_bool),
-    "misuse.clusters_per_label": ("hybrid", "clusters_per_label", int),
 }
 # key prefix -> (section, converter of the rest of the key, converter of the
 # value); the section is a dict that the converted key indexes
@@ -223,8 +210,6 @@ def _run_config(sections: dict[str, dict]) -> RunConfig:
         hybrid=HybridConfig(
             nn=TrainConfig(**nn, seed=seed + 2),
             rf=ForestConfig(**sections.get("rf", {}), seed=seed + 3),
-            misuse_seed=seed + 4,
-            **sections.get("hybrid", {}),
         ),
         fold_seed=seed + 5,
         taxonomy_extra=sections.get("taxonomy", {}),

@@ -671,13 +671,15 @@ def save_stats(path: str | Path, stats: StandardizationStats) -> None:
 
 def load_stats(path: str | Path) -> StandardizationStats:
     """Read a ``save_stats`` file; FormatError naming file and line on a
-    truncated or garbled one. The ``id=`` value is not read back: the
-    fingerprint is recomputed from the values."""
+    truncated or garbled one, or on a negative stddev. The ``id=`` value is
+    not read back: the fingerprint is recomputed from the values."""
     r = LineReader(path)
     r.version("stats")
     r.value("id")
     mean = r.float_row("mean", N_FEATURES)
     stddev = r.float_row("stddev", N_FEATURES)
+    if (stddev < 0).any():
+        raise r.error("negative stddev value")
     r.end()
     return StandardizationStats(mean=mean, stddev=stddev)
 

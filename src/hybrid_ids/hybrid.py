@@ -116,9 +116,6 @@ class RoutingStats:
 class HybridConfig:
     nn: TrainConfig = field(default_factory=TrainConfig)
     rf: ForestConfig = field(default_factory=ForestConfig)
-    clusters_per_label: int = 1
-    misuse_seed: int = 0
-    prune_forest: bool = True
 
 
 @dataclass
@@ -138,12 +135,11 @@ def train_nn(std_train: Dataset, config: HybridConfig, fingerprint: str) -> MLPM
 
 
 def train_rf(std_train: Dataset, config: HybridConfig, fingerprint: str) -> ForestModel:
-    """The forest stage, retrained on its important features when
-    ``config.prune_forest`` is set, tagged with the stats ``fingerprint``."""
+    """The forest stage, retrained on its important features (see
+    ``prune_and_retrain``), tagged with the stats ``fingerprint``."""
     ranked = rf.rank_columns(std_train.X)  # shared by the forest and its retrain
     forest = rf.train_forest(std_train, config.rf, ranked=ranked)
-    if config.prune_forest:
-        forest = rf.prune_and_retrain(std_train, forest, config.rf, ranked=ranked)
+    forest = rf.prune_and_retrain(std_train, forest, config.rf, ranked=ranked)
     forest.stats_fingerprint = fingerprint
     return forest
 
@@ -152,7 +148,7 @@ def train_misuse(std_train: Dataset, config: HybridConfig, fingerprint: str) -> 
     """The misuse stage's centroids, tagged with the stats ``fingerprint``.
     Shadowed signatures (see ``signature_collisions``) are logged as a
     warning."""
-    cen = misuse.fit(std_train, config.clusters_per_label, config.misuse_seed)
+    cen = misuse.fit(std_train)
     cen.stats_fingerprint = fingerprint
     collisions = misuse.signature_collisions(cen)
     if collisions:

@@ -598,6 +598,8 @@ def load_forest(path: str | Path) -> ForestModel:
     importances = np.array([r.number(v, float, "importance") for v in imp_text.split()])
     if len(importances) != n_features:
         raise r.error(f"expected {n_features} importances, got {len(importances)}")
+    if not np.isfinite(importances).all():
+        raise r.error("non-finite importance value")
     trees = [_read_tree(r, t, n_features) for t in range(n_trees)]
     r.end()
     return ForestModel.from_trees(

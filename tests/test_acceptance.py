@@ -93,7 +93,7 @@ def kdd_mlp(kdd_splits):
 
 @pytest.fixture(scope="module")
 def kdd_centroids(kdd_splits):
-    return misuse.fit(kdd_splits["std_train"], clusters_per_label=1, seed=SEED + 4)
+    return misuse.fit(kdd_splits["std_train"])
 
 
 def test_criterion_1_table_counts_exact(kdd_run):

@@ -116,12 +116,9 @@ def _check_forest(loaded, original) -> None:
 
 
 def _centroids():
-    """Two signatures for most labels, one for ``normal``, whose rows are
-    all one point."""
-    ds = separable_dataset(n_per_label=4, seed=21)
-    normal = ds.fine_labels == "normal"
-    ds.X[normal] = ds.X[normal][0]
-    model = fit(ds, clusters_per_label=2, seed=3)
+    """One signature for each of the six labels, in the order buffer_overflow,
+    guess_passwd, ipsweep, neptune, normal, smurf."""
+    model = fit(separable_dataset(n_per_label=4, seed=21))
     model.stats_fingerprint = "0123456789ab"
     return model
 
@@ -323,6 +320,11 @@ def drop(i: int):
     return lambda lines: lines[:i] + lines[i + 1:]
 
 
+def copy(i: int, j: int):
+    """Edit: line ``j`` replaced by a copy of line ``i``."""
+    return lambda lines: lines[:j] + [lines[i]] + lines[j + 1:]
+
+
 def swap(i: int, j: int):
     return lambda lines: lines[:i] + [lines[j]] + lines[i + 1:j] + [lines[i]] + lines[j + 1:]
 
@@ -337,11 +339,11 @@ DAMAGE = [
     ("dataset", at(2, lambda line: line.replace("duration", "length")), 3,
      "unexpected dataset header"),
     ("forest", drop(2), 3, "expected 'n_trees='"),
-    ("centroids", put(2, "entries=10"), 14, "unexpected content after the end"),
-    ("centroids", put(2, "entries=12"), 15, "unexpected end of file"),
-    ("centroids", append("entry junk"), 15, "unexpected content after the end"),
-    # the second buffer_overflow signature after the first guess_passwd one
-    ("centroids", swap(4, 5), 6, "fine label 'buffer_overflow' sorts before 'guess_passwd'"),
+    ("centroids", put(2, "entries=5"), 9, "unexpected content after the end"),
+    ("centroids", put(2, "entries=7"), 10, "unexpected end of file"),
+    ("centroids", append("entry junk"), 10, "unexpected content after the end"),
+    ("centroids", swap(4, 5), 6, "fine label 'guess_passwd' sorts before 'ipsweep'"),
+    ("centroids", copy(3, 4), 5, "fine label 'buffer_overflow' repeats the one above it"),
 ]
 
 

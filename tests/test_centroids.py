@@ -1,5 +1,5 @@
 """Nearest-centroid misuse classifier: fit/assign oracles, evaluation,
-alarm verification, sub-clustering, damaged model files. The rest of the
+alarm verification, damaged model files. The rest of the
 file format is tested in test_artifacts.py."""
 
 from __future__ import annotations
@@ -74,14 +74,23 @@ def test_fit_matches_brute_force_averages():
         assert support == len(rows)
 
 
+def test_fit_one_signature_per_fine_label():
+    rows = [("smurf", 1, vec(2.0, 1.0)), ("normal", 0, vec(0.0, 4.0)), ("back", 1, vec(5.0)),
+            ("smurf", 1, vec(4.0, 3.0)), ("normal", 0, vec(1.0, 0.0)), ("smurf", 1, vec(0.0, 2.0))]
+    model = fit(tiny_dataset(rows))
+    assert model.fine_labels == ["back", "normal", "smurf"]
+    assert model.coarse.tolist() == [1, 0, 1]
+    assert model.support.tolist() == [1, 2, 3]
+    assert np.array_equal(model.centroids, np.stack([vec(5.0), vec(0.5, 2.0), vec(2.0, 2.0)]))
+
+
 def test_fit_requires_normal_class():
     ds = tiny_dataset([("smurf", 1, vec(1.0))])
     with pytest.raises(ValueError, match="normal"):
         fit(ds)
 
 
-@pytest.mark.parametrize("clusters_per_label", [1, 2])
-def test_fit_rejects_fine_label_with_two_coarse_classes(clusters_per_label):
+def test_fit_rejects_fine_label_with_two_coarse_classes():
     ds = tiny_dataset([
         ("normal", 0, vec(0.0)),
         ("smurf", 1, vec(1.0)),
@@ -89,7 +98,7 @@ def test_fit_rejects_fine_label_with_two_coarse_classes(clusters_per_label):
         ("smurf", 1, vec(3.0)),
     ])
     with pytest.raises(ValueError, match="fine label 'smurf' has rows of more than one coarse class: dos, probe"):
-        fit(ds, clusters_per_label)
+        fit(ds)
 
 
 def test_fit_empty_dataset_errors():
@@ -208,32 +217,6 @@ def test_internal_consistency_fit_then_evaluate_on_train():
         np.mean([model.coarse[j] == std.coarse[i] for i, j in enumerate(nearest)])
     ) * 100.0
     assert result.coarse_accuracy == pytest.approx(manual)
-
-
-def test_sub_clustering_k2():
-    rng = np.random.default_rng(7)
-    blob_a = rng.normal(-5.0, 0.2, size=(20, N_FEATURES))
-    blob_b = rng.normal(5.0, 0.2, size=(20, N_FEATURES))
-    rows = [("smurf", 1, x) for x in np.vstack([blob_a, blob_b])]
-    rows += [("normal", 0, rng.normal(0.0, 0.2, size=N_FEATURES)) for _ in range(20)]
-    ds = tiny_dataset(rows)
-    model = fit(ds, clusters_per_label=2, seed=0)
-    smurf = [i for i, label in enumerate(model.fine_labels) if label == "smurf"]
-    assert len(smurf) == 2
-    assert model.coarse[smurf].tolist() == [CoarseLabel.DOS] * 2
-    assert model.support[smurf].tolist() == [20, 20]
-    means = sorted(model.centroids[smurf].mean(axis=1).tolist())
-    assert means[0] == pytest.approx(-5.0, abs=0.3)
-    assert means[1] == pytest.approx(5.0, abs=0.3)
-    assert nearest(model, blob_a[0]) == ["smurf"]
-
-
-def test_sub_clustering_deterministic():
-    ds = separable_dataset(n_per_label=15, seed=8)
-    a = fit(ds, clusters_per_label=3, seed=1)
-    b = fit(ds, clusters_per_label=3, seed=1)
-    assert a.fine_labels == b.fine_labels
-    assert np.array_equal(a.centroids, b.centroids)
 
 
 @pytest.mark.parametrize("index, edit, match", [

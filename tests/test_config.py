@@ -38,13 +38,10 @@ def settings(cfg) -> dict:
         "rf.min_samples_split": h.rf.min_samples_split,
         "rf.features_per_split": h.rf.features_per_split,
         "rf.importance_threshold": h.rf.importance_keep_threshold,
-        "rf.prune": h.prune_forest,
-        "misuse.clusters_per_label": h.clusters_per_label,
         "seed.sampling": plan.rng_seed,
         "seed.split": cfg.split_seed,
         "seed.nn": h.nn.seed,
         "seed.rf": h.rf.seed,
-        "seed.misuse": h.misuse_seed,
         "seed.folds": cfg.fold_seed,
     }
 
@@ -88,13 +85,10 @@ DEFAULTS = {
     "rf.min_samples_split": 2,
     "rf.features_per_split": 7,
     "rf.importance_threshold": 0.99,
-    "rf.prune": True,
-    "misuse.clusters_per_label": 1,
     "seed.sampling": 1999,
     "seed.split": 2000,
     "seed.nn": 2001,
     "seed.rf": 2002,
-    "seed.misuse": 2003,
     "seed.folds": 2004,
 }
 
@@ -106,8 +100,8 @@ def test_defaults_without_a_config_file(tmp_path):
 
 
 def _seeds(root: int) -> dict:
-    names = ("sampling", "split", "nn", "rf", "misuse", "folds")
-    return {"seed": root, **{f"seed.{n}": root + i for i, n in enumerate(names)}}
+    offsets = {"sampling": 0, "split": 1, "nn": 2, "rf": 3, "folds": 5}
+    return {"seed": root, **{f"seed.{n}": root + i for n, i in offsets.items()}}
 
 
 # one config line -> the settings it changes
@@ -140,11 +134,6 @@ KEY_EFFECTS = [
     ("rf.min_samples_split=4", {"rf.min_samples_split": 4}),
     ("rf.features_per_split=9", {"rf.features_per_split": 9}),
     ("rf.importance_threshold=0.9", {"rf.importance_threshold": 0.9}),
-    ("rf.prune=false", {"rf.prune": False}),
-    ("rf.prune=NO", {"rf.prune": False}),
-    ("rf.prune=0", {"rf.prune": False}),
-    ("rf.prune=yes", {"rf.prune": True}),
-    ("misuse.clusters_per_label=3", {"misuse.clusters_per_label": 3}),
     ("# comment only\n\n  rf.trees = 5  # trailing comment", {"rf.trees": 5}),
 ]
 
@@ -161,7 +150,7 @@ def test_every_key_at_once(tmp_path):
         "sampling.u2r=15", "taxonomy.saint=probe", "nn.hidden1=16", "nn.hidden2=8",
         "nn.learning_rate=0.05", "nn.epochs=40", "nn.batch_size=16", "nn.folds=3",
         "rf.trees=5", "rf.max_depth=6", "rf.min_samples_split=4", "rf.features_per_split=9",
-        "rf.importance_threshold=0.9", "rf.prune=false", "misuse.clusters_per_label=3",
+        "rf.importance_threshold=0.9",
     ]) + "\n"
     assert _typed(_built(tmp_path, text)) == _typed({
         "data": "corpus.txt", "out": "models", "seed": 7, "split.test_fraction": 0.25,
@@ -169,8 +158,7 @@ def test_every_key_at_once(tmp_path):
         "sampling.u2r": 15, "taxonomy": sorted(DEFAULT_TAXONOMY + [("saint", "probe")]),
         "nn.hidden": (16, 8), "nn.learning_rate": 0.05, "nn.epochs": 40, "nn.batch_size": 16,
         "nn.folds": 3, "rf.trees": 5, "rf.max_depth": 6, "rf.min_samples_split": 4,
-        "rf.features_per_split": 9, "rf.importance_threshold": 0.9, "rf.prune": False,
-        "misuse.clusters_per_label": 3, **_seeds(7),
+        "rf.features_per_split": 9, "rf.importance_threshold": 0.9, **_seeds(7),
     })
 
 
@@ -190,6 +178,9 @@ def test_command_line_overrides_the_file(tmp_path):
         ("sampling.DOS=5\n", "{path}:1: unknown config key 'sampling.DOS'"),
         ("sampling.all=5\n", "{path}:1: unknown config key 'sampling.all'"),
         ("nn.hidden=5\n", "{path}:1: unknown config key 'nn.hidden'"),
+        ("rf.prune=false\n", "{path}:1: unknown config key 'rf.prune'"),
+        ("seed=1\nmisuse.clusters_per_label=2\n",
+         "{path}:2: unknown config key 'misuse.clusters_per_label'"),
         ("seed=1\n\nrf.trees 5\n", "{path}:3: expected key=value, got 'rf.trees 5'"),
         ("taxonomy.guess passwd=r2l\n",
          "{path}:1: taxonomy.guess passwd: fine label 'guess passwd' is empty or holds whitespace"),

@@ -620,6 +620,7 @@ def test_load_dataset_one_token_row(tmp_path):
     (2, lambda line: "mean", "expected 41 mean values, got 0"),
     (3, lambda line: line.replace(" ", " x ", 1), "stddev 'x' is not a valid float"),
     (2, lambda line: line.replace(" ", " nan ", 1).rsplit(" ", 1)[0], "non-finite mean value"),
+    (3, lambda line: line.replace(" ", " -1.0 ", 1).rsplit(" ", 1)[0], "negative stddev value"),
 ])
 def test_load_stats_garbled(tmp_path, index, edit, match):
     path, lines = saved("stats", tmp_path)

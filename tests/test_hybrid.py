@@ -175,8 +175,6 @@ def _fast_config() -> HybridConfig:
         nn=TrainConfig(hidden_dims=(16, 8), epochs=60, seed=2, learning_rate=0.05,
                        batch_size=16),
         rf=ForestConfig(n_trees=5, seed=3),
-        clusters_per_label=1,
-        misuse_seed=4,
     )
 
 
@@ -196,7 +194,7 @@ def test_train_all_submodels_match_standalone_runs():
     forest = rf.prune_and_retrain(std, forest, cfg.rf)
     assert np.array_equal(rf.predict_batch(h.forest, probe), rf.predict_batch(forest, probe))
 
-    cen = misuse.fit(std, cfg.clusters_per_label, cfg.misuse_seed)
+    cen = misuse.fit(std)
     got_a, _ = misuse.assign_batch(h.centroids, probe)
     got_b, _ = misuse.assign_batch(cen, probe)
     assert np.array_equal(got_a, got_b)

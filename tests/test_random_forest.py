@@ -405,6 +405,10 @@ def test_overflowing_midpoint_splits_at_lower_value(tmp_path, pair):
     (4, "active_features=1,99999999999999999999", "active feature out of"),
     (5, "importances 0.5", "expected 41 importances, got 1"),
     (5, "weights 0.5", "expected 'importances"),
+    pytest.param(5, "importances nan" + " 0.5" * 40, "non-finite importance value",
+                 id="5-importances nan 0.5 ...-non-finite importance value"),
+    pytest.param(5, "importances" + " 0.5" * 40 + " -inf", "non-finite importance value",
+                 id="5-importances 0.5 ... -inf-non-finite importance value"),
 ])
 def test_load_forest_garbled_header(tmp_path, index, text, match):
     path, lines = saved("forest", tmp_path)
