@@ -36,7 +36,6 @@ from .dataset import (
     check_test_fraction,
     load_dataset,
     load_stats,
-    load_taxonomy,
     numbered_blocks,
     open_kdd,
     parse_kdd_block,
@@ -57,9 +56,11 @@ from .evaluation import (
     write_metrics_csv,
 )
 from .hybrid import (
+    MANIFEST_FILES,
     HybridConfig,
     RoutingStats,
     Verdicts,
+    check_fingerprint,
     load_hybrid,
     predict_dataset,
     save_hybrid,
@@ -280,14 +281,14 @@ def _load_split(path: Path) -> Dataset:
     return load_dataset(path)
 
 
-# stage -> (model file, trainer, saver, loader, report title, what "wrote <file>" adds)
+# stage -> (manifest key, trainer, saver, loader, report title, what "wrote <file>" adds)
 _STAGES = {
-    "nn": ("mlp.model", train_nn, nn_mod.save_mlp, nn_mod.load_mlp,
+    "nn": ("mlp", train_nn, nn_mod.save_mlp, nn_mod.load_mlp,
            "Neural Network (anomaly stage)", lambda mlp: ""),
-    "rf": ("forest.model", train_rf, rf_mod.save_forest, rf_mod.load_forest,
+    "rf": ("forest", train_rf, rf_mod.save_forest, rf_mod.load_forest,
            "Random Forest (anomaly stage)",
            lambda f: f" ({len(f.active_features)}/{f.n_features} features active)"),
-    "misuse": ("centroids.model", train_misuse, misuse_mod.save_centroids,
+    "misuse": ("centroids", train_misuse, misuse_mod.save_centroids,
                misuse_mod.load_centroids, "Misuse (centroid signatures)",
                lambda cen: f" ({len(cen)} signatures)"),
 }
@@ -298,12 +299,9 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
     started = time.perf_counter()
 
     if which == "hybrid":
-        path = cfg.out_path("taxonomy.txt")
-        taxonomy = load_taxonomy(path) if path.exists() else None
-        model = train_all(train_ds, cfg.hybrid, taxonomy)
-        print(f"wrote {save_hybrid(cfg.out, model)}")
+        print(f"wrote {save_hybrid(cfg.out, train_all(train_ds, cfg.hybrid))}")
     else:
-        file, train, save, _, _, summary = _STAGES[which]
+        key, train, save, _, _, summary = _STAGES[which]
         stats = standardize_fit(train_ds)
         std_train = standardize_dataset(stats, train_ds)
         if which == "nn":
@@ -313,21 +311,12 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
                 f"(folds: {', '.join(f'{a:.3f}' for a in cv.fold_accuracies)})"
             )
         model = train(std_train, cfg.hybrid, stats.fingerprint)
-        save_stats(cfg.out_path("stats.txt"), stats)
-        save(cfg.out_path(file), model)
-        print(f"wrote {cfg.out_path(file)}{summary(model)}")
+        path = cfg.out_path(MANIFEST_FILES[key])
+        save_stats(cfg.out_path(MANIFEST_FILES["stats"]), stats)
+        save(path, model)
+        print(f"wrote {path}{summary(model)}")
     print(f"training time: {time.perf_counter() - started:.1f}s")
     return 0
-
-
-def _check_stats(cfg: RunConfig, model_fingerprint: str):
-    stats = load_stats(cfg.out_path("stats.txt"))
-    if model_fingerprint != stats.fingerprint:
-        raise ValueError(
-            f"stats fingerprint mismatch: model has '{model_fingerprint}', "
-            f"stats file has '{stats.fingerprint}'"
-        )
-    return stats
 
 
 def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -> int:
@@ -346,9 +335,11 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
         ])
         print(routing.describe())
     else:
-        file, _, _, load, title, _ = _STAGES[which]
-        model = load(cfg.out_path(file))
-        std_test = standardize_dataset(_check_stats(cfg, model.stats_fingerprint), test_ds)
+        key, _, _, load, title, _ = _STAGES[which]
+        model = load(cfg.out_path(MANIFEST_FILES[key]))
+        stats = load_stats(cfg.out_path(MANIFEST_FILES["stats"]))
+        check_fingerprint(key, model, stats)
+        std_test = standardize_dataset(stats, test_ds)
         if which == "misuse":
             result = misuse_mod.evaluate_misuse(model, std_test)
             preds = result.predicted_coarse

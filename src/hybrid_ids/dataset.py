@@ -138,9 +138,6 @@ class Taxonomy:
         except KeyError:
             raise UnmappedLabelError(fine_label) from None
 
-    def __contains__(self, fine_label: str) -> bool:
-        return fine_label in self._mapping
-
     def extended(self, extra: dict[str, CoarseLabel]) -> "Taxonomy":
         merged = dict(self._mapping)
         merged.update(extra)
@@ -482,10 +479,19 @@ class StandardizationStats:
 
 
 def standardize_fit(ds: Dataset) -> StandardizationStats:
+    """The columns' stats; ValueError on an empty dataset, or naming the
+    first column whose values are so large that its mean or stddev
+    overflows."""
     if len(ds) == 0:
         raise ValueError("cannot fit standardization on an empty dataset")
-    mean = ds.X.mean(axis=0)
-    stddev = ds.X.std(axis=0)  # population stddev
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = ds.X.mean(axis=0)
+        stddev = ds.X.std(axis=0)  # population stddev
+    overflowed = ~(np.isfinite(mean) & np.isfinite(stddev))
+    if overflowed.any():
+        column = ENCODED_COLUMNS[int(overflowed.argmax())]
+        raise ValueError(f"column '{column}' is too large to standardize: "
+                         "its mean or stddev overflows")
     return StandardizationStats(mean=mean, stddev=stddev)
 
 
@@ -671,8 +677,9 @@ def save_stats(path: str | Path, stats: StandardizationStats) -> None:
 
 def load_stats(path: str | Path) -> StandardizationStats:
     """Read a ``save_stats`` file; FormatError naming file and line on a
-    truncated or garbled one, or on a negative stddev. The ``id=`` value is
-    not read back: the fingerprint is recomputed from the values."""
+    truncated or garbled one, or on a negative stddev or a nonzero one below
+    1e-300. The ``id=`` value is not read back: the fingerprint is
+    recomputed from the values."""
     r = LineReader(path)
     r.version("stats")
     r.value("id")
@@ -680,6 +687,10 @@ def load_stats(path: str | Path) -> StandardizationStats:
     stddev = r.float_row("stddev", N_FEATURES)
     if (stddev < 0).any():
         raise r.error("negative stddev value")
+    # dividing by so small a stddev overflows ordinary values; a fitted
+    # nonzero one is at least sqrt(5e-324), about 2.2e-162
+    if ((stddev > 0) & (stddev < 1e-300)).any():
+        raise r.error("nonzero stddev value below 1e-300")
     r.end()
     return StandardizationStats(mean=mean, stddev=stddev)
 
@@ -688,24 +699,3 @@ def save_taxonomy(path: str | Path, taxonomy: Taxonomy) -> None:
     lines = [version_line("taxonomy")]
     lines += [f"{fine} {coarse}" for fine, coarse in taxonomy.items()]
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def load_taxonomy(path: str | Path) -> Taxonomy:
-    """Read a ``save_taxonomy`` file: one ``<fine label> <coarse class>``
-    pair per line. FormatError naming file and line on anything else."""
-    r = LineReader(path)
-    r.version("taxonomy")
-    mapping: dict[str, CoarseLabel] = {}
-    for line in r.rest():
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise r.error(f"expected '<fine label> <coarse class>', got '{line.strip()}'")
-        if parts[0] in mapping:
-            raise r.error(f"fine label '{parts[0]}' is mapped twice")
-        try:
-            mapping[parts[0]] = CoarseLabel.from_name(parts[1])
-        except ValueError as exc:
-            raise r.error(str(exc)) from None
-    return Taxonomy(mapping)

@@ -5,6 +5,11 @@ attack class. A distinct record is scored once; verdicts stay one per row.
 
 A record is never emitted as an attack unless at least one anomaly model
 flagged it: the misuse stage can only confirm, refine, or trim alarms.
+
+A saved bundle is a manifest naming the three model files and the stats
+file their inputs were standardized with (``MANIFEST_FILES``). The coarse
+class tagged on each misuse signature is the one fine-to-coarse mapping
+that prediction reads.
 """
 
 from __future__ import annotations
@@ -24,12 +29,9 @@ from .dataset import (
     CoarseLabel,
     Dataset,
     StandardizationStats,
-    Taxonomy,
     first_seen,
     load_stats,
-    load_taxonomy,
     save_stats,
-    save_taxonomy,
     standardize_apply,
     standardize_dataset,
     standardize_fit,
@@ -124,7 +126,6 @@ class HybridModel:
     forest: ForestModel
     centroids: CentroidModel
     stats: StandardizationStats
-    taxonomy: Taxonomy
 
 
 def train_nn(std_train: Dataset, config: HybridConfig, fingerprint: str) -> MLPModel:
@@ -156,23 +157,15 @@ def train_misuse(std_train: Dataset, config: HybridConfig, fingerprint: str) -> 
     return cen
 
 
-def train_all(
-    train: Dataset, config: HybridConfig, taxonomy: Taxonomy | None = None
-) -> HybridModel:
+def train_all(train: Dataset, config: HybridConfig) -> HybridModel:
     """Fit standardization on the training split, then train all three
-    stages on the same standardized data.
-
-    When no taxonomy is given, the fine-to-coarse mapping observed in the
-    training data is recorded in the manifest.
-    """
+    stages on the same standardized data."""
     stats = standardize_fit(train)
     std_train = standardize_dataset(stats, train)
     mlp = train_nn(std_train, config, stats.fingerprint)
     forest = train_rf(std_train, config, stats.fingerprint)
     cen = train_misuse(std_train, config, stats.fingerprint)
-    if taxonomy is None:
-        taxonomy = Taxonomy(dict(zip(cen.fine_labels, map(CoarseLabel, cen.coarse.tolist()))))
-    return HybridModel(mlp=mlp, forest=forest, centroids=cen, stats=stats, taxonomy=taxonomy)
+    return HybridModel(mlp=mlp, forest=forest, centroids=cen, stats=stats)
 
 
 def predict_dataset(h: HybridModel, ds: Dataset) -> tuple[Verdicts, RoutingStats]:
@@ -199,23 +192,31 @@ def predict_dataset(h: HybridModel, ds: Dataset) -> tuple[Verdicts, RoutingStats
 
 
 # ---------------------------------------------------------------------------
-# Persistence: a manifest referencing the sub-model, stats, and taxonomy
-# files; loading cross-checks dimensions and stats fingerprints.
+# Persistence: a manifest referencing the three model files and the stats
+# file; loading cross-checks dimensions and stats fingerprints.
 
 MANIFEST_FILES = {
     "mlp": "mlp.model",
     "forest": "forest.model",
     "centroids": "centroids.model",
     "stats": "stats.txt",
-    "taxonomy": "taxonomy.txt",
 }
+
+
+def check_fingerprint(name: str, model, stats: StandardizationStats) -> None:
+    """ValueError unless the ``name`` model (a manifest key) was trained on
+    data standardized with ``stats``."""
+    if model.stats_fingerprint != stats.fingerprint:
+        raise ValueError(
+            f"stats fingerprint mismatch: {name} model was standardized with "
+            f"'{model.stats_fingerprint}', the stats file has '{stats.fingerprint}'"
+        )
 
 
 def save_hybrid(directory: str | Path, h: HybridModel) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_stats(directory / MANIFEST_FILES["stats"], h.stats)
-    save_taxonomy(directory / MANIFEST_FILES["taxonomy"], h.taxonomy)
     nn.save_mlp(directory / MANIFEST_FILES["mlp"], h.mlp)
     rf.save_forest(directory / MANIFEST_FILES["forest"], h.forest)
     misuse.save_centroids(directory / MANIFEST_FILES["centroids"], h.centroids)
@@ -227,8 +228,9 @@ def save_hybrid(directory: str | Path, h: HybridModel) -> Path:
 
 
 def load_hybrid(manifest_path: str | Path) -> HybridModel:
-    """Load the manifest's models, ignoring unknown keys. A line that is not
-    ``<key>=<file>``, a repeated key or a missing entry is a FormatError."""
+    """Load the manifest's models, ignoring unknown keys, so the extra lines
+    of older manifests do no harm. A line that is not ``<key>=<file>``, a
+    repeated key or a missing entry is a FormatError."""
     directory = Path(manifest_path).parent
     r = LineReader(manifest_path)
     r.version("hybrid")
@@ -247,28 +249,14 @@ def load_hybrid(manifest_path: str | Path) -> HybridModel:
     if missing:
         raise r.error(f"manifest missing entries: {missing}")
     stats = load_stats(directory / entries["stats"])
-    taxonomy = load_taxonomy(directory / entries["taxonomy"])
     mlp = nn.load_mlp(directory / entries["mlp"])
     forest = rf.load_forest(directory / entries["forest"])
     cen = misuse.load_centroids(directory / entries["centroids"])
-    fingerprint = stats.fingerprint
-    for name, got in (
-        ("mlp", mlp.stats_fingerprint),
-        ("forest", forest.stats_fingerprint),
-        ("centroids", cen.stats_fingerprint),
-    ):
-        if got != fingerprint:
-            raise ValueError(
-                f"stats fingerprint mismatch: {name} model was standardized with "
-                f"'{got}', manifest stats are '{fingerprint}'"
-            )
+    for name, model in (("mlp", mlp), ("forest", forest), ("centroids", cen)):
+        check_fingerprint(name, model, stats)
     n_in = stats.mean.shape[0]
     if mlp.dims[0] != n_in or forest.n_features != n_in:
         raise ValueError("model input dimensions disagree with the stats file")
     if cen.centroids.shape[1] != n_in:
         raise ValueError("centroid dimension disagrees with the stats file")
-    for fine, coarse in zip(cen.fine_labels, map(CoarseLabel, cen.coarse.tolist())):
-        if fine in taxonomy and taxonomy.coarse(fine) != coarse:
-            raise ValueError(f"centroid '{fine}' is tagged {coarse} but the taxonomy "
-                             f"maps it to {taxonomy.coarse(fine)}")
-    return HybridModel(mlp=mlp, forest=forest, centroids=cen, stats=stats, taxonomy=taxonomy)
+    return HybridModel(mlp=mlp, forest=forest, centroids=cen, stats=stats)

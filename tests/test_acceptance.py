@@ -159,7 +159,7 @@ def test_criterion_4_misuse_accuracy(kdd_splits, kdd_centroids):
 def test_criterion_5_false_positive_trimming(kdd_splits, kdd_mlp, kdd_forest, kdd_centroids):
     model = HybridModel(
         mlp=kdd_mlp, forest=kdd_forest[0], centroids=kdd_centroids,
-        stats=kdd_splits["stats"], taxonomy=Taxonomy.default(),
+        stats=kdd_splits["stats"],
     )
     test = kdd_splits["test"]
     preds, _ = predict_dataset(model, test)

@@ -1,4 +1,6 @@
-"""The loader contract, tested once over every artifact kind.
+"""The loader contract, tested once over the six artifact kinds: dataset,
+stats, the three models and the confusion table. The hybrid manifest only
+names the model and stats files, and ``tests/test_hybrid.py`` tests it.
 
 Each kind's file survives save -> load -> save byte for byte. A file cut
 inside its head, or carrying content after its end, raises a FormatError
@@ -28,16 +30,12 @@ import hybrid_ids
 from hybrid_ids.centroids import assign_batch, fit, load_centroids, save_centroids
 from hybrid_ids.dataset import (
     N_FEATURES,
-    CoarseLabel,
     Dataset,
     Provenance,
-    Taxonomy,
     load_dataset,
     load_stats,
-    load_taxonomy,
     save_dataset,
     save_stats,
-    save_taxonomy,
     standardize_apply,
     standardize_fit,
 )
@@ -71,14 +69,6 @@ def _check_stats(loaded, original) -> None:
     assert loaded.fingerprint == original.fingerprint
     probe = _probe(N_FEATURES)
     assert np.array_equal(standardize_apply(loaded, probe), standardize_apply(original, probe))
-
-
-def _taxonomy() -> Taxonomy:
-    return Taxonomy.default().extended({"saint": CoarseLabel.PROBE})
-
-
-def _check_taxonomy(loaded: Taxonomy, original: Taxonomy) -> None:
-    assert all(isinstance(coarse, CoarseLabel) for _, coarse in loaded.items())
 
 
 def _mlp():
@@ -150,7 +140,6 @@ ARTIFACTS = {
     "dataset": Artifact(_dataset, save_dataset, load_dataset, 3, _check_dataset),
     "stats": Artifact(lambda: standardize_fit(separable_dataset(n_per_label=3, seed=13)),
                       save_stats, load_stats, None, _check_stats),
-    "taxonomy": Artifact(_taxonomy, save_taxonomy, load_taxonomy, 1, _check_taxonomy),
     "mlp": Artifact(_mlp, save_mlp, load_mlp, None, _check_mlp),
     "forest": Artifact(_forest, save_forest, load_forest, None, _check_forest),
     "centroids": Artifact(_centroids, save_centroids, load_centroids, None, _check_centroids),

@@ -27,7 +27,7 @@ from hybrid_ids.dataset import (
 )
 from hybrid_ids.errors import ParseError
 from hybrid_ids.evaluation import confusion, write_confusion_csv
-from hybrid_ids.hybrid import Verdicts, load_hybrid, predict_dataset
+from hybrid_ids.hybrid import MANIFEST_FILES, Verdicts, load_hybrid, predict_dataset
 from hybrid_ids.random_forest import load_forest, predict_batch as rf_predict_batch
 
 from conftest import DEFAULT_SYNTH_COUNTS, make_kdd_lines
@@ -421,13 +421,31 @@ def test_train_hybrid_writes_loadable_bundle(workspace):
     _prepared(workspace)
     assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
     out = workspace["out"]
-    for name in ("hybrid.manifest", "mlp.model", "forest.model",
-                 "centroids.model", "stats.txt", "taxonomy.txt"):
+    for name in ("hybrid.manifest", *MANIFEST_FILES.values()):
         assert (out / name).exists(), name
     from hybrid_ids.hybrid import load_hybrid
 
     model = load_hybrid(out / "hybrid.manifest")
     assert model.stats.fingerprint == model.mlp.stats_fingerprint
+
+
+@pytest.mark.parametrize("which", ["rf", "hybrid"])
+def test_train_refuses_a_column_too_large_to_standardize(workspace, capsys, which):
+    # two finite src_bytes values pass prepare, but their column's sum overflows
+    lines = list(workspace["lines"])
+    for i in [i for i, line in enumerate(lines) if line.endswith("normal.")][:2]:
+        fields = lines[i].split(",")
+        fields[4] = "1e308"
+        lines[i] = ",".join(fields)
+    workspace["data"].write_text("\n".join(lines) + "\n")
+    _prepared(workspace)
+    assert load_dataset(workspace["out"] / "train.csv").X[:, 4].tolist().count(1e308) == 2
+    prepared = sorted(workspace["out"].iterdir())
+    capsys.readouterr()
+    assert main(["train", which, "--config", str(workspace["config"])]) == 1
+    assert capsys.readouterr().err == (
+        "error: column 'src_bytes' is too large to standardize: its mean or stddev overflows\n")
+    assert sorted(workspace["out"].iterdir()) == prepared  # nothing written
 
 
 def test_train_determinism_byte_identical_models(workspace):
@@ -486,7 +504,7 @@ def test_evaluate_misuse_assigns_each_row_once(workspace, monkeypatch):
     assert calls == [len(load_dataset(workspace["out"] / "test.csv"))]
 
 
-def test_evaluate_detects_stats_mismatch(workspace):
+def test_evaluate_detects_stats_mismatch(workspace, capsys):
     _prepared(workspace)
     assert main(["train", "nn", "--config", str(workspace["config"])]) == 0
     # refit stats on the test split and overwrite: fingerprints now disagree
@@ -494,8 +512,11 @@ def test_evaluate_detects_stats_mismatch(workspace):
 
     test = load_dataset(workspace["out"] / "test.csv")
     save_stats(workspace["out"] / "stats.txt", standardize_fit(test))
+    capsys.readouterr()
     rc = main(["evaluate", "nn", "--config", str(workspace["config"])])
     assert rc == 1
+    # the message load_hybrid gives for the same mismatch
+    assert capsys.readouterr().err.startswith("error: stats fingerprint mismatch: mlp model ")
 
 
 def test_evaluate_rerun_byte_identical_reports(workspace):

@@ -16,7 +16,6 @@ from hybrid_ids.dataset import (
     Dataset,
     N_FEATURES,
     StandardizationStats,
-    Taxonomy,
     parse_kdd_line,
     standardize_dataset,
     standardize_fit,
@@ -87,7 +86,6 @@ def _stub_hybrid(nn_vote, rf_vote, normal_at, attack_at) -> HybridModel:
         forest=_forced_forest(rf_vote),
         centroids=centroids,
         stats=StandardizationStats(np.zeros(N_FEATURES), np.ones(N_FEATURES)),
-        taxonomy=Taxonomy.default(),
     )
 
 
@@ -311,11 +309,12 @@ def test_hybrid_manifest_round_trip(tmp_path):
     a, _ = predict_dataset(h, sample)
     b, _ = predict_dataset(load_hybrid(manifest), sample)
     assert list(a) == list(b)
-    # manifests written while a mode= line existed still load
+    # manifests written while a mode= or a taxonomy= line existed still load
     first, rest = text.split("\n", 1)
-    manifest.write_text(f"{first}\nmode=classify\n{rest}")
-    c, _ = predict_dataset(load_hybrid(manifest), sample)
-    assert list(c) == list(a)
+    for old in ("mode=classify", "taxonomy=taxonomy.txt"):
+        manifest.write_text(f"{first}\n{old}\n{rest}")
+        c, _ = predict_dataset(load_hybrid(manifest), sample)
+        assert list(c) == list(a)
 
 
 def test_hybrid_manifest_detects_stats_mismatch(tmp_path):
@@ -327,7 +326,7 @@ def test_hybrid_manifest_detects_stats_mismatch(tmp_path):
     from hybrid_ids.dataset import save_stats
 
     save_stats(tmp_path / "stats.txt", standardize_fit(other))
-    with pytest.raises(ValueError, match="fingerprint mismatch"):
+    with pytest.raises(ValueError, match="stats fingerprint mismatch: mlp model "):
         load_hybrid(manifest)
 
 
@@ -340,26 +339,14 @@ def test_hybrid_manifest_missing_submodel(tmp_path):
         load_hybrid(manifest)
 
 
-def test_hybrid_manifest_detects_taxonomy_conflict(tmp_path):
-    ds = separable_dataset(n_per_label=8, seed=10)
-    h = train_all(ds, _fast_config())
-    manifest = save_hybrid(tmp_path, h)
-    # corrupt the taxonomy: remap a trained attack label to another family
-    from hybrid_ids.dataset import save_taxonomy
-
-    broken = Taxonomy({**dict(h.taxonomy.items()), "neptune": CoarseLabel.PROBE})
-    save_taxonomy(tmp_path / "taxonomy.txt", broken)
-    with pytest.raises(ValueError, match="taxonomy maps it"):
-        load_hybrid(manifest)
-
-
-
 @pytest.mark.parametrize("edit, line_no, match", [
     (lambda lines: lines[:2] + ["stats"] + lines[2:], 3, "expected '<key>=<file>', got 'stats'"),
     (lambda lines: lines[:4] + ["stats="] + lines[5:], 5, "expected '<key>=<file>', got 'stats='"),
-    (lambda lines: lines + ["stats=other.txt"], 7, "repeated key 'stats'"),
-    (lambda lines: [line for line in lines if not line.startswith("centroids=")], 5,
-     r"manifest missing entries: \['centroids'\]"),
+    # an older manifest's taxonomy= line is read past like any unknown key
+    (lambda lines: lines + ["taxonomy=taxonomy.txt", "stats=other.txt"], 7,
+     "repeated key 'stats'"),
+    (lambda lines: [line for line in lines if not line.startswith("centroids=")]
+     + ["taxonomy=taxonomy.txt"], 5, r"manifest missing entries: \['centroids'\]"),
     (lambda lines: ["hybrid-ids forest v1"] + lines[1:], 1, "expected format line"),
     (lambda lines: [], 1, "unexpected end of file"),
 ])
