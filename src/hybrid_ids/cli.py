@@ -56,7 +56,8 @@ from .evaluation import (
     write_metrics_csv,
 )
 from .hybrid import (
-    MANIFEST_FILES,
+    STAGES,
+    STATS_FILE,
     HybridConfig,
     RoutingStats,
     Verdicts,
@@ -65,9 +66,7 @@ from .hybrid import (
     predict_dataset,
     save_hybrid,
     train_all,
-    train_misuse,
-    train_nn,
-    train_rf,
+    train_stage,
 )
 from .neural_net import TrainConfig
 from .persist import atomic_open, atomic_write, version_line
@@ -281,15 +280,12 @@ def _load_split(path: Path) -> Dataset:
     return load_dataset(path)
 
 
-# stage -> (manifest key, trainer, saver, loader, report title, what "wrote <file>" adds)
+# stage -> (key in hybrid.STAGES, report title, what "wrote <file>" adds)
 _STAGES = {
-    "nn": ("mlp", train_nn, nn_mod.save_mlp, nn_mod.load_mlp,
-           "Neural Network (anomaly stage)", lambda mlp: ""),
-    "rf": ("forest", train_rf, rf_mod.save_forest, rf_mod.load_forest,
-           "Random Forest (anomaly stage)",
+    "nn": ("mlp", "Neural Network (anomaly stage)", lambda mlp: ""),
+    "rf": ("forest", "Random Forest (anomaly stage)",
            lambda f: f" ({len(f.active_features)}/{f.n_features} features active)"),
-    "misuse": ("centroids", train_misuse, misuse_mod.save_centroids,
-               misuse_mod.load_centroids, "Misuse (centroid signatures)",
+    "misuse": ("centroids", "Misuse (centroid signatures)",
                lambda cen: f" ({len(cen)} signatures)"),
 }
 
@@ -301,7 +297,8 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
     if which == "hybrid":
         print(f"wrote {save_hybrid(cfg.out, train_all(train_ds, cfg.hybrid))}")
     else:
-        key, train, save, _, _, summary = _STAGES[which]
+        key, _, summary = _STAGES[which]
+        file, _, save, _ = STAGES[key]
         stats = standardize_fit(train_ds)
         std_train = standardize_dataset(stats, train_ds)
         if which == "nn":
@@ -310,9 +307,9 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
                 f"{cfg.cv_folds}-fold CV mean overall accuracy: {cv.mean_accuracy:.3f} "
                 f"(folds: {', '.join(f'{a:.3f}' for a in cv.fold_accuracies)})"
             )
-        model = train(std_train, cfg.hybrid, stats.fingerprint)
-        path = cfg.out_path(MANIFEST_FILES[key])
-        save_stats(cfg.out_path(MANIFEST_FILES["stats"]), stats)
+        model = train_stage(key, std_train, cfg.hybrid, stats)
+        path = cfg.out_path(file)
+        save_stats(cfg.out_path(STATS_FILE), stats)
         save(path, model)
         print(f"wrote {path}{summary(model)}")
     print(f"training time: {time.perf_counter() - started:.1f}s")
@@ -335,9 +332,10 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
         ])
         print(routing.describe())
     else:
-        key, _, _, load, title, _ = _STAGES[which]
-        model = load(cfg.out_path(MANIFEST_FILES[key]))
-        stats = load_stats(cfg.out_path(MANIFEST_FILES["stats"]))
+        key, title, _ = _STAGES[which]
+        file, _, _, load = STAGES[key]
+        model = load(cfg.out_path(file))
+        stats = load_stats(cfg.out_path(STATS_FILE))
         check_fingerprint(key, model, stats)
         std_test = standardize_dataset(stats, test_ds)
         if which == "misuse":

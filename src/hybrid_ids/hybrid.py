@@ -6,10 +6,11 @@ attack class. A distinct record is scored once; verdicts stay one per row.
 A record is never emitted as an attack unless at least one anomaly model
 flagged it: the misuse stage can only confirm, refine, or trim alarms.
 
-A saved bundle is a manifest naming the three model files and the stats
-file their inputs were standardized with (``MANIFEST_FILES``). The coarse
-class tagged on each misuse signature is the one fine-to-coarse mapping
-that prediction reads.
+``STAGES`` gives each model stage's file, trainer, saver and loader. A saved
+bundle is a manifest naming the three model files and the stats file
+(``STATS_FILE``) their inputs were standardized with. The coarse class
+tagged on each misuse signature is the one fine-to-coarse mapping that
+prediction reads.
 """
 
 from __future__ import annotations
@@ -128,33 +129,41 @@ class HybridModel:
     stats: StandardizationStats
 
 
-def train_nn(std_train: Dataset, config: HybridConfig, fingerprint: str) -> MLPModel:
-    """The neural net stage, tagged with the stats ``fingerprint``."""
-    mlp = nn.train(std_train, config.nn)
-    mlp.stats_fingerprint = fingerprint
-    return mlp
-
-
-def train_rf(std_train: Dataset, config: HybridConfig, fingerprint: str) -> ForestModel:
+def train_rf(std_train: Dataset, config: HybridConfig) -> ForestModel:
     """The forest stage, retrained on its important features (see
-    ``prune_and_retrain``), tagged with the stats ``fingerprint``."""
+    ``prune_and_retrain``)."""
     ranked = rf.rank_columns(std_train.X)  # shared by the forest and its retrain
     forest = rf.train_forest(std_train, config.rf, ranked=ranked)
-    forest = rf.prune_and_retrain(std_train, forest, config.rf, ranked=ranked)
-    forest.stats_fingerprint = fingerprint
-    return forest
+    return rf.prune_and_retrain(std_train, forest, config.rf, ranked=ranked)
 
 
-def train_misuse(std_train: Dataset, config: HybridConfig, fingerprint: str) -> CentroidModel:
-    """The misuse stage's centroids, tagged with the stats ``fingerprint``.
-    Shadowed signatures (see ``signature_collisions``) are logged as a
-    warning."""
+def train_misuse(std_train: Dataset, config: HybridConfig) -> CentroidModel:
+    """The misuse stage's centroids. Shadowed signatures (see
+    ``signature_collisions``) are logged as a warning."""
     cen = misuse.fit(std_train)
-    cen.stats_fingerprint = fingerprint
     collisions = misuse.signature_collisions(cen)
     if collisions:
         log.warning("signature collisions (shadowed centroids): %s", ", ".join(collisions))
     return cen
+
+
+# manifest key (a HybridModel field) -> (file, train(std_train, config),
+# save(path, model), load(path)), in manifest order. A tracer that rebinds
+# module names misses calls made through these rows.
+STAGES = {
+    "mlp": ("mlp.model", lambda ds, config: nn.train(ds, config.nn), nn.save_mlp, nn.load_mlp),
+    "forest": ("forest.model", train_rf, rf.save_forest, rf.load_forest),
+    "centroids": ("centroids.model", train_misuse, misuse.save_centroids, misuse.load_centroids),
+}
+STATS_FILE = "stats.txt"
+
+
+def train_stage(key: str, std_train: Dataset, config: HybridConfig, stats: StandardizationStats):
+    """The ``key`` stage trained on ``std_train``, tagged with the
+    fingerprint of the ``stats`` it was standardized with."""
+    model = STAGES[key][1](std_train, config)
+    model.stats_fingerprint = stats.fingerprint
+    return model
 
 
 def train_all(train: Dataset, config: HybridConfig) -> HybridModel:
@@ -162,10 +171,8 @@ def train_all(train: Dataset, config: HybridConfig) -> HybridModel:
     stages on the same standardized data."""
     stats = standardize_fit(train)
     std_train = standardize_dataset(stats, train)
-    mlp = train_nn(std_train, config, stats.fingerprint)
-    forest = train_rf(std_train, config, stats.fingerprint)
-    cen = train_misuse(std_train, config, stats.fingerprint)
-    return HybridModel(mlp=mlp, forest=forest, centroids=cen, stats=stats)
+    return HybridModel(**{key: train_stage(key, std_train, config, stats) for key in STAGES},
+                       stats=stats)
 
 
 def predict_dataset(h: HybridModel, ds: Dataset) -> tuple[Verdicts, RoutingStats]:
@@ -195,14 +202,6 @@ def predict_dataset(h: HybridModel, ds: Dataset) -> tuple[Verdicts, RoutingStats
 # Persistence: a manifest referencing the three model files and the stats
 # file; loading cross-checks dimensions and stats fingerprints.
 
-MANIFEST_FILES = {
-    "mlp": "mlp.model",
-    "forest": "forest.model",
-    "centroids": "centroids.model",
-    "stats": "stats.txt",
-}
-
-
 def check_fingerprint(name: str, model, stats: StandardizationStats) -> None:
     """ValueError unless the ``name`` model (a manifest key) was trained on
     data standardized with ``stats``."""
@@ -216,12 +215,11 @@ def check_fingerprint(name: str, model, stats: StandardizationStats) -> None:
 def save_hybrid(directory: str | Path, h: HybridModel) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_stats(directory / MANIFEST_FILES["stats"], h.stats)
-    nn.save_mlp(directory / MANIFEST_FILES["mlp"], h.mlp)
-    rf.save_forest(directory / MANIFEST_FILES["forest"], h.forest)
-    misuse.save_centroids(directory / MANIFEST_FILES["centroids"], h.centroids)
+    save_stats(directory / STATS_FILE, h.stats)
+    for key, (file, _, save, _) in STAGES.items():
+        save(directory / file, getattr(h, key))
     lines = [version_line("hybrid")]
-    lines += [f"{key}={name}" for key, name in MANIFEST_FILES.items()]
+    lines += [f"{key}={row[0]}" for key, row in STAGES.items()] + [f"stats={STATS_FILE}"]
     manifest = directory / "hybrid.manifest"
     atomic_write(manifest, "\n".join(lines) + "\n")
     return manifest
@@ -245,18 +243,17 @@ def load_hybrid(manifest_path: str | Path) -> HybridModel:
         if key in entries:
             raise r.error(f"repeated key '{key}'")
         entries[key] = value
-    missing = [k for k in MANIFEST_FILES if k not in entries]
+    missing = [k for k in (*STAGES, "stats") if k not in entries]
     if missing:
         raise r.error(f"manifest missing entries: {missing}")
     stats = load_stats(directory / entries["stats"])
-    mlp = nn.load_mlp(directory / entries["mlp"])
-    forest = rf.load_forest(directory / entries["forest"])
-    cen = misuse.load_centroids(directory / entries["centroids"])
-    for name, model in (("mlp", mlp), ("forest", forest), ("centroids", cen)):
-        check_fingerprint(name, model, stats)
+    models = {key: row[3](directory / entries[key]) for key, row in STAGES.items()}
+    for key, model in models.items():
+        check_fingerprint(key, model, stats)
+    h = HybridModel(**models, stats=stats)
     n_in = stats.mean.shape[0]
-    if mlp.dims[0] != n_in or forest.n_features != n_in:
+    if h.mlp.dims[0] != n_in or h.forest.n_features != n_in:
         raise ValueError("model input dimensions disagree with the stats file")
-    if cen.centroids.shape[1] != n_in:
+    if h.centroids.centroids.shape[1] != n_in:
         raise ValueError("centroid dimension disagrees with the stats file")
-    return HybridModel(mlp=mlp, forest=forest, centroids=cen, stats=stats)
+    return h

@@ -482,7 +482,6 @@ def prune_and_retrain(
         "pruned forest to %d/%d features (accuracy %.3f -> %.3f)",
         len(active), model.n_features, acc_before, acc_after,
     )
-    retrained.stats_fingerprint = model.stats_fingerprint
     return retrained
 
 

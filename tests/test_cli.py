@@ -27,7 +27,7 @@ from hybrid_ids.dataset import (
 )
 from hybrid_ids.errors import ParseError
 from hybrid_ids.evaluation import confusion, write_confusion_csv
-from hybrid_ids.hybrid import MANIFEST_FILES, Verdicts, load_hybrid, predict_dataset
+from hybrid_ids.hybrid import Verdicts, load_hybrid, predict_dataset
 from hybrid_ids.random_forest import load_forest, predict_batch as rf_predict_batch
 
 from conftest import DEFAULT_SYNTH_COUNTS, make_kdd_lines
@@ -399,6 +399,20 @@ def test_train_rf_reload_predicts_identically(workspace):
     assert model.stats_fingerprint == stats.fingerprint
 
 
+def test_single_stage_trains_write_the_files_of_train_hybrid(workspace):
+    _prepared(workspace)
+    config, out = str(workspace["config"]), workspace["out"]
+    assert main(["train", "hybrid", "--config", config]) == 0
+    names = ("stats.txt", "mlp.model", "forest.model", "centroids.model")
+    hybrid = {name: (out / name).read_bytes() for name in names}
+    for which, name in (("nn", "mlp.model"), ("rf", "forest.model"), ("misuse", "centroids.model")):
+        (out / "stats.txt").unlink()
+        (out / name).unlink()
+        assert main(["train", which, "--config", config]) == 0
+        assert (out / "stats.txt").read_bytes() == hybrid["stats.txt"], which
+        assert (out / name).read_bytes() == hybrid[name], which
+
+
 def test_log_level_info_shows_the_prune_decision(workspace, capsys):
     _prepared(workspace)
     capsys.readouterr()
@@ -421,7 +435,7 @@ def test_train_hybrid_writes_loadable_bundle(workspace):
     _prepared(workspace)
     assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
     out = workspace["out"]
-    for name in ("hybrid.manifest", *MANIFEST_FILES.values()):
+    for name in ("hybrid.manifest", "mlp.model", "forest.model", "centroids.model", "stats.txt"):
         assert (out / name).exists(), name
     from hybrid_ids.hybrid import load_hybrid
 

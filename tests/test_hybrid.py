@@ -22,7 +22,6 @@ from hybrid_ids.dataset import (
     stratified_split,
 )
 from hybrid_ids.hybrid import (
-    MANIFEST_FILES,
     HybridConfig,
     HybridModel,
     load_hybrid,
@@ -352,6 +351,7 @@ def test_hybrid_manifest_missing_submodel(tmp_path):
 ])
 def test_hybrid_manifest_malformed(tmp_path, edit, line_no, match):
     # the manifest is checked before any model file is opened
-    lines = ["hybrid-ids hybrid v1"] + [f"{key}={name}" for key, name in MANIFEST_FILES.items()]
+    lines = ["hybrid-ids hybrid v1", "mlp=mlp.model", "forest=forest.model",
+             "centroids=centroids.model", "stats=stats.txt"]
     manifest = tmp_path / "hybrid.manifest"
     expect_load_error(load_hybrid, manifest, edit(lines), line_no, match)
