@@ -76,16 +76,14 @@ def _distances(model: CentroidModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def assign_batch(model: CentroidModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (signature index, Euclidean distance) of the nearest centroid of
-    standardized vectors. Exact distance ties pick the lexicographically
-    smallest fine label."""
+def assign_batch(model: CentroidModel, X: np.ndarray) -> np.ndarray:
+    """Per-row signature index of the nearest centroid of standardized
+    vectors. Exact distance ties pick the lexicographically smallest fine
+    label."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.centroids.shape[1]:
         raise ValueError(f"expected (n, {model.centroids.shape[1]}) inputs")
-    d2 = _distances(model, X)
-    nearest = np.argmin(d2, axis=1)
-    return nearest, np.sqrt(d2[np.arange(len(X)), nearest])
+    return np.argmin(_distances(model, X), axis=1)
 
 
 @dataclass
@@ -99,7 +97,7 @@ class MisuseEvaluation:
 def evaluate_misuse(model: CentroidModel, test: Dataset) -> MisuseEvaluation:
     if len(test) == 0:
         raise ValueError("empty test set")
-    nearest, _ = assign_batch(model, test.X)
+    nearest = assign_batch(model, test.X)
     assigned_fine = np.array(model.fine_labels, dtype=object)[nearest]
     assigned_coarse = model.coarse[nearest]
     fine_acc = 100.0 * float((assigned_fine == test.fine_labels).mean())
@@ -115,7 +113,7 @@ def evaluate_misuse(model: CentroidModel, test: Dataset) -> MisuseEvaluation:
 def signature_collisions(model: CentroidModel) -> list[str]:
     """Fine labels whose own centroid assigns elsewhere (shadowed
     signatures); logged as a warning when the misuse stage is trained."""
-    nearest, _ = assign_batch(model, model.centroids)
+    nearest = assign_batch(model, model.centroids)
     labels = model.fine_labels
     return [labels[i] for i, j in enumerate(nearest.tolist()) if labels[j] != labels[i]]
 

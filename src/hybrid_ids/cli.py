@@ -22,6 +22,8 @@ import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
+import numpy as np
+
 from . import centroids as misuse_mod
 from . import neural_net as nn_mod
 from . import random_forest as rf_mod
@@ -302,10 +304,10 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
         stats = standardize_fit(train_ds)
         std_train = standardize_dataset(stats, train_ds)
         if which == "nn":
-            cv = nn_mod.cross_validate(std_train, cfg.cv_folds, cfg.hybrid.nn, cfg.fold_seed)
+            accs = nn_mod.cross_validate(std_train, cfg.cv_folds, cfg.hybrid.nn, cfg.fold_seed)
             print(
-                f"{cfg.cv_folds}-fold CV mean overall accuracy: {cv.mean_accuracy:.3f} "
-                f"(folds: {', '.join(f'{a:.3f}' for a in cv.fold_accuracies)})"
+                f"{cfg.cv_folds}-fold CV mean overall accuracy: {np.mean(accs):.3f} "
+                f"(folds: {', '.join(f'{a:.3f}' for a in accs)})"
             )
         model = train_stage(key, std_train, cfg.hybrid, stats)
         path = cfg.out_path(file)

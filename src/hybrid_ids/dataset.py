@@ -14,7 +14,7 @@ import gzip
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -147,19 +147,13 @@ class Taxonomy:
         return sorted(self._mapping.items())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RawRecord:
-    """One parsed KDD connection line.
+    """One parsed KDD connection line: its fine label and its encoded
+    41-vector ``x`` in ``ENCODED_COLUMNS`` order."""
 
-    ``text`` keeps the 41 feature fields as the line gives them. ``x`` is
-    their encoded 41-vector in ``ENCODED_COLUMNS`` order; ``text``
-    determines it, so it takes no part in comparisons. Deduplication does
-    not go through records: :func:`read_kdd_dataset` keys on the line text.
-    """
-
-    text: str
     fine_label: str
-    x: np.ndarray = field(compare=False)
+    x: np.ndarray
 
 
 _PROTOCOL_CODES = {p: i for i, p in enumerate(PROTOCOLS)}
@@ -176,14 +170,12 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
     non-negative; each is converted once, and the first bad column, in
     column order, is reported.
     """
-    text = line.strip()
-    parts = text.split(",")
+    parts = line.strip().split(",")
     expected = N_RAW_FEATURES + 1 if labeled else N_RAW_FEATURES
     if len(parts) != expected:
         raise ParseError(f"expected {expected} fields, got {len(parts)}", line_no)
     if labeled:
-        text, _, label = text.rpartition(",")
-        fine_label = label.rstrip(".")
+        fine_label = parts[-1].rstrip(".")
         if not fine_label:
             raise ParseError("empty label field", line_no, "label")
     else:
@@ -211,7 +203,7 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
             )
         values.append(value)
     values[1:1] = _ONE_HOT_ROWS[_PROTOCOL_CODES[protocol]]
-    return RawRecord(text, fine_label, np.array(values))
+    return RawRecord(fine_label, np.array(values))
 
 
 # Lines per parse_kdd_block call, and so per predict_dataset call in
@@ -341,7 +333,7 @@ def encode_features(record: RawRecord) -> np.ndarray:
     return record.x
 
 
-@dataclass
+@dataclass(frozen=True)
 class Provenance:
     source: str = ""
     deduplicated: bool = False
@@ -381,16 +373,8 @@ class Dataset:
         return len(self.X)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.X[indices],
-            self.fine_labels[indices],
-            self.coarse[indices],
-            Provenance(
-                self.provenance.source,
-                self.provenance.deduplicated,
-                self.provenance.sampling,
-            ),
-        )
+        return Dataset(self.X[indices], self.fine_labels[indices], self.coarse[indices],
+                       self.provenance)
 
     def counts_by_coarse(self) -> dict[CoarseLabel, int]:
         counts = np.bincount(self.coarse, minlength=len(CoarseLabel))
@@ -454,7 +438,7 @@ def resample(ds: Dataset, plan: SamplingPlan) -> Dataset:
             pieces.append(idx)
     order = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
     out = ds.subset(order)
-    out.provenance.sampling = plan.describe()
+    out.provenance = replace(ds.provenance, sampling=plan.describe())
     return out
 
 

@@ -137,7 +137,7 @@ def load_confusion_csv(path: str | Path) -> np.ndarray:
     while line.startswith("#"):
         line = r.next("the header").strip()
     if line != _HEADER:
-        raise r.error(f"expected 'truth\\pred' and distinct class names, got '{line}'")
+        raise r.error(f"expected '{_HEADER}', got '{line}'")
     k = len(COARSE_NAMES)
     counts = np.zeros((k, k), dtype=np.int64)
     for i, name in enumerate(COARSE_NAMES):

@@ -65,8 +65,8 @@ class Verdicts:
     """The chain's verdicts on a batch, one array element per row: the two
     anomaly votes, the index in ``centroids`` of each routed row's nearest
     signature (-1 where the row is not routed), the routing mask and the
-    final coarse class. Indexing or iterating gives :class:`FinalPrediction`
-    rows, built on demand from the columns."""
+    final coarse class. Iterating gives :class:`FinalPrediction` rows,
+    built on demand from the columns."""
 
     nn_votes: np.ndarray
     rf_votes: np.ndarray
@@ -78,20 +78,13 @@ class Verdicts:
     def __len__(self) -> int:
         return len(self.coarse)
 
-    def __getitem__(self, i: int) -> FinalPrediction:
-        coarse = CoarseLabel(int(self.coarse[i]))
-        routed = bool(self.routed[i])
-        return FinalPrediction(
-            coarse=coarse,
-            fine=self.centroids.fine_labels[int(self.entry[i])] if routed else None,
-            routed=routed,
-            nn_vote=CoarseLabel(int(self.nn_votes[i])),
-            rf_vote=CoarseLabel(int(self.rf_votes[i])),
-            misuse_vote=coarse if routed else None,
-        )
-
     def __iter__(self) -> Iterator[FinalPrediction]:
-        return (self[i] for i in range(len(self)))
+        fine = self.centroids.fine_labels
+        columns = (self.coarse, self.entry, self.routed, self.nn_votes, self.rf_votes)
+        for coarse, e, routed, nn_vote, rf_vote in zip(*(c.tolist() for c in columns)):
+            coarse = CoarseLabel(coarse)
+            yield FinalPrediction(coarse, fine[e] if routed else None, routed, CoarseLabel(nn_vote),
+                                  CoarseLabel(rf_vote), coarse if routed else None)
 
 
 @dataclass
@@ -186,7 +179,7 @@ def predict_dataset(h: HybridModel, ds: Dataset) -> tuple[Verdicts, RoutingStats
     rf_votes = rf.predict_batch(h.forest, X)
     routed = route(nn_votes, rf_votes)
     entry = np.full(len(X), -1, dtype=np.int64)
-    entry[routed] = misuse.assign_batch(h.centroids, X[routed])[0]
+    entry[routed] = misuse.assign_batch(h.centroids, X[routed])
     nn_votes, rf_votes, routed, entry = (a[inverse] for a in (nn_votes, rf_votes, routed, entry))
     # entry -1 (not routed) picks the appended normal
     coarse = np.append(h.centroids.coarse, int(CoarseLabel.NORMAL))[entry]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import CoarseLabel, Dataset, N_FEATURES
+from .dataset import CoarseLabel, Dataset, N_FEATURES, stratified_kfold
 from .evaluation import confusion, overall_accuracy
 from .persist import LineReader, atomic_write, fmt_floats, version_line
 
@@ -156,21 +156,8 @@ def predict_batch(model: MLPModel, X: np.ndarray) -> np.ndarray:
     return np.argmax(forward(model, X), axis=1)
 
 
-@dataclass
-class CrossValidation:
-    fold_accuracies: list[float]
-
-    @property
-    def mean_accuracy(self) -> float:
-        return float(np.mean(self.fold_accuracies))
-
-
-def cross_validate(ds: Dataset, k: int, config: TrainConfig, fold_seed: int | None = None) -> CrossValidation:
+def cross_validate(ds: Dataset, k: int, config: TrainConfig, fold_seed: int) -> list[float]:
     """Train k models on stratified folds; overall accuracy per held-out fold."""
-    from .dataset import stratified_kfold
-
-    if fold_seed is None:
-        fold_seed = config.seed
     accs = []
     for fold_no, (train_ds, val_ds) in enumerate(stratified_kfold(ds, k, fold_seed)):
         model = train(train_ds, config)
@@ -178,7 +165,7 @@ def cross_validate(ds: Dataset, k: int, config: TrainConfig, fold_seed: int | No
         acc = overall_accuracy(confusion(preds, val_ds.coarse))
         log.info("fold %d accuracy: %.3f", fold_no, acc)
         accs.append(acc)
-    return CrossValidation(fold_accuracies=accs)
+    return accs
 
 
 def save_mlp(path: str | Path, model: MLPModel) -> None:

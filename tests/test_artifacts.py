@@ -119,8 +119,7 @@ def _check_centroids(loaded, original) -> None:
     assert loaded.centroids.dtype == np.float64 and loaded.centroids.shape == (len(loaded), N_FEATURES)
     assert loaded.stats_fingerprint == original.stats_fingerprint
     probe = _probe(N_FEATURES)
-    for got, want in zip(assign_batch(loaded, probe), assign_batch(original, probe)):
-        assert np.array_equal(got, want)
+    assert np.array_equal(assign_batch(loaded, probe), assign_batch(original, probe))
 
 
 def _check_confusion(loaded, original) -> None:

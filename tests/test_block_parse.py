@@ -163,13 +163,18 @@ def test_predict_chunks_at_block_edges_match_oracle(tmp_path, monkeypatch, posit
 
 
 def file_oracle(lines):
-    """The rows, fine labels and count of the non-blank lines that
-    ``dict.fromkeys`` over their ``parse_kdd_line`` records gives; raises
+    """The rows, fine labels and count of the non-blank lines, one
+    ``parse_kdd_line`` record per distinct (41 fields as the stripped line
+    gives them, label without trailing dots) in first-seen order; raises
     the first line's ParseError."""
-    records = [parse_kdd_line(line, n) for n, line in enumerate(lines, start=1) if line.strip()]
-    distinct = list(dict.fromkeys(records))
-    rows = np.array([r.x for r in distinct]).reshape(-1, N_FEATURES)
-    return rows, [r.fine_label for r in distinct], len(records)
+    numbered = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
+    distinct = {}
+    for n, line in numbered:
+        record = parse_kdd_line(line, n)
+        distinct.setdefault((line.strip().rpartition(",")[0], record.fine_label), record)
+    records = list(distinct.values())
+    rows = np.array([r.x for r in records]).reshape(-1, N_FEATURES)
+    return rows, [r.fine_label for r in records], len(numbered)
 
 
 def read_matches_oracle(path, lines):

@@ -3,6 +3,7 @@ config parsing, determinism of produced files."""
 
 from __future__ import annotations
 
+import argparse
 import gzip
 import hashlib
 import re
@@ -24,10 +25,13 @@ from hybrid_ids.dataset import (
     load_dataset,
     parse_kdd_line,
     save_dataset,
+    standardize_dataset,
+    standardize_fit,
 )
 from hybrid_ids.errors import ParseError
 from hybrid_ids.evaluation import confusion, write_confusion_csv
 from hybrid_ids.hybrid import Verdicts, load_hybrid, predict_dataset
+from hybrid_ids.neural_net import cross_validate
 from hybrid_ids.random_forest import load_forest, predict_batch as rf_predict_batch
 
 from conftest import DEFAULT_SYNTH_COUNTS, make_kdd_lines
@@ -359,13 +363,22 @@ def _prepared(workspace) -> dict:
 
 
 def test_train_nn_prints_cv_accuracy(workspace, capsys):
+    # 5 epochs leave each fold short of 100%, so the line tells the folds apart
+    config = workspace["config"]
+    config.write_text(config.read_text().replace("nn.folds=2", "nn.folds=3")
+                      .replace("nn.epochs=40", "nn.epochs=5"))
     _prepared(workspace)
-    rc = main(["train", "nn", "--config", str(workspace["config"])])
+    rc = main(["train", "nn", "--config", str(config)])
     assert rc == 0
     out = capsys.readouterr().out
     cv_line = next(l for l in out.splitlines() if "CV mean overall accuracy" in l)
-    value = float(cv_line.split(":")[1].split("(")[0])
-    assert value >= 90.0  # separable synthetic corpus
+    cfg = build_config(argparse.Namespace(config=str(config)))
+    train = load_dataset(workspace["out"] / "train.csv")
+    std_train = standardize_dataset(standardize_fit(train), train)
+    accs = cross_validate(std_train, 3, cfg.hybrid.nn, cfg.fold_seed)
+    assert cv_line == (f"3-fold CV mean overall accuracy: {np.mean(accs):.3f} "
+                       f"(folds: {', '.join(f'{a:.3f}' for a in accs)})")
+    assert np.mean(accs) >= 90.0  # separable synthetic corpus
     assert (workspace["out"] / "mlp.model").exists()
     assert (workspace["out"] / "stats.txt").exists()
     assert "training time" in out

@@ -49,17 +49,14 @@ SAMPLE_LINE = (
 
 def test_parse_sample_line_fields():
     rec = parse_kdd_line(SAMPLE_LINE)
-    fields = rec.text.split(",")
-    assert len(fields) == 41
-    assert fields[0] == "0"
-    assert fields[1] == "tcp"
-    assert fields[2] == "http"
-    assert fields[3] == "SF"
-    assert fields[4] == "181"
-    assert fields[5] == "5450"
-    assert fields[22] == "8"
-    assert fields[31] == "9"
-    assert fields[35] == "0.11"
+    fields = SAMPLE_LINE.split(",")
+    x = dict(zip(ENCODED_COLUMNS, rec.x.tolist()))
+    # every numeric field lands under its own column name
+    for name, value in x.items():
+        if not name.startswith("protocol_"):
+            assert value == float(fields[KDD_COLUMNS.index(name)]), name
+    assert (x["duration"], x["src_bytes"], x["dst_bytes"]) == (0.0, 181.0, 5450.0)
+    assert (x["count"], x["dst_host_count"], x["dst_host_same_src_port_rate"]) == (8.0, 9.0, 0.11)
     assert rec.fine_label == "normal"
 
 
@@ -167,7 +164,7 @@ def test_parse_unlabeled_line():
     unlabeled = ",".join(SAMPLE_LINE.split(",")[:41])
     rec = parse_kdd_line(unlabeled, labeled=False)
     assert rec.fine_label == ""
-    assert len(rec.text.split(",")) == 41
+    assert np.array_equal(rec.x, parse_kdd_line(SAMPLE_LINE).x)
 
 
 def _read(tmp_path, lines):

@@ -200,6 +200,10 @@ def test_csv_output_headers(tmp_path):
         "# hybrid-ids metrics v1", "# seed=7", "class,precision,recall,accuracy,flags"]
 
 
+# the header load_confusion_csv names when it refuses one (a regex)
+_EXPECTED_HEADER = r"expected 'truth\\pred,normal,dos,probe,r2l,u2r', got "
+
+
 def _set(i, text):
     return lambda lines: lines[:i] + [text] + lines[i + 1:]
 
@@ -208,9 +212,14 @@ def _set(i, text):
     (lambda lines: lines[:5], 6, "unexpected end of file, expected the row of 'probe'"),
     (lambda lines: lines[:2], 3, "unexpected end of file, expected the header"),
     (_set(0, "# hybrid-ids metrics v1"), 1, "expected format line 'hybrid-ids confusion v1'"),
-    (_set(2, "truth,normal,dos,probe,r2l,u2r"), 3, "expected 'truth\\\\pred'"),
-    (_set(2, "truth\\pred,normal,dos,dos,r2l,u2r"), 3, "distinct class names"),
-    (_set(2, "truth\\pred"), 3, "distinct class names"),
+    pytest.param(_set(2, "truth,normal,dos,probe,r2l,u2r"), 3,
+                 _EXPECTED_HEADER + "'truth,normal,dos,probe,r2l,u2r'", id="header-without-pred"),
+    pytest.param(_set(2, "truth\\pred,normal,dos,dos,r2l,u2r"), 3,
+                 _EXPECTED_HEADER + r"'truth\\pred,normal,dos,dos,r2l,u2r'", id="header-repeated-name"),
+    pytest.param(_set(2, "truth\\pred,dos,normal,probe,r2l,u2r"), 3,
+                 _EXPECTED_HEADER + r"'truth\\pred,dos,normal,probe,r2l,u2r'", id="header-reordered"),
+    pytest.param(_set(2, "truth\\pred"), 3, _EXPECTED_HEADER + r"'truth\\pred'$",
+                 id="header-without-names"),
     (_set(3, "dos,1,0,0,0,0"), 4, "expected 'normal' and 5 counts"),
     (_set(4, "dos,0,x,0,0,0"), 5, "count 'x' is not a valid int"),
     (_set(5, "probe,0,0,1"), 6, "expected 'probe' and 5 counts, got 'probe,0,0,1'"),

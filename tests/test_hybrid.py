@@ -96,7 +96,8 @@ def _predict_one(h: HybridModel, x: np.ndarray):
     """The batched chain on a one-row dataset."""
     preds, stats = predict_dataset(h, Dataset(x[None, :], ["normal"], [int(NORMAL)]))
     assert len(preds) == 1 and stats.total == 1
-    return preds[0]
+    [pred] = preds
+    return pred
 
 
 def test_predict_not_routed_when_both_normal():
@@ -192,9 +193,7 @@ def test_train_all_submodels_match_standalone_runs():
     assert np.array_equal(rf.predict_batch(h.forest, probe), rf.predict_batch(forest, probe))
 
     cen = misuse.fit(std)
-    got_a, _ = misuse.assign_batch(h.centroids, probe)
-    got_b, _ = misuse.assign_batch(cen, probe)
-    assert np.array_equal(got_a, got_b)
+    assert np.array_equal(misuse.assign_batch(h.centroids, probe), misuse.assign_batch(cen, probe))
 
 
 def test_train_all_deterministic_end_to_end():
@@ -214,8 +213,7 @@ def test_verdict_columns_equal_their_rows():
     verdicts, stats = predict_dataset(h, test)
     rows = list(verdicts)
     assert len(verdicts) == len(rows) == len(test)
-    assert [verdicts[i] for i in range(len(test))] == rows
-    assert verdicts[-1] == rows[-1]
+    assert list(verdicts) == rows  # each pass builds equal rows
     for column in (verdicts.nn_votes, verdicts.rf_votes, verdicts.entry, verdicts.coarse):
         assert column.dtype.kind == "i"
     assert verdicts.nn_votes.tolist() == [int(p.nn_vote) for p in rows]

@@ -257,9 +257,9 @@ def test_cross_validate_leave_one_out_fold_arithmetic():
     X = np.arange(6 * N_FEATURES, dtype=float).reshape(6, N_FEATURES)
     ds = Dataset(X, ["normal"] * 6, [0] * 6)
     cfg = TrainConfig(hidden_dims=(3, 3), epochs=1, seed=0)
-    result = cross_validate(ds, 6, cfg)
-    assert len(result.fold_accuracies) == 6
-    assert result.mean_accuracy == pytest.approx(100.0)
+    accs = cross_validate(ds, 6, cfg, fold_seed=0)
+    assert len(accs) == 6
+    assert np.mean(accs) == pytest.approx(100.0)
 
 
 def test_save_mlp_writes_the_fixed_activations_line(tmp_path):

@@ -1,6 +1,7 @@
 """The package names that the benchmark under ``perfbench/`` imports and
 the calls it makes. A change that breaks one of them fails every benchmark
-command, so it must fail a test here first."""
+command, so it must fail a test here first. Also: every module-level
+definition of the package is named by the package or the benchmark."""
 
 from __future__ import annotations
 
@@ -73,3 +74,29 @@ def test_benchmark_calls_work(tmp_path):
             assert isinstance(row.fine, str) and str(row.misuse_vote) in names
         else:
             assert row.fine is None and row.misuse_vote is None
+
+
+def test_every_module_level_definition_is_named_outside_tests():
+    """A module-level function or class of the package that no name,
+    attribute or import in the package or the benchmark scripts mentions is
+    code only tests run."""
+    src = Path(hybrid_ids.__file__).resolve().parent
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted(src.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+    defined = [
+        (path.name, node.name)
+        for path, tree in trees.items() if path.parent == src
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    assert defined
+    assert [f"{file}:{name}" for file, name in defined if name not in named] == []

@@ -73,11 +73,15 @@ def test_gini_hand_cases():
     assert gini((4, 0, 0, 0, 0)) == 0.0
     assert gini((2, 2, 0, 0, 0)) == 0.5
     assert gini((1, 1, 1, 1, 1)) == pytest.approx(0.8, abs=1e-15)
+    # one impurity per row of a counts matrix
+    assert gini([(4, 0, 0, 0, 0), (2, 2, 0, 0, 0)]).tolist() == [0.0, 0.5]
 
 
 def test_gini_empty_errors():
     with pytest.raises(ValueError):
         gini((0, 0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        gini([(4, 0, 0, 0, 0), (0, 0, 0, 0, 0)])
 
 
 def test_gini_range_property():
