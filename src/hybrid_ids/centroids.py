@@ -86,28 +86,16 @@ def assign_batch(model: CentroidModel, X: np.ndarray) -> np.ndarray:
     return np.argmin(_distances(model, X), axis=1)
 
 
-@dataclass
-class MisuseEvaluation:
-    fine_accuracy: float  # percent, exact fine-label match
-    coarse_accuracy: float  # percent, coarse family match
-    n_fine_classes: int
-    predicted_coarse: np.ndarray  # per test row, the nearest signature's coarse class
-
-
-def evaluate_misuse(model: CentroidModel, test: Dataset) -> MisuseEvaluation:
+def evaluate_misuse(model: CentroidModel, test: Dataset) -> tuple[np.ndarray, float, float]:
+    """Per test row, the nearest signature's coarse class; and the percent
+    of rows whose coarse class, then whose fine label, it matches."""
     if len(test) == 0:
         raise ValueError("empty test set")
     nearest = assign_batch(model, test.X)
-    assigned_fine = np.array(model.fine_labels, dtype=object)[nearest]
-    assigned_coarse = model.coarse[nearest]
-    fine_acc = 100.0 * float((assigned_fine == test.fine_labels).mean())
-    coarse_acc = 100.0 * float((assigned_coarse == test.coarse).mean())
-    return MisuseEvaluation(
-        fine_accuracy=fine_acc,
-        coarse_accuracy=coarse_acc,
-        n_fine_classes=len(model),
-        predicted_coarse=assigned_coarse,
-    )
+    coarse = model.coarse[nearest]
+    fine = np.array(model.fine_labels, dtype=object)[nearest]
+    return (coarse, 100.0 * float((coarse == test.coarse).mean()),
+            100.0 * float((fine == test.fine_labels).mean()))
 
 
 def signature_collisions(model: CentroidModel) -> list[str]:

@@ -341,11 +341,10 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
         check_fingerprint(key, model, stats)
         std_test = standardize_dataset(stats, test_ds)
         if which == "misuse":
-            result = misuse_mod.evaluate_misuse(model, std_test)
-            preds = result.predicted_coarse
+            preds, coarse_acc, fine_acc = misuse_mod.evaluate_misuse(model, std_test)
             table = [
-                f"Type of Classification:   5 Class   {result.n_fine_classes} Class",
-                f"Accuracy:               {result.coarse_accuracy:9.3f} {result.fine_accuracy:9.3f}",
+                f"Type of Classification:   5 Class   {len(model)} Class",
+                f"Accuracy:               {coarse_acc:9.3f} {fine_acc:9.3f}",
             ]
             print("\n".join(table))
             _write_record(cfg, "report_misuse_accuracy.txt", "misuse-accuracy", table)

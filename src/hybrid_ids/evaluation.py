@@ -12,7 +12,6 @@ with an explicit undefined flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -49,45 +48,21 @@ def confusion(preds: Sequence, truths: Sequence) -> np.ndarray:
     return np.bincount(codes[0] * k + codes[1], minlength=k * k).reshape(k, k)
 
 
-@dataclass
-class ClassMetrics:
-    precision: float
-    recall: float
-    accuracy: float
-    precision_defined: bool = True
-    recall_defined: bool = True
-
-    @property
-    def flags(self) -> str:
-        bits = []
-        if not self.precision_defined:
-            bits.append("precision_undefined")
-        if not self.recall_defined:
-            bits.append("recall_undefined")
-        return ";".join(bits)
-
-
-def per_class_metrics(counts: np.ndarray) -> dict[str, ClassMetrics]:
-    """One-vs-rest precision/recall/accuracy per coarse class, in percent."""
+def per_class_metrics(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-vs-rest metrics per coarse class, columns in ``COARSE_NAMES``
+    order: a (3, 5) array of precision, recall and accuracy in percent (0.0
+    where undefined), and a (2, 5) bool array of whether precision and
+    recall are defined."""
     n = int(counts.sum())
     if n < 1:
         raise ValueError("empty confusion matrix")
-    out: dict[str, ClassMetrics] = {}
-    for i, name in enumerate(COARSE_NAMES):
-        tp = int(counts[i, i])
-        fp = int(counts[:, i].sum()) - tp
-        fn = int(counts[i, :].sum()) - tp
-        tn = n - tp - fp - fn
-        p_def = (tp + fp) > 0
-        r_def = (tp + fn) > 0
-        out[name] = ClassMetrics(
-            precision=100.0 * tp / (tp + fp) if p_def else 0.0,
-            recall=100.0 * tp / (tp + fn) if r_def else 0.0,
-            accuracy=100.0 * (tp + tn) / n,
-            precision_defined=p_def,
-            recall_defined=r_def,
-        )
-    return out
+    tp = np.diagonal(counts).astype(np.int64)
+    fp, fn = counts.sum(axis=0) - tp, counts.sum(axis=1) - tp
+    # integer numerators and denominators, divided as float64, give the bits
+    # of the scalar 100.0 * tp / (tp + fp)
+    num, den = np.stack([tp, tp, n - fp - fn]), np.stack([tp + fp, tp + fn, np.full_like(tp, n)])
+    defined = den > 0
+    return np.divide(100.0 * num, den, out=np.zeros(den.shape), where=defined), defined[:2]
 
 
 def overall_accuracy(counts: np.ndarray) -> float:
@@ -100,22 +75,22 @@ def overall_accuracy(counts: np.ndarray) -> float:
 def format_report(counts: np.ndarray, title: str, seed: int) -> str:
     """Human-readable table mirroring the per-class layout of the results
     tables (three decimals, classes as columns), under the run's seed."""
-    metrics = per_class_metrics(counts).values()
+    values, _ = per_class_metrics(counts)
     lines = [title, f"seed={seed}"]
     lines.append("Label:".ljust(12) + "".join(c.rjust(_WIDTH) for c in COARSE_NAMES))
-    for row_name, attr in (("Precision:", "precision"), ("Recall:", "recall"), ("Accuracy:", "accuracy")):
-        cells = (f"{getattr(m, attr):.3f}".rjust(_WIDTH) for m in metrics)
-        lines.append(row_name.ljust(12) + "".join(cells))
+    for row_name, row in zip(("Precision:", "Recall:", "Accuracy:"), values.tolist()):
+        lines.append(row_name.ljust(12) + "".join(f"{v:.3f}".rjust(_WIDTH) for v in row))
     lines.append(f"Overall accuracy: {overall_accuracy(counts):.3f}")
     return "\n".join(lines)
 
 
 def write_metrics_csv(path: str | Path, counts: np.ndarray, seed: int) -> None:
-    metrics = per_class_metrics(counts)
+    values, defined = per_class_metrics(counts)
     lines = ["# " + version_line("metrics"), f"# seed={seed}",
              "class,precision,recall,accuracy,flags"]
-    for c, cm in metrics.items():
-        lines.append(f"{c},{cm.precision:.3f},{cm.recall:.3f},{cm.accuracy:.3f},{cm.flags}")
+    for c, (p, r, a), ok in zip(COARSE_NAMES, values.T.tolist(), defined.T.tolist()):
+        flags = ";".join(f"{m}_undefined" for m, d in zip(("precision", "recall"), ok) if not d)
+        lines.append(f"{c},{p:.3f},{r:.3f},{a:.3f},{flags}")
     lines.append(f"overall,,,{overall_accuracy(counts):.3f},")
     atomic_write(path, "\n".join(lines) + "\n")
 

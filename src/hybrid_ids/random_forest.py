@@ -81,32 +81,36 @@ class ForestModel:
 
     @classmethod
     def from_trees(cls, trees: list[tuple], **fields) -> "ForestModel":
-        """Concatenate per-tree ``(feature, threshold, right, counts)`` with
-        ``right`` counted from the tree's root; ``fields`` are the rest."""
-        feature, threshold, right, counts = zip(*trees)
+        """Concatenate per-tree ``(feature, threshold, counts)`` in preorder
+        and derive ``right``; ``fields`` are the rest."""
+        feature, threshold, counts = zip(*trees)
         sizes = [len(f) for f in feature]
-        starts = np.cumsum([0] + sizes[:-1])
-        right, offset = np.concatenate(right), np.repeat(starts, sizes)
+        feature = np.concatenate(feature).astype(np.int64)
+        # a node's level is the internal nodes minus the leaves before it. A
+        # subtree holds one leaf more than internal nodes, so the right child
+        # of an internal node is the next node at its level, and tree t
+        # starts at level -t: one stable sort serves every tree
+        step = np.where(feature >= 0, 1, -1)
+        order = np.argsort(np.cumsum(step) - step, kind="stable")
+        right = np.full(len(feature), -1)
+        right[order[:-1]] = order[1:]
         return cls(
-            feature=np.concatenate(feature).astype(np.int64),
+            feature=feature,
             threshold=np.concatenate(threshold).astype(np.float64),
-            right=np.where(right < 0, -1, right + offset),
+            right=np.where(feature >= 0, right, -1),
             counts=np.concatenate(counts).astype(np.int64),
-            starts=starts,
+            starts=np.cumsum([0] + sizes[:-1]),
             **fields,
         )
 
 
-def gini(counts) -> np.ndarray:
+def gini(counts, totals) -> np.ndarray:
     """Gini impurity 1 - sum((count_i/total)^2) over the last axis of a
-    counts array; every node must be nonempty."""
-    counts = np.asarray(counts, dtype=np.float64)
-    # a matrix product sums short rows faster than sum(axis=-1), and whole
-    # counts sum exactly in any order
-    total = counts @ np.ones(counts.shape[-1])
-    if total.min(initial=1.0) < 1:
+    counts array, given each node's total; every node must be nonempty."""
+    totals = np.asarray(totals, dtype=np.float64)
+    if totals.min(initial=1.0) < 1:
         raise ValueError("gini of an empty counts vector is undefined")
-    return 1.0 - ((counts / total[..., None]) ** 2).sum(axis=-1)
+    return 1.0 - ((np.asarray(counts, dtype=np.float64) / totals[..., None]) ** 2).sum(axis=-1)
 
 
 def rank_columns(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -199,9 +203,9 @@ def _pair_cuts(ranks, rows, labels, sizes, cand, counts):
     left_n = left.sum(axis=1)
     right_n = n - left_n
     right = counts[node].astype(np.float64) - left
-    gini_l = gini(left)
+    gini_l = gini(left, left_n)
     del left
-    gini_r = gini(right)
+    gini_r = gini(right, right_n)
     del right
     cost = (left_n * gini_l + right_n * gini_r) / n
     # the first argmin within each run of boundaries
@@ -256,7 +260,7 @@ def _best_splits(X, ranks, values, y, nodes):
     labels = y[rows]
     cost, lo_rank, hi_rank = _pair_cuts(ranks, rows, labels, sizes, cand, counts)
     slot = np.argmin(cost, axis=1)  # candidates ascend, so the lower feature wins ties
-    parent_gini = gini(counts)
+    parent_gini = gini(counts, sizes)
     splits = [None] * k
     feature, threshold = np.zeros(k, dtype=np.int64), np.full(k, np.inf)
     for i, j in enumerate(slot.tolist()):
@@ -309,7 +313,7 @@ def grow_trees(
     allowed), tree ``t`` drawing its candidate features from ``rngs[t]``.
 
     ``ranked`` is ``rank_columns(X)``. Returns each tree's ``(feature,
-    threshold, right, counts)`` in preorder, as ``ForestModel.from_trees``
+    threshold, counts)`` in preorder, as ``ForestModel.from_trees``
     takes them, and a ``(trees, features)`` array of each tree's impurity
     decrease per feature, weighted by node size over sample size.
 
@@ -324,25 +328,22 @@ def grow_trees(
     ranks, values = ranked
     X = np.ascontiguousarray(X, dtype=np.float64)  # split rows are read by flat index
     m = min(config.features_per_split, len(active_features))
-    trees = [([], [], [], []) for _ in samples]
+    trees = [([], [], []) for _ in samples]
     importances = np.zeros((len(samples), X.shape[1]))
-    # per tree: rows, depth, parent of a right child, class counts, and
-    # whether those hold more than one class
+    # per tree: depth, rows, class counts, and whether those hold more than
+    # one class
     root_counts = [np.bincount(y[s], minlength=N_CLASSES) for s in samples]
-    stacks = [[(s, 0, -1, c, c.max() < len(s))] for s, c in zip(samples, root_counts)]
+    stacks = [[(0, s, c, c.max() < len(s))] for s, c in zip(samples, root_counts)]
     while any(stacks):
         searched = []
         for t, stack in enumerate(stacks):
             if not stack:
                 continue
-            rows, depth, parent, counts, mixed = stack.pop()
-            feature, threshold, right, node_counts = trees[t]
+            depth, rows, counts, mixed = stack.pop()
+            feature, threshold, node_counts = trees[t]
             node = len(feature)
-            if parent >= 0:
-                right[parent] = node
             feature.append(-1)
             threshold.append(0.0)
-            right.append(-1)
             node_counts.append(counts)
             depth_ok = config.max_depth is None or depth < config.max_depth
             if depth_ok and mixed and len(rows) >= config.min_samples_split:
@@ -354,12 +355,12 @@ def grow_trees(
                 if split is None:
                     continue
                 f, thr, parent_gini, cost, (left, right) = split
-                feature, threshold, _, node_counts = trees[t]
+                feature, threshold, node_counts = trees[t]
                 feature[node], threshold[node] = f, thr
                 node_counts[node] = np.zeros(N_CLASSES, dtype=np.int64)
                 importances[t, f] += (parent_gini - cost) * (len(rows) / len(samples[t]))
-                stacks[t].append((right[0], depth + 1, node, *right[1:]))
-                stacks[t].append((left[0], depth + 1, -1, *left[1:]))
+                stacks[t].append((depth + 1, *right))
+                stacks[t].append((depth + 1, *left))
     return trees, importances
 
 
@@ -417,8 +418,9 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
     Each tree partitions the row indices down its nodes, so a node
     compares only the rows that reach it. A vote that steps every live
     (row, tree) pair one level at a time and drops the pairs at a leaf was
-    measured faster up to about 2,000 rows, but 1.0-1.4x slower at 4,909
-    rows and 2.1-2.4x slower at 35,000.
+    measured faster on a 1,024-row ``predict`` block and level on the 2,104
+    distinct rows the benchmark's ``evaluate`` votes on, but 1.0-1.4x slower
+    on the prune gate's 4,909 rows and 2.1-2.4x slower at 35,000.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
@@ -535,9 +537,9 @@ def _read_tree(r: LineReader, t: int, n_features: int) -> tuple:
         r.line_no = first + k + 1
         return r.error(message)
 
-    feature, threshold, right = [-1] * n_nodes, [0.0] * n_nodes, [-1] * n_nodes
+    feature, threshold = [-1] * n_nodes, [0.0] * n_nodes
     leaves, leaf_text = [], []
-    awaiting = []  # internal nodes whose right child is still to come
+    level = 0  # internal nodes minus leaves so far: -1 once the tree is whole
     for k, line in enumerate(body):
         parts = line.split()
         tag = parts[0] if parts else ""
@@ -554,13 +556,10 @@ def _read_tree(r: LineReader, t: int, n_features: int) -> tuple:
         else:
             raise bad(k, f"bad tree node '{line}': expected 'L' and {N_CLASSES} counts"
                          " or 'I <feature> <threshold>'")
-        if k > 0 and feature[k - 1] < 0:  # a node after a leaf is a right child
-            if not awaiting:
-                raise bad(k, f"tree {t} is complete after {k} of its {n_nodes} nodes")
-            right[awaiting.pop()] = k
-        if feature[k] >= 0:
-            awaiting.append(k)
-    if awaiting:
+        if level < 0:
+            raise bad(k, f"tree {t} is complete after {k} of its {n_nodes} nodes")
+        level += 1 if feature[k] >= 0 else -1
+    if level >= 0:
         raise bad(n_nodes - 1, f"tree {t} is incomplete after its {n_nodes} nodes")
     try:  # one conversion for all leaves; rescan only to place an error
         leaf_counts = np.array(leaf_text, dtype=np.int64)
@@ -573,7 +572,7 @@ def _read_tree(r: LineReader, t: int, n_features: int) -> tuple:
     counts = np.zeros((n_nodes, N_CLASSES), dtype=np.int64)
     counts[leaves] = leaf_counts
     r.line_no = first + n_nodes
-    return feature, threshold, right, counts
+    return feature, threshold, counts
 
 
 def load_forest(path: str | Path) -> ForestModel:

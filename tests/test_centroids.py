@@ -158,9 +158,10 @@ def test_evaluate_on_centroids_is_perfect():
     ds = separable_dataset(n_per_label=7, seed=3)
     model = fit(ds)
     centroid_ds = Dataset(model.centroids, model.fine_labels, model.coarse)
-    result = evaluate_misuse(model, centroid_ds)
-    assert result.fine_accuracy == 100.0
-    assert result.coarse_accuracy == 100.0
+    predicted, coarse_acc, fine_acc = evaluate_misuse(model, centroid_ds)
+    assert np.array_equal(predicted, model.coarse)
+    assert fine_acc == 100.0
+    assert coarse_acc == 100.0
 
 
 def test_coarse_accuracy_at_least_fine_accuracy():
@@ -170,8 +171,8 @@ def test_coarse_accuracy_at_least_fine_accuracy():
         test = ds.subset(np.arange(1, len(ds), 2))
         stats = standardize_fit(train)
         model = fit(standardize_dataset(stats, train))
-        result = evaluate_misuse(model, standardize_dataset(stats, test))
-        assert result.coarse_accuracy >= result.fine_accuracy
+        _, coarse_acc, fine_acc = evaluate_misuse(model, standardize_dataset(stats, test))
+        assert coarse_acc >= fine_acc
 
 
 def test_verify_alarm_normal_and_attack():
@@ -208,12 +209,13 @@ def test_internal_consistency_fit_then_evaluate_on_train():
     ds = separable_dataset(n_per_label=11, seed=6)
     std = standardize_dataset(standardize_fit(ds), ds)
     model = fit(std)
-    result = evaluate_misuse(model, std)
+    predicted, coarse_acc, _ = evaluate_misuse(model, std)
     nearest = assign_batch(model, std.X)
+    assert predicted.tolist() == [model.coarse[j] for j in nearest]
     manual = float(
         np.mean([model.coarse[j] == std.coarse[i] for i, j in enumerate(nearest)])
     ) * 100.0
-    assert result.coarse_accuracy == pytest.approx(manual)
+    assert coarse_acc == pytest.approx(manual)
 
 
 @pytest.mark.parametrize("index, edit, match", [

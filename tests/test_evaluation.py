@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hybrid_ids.dataset import COARSE_NAMES, CoarseLabel
 from hybrid_ids.evaluation import (
@@ -94,33 +95,62 @@ def test_out_of_range_coarse_class_errors(preds, truths):
 
 
 def test_identity_matrix_metrics_are_100():
-    metrics = per_class_metrics(np.eye(5, dtype=np.int64) * 4)
-    for name in COARSE_NAMES:
-        assert metrics[name].precision == 100.0
-        assert metrics[name].recall == 100.0
-        assert metrics[name].accuracy == 100.0
+    values, defined = per_class_metrics(np.eye(5, dtype=np.int64) * 4)
+    assert values.shape == (3, 5) and defined.shape == (2, 5)
+    assert (values == 100.0).all() and defined.all()
 
 
 def test_hand_counted_two_class_reduction():
     # 4 records, truth normal dos dos dos predicted normal normal dos dos;
     # class normal: TP=1, FP=1, FN=0, TN=2
     m = confusion([0, 0, 1, 1], [0, 1, 1, 1])
-    metrics = per_class_metrics(m)
-    assert metrics["normal"].precision == pytest.approx(50.0)
-    assert metrics["normal"].recall == pytest.approx(100.0)
-    assert metrics["normal"].accuracy == pytest.approx(75.0)
+    values, _ = per_class_metrics(m)
+    precision, recall, accuracy = values[:, COARSE_NAMES.index("normal")]
+    assert precision == pytest.approx(50.0)
+    assert recall == pytest.approx(100.0)
+    assert accuracy == pytest.approx(75.0)
 
 
-def test_undefined_divisions_flagged_as_zero():
+def test_undefined_divisions_flagged_as_zero(tmp_path):
     # class u2r never occurs and is never predicted
     preds = [CoarseLabel.NORMAL, CoarseLabel.DOS]
     truths = [CoarseLabel.NORMAL, CoarseLabel.DOS]
-    metrics = per_class_metrics(confusion(preds, truths))
-    u2r = metrics["u2r"]
-    assert u2r.precision == 0.0 and not u2r.precision_defined
-    assert u2r.recall == 0.0 and not u2r.recall_defined
-    assert u2r.accuracy == 100.0
-    assert "precision_undefined" in u2r.flags and "recall_undefined" in u2r.flags
+    m = confusion(preds, truths)
+    values, defined = per_class_metrics(m)
+    u2r = COARSE_NAMES.index("u2r")
+    assert values[:, u2r].tolist() == [0.0, 0.0, 100.0]
+    assert defined[:, u2r].tolist() == [False, False]
+    write_metrics_csv(tmp_path / "m.csv", m, seed=1)
+    row = next(line for line in (tmp_path / "m.csv").read_text().splitlines()
+               if line.startswith("u2r,"))
+    assert row == "u2r,0.000,0.000,100.000,precision_undefined;recall_undefined"
+
+
+def scalar_metrics(m: np.ndarray, i: int) -> tuple[list[float], list[bool]]:
+    """Class ``i``'s precision, recall and accuracy by the scalar formulas,
+    and whether the first two are defined."""
+    n = int(m.sum())
+    tp = int(m[i, i])
+    fp, fn = int(m[:, i].sum()) - tp, int(m[i, :].sum()) - tp
+    tn = n - tp - fp - fn
+    return ([100.0 * tp / (tp + fp) if tp + fp else 0.0,
+             100.0 * tp / (tp + fn) if tp + fn else 0.0,
+             100.0 * (tp + tn) / n], [tp + fp > 0, tp + fn > 0])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 10**12), min_size=25, max_size=25),
+       st.sets(st.integers(0, 4)), st.sets(st.integers(0, 4)))
+def test_metrics_equal_scalar_formulas_bit_for_bit(cells, never_true, never_predicted):
+    m = np.array(cells, dtype=np.int64).reshape(5, 5)
+    m[sorted(never_true), :] = 0
+    m[:, sorted(never_predicted)] = 0
+    assume(m.sum() > 0)
+    values, defined = per_class_metrics(m)
+    for i in range(5):
+        want, want_defined = scalar_metrics(m, i)
+        assert [v.hex() for v in values[:, i].tolist()] == [v.hex() for v in want]
+        assert defined[:, i].tolist() == want_defined
 
 
 def test_overall_accuracy_cases():
@@ -171,8 +201,8 @@ def test_metrics_permutation_invariant():
     perm = np.array([2, 4, 0, 1, 3])
     met1 = per_class_metrics(confusion(preds, truths))
     met2 = per_class_metrics(confusion(perm[preds], perm[truths]))
-    for i, name in enumerate(COARSE_NAMES):
-        assert met1[name] == met2[COARSE_NAMES[perm[i]]]
+    for a, b in zip(met1, met2):
+        assert np.array_equal(a, b[:, perm])
     assert overall_accuracy(confusion(preds, truths)) == overall_accuracy(
         confusion(perm[preds], perm[truths]))
 

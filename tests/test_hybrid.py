@@ -69,7 +69,7 @@ def _forced_mlp(cls: CoarseLabel) -> nn.MLPModel:
 def _forced_forest(cls: CoarseLabel) -> rf.ForestModel:
     counts = np.zeros(5, dtype=np.int64)
     counts[int(cls)] = 7
-    leaf = [-1], [0.0], [-1], [counts]  # a one-node tree
+    leaf = [-1], [0.0], [counts]  # a one-node tree
     return rf.ForestModel.from_trees(
         [leaf],
         feature_importances=np.zeros(N_FEATURES),

@@ -79,10 +79,12 @@ def test_benchmark_calls_work(tmp_path):
 def test_every_module_level_definition_is_named_outside_tests():
     """A module-level function or class of the package that no name,
     attribute or import in the package or the benchmark scripts mentions is
-    code only tests run."""
+    code only tests run. The package's re-exports in ``__init__.py`` do not
+    count as a use."""
     src = Path(hybrid_ids.__file__).resolve().parent
+    modules = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
     trees = {path: ast.parse(path.read_text(), str(path))
-             for path in sorted(src.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))}
+             for path in modules + sorted(PERFBENCH.glob("*.py"))}
     named = set()
     for tree in trees.values():
         for node in ast.walk(tree):

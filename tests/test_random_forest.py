@@ -31,7 +31,7 @@ from test_artifacts import saved
 
 def leaf(counts) -> tuple:
     """A one-node tree: a leaf holding ``counts``."""
-    return [-1], [0.0], [-1], [counts]
+    return [-1], [0.0], [counts]
 
 
 def forest_of(trees: list[tuple], n_features: int = N_FEATURES) -> ForestModel:
@@ -70,18 +70,18 @@ def pad(X: np.ndarray) -> np.ndarray:
 
 
 def test_gini_hand_cases():
-    assert gini((4, 0, 0, 0, 0)) == 0.0
-    assert gini((2, 2, 0, 0, 0)) == 0.5
-    assert gini((1, 1, 1, 1, 1)) == pytest.approx(0.8, abs=1e-15)
+    assert gini((4, 0, 0, 0, 0), 4) == 0.0
+    assert gini((2, 2, 0, 0, 0), 4) == 0.5
+    assert gini((1, 1, 1, 1, 1), 5) == pytest.approx(0.8, abs=1e-15)
     # one impurity per row of a counts matrix
-    assert gini([(4, 0, 0, 0, 0), (2, 2, 0, 0, 0)]).tolist() == [0.0, 0.5]
+    assert gini([(4, 0, 0, 0, 0), (2, 2, 0, 0, 0)], [4, 4]).tolist() == [0.0, 0.5]
 
 
 def test_gini_empty_errors():
     with pytest.raises(ValueError):
-        gini((0, 0, 0, 0, 0))
+        gini((0, 0, 0, 0, 0), 0)
     with pytest.raises(ValueError):
-        gini([(4, 0, 0, 0, 0), (0, 0, 0, 0, 0)])
+        gini([(4, 0, 0, 0, 0), (0, 0, 0, 0, 0)], [4, 0])
 
 
 def test_gini_range_property():
@@ -90,7 +90,42 @@ def test_gini_range_property():
         counts = rng.integers(0, 50, size=5)
         if counts.sum() == 0:
             counts[0] = 1
-        assert 0.0 <= gini(counts) <= 0.8 + 1e-12
+        assert 0.0 <= gini(counts, counts.sum()) <= 0.8 + 1e-12
+
+
+def stack_right(feature: list[int]) -> list[int]:
+    """One preorder tree's right links, counted from its root, found with a
+    stack of the internal nodes still waiting for their right child."""
+    right, awaiting = [-1] * len(feature), []
+    for i, f in enumerate(feature):
+        if i > 0 and feature[i - 1] < 0:  # a node after a leaf is a right child
+            right[awaiting.pop()] = i
+        if f >= 0:
+            awaiting.append(i)
+    return right
+
+
+@st.composite
+def preorder_forests(draw) -> list[list[int]]:
+    """Per tree, the features of its nodes in preorder (-1 at leaves)."""
+    trees = []
+    for _ in range(draw(st.integers(1, 6))):
+        feature, open_nodes = [], 1
+        while open_nodes:
+            internal = len(feature) < 40 and draw(st.booleans())
+            feature.append(draw(st.integers(0, N_FEATURES - 1)) if internal else -1)
+            open_nodes += 1 if internal else -1
+        trees.append(feature)
+    return trees
+
+
+@given(preorder_forests())
+def test_from_trees_right_matches_stack_derivation(trees):
+    model = forest_of([(f, [0.0] * len(f), [[0] * 5] * len(f)) for f in trees])
+    want = []
+    for start, feature in zip(model.starts.tolist(), trees):
+        want += [r + start if r >= 0 else -1 for r in stack_right(feature)]
+    assert model.right.tolist() == want
 
 
 def _grow(X, y, config=None, seed=0, all_features=True) -> ForestModel:

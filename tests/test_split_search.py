@@ -118,8 +118,7 @@ VALUE_POOL = (
 
 def oracle_forest(ds: Dataset, config: ForestConfig, active: np.ndarray) -> ForestModel:
     """``train_forest``'s model as the oracle grows it: tree ``t`` alone on
-    stream ``t``, which draws the bootstrap sample first. The right links
-    are rebuilt from the preorder node kinds."""
+    stream ``t``, which draws the bootstrap sample first."""
     trees, importances = [], np.zeros(ds.X.shape[1])
     for stream in np.random.SeedSequence(config.seed).spawn(config.n_trees):
         rng = np.random.default_rng(stream)
@@ -127,17 +126,9 @@ def oracle_forest(ds: Dataset, config: ForestConfig, active: np.ndarray) -> Fore
         tree_importance = np.zeros(ds.X.shape[1])
         nodes = oracle_train_tree(ds.X, ds.coarse, sample, config, rng, active, tree_importance)
         importances += tree_importance
-        feature = [node[1] if node[0] == "I" else -1 for node in nodes]
-        right, awaiting = [-1] * len(nodes), []
-        for i, f in enumerate(feature):
-            if i > 0 and feature[i - 1] < 0:
-                right[awaiting.pop()] = i
-            if f >= 0:
-                awaiting.append(i)
         trees.append((
-            feature,
+            [node[1] if node[0] == "I" else -1 for node in nodes],
             [float.fromhex(node[2]) if node[0] == "I" else 0.0 for node in nodes],
-            right,
             [node[1] if node[0] == "L" else (0,) * N_CLASSES for node in nodes],
         ))
     importances /= config.n_trees
