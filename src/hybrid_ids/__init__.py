@@ -9,7 +9,6 @@ from .dataset import (
     CoarseLabel,
     Dataset,
     RawRecord,
-    SamplingPlan,
     StandardizationStats,
     Taxonomy,
     parse_kdd_line,
@@ -33,7 +32,6 @@ __all__ = [
     "HybridModel",
     "ParseError",
     "RawRecord",
-    "SamplingPlan",
     "StandardizationStats",
     "Taxonomy",
     "UnmappedLabelError",

@@ -29,9 +29,9 @@ from . import neural_net as nn_mod
 from . import random_forest as rf_mod
 from .dataset import (
     COARSE_NAMES,
+    SAMPLING_TARGETS,
     CoarseLabel,
     Dataset,
-    SamplingPlan,
     Taxonomy,
     check_fine_label,
     check_folds,
@@ -90,7 +90,7 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     test_fraction: float = 0.30
     cv_folds: int = 2
-    sampling: SamplingPlan = dc_field(default_factory=SamplingPlan.default)
+    sampling: dict[CoarseLabel, int] = dc_field(default_factory=SAMPLING_TARGETS.copy)
     taxonomy_extra: dict[str, CoarseLabel] = dc_field(default_factory=dict)
     hybrid: HybridConfig = dc_field(default_factory=HybridConfig)
     split_seed: int = 0
@@ -99,6 +99,10 @@ class RunConfig:
     def validate(self) -> None:
         """The range checks of the run's own settings and of the three
         stages' configs; ValueError names the setting."""
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if min(self.sampling.values()) < 0:
+            raise ValueError("sampling targets must be >= 0")
         check_test_fraction(self.test_fraction)
         check_folds(self.cv_folds)
         self.hybrid.nn.validate()
@@ -205,9 +209,7 @@ def _run_config(sections: dict[str, dict]) -> RunConfig:
     seed = run.get("seed", DEFAULT_SEED)
     return RunConfig(
         **run,
-        sampling=SamplingPlan(
-            {**SamplingPlan.DEFAULT_TARGETS, **sections.get("sampling", {})}, rng_seed=seed
-        ),
+        sampling={**SAMPLING_TARGETS, **sections.get("sampling", {})},
         split_seed=seed + 1,
         hybrid=HybridConfig(
             nn=TrainConfig(**nn, seed=seed + 2),
@@ -220,13 +222,16 @@ def _run_config(sections: dict[str, dict]) -> RunConfig:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """The defaults, overridden by the config file, overridden by --data,
-    --out and --seed; then the seeds derived from the root seed."""
+    --out and --seed; then the seeds derived from the root seed. ValueError
+    on a value out of range."""
     sections = parse_config_file(args.config) if getattr(args, "config", None) else {}
     run = sections.setdefault("run", {})
     for name in ("data", "out", "seed"):
         if getattr(args, name, None) not in (None, ""):
             run[name] = getattr(args, name)
-    return _run_config(sections)
+    cfg = _run_config(sections)
+    cfg.validate()
+    return cfg
 
 
 _TABLE_ORDER = (CoarseLabel.DOS, CoarseLabel.NORMAL, CoarseLabel.PROBE,
@@ -254,13 +259,13 @@ def cmd_prepare(cfg: RunConfig) -> int:
     if not parsed:
         raise ValueError(f"input file {cfg.data} contains no records")
     before = distinct.counts_by_coarse()
-    sampled = resample(distinct, cfg.sampling)
+    sampled = resample(distinct, cfg.sampling, cfg.seed)
     after = sampled.counts_by_coarse()
     train_ds, test_ds = stratified_split(sampled, cfg.test_fraction, cfg.split_seed)
 
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
-    save_dataset(cfg.out_path(TRAIN_FILE), train_ds)
-    save_dataset(cfg.out_path(TEST_FILE), test_ds)
+    save_dataset(cfg.out_path(TRAIN_FILE), train_ds, cfg.data, cfg.sampling)
+    save_dataset(cfg.out_path(TEST_FILE), test_ds, cfg.data, cfg.sampling)
     save_taxonomy(cfg.out_path("taxonomy.txt"), taxonomy)
 
     header = "Label:".ljust(17) + "".join(str(c).rjust(9) for c in _TABLE_ORDER)

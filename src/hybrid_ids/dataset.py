@@ -14,7 +14,7 @@ import gzip
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -318,8 +318,7 @@ def read_kdd_dataset(path: str | Path, taxonomy: Taxonomy) -> tuple[Dataset, int
             blocks.append(X)
             labels += [text.rpartition(",")[2].rstrip(".") for _, text in fresh]
     coarse = [taxonomy.coarse(label) for label in labels]
-    return Dataset(np.concatenate(blocks), labels, coarse,
-                   Provenance(str(path), deduplicated=True)), parsed
+    return Dataset(np.concatenate(blocks), labels, coarse), parsed
 
 
 def first_seen(keys: Sequence) -> tuple[list, np.ndarray]:
@@ -333,19 +332,6 @@ def encode_features(record: RawRecord) -> np.ndarray:
     return record.x
 
 
-@dataclass(frozen=True)
-class Provenance:
-    source: str = ""
-    deduplicated: bool = False
-    sampling: str = ""
-
-    def describe(self) -> str:
-        bits = [f"source={self.source or '-'}", f"dedup={str(self.deduplicated).lower()}"]
-        if self.sampling:
-            bits.append(f"sampling={self.sampling}")
-        return " ".join(bits)
-
-
 class Dataset:
     """Encoded records held as parallel arrays, immutable by convention.
 
@@ -353,13 +339,7 @@ class Dataset:
     ``coarse`` an int array of :class:`CoarseLabel` values.
     """
 
-    def __init__(
-        self,
-        X: np.ndarray,
-        fine_labels: Sequence[str],
-        coarse: Sequence[int],
-        provenance: Provenance | None = None,
-    ):
+    def __init__(self, X: np.ndarray, fine_labels: Sequence[str], coarse: Sequence[int]):
         self.X = np.asarray(X, dtype=np.float64)
         if self.X.ndim != 2 or self.X.shape[1] != N_FEATURES:
             raise ValueError(f"feature matrix must be (n, {N_FEATURES})")
@@ -367,62 +347,46 @@ class Dataset:
         self.coarse = np.asarray(coarse, dtype=np.int64)
         if not (len(self.X) == len(self.fine_labels) == len(self.coarse)):
             raise ValueError("X, fine_labels and coarse must have equal length")
-        self.provenance = provenance or Provenance()
 
     def __len__(self) -> int:
         return len(self.X)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.X[indices], self.fine_labels[indices], self.coarse[indices],
-                       self.provenance)
+        return Dataset(self.X[indices], self.fine_labels[indices], self.coarse[indices])
 
     def counts_by_coarse(self) -> dict[CoarseLabel, int]:
         counts = np.bincount(self.coarse, minlength=len(CoarseLabel))
         return {c: int(counts[c]) for c in CoarseLabel}
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Per-class target counts. Classes above target are drawn down without
-    replacement, classes below keep every original and add draws with
-    replacement."""
-
-    targets: dict[CoarseLabel, int]
-    rng_seed: int = 0
-
-    # Targets the source material balances the training split to.
-    DEFAULT_TARGETS = {
-        CoarseLabel.NORMAL: 39524,
-        CoarseLabel.DOS: 27285,
-        CoarseLabel.PROBE: 2131,
-        CoarseLabel.R2L: 999,
-        CoarseLabel.U2R: 86,
-    }
-
-    @classmethod
-    def default(cls, rng_seed: int = 0) -> "SamplingPlan":
-        return cls(dict(cls.DEFAULT_TARGETS), rng_seed)
-
-    def describe(self) -> str:
-        return ",".join(f"{c}:{self.targets[c]}" for c in CoarseLabel if c in self.targets)
+# Per-class counts the source material balances the training split to.
+SAMPLING_TARGETS = {
+    CoarseLabel.NORMAL: 39524,
+    CoarseLabel.DOS: 27285,
+    CoarseLabel.PROBE: 2131,
+    CoarseLabel.R2L: 999,
+    CoarseLabel.U2R: 86,
+}
 
 
-def resample(ds: Dataset, plan: SamplingPlan) -> Dataset:
-    """Rebalance per-class counts to the plan's exact targets.
+def resample(ds: Dataset, targets: dict[CoarseLabel, int], seed: int) -> Dataset:
+    """Rebalance per-class counts to the exact ``targets``: classes above
+    target are drawn down without replacement, classes below keep every
+    original and add draws with replacement.
 
     Deterministic for a given seed: classes are processed in canonical
     order and kept rows preserve their original relative order.
     """
     for c in CoarseLabel:
-        if c not in plan.targets:
-            raise ValueError(f"sampling plan missing target for class '{c}'")
-        if plan.targets[c] < 0:
+        if c not in targets:
+            raise ValueError(f"no sampling target for class '{c}'")
+        if targets[c] < 0:
             raise ValueError(f"negative target for class '{c}'")
-    rng = np.random.default_rng(plan.rng_seed)
+    rng = np.random.default_rng(seed)
     pieces = []
     for c in CoarseLabel:
         idx = np.flatnonzero(ds.coarse == int(c))
-        target = plan.targets[c]
+        target = targets[c]
         n = len(idx)
         if n == 0:
             if target > 0:
@@ -437,9 +401,7 @@ def resample(ds: Dataset, plan: SamplingPlan) -> Dataset:
         else:
             pieces.append(idx)
     order = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-    out = ds.subset(order)
-    out.provenance = replace(ds.provenance, sampling=plan.describe())
-    return out
+    return ds.subset(order)
 
 
 @dataclass(frozen=True)
@@ -490,10 +452,7 @@ def standardize_apply(stats: StandardizationStats, x: np.ndarray) -> np.ndarray:
 
 
 def standardize_dataset(stats: StandardizationStats, ds: Dataset) -> Dataset:
-    out = Dataset(
-        standardize_apply(stats, ds.X), ds.fine_labels, ds.coarse, ds.provenance
-    )
-    return out
+    return Dataset(standardize_apply(stats, ds.X), ds.fine_labels, ds.coarse)
 
 
 def _per_class_shuffled(ds: Dataset, rng: np.random.Generator) -> list[np.ndarray]:
@@ -563,11 +522,16 @@ def stratified_split(
 # ---------------------------------------------------------------------------
 # Processed-dataset files: version line, provenance, header, CSV rows.
 
-def save_dataset(path: str | Path, ds: Dataset) -> None:
+def save_dataset(
+    path: str | Path, ds: Dataset, source: str, targets: dict[CoarseLabel, int]
+) -> None:
+    """Write ``ds`` under a provenance line: the deduplicated ``source``
+    file, resampled to ``targets``."""
+    sampling = ",".join(f"{c}:{targets[c]}" for c in CoarseLabel)
     lines = [
         "# " + version_line("dataset"),
-        f"# provenance: {ds.provenance.describe()}",
-        ",".join(ENCODED_COLUMNS + ("fine_label", "coarse_label")),
+        f"# provenance: source={source} dedup=true sampling={sampling}",
+        _DATASET_HEADER,
     ]
     # one row's floats at a time: the whole matrix as Python floats is 7 MB
     # for 5,000 rows
@@ -628,13 +592,11 @@ def load_dataset(path: str | Path) -> Dataset:
     """Read a ``save_dataset`` file. Raises FormatError naming the file and
     line on a bad format line, provenance line or header, and on a row that
     is not 41 finite numbers, a fine label (see :func:`check_fine_label`)
-    and a coarse class name."""
+    and a coarse class name. The provenance line is checked, not kept."""
     r = LineReader(path)
     r.version("dataset")
-    provenance = _PROVENANCE.fullmatch(r.next("the provenance line").strip())
-    if provenance is None:
+    if not _PROVENANCE.fullmatch(r.next("the provenance line").strip()):
         raise r.error("expected '# provenance: source=<source> dedup=<true|false> ...'")
-    source, dedup, sampling = provenance.groups()
     if r.next("the column header").strip() != _DATASET_HEADER:
         raise r.error("unexpected dataset header")
     rows = [row for row in map(str.strip, r.lines[r.line_no:]) if row]
@@ -643,8 +605,7 @@ def load_dataset(path: str | Path) -> Dataset:
     except (ValueError, KeyError):
         # A block fails only through a row that fails alone; rescan to name it.
         raise r.error(next(p for p in map(_row_problem, r.rest()) if p)) from None
-    prov = Provenance("" if source == "-" else source, dedup == "true", sampling or "")
-    return Dataset(X, fine, coarse, prov)
+    return Dataset(X, fine, coarse)
 
 
 def save_stats(path: str | Path, stats: StandardizationStats) -> None:

@@ -193,7 +193,8 @@ def predict_dataset(h: HybridModel, ds: Dataset) -> tuple[Verdicts, RoutingStats
 
 # ---------------------------------------------------------------------------
 # Persistence: a manifest referencing the three model files and the stats
-# file; loading cross-checks dimensions and stats fingerprints.
+# file; loading checks each model's stats fingerprint, and the neural net's
+# and the forest's input widths against the stats file's 41 columns.
 
 def check_fingerprint(name: str, model, stats: StandardizationStats) -> None:
     """ValueError unless the ``name`` model (a manifest key) was trained on
@@ -247,6 +248,4 @@ def load_hybrid(manifest_path: str | Path) -> HybridModel:
     n_in = stats.mean.shape[0]
     if h.mlp.dims[0] != n_in or h.forest.n_features != n_in:
         raise ValueError("model input dimensions disagree with the stats file")
-    if h.centroids.centroids.shape[1] != n_in:
-        raise ValueError("centroid dimension disagrees with the stats file")
     return h

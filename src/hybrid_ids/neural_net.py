@@ -125,7 +125,6 @@ def loss_and_gradient(model: MLPModel, X: np.ndarray, y: np.ndarray):
 def train(ds: Dataset, config: TrainConfig) -> MLPModel:
     """Mini-batch gradient descent for ``config.epochs`` passes with seeded
     shuffling; expects a standardized dataset."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     model = init_model(config, n_inputs=ds.X.shape[1], rng=rng)
     X, y = ds.X, ds.coarse

@@ -26,7 +26,6 @@ from hybrid_ids.dataset import (
     COARSE_NAMES,
     CoarseLabel,
     Dataset,
-    SamplingPlan,
     Taxonomy,
     load_dataset,
     parse_kdd_line,
@@ -283,11 +282,11 @@ def test_criterion_6d_centroid_oracles():
 
 
 def test_criterion_6e_data_and_metric_identities(tmp_path):
-    # resample hits plan targets exactly
+    # resample hits its targets exactly
     ds = separable_dataset(n_per_label=24, seed=3)
     targets = {CoarseLabel.NORMAL: 10, CoarseLabel.DOS: 60, CoarseLabel.PROBE: 24,
                CoarseLabel.R2L: 5, CoarseLabel.U2R: 40}
-    out = resample(ds, SamplingPlan(targets, rng_seed=4))
+    out = resample(ds, targets, seed=4)
     assert out.counts_by_coarse() == targets
 
     # dedup idempotent on a corpus with duplicates

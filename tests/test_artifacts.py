@@ -30,8 +30,8 @@ import hybrid_ids
 from hybrid_ids.centroids import assign_batch, fit, load_centroids, save_centroids
 from hybrid_ids.dataset import (
     N_FEATURES,
+    CoarseLabel,
     Dataset,
-    Provenance,
     load_dataset,
     load_stats,
     save_dataset,
@@ -53,10 +53,8 @@ def _probe(width: int) -> np.ndarray:
     return np.random.default_rng(3).normal(size=(40, width)) * 4
 
 
-def _dataset() -> Dataset:
-    ds = separable_dataset(n_per_label=1, seed=12)
-    ds.provenance = Provenance(source="corpus.txt", deduplicated=True, sampling="normal:3")
-    return ds
+def _save_dataset(path: Path, ds: Dataset) -> None:
+    save_dataset(path, ds, "corpus.txt", dict.fromkeys(CoarseLabel, 3))
 
 
 def _check_dataset(loaded: Dataset, original: Dataset) -> None:
@@ -136,7 +134,8 @@ class Artifact:
 
 
 ARTIFACTS = {
-    "dataset": Artifact(_dataset, save_dataset, load_dataset, 3, _check_dataset),
+    "dataset": Artifact(lambda: separable_dataset(n_per_label=1, seed=12), _save_dataset,
+                        load_dataset, 3, _check_dataset),
     "stats": Artifact(lambda: standardize_fit(separable_dataset(n_per_label=3, seed=13)),
                       save_stats, load_stats, None, _check_stats),
     "mlp": Artifact(_mlp, save_mlp, load_mlp, None, _check_mlp),

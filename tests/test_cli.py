@@ -129,6 +129,9 @@ def test_config_unknown_key_rejected(tmp_path):
         ("data=x.txt\n\nsplit.test_fraction=1.5\n",
          "{path}:3: split.test_fraction: test_fraction must be in (0, 1)"),
         ("seed=2\nnn.folds=1\n", "{path}:2: nn.folds: k must be >= 2"),
+        ("data=x.txt\nout=o\nseed=-1\n", "{path}:3: seed: seed must be >= 0"),
+        ("sampling.dos=1\n\nsampling.rtl=-5\n",
+         "{path}:3: sampling.rtl: sampling targets must be >= 0"),
     ],
 )
 def test_config_errors_name_file_line_and_key(tmp_path, text, message):
@@ -265,6 +268,91 @@ def test_scoring_files_match_golden_hashes(workspace, tmp_path):
     assert {name: _sha(workspace["out"] / name) for name in GOLDEN_SCORING} == GOLDEN_SCORING
 
 
+# SHA-256 of each command's stdout and stderr (the training time masked) and
+# of every file the command flow of test_cli_flow_matches_golden_hashes
+# leaves in its output directory.
+GOLDEN_FLOW = {
+    "prepare: stdout": "0308460cf30b7fe40c9047ad0fc1554a31b9e59267dc3b0a4053e9e61316b3b6",
+    "prepare: stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "train hybrid --log-level INFO: stdout": "5ba2e6324678b37e8665e5ee9accb754e305ba10fc45c1b765ee151074ae5fdf",
+    "train hybrid --log-level INFO: stderr": "7db9870d0711d089f6367049fd2bd09abfe8a525f8f2cd8a21c749bcd140d25c",
+    "train nn --log-level INFO: stdout": "91ff6fcfef5d635c560bac4144f92e942092f198646eb578b67fd6839b7d02da",
+    "train nn --log-level INFO: stderr": "6150d641b334438df013ab2ca31ab6cc335597ffd104ea1c28b931909c94d7eb",
+    "train rf --log-level INFO: stdout": "fc6e832ebafe0625e39001235cb1502915e5e0a91b4016abc5dfdfb91d7919f7",
+    "train rf --log-level INFO: stderr": "377d7aea13605139250aad1f93fea351672cc286c6fc8776bdfc45560195ee8b",
+    "train misuse --log-level INFO: stdout": "000895307bbcc8b6a2a4b925aadbe7c962fd4ec1c73389d34e45aedd9b5d2ee0",
+    "train misuse --log-level INFO: stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "evaluate hybrid: stdout": "0bd966d27413dd74fca8ee7ab4d9f925cb587d0291851bfecd689430acf17ad8",
+    "evaluate hybrid: stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "evaluate nn: stdout": "15f2ff8bdb54884acee85f615e2b1b894a91ebce6ef61264542ab70868c1b259",
+    "evaluate nn: stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "evaluate rf: stdout": "f43542de689a053c879deb0daea704d93e3afe469a3749bf3b691abc8c3bad0b",
+    "evaluate rf: stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "evaluate misuse: stdout": "5dc866a98eebb169fc0a970c96207be21944bdc60b9ce2ca0774fe94cadf12fb",
+    "evaluate misuse: stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "predict --input stream.txt: stdout": "2bde446a2fabe2a7d2a317cec0227ad95d4d52dc5a390397dfd6ec7ef7ff9f63",
+    "predict --input stream.txt: stderr": "a2e5e028bdb527643f43430b598405e650c64f4673f3eaa270a855a7c4ada00e",
+    "report: stdout": "39400ccd57674c70cc7dfaa00f7aaa596f18ed83ffa319b17a437352fd47e3d3",
+    "report: stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "centroids.model": "d239d7aeb618d95d2497fa1421ff0bab1cef0fb34c78f8748910a047428ac802",
+    "confusion_hybrid.csv": "31b729e705b9d2b0b9af0ff28630903e290cc77674cb505e95937e3928944170",
+    "confusion_misuse.csv": "31b729e705b9d2b0b9af0ff28630903e290cc77674cb505e95937e3928944170",
+    "confusion_nn.csv": "140e237927f49e2ac9f267ed39a59da8b284ca2da438d031278686f348899a11",
+    "confusion_rf.csv": "31b729e705b9d2b0b9af0ff28630903e290cc77674cb505e95937e3928944170",
+    "forest.model": "ccef3766a488d9d4b4f6931ceb4245bc8ac1169c5849fa466a08ef869d4239f7",
+    "hybrid.manifest": "7b70665b42af539438e6df85edd78682bb4030c46e39226710551c40e363f034",
+    "metrics_hybrid.csv": "b1b20af7fc5edba57782b38d6bec4742009fd68d9d70ba86e5d5d6a93d3c0755",
+    "metrics_misuse.csv": "b1b20af7fc5edba57782b38d6bec4742009fd68d9d70ba86e5d5d6a93d3c0755",
+    "metrics_nn.csv": "9c2d2ff077e9e3d8c1bec648ece848d9249dc2f94c06d7b3eaa6aca749b8bdab",
+    "metrics_rf.csv": "b1b20af7fc5edba57782b38d6bec4742009fd68d9d70ba86e5d5d6a93d3c0755",
+    "mlp.model": "e67f4d23190dd2012d3c5b52ac8902d2312e61f2a0e469294aa2c4021fd785b3",
+    "predictions.csv": "1e58c01b8ad4bb6da96f510542ded3df43f2f1dac5e7d37332ada752b94b0f47",
+    "predictions.rejects.txt": "53cf699d05f4e031cb9a625f240a9f8b23aa85e59a21b3e9bcbeb9dfccebe9d5",
+    "prepare_summary.txt": "0308460cf30b7fe40c9047ad0fc1554a31b9e59267dc3b0a4053e9e61316b3b6",
+    "report_hybrid.txt": "3b350a1220bc1e0e6398f5f421f320266f172327eb46b1eb945081ef6fc94803",
+    "report_misuse.txt": "89ab60b20eee3d5b6897543f8870242c34dfc8a1a54c1418f8312b7622a642cb",
+    "report_misuse_accuracy.txt": "339537f0f0f6db11e92f778f943a2742589e29d3f949c71ed417c59812f503cf",
+    "report_nn.txt": "15f2ff8bdb54884acee85f615e2b1b894a91ebce6ef61264542ab70868c1b259",
+    "report_rf.txt": "f43542de689a053c879deb0daea704d93e3afe469a3749bf3b691abc8c3bad0b",
+    "routing_hybrid.txt": "5e112e0e15c699087050e78cc91306ad46f5dfefa1e3606ec7cd1cd8a2594874",
+    "stats.txt": "d863254bb347892c61d0c54eada82be08beac929e69add380f33d69e8b9bac70",
+    "taxonomy.txt": "85cba0a543012aa7263a359032b6f5909064b14dfc7472039b537945a86fc32d",
+    "test.csv": "aa0d8ccf87c1a7c9f7545e12692a725263a7b3c95129f65207f21e130ea554b4",
+    "train.csv": "97d07e7bc4c735249426c84b75db94dc69240e2c3874847b9048e6325d7befda",
+}
+
+
+def test_cli_flow_matches_golden_hashes(tmp_path, monkeypatch, capsys):
+    """prepare, the four trainings (the single stages after the hybrid one
+    rewrite its files), the four evaluations, predict and report, from a
+    fixed relative path: every output byte is pinned."""
+    monkeypatch.chdir(tmp_path)
+    lines = make_kdd_lines(DEFAULT_SYNTH_COUNTS, seed=7)
+    Path("data.txt").write_text("\n".join(lines) + "\n")
+    stream = [line.rsplit(",", 1)[0] for line in lines[::3]] + lines[::5]
+    stream[7:7] = ["bad,line", ""]
+    Path("stream.txt").write_text("\n".join(stream) + "\n")
+    Path("run.cfg").write_text(
+        "data=data.txt\nout=out\nseed=11\nsampling.normal=90\nsampling.dos=80\n"
+        "sampling.probe=40\nsampling.r2l=30\nsampling.u2r=30\nnn.hidden1=16\n"
+        "nn.hidden2=8\nnn.epochs=20\nnn.batch_size=16\nnn.folds=3\nrf.trees=5\n"
+    )
+    commands = [["prepare"]]
+    commands += [["train", which, "--log-level", "INFO"] for which in ("hybrid", "nn", "rf", "misuse")]
+    commands += [["evaluate", which] for which in ("hybrid", "nn", "rf", "misuse")]
+    commands += [["predict", "--input", "stream.txt"], ["report"]]
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    hashes = {}
+    for command in commands:
+        assert main([*command, "--config", "run.cfg"]) == 0, command
+        out, err = capsys.readouterr()
+        name = " ".join(command)
+        hashes[f"{name}: stdout"] = digest(re.sub(r"training time: \S+", "training time: -", out))
+        hashes[f"{name}: stderr"] = digest(err)
+    hashes.update((path.name, _sha(path)) for path in sorted(Path("out").iterdir()))
+    assert hashes == GOLDEN_FLOW
+
+
 def test_prepare_empty_input_errors(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     for text in ("", "\n  \n\t\n"):  # empty, and blank lines only
@@ -388,7 +476,8 @@ def test_train_misuse_logs_one_collision_warning(tmp_path, capsys, caplog):
     """The misuse stage reports a shadowed signature once, through the
     log, and ``train misuse`` prints no second warning of its own."""
     rows = np.full((2, N_FEATURES), 1.0)  # smurf's centroid is normal's
-    save_dataset(tmp_path / "train.csv", Dataset(rows, ["normal", "smurf"], [0, 1]))
+    save_dataset(tmp_path / "train.csv", Dataset(rows, ["normal", "smurf"], [0, 1]),
+                 "corpus.txt", dict.fromkeys(CoarseLabel, 1))
     with caplog.at_level("WARNING", logger="hybrid_ids.hybrid"):
         assert main(["train", "misuse", "--out", str(tmp_path)]) == 0
     assert [r.getMessage() for r in caplog.records] == [

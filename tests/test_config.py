@@ -13,32 +13,26 @@ from hybrid_ids.cli import build_config, main
 
 def settings(cfg) -> dict:
     """Every value a built RunConfig carries, flat, under the config key
-    that sets it; the derived seeds under ``seed.<component>``.
-
-    Reads the model configs from the ``hybrid`` field, or from the
-    ``hybrid_config()`` builder of a RunConfig that mirrors their fields."""
-    if hasattr(cfg, "hybrid"):
-        h, plan, folds = cfg.hybrid, cfg.sampling, cfg.cv_folds
-    else:
-        h, plan, folds = cfg.hybrid_config(), cfg.sampling_plan(), cfg.nn_folds
+    that sets it; the derived seeds under ``seed.<component>``."""
+    h = cfg.hybrid
     return {
         "data": cfg.data,
         "out": cfg.out,
         "seed": cfg.seed,
         "split.test_fraction": cfg.test_fraction,
-        **{f"sampling.{c}": n for c, n in sorted(plan.targets.items())},
+        **{f"sampling.{c}": n for c, n in sorted(cfg.sampling.items())},
         "taxonomy": [(fine, str(c)) for fine, c in cfg.taxonomy().items()],
         "nn.hidden": h.nn.hidden_dims,
         "nn.learning_rate": h.nn.learning_rate,
         "nn.epochs": h.nn.epochs,
         "nn.batch_size": h.nn.batch_size,
-        "nn.folds": folds,
+        "nn.folds": cfg.cv_folds,
         "rf.trees": h.rf.n_trees,
         "rf.max_depth": h.rf.max_depth,
         "rf.min_samples_split": h.rf.min_samples_split,
         "rf.features_per_split": h.rf.features_per_split,
         "rf.importance_threshold": h.rf.importance_keep_threshold,
-        "seed.sampling": plan.rng_seed,
+        "seed.sampling": cfg.seed,
         "seed.split": cfg.split_seed,
         "seed.nn": h.nn.seed,
         "seed.rf": h.rf.seed,
@@ -198,11 +192,19 @@ def test_config_file_errors(tmp_path, text, message):
 @pytest.mark.parametrize(
     "text, key",
     [("rf.trees=0\n", "rf.trees"), ("nn.batch_size=0\n", "nn.batch_size"),
-     ("split.test_fraction=1.5\n", "split.test_fraction")],
+     ("split.test_fraction=1.5\n", "split.test_fraction"), ("seed=-1\n", "seed"),
+     ("sampling.rtl=-5\n", "sampling.rtl")],
 )
 def test_prepare_refuses_out_of_range_values(tmp_path, capsys, text, key):
     path, out = tmp_path / "run.cfg", tmp_path / "out"
     path.write_text(text)
     assert main(["prepare", "--config", str(path), "--data", "absent.txt", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}:1: {key}: ")
+    assert not out.exists()
+
+
+def test_prepare_refuses_a_negative_seed_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["prepare", "--seed", "-1", "--data", "absent.txt", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
     assert not out.exists()

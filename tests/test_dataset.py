@@ -15,10 +15,9 @@ from hybrid_ids.dataset import (
     ENCODED_COLUMNS,
     KDD_COLUMNS,
     N_FEATURES,
+    SAMPLING_TARGETS,
     CoarseLabel,
     Dataset,
-    Provenance,
-    SamplingPlan,
     Taxonomy,
     load_dataset,
     load_stats,
@@ -180,7 +179,7 @@ def test_read_kdd_file_gzip(tmp_path):
     ds, parsed = read_kdd_dataset(path, Taxonomy.default())
     assert (ds.fine_labels.tolist(), ds.coarse.tolist(), parsed) == (
         ["normal", "smurf"], [CoarseLabel.NORMAL, CoarseLabel.DOS], 2)
-    assert ds.provenance.describe() == f"source={path} dedup=true"
+    assert np.array_equal(ds.X, [parse_kdd_line(SAMPLE_LINE).x] * 2)
 
 
 def test_read_kdd_file_repeated_lines_give_equal_records(tmp_path):
@@ -308,26 +307,22 @@ def _tiny_dataset(counts: dict[CoarseLabel, int], seed=0) -> Dataset:
 
 def test_resample_hits_targets_exactly():
     ds = _tiny_dataset({c: n for c, n in zip(CoarseLabel, (50, 40, 30, 20, 10))})
-    plan = SamplingPlan(
-        {
-            CoarseLabel.NORMAL: 25,
-            CoarseLabel.DOS: 40,
-            CoarseLabel.PROBE: 45,
-            CoarseLabel.R2L: 20,
-            CoarseLabel.U2R: 17,
-        },
-        rng_seed=3,
-    )
-    out = resample(ds, plan)
+    targets = {
+        CoarseLabel.NORMAL: 25,
+        CoarseLabel.DOS: 40,
+        CoarseLabel.PROBE: 45,
+        CoarseLabel.R2L: 20,
+        CoarseLabel.U2R: 17,
+    }
+    out = resample(ds, targets, seed=3)
     got = out.counts_by_coarse()
-    assert got == plan.targets
-    assert len(out) == sum(plan.targets.values())
+    assert got == targets
+    assert len(out) == sum(targets.values())
 
 
 def test_resample_identity_plan_keeps_multiset():
     ds = _tiny_dataset({c: n for c, n in zip(CoarseLabel, (5, 4, 3, 2, 2))})
-    plan = SamplingPlan({c: int(n) for c, n in ds.counts_by_coarse().items()}, rng_seed=1)
-    out = resample(ds, plan)
+    out = resample(ds, ds.counts_by_coarse(), seed=1)
     before = Counter(map(tuple, ds.X))
     after = Counter(map(tuple, out.X))
     assert before == after
@@ -336,10 +331,9 @@ def test_resample_identity_plan_keeps_multiset():
 def test_resample_upsample_contains_all_originals():
     # 52 -> 86: every original row present, 34 extra drawn from the originals
     ds = _tiny_dataset({CoarseLabel.U2R: 52, CoarseLabel.NORMAL: 5})
-    plan = SamplingPlan({CoarseLabel.NORMAL: 5, CoarseLabel.DOS: 0,
-                         CoarseLabel.PROBE: 0, CoarseLabel.R2L: 0,
-                         CoarseLabel.U2R: 86}, rng_seed=11)
-    out = resample(ds, plan)
+    targets = {CoarseLabel.NORMAL: 5, CoarseLabel.DOS: 0, CoarseLabel.PROBE: 0,
+               CoarseLabel.R2L: 0, CoarseLabel.U2R: 86}
+    out = resample(ds, targets, seed=11)
     originals = Counter(map(tuple, ds.X[ds.coarse == int(CoarseLabel.U2R)]))
     sampled = Counter(map(tuple, out.X[out.coarse == int(CoarseLabel.U2R)]))
     assert sum(sampled.values()) == 86
@@ -350,10 +344,9 @@ def test_resample_upsample_contains_all_originals():
 
 def test_resample_downsample_is_without_replacement():
     ds = _tiny_dataset({CoarseLabel.NORMAL: 30, CoarseLabel.DOS: 4})
-    plan = SamplingPlan({CoarseLabel.NORMAL: 12, CoarseLabel.DOS: 4,
-                         CoarseLabel.PROBE: 0, CoarseLabel.R2L: 0,
-                         CoarseLabel.U2R: 0}, rng_seed=2)
-    out = resample(ds, plan)
+    targets = {CoarseLabel.NORMAL: 12, CoarseLabel.DOS: 4, CoarseLabel.PROBE: 0,
+               CoarseLabel.R2L: 0, CoarseLabel.U2R: 0}
+    out = resample(ds, targets, seed=2)
     rows = list(map(tuple, out.X[out.coarse == int(CoarseLabel.NORMAL)]))
     assert len(rows) == len(set(rows)) == 12
     originals = set(map(tuple, ds.X[ds.coarse == int(CoarseLabel.NORMAL)]))
@@ -362,18 +355,17 @@ def test_resample_downsample_is_without_replacement():
 
 def test_resample_empty_class_with_positive_target_errors():
     ds = _tiny_dataset({CoarseLabel.NORMAL: 5})
-    plan = SamplingPlan({CoarseLabel.NORMAL: 5, CoarseLabel.DOS: 3,
-                         CoarseLabel.PROBE: 0, CoarseLabel.R2L: 0,
-                         CoarseLabel.U2R: 0}, rng_seed=0)
+    targets = {CoarseLabel.NORMAL: 5, CoarseLabel.DOS: 3, CoarseLabel.PROBE: 0,
+               CoarseLabel.R2L: 0, CoarseLabel.U2R: 0}
     with pytest.raises(ValueError, match="empty class"):
-        resample(ds, plan)
+        resample(ds, targets, seed=0)
 
 
 def test_resample_deterministic_per_seed():
     ds = _tiny_dataset({c: 20 for c in CoarseLabel})
-    plan = SamplingPlan({c: 10 for c in CoarseLabel}, rng_seed=5)
-    a = resample(ds, plan)
-    b = resample(ds, plan)
+    targets = dict.fromkeys(CoarseLabel, 10)
+    a = resample(ds, targets, seed=5)
+    b = resample(ds, targets, seed=5)
     assert np.array_equal(a.X, b.X)
 
 
@@ -472,7 +464,7 @@ def test_standardize_dataset_wrapper():
 def test_version_mismatch_rejected(tmp_path):
     ds = separable_dataset(n_per_label=4, seed=7)
     path = tmp_path / "ds.csv"
-    save_dataset(path, ds)
+    save_dataset(path, ds, "corpus.txt", SAMPLING_TARGETS)
     body = path.read_text().splitlines()
     body[0] = "# hybrid-ids dataset v9"
     path.write_text("\n".join(body) + "\n")
@@ -511,20 +503,18 @@ def test_dataset_file_round_trip_is_bit_exact(tmp_path_factory, X, data):
     fine = data.draw(st.lists(st.text(alphabet="abcdefghijklmnopqrstuvwxyz_.-0123456789",
                                       min_size=1, max_size=12), min_size=n, max_size=n))
     coarse = data.draw(st.lists(st.sampled_from([int(c) for c in CoarseLabel]), min_size=n, max_size=n))
-    prov = Provenance(
-        source=data.draw(path_text.filter(lambda s: s != "-")),
-        deduplicated=data.draw(st.booleans()),
-        sampling=data.draw(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789:,", max_size=20)),
-    )
+    source = data.draw(path_text)
+    targets = data.draw(st.lists(st.integers(0, 10**6), min_size=5, max_size=5))
     path = tmp_path_factory.mktemp("round_trip") / "ds.csv"
-    save_dataset(path, Dataset(X, fine, coarse, prov))
+    save_dataset(path, Dataset(X, fine, coarse), source, dict(zip(CoarseLabel, targets)))
     loaded = load_dataset(path)
     assert loaded.X.shape == (n, N_FEATURES)
     assert np.array_equal(loaded.X.view(np.int64), X.view(np.int64))
     assert list(loaded.fine_labels) == fine
     assert loaded.coarse.tolist() == coarse
-    assert (loaded.provenance.source, loaded.provenance.deduplicated, loaded.provenance.sampling) == (
-        prov.source, prov.deduplicated, prov.sampling)
+    sampling = ",".join(f"{name}:{n}" for name, n in zip(COARSE_NAMES, targets))
+    assert path.read_text().splitlines()[1] == (
+        f"# provenance: source={source} dedup=true sampling={sampling}")
 
 
 feature_text = st.one_of(
@@ -545,7 +535,7 @@ def test_load_dataset_repeated_rows_match_a_per_row_float_oracle(tmp_path_factor
     labels = data.draw(st.lists(st.sampled_from(COARSE_NAMES), min_size=len(picks),
                                 max_size=len(picks)))
     path = tmp_path_factory.mktemp("repeats") / "ds.csv"
-    save_dataset(path, Dataset(np.empty((0, N_FEATURES)), [], []))
+    save_dataset(path, Dataset(np.empty((0, N_FEATURES)), [], []), "corpus.txt", SAMPLING_TARGETS)
     rows = [",".join(pool[p]) + f",{name},{name}" for p, name in zip(picks, labels)]
     path.write_text(path.read_text() + "\n".join(rows) + "\n")
     loaded = load_dataset(path)

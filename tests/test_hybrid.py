@@ -327,6 +327,23 @@ def test_hybrid_manifest_detects_stats_mismatch(tmp_path):
         load_hybrid(manifest)
 
 
+def test_hybrid_manifest_detects_input_width_mismatch(tmp_path):
+    """A forest file that declares 40 inputs, in a bundle whose stats file
+    has 41 columns, does not load."""
+    h = _stub_hybrid(NORMAL, NORMAL, np.zeros(N_FEATURES), np.ones(N_FEATURES))
+    for model in (h.mlp, h.forest, h.centroids):
+        model.stats_fingerprint = h.stats.fingerprint
+    manifest = save_hybrid(tmp_path, h)
+    load_hybrid(manifest)  # as saved, every width is 41
+    h.forest.n_features = N_FEATURES - 1
+    h.forest.feature_importances = np.zeros(N_FEATURES - 1)
+    h.forest.active_features = np.arange(N_FEATURES - 1)
+    rf.save_forest(tmp_path / "forest.model", h.forest)
+    assert "n_features=40" in (tmp_path / "forest.model").read_text().splitlines()
+    with pytest.raises(ValueError, match="^model input dimensions disagree with the stats file$"):
+        load_hybrid(manifest)
+
+
 def test_hybrid_manifest_missing_submodel(tmp_path):
     ds = separable_dataset(n_per_label=8, seed=9)
     h = train_all(ds, _fast_config())

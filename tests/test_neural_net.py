@@ -67,6 +67,18 @@ def test_init_respects_glorot_bounds():
     assert np.all(np.abs(model.weights[0]) <= bound0)
 
 
+@pytest.mark.parametrize("config, match", [
+    (TrainConfig(hidden_dims=(0, 4)), "hidden_dims must be positive"),
+    (TrainConfig(learning_rate=0.0), "learning_rate must be positive"),
+    (TrainConfig(epochs=-1), "epochs must be >= 0"),
+    (TrainConfig(batch_size=0), "batch_size must be positive"),
+])
+def test_train_refuses_an_invalid_config(config, match):
+    """``train`` checks its config once, through ``init_model``."""
+    with pytest.raises(ValueError, match=match):
+        train(separable_dataset(n_per_label=2), config)
+
+
 def test_zero_model_gives_uniform_outputs():
     model = zero_model()
     out = forward(model, np.ones((3, N_FEATURES)))
