@@ -254,6 +254,9 @@ def _write_record(cfg: RunConfig, name: str, kind: str, lines: list[str]) -> str
 def cmd_prepare(cfg: RunConfig) -> int:
     if not cfg.data:
         raise ValueError("prepare needs an input file (config key 'data' or --data)")
+    if "\n" in cfg.data or "\r" in cfg.data:
+        # the path goes into one line of train.csv, test.csv and the summary
+        raise ValueError(f"input path {cfg.data!r} holds a line break")
     taxonomy = cfg.taxonomy()
     distinct, parsed = read_kdd_dataset(cfg.data, taxonomy)
     if not parsed:

@@ -17,12 +17,24 @@ in one pass. Every tree still meets its nodes and draws from its stream in
 the order it would alone, and no count, cost or tie-break depends on the
 other trees, so the forest is bit for bit the one that growing the trees
 one after another by sorting each node's values would make.
+
+For the same reason a forest can grow in two halves on two CPUs.
+``train_forest`` forks one child that grows the second half of the trees
+while the parent grows the first; the child pickles its trees and
+per-tree importances back over a pipe, and the parent joins them in tree
+order, so the trees, and the importances summed over them, are the
+one-process forest's to the bit. All trees grow in one process where
+``os.fork`` is missing, where one CPU is available, or for a single tree.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -364,6 +376,111 @@ def grow_trees(
     return trees, importances
 
 
+def _cpus() -> list[int]:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def _keep_to(cpus: list[int]) -> None:
+    """Run this thread on ``cpus`` only, where the platform allows."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, cpus)
+
+
+def _grow_in_halves(X, y, samples, rngs, *args) -> tuple[list[tuple], np.ndarray]:
+    """``grow_trees(X, y, samples, rngs, *args)``, the trees from
+    ``len(samples) // 2`` on grown in a forked child while this process
+    grows the ones before. The halves join in tree order, so the result
+    is the one-process result to the bit. One process grows them all where
+    ``os.fork`` is missing, one CPU is available, or there is one tree.
+
+    While both grow, each process keeps to its own half of the CPUs: a
+    kernel that does not balance load across them (a cpuset with
+    ``sched_load_balance`` off) leaves the child on its parent's CPU.
+
+    The child always ends in ``os._exit``: it never returns to the caller
+    or flushes its copy of the caller's stdio. It sends back its trees,
+    each as three arrays, or the exception it raised (its traceback text
+    when the exception does not pickle), which is raised here. This
+    process always reads the pipe to its end and reaps the child, even
+    when its own half raises.
+    """
+    n, cpus = len(samples), _cpus()
+    if n == 1 or not hasattr(os, "fork") or len(cpus) < 2:
+        grown = grow_trees(X, y, samples, rngs, *args)
+        log.debug("grew %d trees in 1 process", n)
+        return grown
+    half = n // 2
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_end)
+        _child_half(write_end, cpus[len(cpus) // 2:],
+                    lambda: grow_trees(X, y, samples[half:], rngs[half:], *args))
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            try:
+                _keep_to(cpus[:len(cpus) // 2])
+                trees, importances = grow_trees(X, y, samples[:half], rngs[:half], *args)
+            finally:
+                payload = pipe.read()
+                _keep_to(cpus)
+    finally:
+        _, status, usage = os.wait4(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        reason = f"exited with status {code}" if code > 0 else f"was killed by {_signal_name(-code)}"
+        raise RuntimeError(f"the process growing trees {half}..{n - 1} {reason}")
+    result = pickle.loads(payload)
+    if isinstance(result, BaseException):
+        raise result
+    if isinstance(result, str):
+        raise RuntimeError(f"the process growing trees {half}..{n - 1} failed:\n{result}")
+    child_trees, child_importances = result
+    log.debug(
+        "grew %d trees in 2 processes (%d + %d), child %.2f s CPU, child peak RSS %.1f MB",
+        n, half, n - half, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024,
+    )
+    return trees + child_trees, np.concatenate([importances, child_importances])
+
+
+def _child_half(write_end: int, cpus: list[int], grow) -> None:
+    """The forked child: run ``grow`` on ``cpus``, write the pickled
+    result to ``write_end`` and exit; it never returns."""
+    status = 1
+    try:
+        try:
+            _keep_to(cpus)
+            trees, importances = grow()
+            # one array per column of each tree, not one per node
+            payload = pickle.dumps((
+                [(np.array(f, dtype=np.int64), np.array(thr, dtype=np.float64), np.array(c))
+                 for f, thr, c in trees],
+                importances,
+            ))
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps(exc)
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps("".join(traceback.format_exception(exc)))
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _signal_name(number: int) -> str:
+    try:
+        return signal.Signals(number).name
+    except ValueError:
+        return f"signal {number}"
+
+
 def train_forest(
     ds: Dataset,
     config: ForestConfig,
@@ -375,11 +492,15 @@ def train_forest(
     merged in tree order).
 
     ``ranked`` is ``rank_columns(ds.X)``, computed here when not given.
-    The trees grow in lockstep (see ``grow_trees``). Each tree draws its
-    sample, then its candidates, from its own stream in the order it would
-    alone, and no split depends on the other trees or on the order of a
-    node's rows, so the forest is the one its trees grown one after
-    another would make, to the bit.
+    The trees grow in lockstep (see ``grow_trees``), the first
+    ``n_trees // 2`` in this process and the rest in a forked child (see
+    ``_grow_in_halves``), or all here where ``os.fork`` is missing, one
+    CPU is available, or ``n_trees`` is 1. Each tree draws its sample,
+    then its candidates, from its own stream in the order it would alone,
+    and no split depends on the other trees or on the order of a node's
+    rows. The halves join in tree order, so the per-tree importances are
+    summed in the same order too, and the forest is the one its trees
+    grown one after another would make, to the bit, whichever path runs.
     """
     n_features = ds.X.shape[1]
     config.validate(n_features)
@@ -394,7 +515,7 @@ def train_forest(
     n = len(ds)
     # sorted, so every node's rows are read in memory order
     samples = [np.sort(rng.integers(0, n, size=n)) for rng in rngs]
-    trees, tree_importances = grow_trees(
+    trees, tree_importances = _grow_in_halves(
         ds.X, ds.coarse, samples, rngs, config, active,
         ranked if ranked is not None else rank_columns(ds.X),
     )

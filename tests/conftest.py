@@ -103,6 +103,18 @@ def synth_kdd_file(tmp_path: Path) -> Path:
     return path
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    what = "still running" if pid == 0 else f"unreaped (pid {pid}, status {status})"
+    pytest.fail(f"the test left a child process {what}")
+
+
 def separable_dataset(n_per_label: int = 40, seed: int = 0, spread: float = 0.3) -> Dataset:
     """Encoded-feature dataset with one well-separated Gaussian blob per
     fine label; standardize before feeding the models."""

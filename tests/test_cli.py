@@ -363,6 +363,18 @@ def test_prepare_empty_input_errors(tmp_path, capsys):
         assert not (tmp_path / "o" / "train.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["a\nb.txt", "a\rb.txt", "a\r\nb.txt"])
+def test_prepare_refuses_a_data_path_with_a_line_break(tmp_path, capsys, name):
+    # the file exists and parses, so only the line break is at fault
+    data = tmp_path / name
+    data.write_text("\n".join(make_kdd_lines(DEFAULT_SYNTH_COUNTS)) + "\n")
+    rc = main(["prepare", "--data", str(data), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: input path {str(data)!r} holds a line break\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _prepare_lines(tmp_path: Path, lines: list[str | bytes], name: str = "data.txt") -> int:
     """Run ``prepare`` on ``lines`` (bytes written as they are) with small
     sampling targets; the files go to ``tmp_path/out``."""

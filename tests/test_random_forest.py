@@ -4,12 +4,16 @@ independently of the library code paths they verify."""
 
 from __future__ import annotations
 
+import logging
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybrid_ids import random_forest
 from hybrid_ids.dataset import CoarseLabel, Dataset, N_FEATURES, Taxonomy, read_kdd_dataset
 from hybrid_ids.errors import FormatError
 from hybrid_ids.random_forest import (
@@ -27,6 +31,7 @@ from hybrid_ids.random_forest import (
 
 from conftest import expect_load_error, make_kdd_lines, separable_dataset
 from test_artifacts import saved
+from test_split_search import golden_dataset
 
 
 def leaf(counts) -> tuple:
@@ -543,7 +548,7 @@ def test_forest_config_rejects_non_positive_depth(depth):
     ForestConfig(max_depth=1).validate()
 
 
-def test_forest_training_peak_memory_stays_bounded():
+def test_forest_training_peak_memory_stays_bounded(monkeypatch):
     """The lockstep grower bounds its per-step temporaries: 20 trees on
     5,000 rows peak below 4.85 MB of traced allocations (numpy reports its
     buffers to tracemalloc). That is 1.25 times the 3.88 MB that growing
@@ -559,6 +564,7 @@ def test_forest_training_peak_memory_stays_bounded():
     X = templates[source, np.arange(N_FEATURES)].astype(np.float64)
     X[:, :6] += rng.normal(size=(n, 6)).round(3)  # columns of many distinct values
     ds = Dataset(X, ["x"] * n, y)
+    monkeypatch.setattr(random_forest, "_cpus", lambda: [0])  # all 20 trees in this process
     tracemalloc.start()
     try:
         train_forest(ds, ForestConfig(n_trees=20, seed=1))
@@ -590,3 +596,103 @@ def test_reading_repeated_lines_peak_memory_stays_bounded(tmp_path):
     assert (len(ds), parsed) == (len(distinct), len(lines))
     assert len(repeats) / len(lines) == pytest.approx(0.64, abs=1e-3)
     assert peak < 2.86e6
+
+
+# ---------------------------------------------------------------------------
+# Two halves: the forked child grows the second half of the trees.
+
+@pytest.mark.parametrize("n_trees", [1, 2, 3, 20])
+@pytest.mark.parametrize("active", [None, [0, 1, 3, 7, 9, 12, 20, 33]])
+def test_forked_and_serial_forests_are_the_same_file(tmp_path, monkeypatch, caplog, n_trees, active):
+    ds, config = golden_dataset(), ForestConfig(n_trees=n_trees, seed=5)
+    cpus_before = os.sched_getaffinity(0)
+    models = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(random_forest, "_cpus", lambda: [0] if cores == 1 else two_or_more_cpus())
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="hybrid_ids.random_forest"):
+            models[cores] = train_forest(ds, config, active_features=active)
+        (line,) = [r.getMessage() for r in caplog.records]
+        half = n_trees // 2
+        if cores == 2 and n_trees > 1:
+            assert line.startswith(f"grew {n_trees} trees in 2 processes "
+                                   f"({half} + {n_trees - half}), child ")
+        else:
+            assert line == f"grew {n_trees} trees in 1 process"
+        save_forest(tmp_path / f"{cores}.model", models[cores])
+    assert os.sched_getaffinity(0) == cpus_before
+    assert (tmp_path / "1.model").read_bytes() == (tmp_path / "2.model").read_bytes()
+    assert models[1].feature_importances.tobytes() == models[2].feature_importances.tobytes()
+
+
+def two_or_more_cpus() -> list[int]:
+    """This process's CPUs; its one CPU twice where it has one, so that the
+    forked path runs anyway."""
+    cpus = sorted(os.sched_getaffinity(0))
+    return cpus if len(cpus) > 1 else cpus * 2
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fork_with(monkeypatch, in_child=None, in_parent=None):
+    """Force the forked path, running ``in_child`` (or ``in_parent``)
+    before the real ``grow_trees`` in that process."""
+    parent, real = os.getpid(), random_forest.grow_trees
+
+    def grow(*args):
+        hook = in_parent if os.getpid() == parent else in_child
+        if hook is not None:
+            hook()
+        return real(*args)
+
+    monkeypatch.setattr(random_forest, "_cpus", two_or_more_cpus)
+    monkeypatch.setattr(random_forest, "grow_trees", grow)
+
+
+def test_child_exception_is_raised_in_the_parent(monkeypatch):
+    def fail():
+        raise KeyError("no tree here")
+
+    fork_with(monkeypatch, in_child=fail)
+    with pytest.raises(KeyError, match="^'no tree here'$"):
+        train_forest(golden_dataset(), ForestConfig(n_trees=4))
+    assert_no_child_left()
+
+
+def test_child_exception_that_does_not_pickle_comes_back_as_its_traceback(monkeypatch):
+    class Local(Exception):  # a local class cannot be pickled
+        pass
+
+    def fail():
+        raise Local("grown wrong")
+
+    fork_with(monkeypatch, in_child=fail)
+    with pytest.raises(RuntimeError, match=r"(?s)trees 2\.\.3 failed:.*Local: grown wrong"):
+        train_forest(golden_dataset(), ForestConfig(n_trees=4))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("end, reason", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
+    (lambda: os._exit(3), "exited with status 3"),
+])
+def test_child_that_dies_without_its_trees_names_how(monkeypatch, end, reason):
+    fork_with(monkeypatch, in_child=end)
+    with pytest.raises(RuntimeError, match=f"^the process growing trees 1\\.\\.2 {reason}$"):
+        train_forest(golden_dataset(), ForestConfig(n_trees=3))
+    assert_no_child_left()
+
+
+def test_parent_half_failing_still_reaps_the_child(monkeypatch):
+    def fail():
+        raise MemoryError("parent half")
+
+    cpus_before = os.sched_getaffinity(0)
+    fork_with(monkeypatch, in_parent=fail)
+    with pytest.raises(MemoryError, match="parent half"):
+        train_forest(golden_dataset(), ForestConfig(n_trees=4))
+    assert_no_child_left()
+    assert os.sched_getaffinity(0) == cpus_before
