@@ -53,7 +53,6 @@ from .dataset import (
 from .evaluation import (
     confusion,
     format_report,
-    load_confusion_csv,
     write_confusion_csv,
     write_metrics_csv,
 )
@@ -411,22 +410,6 @@ def cmd_predict(cfg: RunConfig, input_path: str) -> int:
     return 0
 
 
-def cmd_report(cfg: RunConfig, targets: list[str]) -> int:
-    names = targets or ["nn", "rf", "misuse", "hybrid"]
-    found = False
-    for which in names:
-        path = cfg.out_path(f"confusion_{which}.csv")
-        if not path.exists():
-            continue
-        found = True
-        matrix = load_confusion_csv(path)
-        print(format_report(matrix, f"{which} (from {path})", seed=cfg.seed))
-        print()
-    if not found:
-        raise FileNotFoundError(f"no confusion matrices found under {cfg.out}")
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybrid-ids",
@@ -462,11 +445,6 @@ def make_parser() -> argparse.ArgumentParser:
     common(p_pred)
     p_pred.add_argument("--input", required=True, help="KDD lines, labeled or not (.gz ok)")
     p_pred.set_defaults(run=lambda cfg, args: cmd_predict(cfg, args.input))
-
-    p_rep = sub.add_parser("report", help="re-render saved evaluation tables")
-    common(p_rep)
-    p_rep.add_argument("targets", nargs="*", help="subset of nn rf misuse hybrid")
-    p_rep.set_defaults(run=lambda cfg, args: cmd_report(cfg, args.targets))
     return parser
 
 

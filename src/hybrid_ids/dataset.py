@@ -441,14 +441,24 @@ def standardize_fit(ds: Dataset) -> StandardizationStats:
     return StandardizationStats(mean=mean, stddev=stddev)
 
 
+# Standardized values are clipped to +-Z_BOUND. Then a centroid distance
+# (41 squares of at most 2 * Z_BOUND) and the neural net's three layers stay
+# finite for any finite input. A fitted column's own values satisfy
+# |z| <= sqrt(n - 1), so the clip never changes a training value.
+Z_BOUND = 1e150
+
+
 def standardize_apply(stats: StandardizationStats, x: np.ndarray) -> np.ndarray:
-    """Pure transform (x - mean) / stddev; accepts a vector or a matrix."""
+    """Pure transform (x - mean) / stddev, clipped to +-``Z_BOUND``;
+    accepts a vector or a matrix."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != stats.mean.shape[0]:
         raise ValueError(
             f"dimension mismatch: expected {stats.mean.shape[0]}, got {x.shape[-1]}"
         )
-    return (x - stats.mean) / stats.divisor
+    with np.errstate(over="ignore"):
+        z = (x - stats.mean) / stats.divisor
+    return np.clip(z, -Z_BOUND, Z_BOUND, out=z)
 
 
 def standardize_dataset(stats: StandardizationStats, ds: Dataset) -> Dataset:

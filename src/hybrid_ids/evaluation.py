@@ -2,12 +2,11 @@
 
 :func:`confusion` counts integer coarse class codes into a (5, 5) int64
 array, rows indexed by truth and columns by prediction, both in
-``COARSE_NAMES`` order; the metrics, reports and CSV files take that array,
-and :func:`load_confusion_csv` returns it. Metrics follow the convention of
-scoring each class against the rest of the dataset pooled: for class c,
-precision = TP/(TP+FP), recall = TP/(TP+FN), accuracy = (TP+TN)/N, all
-reported as percentages with three decimals. Zero denominators yield 0
-with an explicit undefined flag.
+``COARSE_NAMES`` order; the metrics, reports and CSV files take that array.
+Metrics follow the convention of scoring each class against the rest of the
+dataset pooled: for class c, precision = TP/(TP+FP), recall = TP/(TP+FN),
+accuracy = (TP+TN)/N, all reported as percentages with three decimals. Zero
+denominators yield 0 with an explicit undefined flag.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import COARSE_NAMES
-from .persist import LineReader, atomic_write, version_line
+from .persist import atomic_write, version_line
 
 _WIDTH = 10  # the report's column width
 _HEADER = "truth\\pred," + ",".join(COARSE_NAMES)  # the confusion CSV's header
@@ -101,28 +100,3 @@ def write_confusion_csv(path: str | Path, counts: np.ndarray, seed: int) -> None
         lines.append(c + "," + ",".join(map(str, row)))
     atomic_write(path, "\n".join(lines) + "\n")
 
-
-def load_confusion_csv(path: str | Path) -> np.ndarray:
-    """Read a ``write_confusion_csv`` file. Raises FormatError naming the
-    file and line on a header other than the one it writes, a wrong row, a
-    cut or trailing content."""
-    r = LineReader(path)
-    r.version("confusion")
-    line = r.next("the header").strip()
-    while line.startswith("#"):
-        line = r.next("the header").strip()
-    if line != _HEADER:
-        raise r.error(f"expected '{_HEADER}', got '{line}'")
-    k = len(COARSE_NAMES)
-    counts = np.zeros((k, k), dtype=np.int64)
-    for i, name in enumerate(COARSE_NAMES):
-        line = r.next(f"the row of '{name}'").strip()
-        cells = line.split(",")
-        if cells[0] != name or len(cells) != k + 1:
-            raise r.error(f"expected '{name}' and {k} counts, got '{line}'")
-        row = [r.number(v, int, "count") for v in cells[1:]]
-        if not all(0 <= v < 2**63 for v in row):
-            raise r.error(f"counts must be non-negative 64-bit integers: '{line}'")
-        counts[i] = row
-    r.end()
-    return counts

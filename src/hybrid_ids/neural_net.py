@@ -36,8 +36,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.hidden_dims[0] < 1 or self.hidden_dims[1] < 1:
             raise ValueError("hidden_dims must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:

@@ -1,6 +1,6 @@
-"""The loader contract, tested once over the six artifact kinds: dataset,
-stats, the three models and the confusion table. The hybrid manifest only
-names the model and stats files, and ``tests/test_hybrid.py`` tests it.
+"""The loader contract, tested once over the five artifact kinds: dataset,
+stats and the three models. The hybrid manifest only names the model and
+stats files, and ``tests/test_hybrid.py`` tests it.
 
 Each kind's file survives save -> load -> save byte for byte. A file cut
 inside its head, or carrying content after its end, raises a FormatError
@@ -40,7 +40,6 @@ from hybrid_ids.dataset import (
     standardize_fit,
 )
 from hybrid_ids.errors import FormatError
-from hybrid_ids.evaluation import confusion, load_confusion_csv, write_confusion_csv
 from hybrid_ids.neural_net import TrainConfig, init_model, load_mlp, save_mlp
 from hybrid_ids.neural_net import predict_batch as nn_predict
 from hybrid_ids.random_forest import ForestConfig, load_forest, save_forest, train_forest
@@ -120,10 +119,6 @@ def _check_centroids(loaded, original) -> None:
     assert np.array_equal(assign_batch(loaded, probe), assign_batch(original, probe))
 
 
-def _check_confusion(loaded, original) -> None:
-    assert loaded.shape == (5, 5) and loaded.dtype == np.int64
-
-
 @dataclass(frozen=True)
 class Artifact:
     sample: Callable[[], object]
@@ -141,9 +136,6 @@ ARTIFACTS = {
     "mlp": Artifact(_mlp, save_mlp, load_mlp, None, _check_mlp),
     "forest": Artifact(_forest, save_forest, load_forest, None, _check_forest),
     "centroids": Artifact(_centroids, save_centroids, load_centroids, None, _check_centroids),
-    "confusion": Artifact(lambda: confusion([0, 1, 2, 3, 4, 1], [0, 1, 2, 3, 4, 2]),
-                          lambda path, m: write_confusion_csv(path, m, seed=7),
-                          load_confusion_csv, None, _check_confusion),
 }
 
 
@@ -318,7 +310,7 @@ def swap(i: int, j: int):
 
 # (kind, edit of the sample file's lines, 1-based line of the error, message).
 # A kind's damage to one line in place is in that kind's own test file: the
-# test_load_*_garbled tables and test_load_confusion_csv_rejects_damage.
+# test_load_*_garbled tables.
 DAMAGE = [
     ("dataset", put(0, "# hybrid-ids stats v1"), 1, "expected format line"),
     ("dataset", drop(1), 2, "expected '# provenance: "),

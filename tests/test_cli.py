@@ -1,4 +1,4 @@
-"""CLI: prepare/train/evaluate/predict/report flows on a synthetic corpus,
+"""CLI: prepare/train/evaluate/predict flows on a synthetic corpus,
 config parsing, determinism of produced files."""
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from hybrid_ids.dataset import (
     standardize_fit,
 )
 from hybrid_ids.errors import ParseError
-from hybrid_ids.evaluation import confusion, write_confusion_csv
 from hybrid_ids.hybrid import Verdicts, load_hybrid, predict_dataset
 from hybrid_ids.neural_net import cross_validate
 from hybrid_ids.random_forest import load_forest, predict_batch as rf_predict_batch
@@ -151,6 +150,16 @@ def test_readme_lists_exactly_the_config_keys():
     assert len(keys) == len(listed), "a key is listed twice"
     assert {key for key in listed if "<" not in key} == set(cli.CONFIG_TABLE)
     assert {key.split("<")[0] for key in listed if "<" in key} == set(cli.CONFIG_PREFIXES)
+
+
+def test_readme_quickstart_lists_exactly_the_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = {line.split()[1] for line in block.splitlines() if line.startswith("hybrid-ids ")}
+    commands = next(a for a in cli.make_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert listed == set(commands)
 
 
 def test_config_taxonomy_extension(tmp_path):
@@ -292,8 +301,6 @@ GOLDEN_FLOW = {
     "evaluate misuse: stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "predict --input stream.txt: stdout": "2bde446a2fabe2a7d2a317cec0227ad95d4d52dc5a390397dfd6ec7ef7ff9f63",
     "predict --input stream.txt: stderr": "a2e5e028bdb527643f43430b598405e650c64f4673f3eaa270a855a7c4ada00e",
-    "report: stdout": "39400ccd57674c70cc7dfaa00f7aaa596f18ed83ffa319b17a437352fd47e3d3",
-    "report: stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "centroids.model": "d239d7aeb618d95d2497fa1421ff0bab1cef0fb34c78f8748910a047428ac802",
     "confusion_hybrid.csv": "31b729e705b9d2b0b9af0ff28630903e290cc77674cb505e95937e3928944170",
     "confusion_misuse.csv": "31b729e705b9d2b0b9af0ff28630903e290cc77674cb505e95937e3928944170",
@@ -324,7 +331,7 @@ GOLDEN_FLOW = {
 
 def test_cli_flow_matches_golden_hashes(tmp_path, monkeypatch, capsys):
     """prepare, the four trainings (the single stages after the hybrid one
-    rewrite its files), the four evaluations, predict and report, from a
+    rewrite its files), the four evaluations and predict, from a
     fixed relative path: every output byte is pinned."""
     monkeypatch.chdir(tmp_path)
     lines = make_kdd_lines(DEFAULT_SYNTH_COUNTS, seed=7)
@@ -340,7 +347,7 @@ def test_cli_flow_matches_golden_hashes(tmp_path, monkeypatch, capsys):
     commands = [["prepare"]]
     commands += [["train", which, "--log-level", "INFO"] for which in ("hybrid", "nn", "rf", "misuse")]
     commands += [["evaluate", which] for which in ("hybrid", "nn", "rf", "misuse")]
-    commands += [["predict", "--input", "stream.txt"], ["report"]]
+    commands += [["predict", "--input", "stream.txt"]]
     digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
     hashes = {}
     for command in commands:
@@ -681,6 +688,29 @@ def test_predict_stream(workspace, tmp_path, capsys):
     assert len(predictions) == 2 + 2  # version line + header + 2 rows
 
 
+def test_predict_bounds_a_huge_finite_field(workspace, tmp_path, capsys):
+    """A finite field so large that its squared standardized value would
+    overflow is clipped, so no numpy warning fires (tier-1 makes one an
+    error), the neural net votes on finite logits, and every centroid
+    distance ties, naming the smallest fine label."""
+    _prepared(workspace)
+    assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
+    normal_line = next(l for l in workspace["lines"] if l.endswith("normal."))
+    fields = normal_line.rsplit(",", 1)[0].split(",")
+    huge = [",".join(fields[:column] + [value] + fields[column + 1:])
+            for column, value in ((4, "1e300"), (24, "1e308"))]  # src_bytes, serror_rate
+    inputs = tmp_path / "stream.txt"
+    inputs.write_text("\n".join(huge) + "\n")
+    capsys.readouterr()
+    assert main(["predict", "--config", str(workspace["config"]), "--input", str(inputs)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["u2r,buffer_overflow,true,u2r,normal,u2r",
+                                "u2r,buffer_overflow,true,dos,normal,u2r"]
+    assert min(load_hybrid(workspace["out"] / "hybrid.manifest").centroids.fine_labels) == (
+        "buffer_overflow")
+    assert err == "records=2 routed=2 trimmed=0 confirmed=2\n"
+
+
 def test_predict_undecodable_byte_rejects_only_its_line(workspace, tmp_path):
     _prepared(workspace)
     assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
@@ -840,34 +870,6 @@ def test_verdict_rows_cover_every_vote_pair_and_entry():
         f"{p.nn_vote},{p.rf_vote},{'-' if p.misuse_vote is None else p.misuse_vote}"
         for p in verdicts
     ]
-
-
-def test_report_renders_saved_tables(workspace, capsys):
-    _prepared(workspace)
-    assert main(["train", "misuse", "--config", str(workspace["config"])]) == 0
-    assert main(["evaluate", "misuse", "--config", str(workspace["config"])]) == 0
-    capsys.readouterr()
-    rc = main(["report", "--config", str(workspace["config"])])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "misuse" in out
-    assert "Precision:" in out
-
-
-def test_report_on_truncated_confusion_csv_errors(tmp_path, capsys):
-    path = tmp_path / "confusion_nn.csv"
-    write_confusion_csv(path, confusion([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]), seed=7)
-    path.write_text("".join(line + "\n" for line in path.read_text().splitlines()[:5]))
-    rc = main(["report", "nn", "--out", str(tmp_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {path}, line 6: unexpected end of file, expected the row of 'probe'\n"
-
-
-def test_report_without_artifacts_errors(tmp_path, capsys):
-    rc = main(["report", "--out", str(tmp_path)])
-    assert rc == 1
-    assert "no confusion matrices" in capsys.readouterr().err
 
 
 def test_cli_seed_override(workspace):

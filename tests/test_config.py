@@ -193,7 +193,8 @@ def test_config_file_errors(tmp_path, text, message):
     "text, key",
     [("rf.trees=0\n", "rf.trees"), ("nn.batch_size=0\n", "nn.batch_size"),
      ("split.test_fraction=1.5\n", "split.test_fraction"), ("seed=-1\n", "seed"),
-     ("sampling.rtl=-5\n", "sampling.rtl")],
+     ("sampling.rtl=-5\n", "sampling.rtl"), ("nn.learning_rate=nan\n", "nn.learning_rate"),
+     ("nn.learning_rate=inf\n", "nn.learning_rate")],
 )
 def test_prepare_refuses_out_of_range_values(tmp_path, capsys, text, key):
     path, out = tmp_path / "run.cfg", tmp_path / "out"

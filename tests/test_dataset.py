@@ -16,8 +16,10 @@ from hybrid_ids.dataset import (
     KDD_COLUMNS,
     N_FEATURES,
     SAMPLING_TARGETS,
+    Z_BOUND,
     CoarseLabel,
     Dataset,
+    StandardizationStats,
     Taxonomy,
     load_dataset,
     load_stats,
@@ -396,6 +398,16 @@ def test_standardize_fit_then_apply_centers_brute_force():
     # independent re-check: plain per-column mean of the transformed data
     for j in range(N_FEATURES):
         assert abs(sum(out[:, j]) / len(out)) < 1e-9
+
+
+def test_standardize_apply_bounds_a_huge_finite_value():
+    stats = StandardizationStats(mean=np.zeros(N_FEATURES), stddev=np.full(N_FEATURES, 1e-3))
+    x = np.zeros((2, N_FEATURES))
+    x[0, 4], x[1, 24] = 1e308, 2.0  # 1e308 / 1e-3 overflows before the clip
+    out = standardize_apply(stats, x)
+    assert np.isfinite(out).all()
+    assert out[0, 4] == Z_BOUND and out[1, 24] == 2000.0
+    assert standardize_apply(stats, x[0])[4] == Z_BOUND  # a vector too
 
 
 def test_standardize_dimension_mismatch():
