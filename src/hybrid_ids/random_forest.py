@@ -4,8 +4,8 @@ decrease-in-impurity feature importance, and an importance-based
 drop-and-retrain step.
 
 A forest has one form, ``ForestModel``: preorder node arrays concatenated
-over its trees. Training appends to them, the vote walks them, and the
-model file holds them one node per line. Routing rule everywhere:
+over its trees. Training appends to them, the vote routes rows down them,
+and the model file holds them one node per line. Routing rule everywhere:
 ``x[feature] <= threshold`` goes left, to node ``i + 1``, else to ``right[i]``.
 
 The trees of a forest grow in lockstep. Each keeps its own stack and RNG
@@ -52,6 +52,12 @@ _MIN_GAIN = 1e-12
 # (row, candidate feature) keys one batched split search holds at most,
 # unless a single node has more
 _SEARCH_KEYS = 1 << 15
+# the vote partitions a node's rows while at least this many reach it, and
+# steps smaller nodes with the rest (see ``predict_batch``)
+_PARTITION_ROWS = 128
+# (tree, row) pairs one pass of the vote holds at most, unless one tree's
+# rows are more
+_STEP_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -536,14 +542,22 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
     the lower class index. Modal ties go to the class with the larger
     summed leaf-count mass across all trees, then the lower class index.
 
-    Each tree partitions the row indices down its nodes, so a node
-    compares only the rows that reach it. A vote that steps every live
-    (row, tree) pair one level at a time and drops the pairs at a leaf was
-    measured faster on a 1,024-row ``predict`` block and level on the 2,104
-    distinct rows the benchmark's ``evaluate`` votes on, but 1.0-1.4x slower
-    on the prune gate's 4,909 rows and 2.1-2.4x slower at 35,000.
+    Each tree partitions the row indices down its nodes while a node holds
+    at least ``_PARTITION_ROWS`` rows, so a node compares only the rows
+    that reach it. A smaller node, and every leaf the walk reaches, hands
+    its (node, row) pairs to ``_step_to_leaves``, which steps the pending
+    pairs of all trees of a pass one level per numpy call. So a node costs
+    a numpy call only when enough rows reach it to pay for one: a small
+    batch costs about the depth of its trees, not their node count, and a
+    large one the rows it routes, as the walk alone did.
+
+    The trees vote in passes of at most ``_STEP_PAIRS // len(X)`` trees
+    (one at least), each of which routes every row, so a pass holds at
+    most ``max(_STEP_PAIRS, len(X))`` pairs, whatever the forest's size.
+    Each tree's leaf votes and class counts are added to one ``(rows,
+    2 * N_CLASSES)`` int64 total, so votes and mass are exact sums.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)  # stepped rows are read by flat index
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (n, {model.n_features}) inputs")
     n = len(X)
@@ -553,26 +567,53 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
     feature, threshold, right = (
         model.feature.tolist(), model.threshold.tolist(), model.right.tolist()
     )
+    columns, rows = X.T, np.arange(n)
+    roots = model.starts.tolist()
+    per_pass = max(1, _STEP_PAIRS // max(n, 1))
     total = np.zeros((n, 2 * N_CLASSES), dtype=np.int64)
-    leaf = np.empty(n, dtype=np.int64)
-    for root in model.starts.tolist():
-        stack = [(root, np.arange(n))]
-        while stack:
-            node, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            f = feature[node]
-            if f < 0:
-                leaf[idx] = node
-            else:
-                mask = X[idx, f] <= threshold[node]
-                stack.append((node + 1, idx[mask]))
-                stack.append((right[node], idx[~mask]))
-        total += tally[leaf]
+    for first in range(0, len(roots), per_pass):
+        trees = roots[first:first + per_pass]
+        nodes, pieces = [], []  # each tree hands over every row exactly once
+        for root in trees:
+            stack = [(root, rows)]
+            while stack:
+                node, idx = stack.pop()
+                f = feature[node]
+                if f < 0 or len(idx) < _PARTITION_ROWS:
+                    nodes.append(node)
+                    pieces.append(idx)
+                else:
+                    goes_left = columns[f][idx] <= threshold[node]
+                    stack.append((node + 1, idx[goes_left]))
+                    stack.append((right[node], idx[~goes_left]))
+        pending = np.concatenate(pieces)
+        # leaf[t * n + row]: the leaf that ``row`` reaches in the pass's tree t
+        leaf = np.empty(len(pending), dtype=np.int64)
+        _step_to_leaves(model, X, np.repeat(nodes, [len(p) for p in pieces]), pending,
+                        pending + np.repeat(np.arange(len(trees)) * n, n), leaf)
+        for t in range(len(trees)):
+            total += tally[leaf[t * n:(t + 1) * n]]
     mass, votes = total[:, :N_CLASSES], total[:, N_CLASSES:]
     top = votes.max(axis=1, keepdims=True)
     tied_mass = np.where(votes == top, mass, -1)
     return np.argmax(tied_mass, axis=1)
+
+
+def _step_to_leaves(model, X, node, row, cell, leaf) -> None:
+    """Step every pair (``node[i]``, ``row[i]``) down one level per numpy
+    call, and write the leaf each one reaches to ``leaf[cell[i]]``. The
+    pairs at a leaf are dropped after each step, so the pass costs about
+    one call per level of its deepest pair (Asadi, Lin & de Vries, IEEE
+    TKDE 2014)."""
+    at, flat = row * X.shape[1], X.ravel()
+    while len(node):
+        f = model.feature[node]
+        done = f < 0
+        leaf[cell[done]] = node[done]
+        live = ~done
+        node, at, cell, f = node[live], at[live], cell[live], f[live]
+        goes_left = flat[at + f] <= model.threshold[node]
+        node = np.where(goes_left, node + 1, model.right[node])
 
 
 def prune_and_retrain(
