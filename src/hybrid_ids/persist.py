@@ -23,6 +23,28 @@ def version_line(kind: str) -> str:
     return f"hybrid-ids {kind} v1"
 
 
+# the characters ``str.splitlines`` ends a line at
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_READ_CHARS = 1 << 20
+
+
+def _read_lines(fh: TextIO) -> list[str]:
+    """``fh.read().splitlines()``, read a chunk at a time. A large file's
+    whole text, allocated and freed as one block, leaves a hole in the
+    heap that the next large array may or may not fit, so the peak memory
+    of a command that loads one varied from run to run; chunks keep every
+    block small, and split faster."""
+    lines: list[str] = []
+    carry = ""
+    for chunk in iter(lambda: fh.read(_READ_CHARS), ""):
+        text = carry + chunk
+        lines += text.splitlines()
+        carry = "" if text[-1] in _LINE_BREAKS else lines.pop()
+    if carry:
+        lines.append(carry)
+    return lines
+
+
 class LineReader:
     """The lines of a text artifact, read in order; every error it makes
     names the file and the 1-based number of the last line read."""
@@ -32,7 +54,7 @@ class LineReader:
         self.line_no = 0
         try:
             with open(path) as fh:
-                self.lines = fh.read().splitlines()
+                self.lines = _read_lines(fh)
         except UnicodeDecodeError as exc:
             raise FormatError(f"not a text file ({exc})", path) from None
 

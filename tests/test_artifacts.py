@@ -21,6 +21,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +44,8 @@ from hybrid_ids.errors import FormatError
 from hybrid_ids.neural_net import TrainConfig, init_model, load_mlp, save_mlp
 from hybrid_ids.neural_net import predict_batch as nn_predict
 from hybrid_ids.random_forest import ForestConfig, load_forest, save_forest, train_forest
+from hybrid_ids import persist
+from hybrid_ids.persist import LineReader
 from hybrid_ids.random_forest import predict_batch as rf_predict
 
 from conftest import expect_load_error, separable_dataset
@@ -331,3 +334,19 @@ DAMAGE = [
 def test_damage(tmp_path, kind, edit, line_no, match):
     path, lines = saved(kind, tmp_path)
     expect_load_error(ARTIFACTS[kind].load, path, edit(lines), line_no, match)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.text(alphabet="ab,\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", max_size=40),
+       st.integers(1, 8))
+def test_line_reader_splits_as_whole_text(text, chars):
+    """Loaders read a file a chunk at a time (1 MiB); the lines are those
+    ``splitlines`` gives on the whole text, with universal newlines,
+    wherever a chunk ends."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "artifact.txt"
+        path.write_text(text, newline="")
+        with open(path) as fh:
+            expected = fh.read().splitlines()
+        with mock.patch.object(persist, "_READ_CHARS", chars):
+            assert LineReader(path).lines == expected
