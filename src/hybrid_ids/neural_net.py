@@ -3,7 +3,9 @@ layers, 5 softmax outputs, trained with mini-batch gradient descent on
 categorical cross-entropy.
 
 All arithmetic is float64 numpy with a fixed evaluation order, so a fixed
-seed reproduces weights bit-for-bit on the same platform.
+seed reproduces weights bit-for-bit on the same platform. Where a second
+CPU is free, ``cross_validate`` trains half of its folds in a job (see
+``jobs``); each fold is trained and scored as it would be alone.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import jobs
 from .dataset import CoarseLabel, Dataset, N_FEATURES, stratified_kfold
 from .evaluation import confusion, overall_accuracy
 from .persist import LineReader, atomic_write, fmt_floats, version_line
@@ -156,15 +159,33 @@ def predict_batch(model: MLPModel, X: np.ndarray) -> np.ndarray:
 
 
 def cross_validate(ds: Dataset, k: int, config: TrainConfig, fold_seed: int) -> list[float]:
-    """Train k models on stratified folds; overall accuracy per held-out fold."""
-    accs = []
-    for fold_no, (train_ds, val_ds) in enumerate(stratified_kfold(ds, k, fold_seed)):
-        model = train(train_ds, config)
-        preds = predict_batch(model, val_ds.X)
-        acc = overall_accuracy(confusion(preds, val_ds.coarse))
-        log.info("fold %d accuracy: %.3f", fold_no, acc)
-        accs.append(acc)
-    return accs
+    """Train k models on stratified folds; overall accuracy per held-out
+    fold. Where ``jobs.cpu_free()``, a job trains folds ``k // 2`` onward
+    while this process trains the ones before; the job's fold lines are
+    emitted after this process's, so they stay in fold order."""
+    folds = list(enumerate(stratified_kfold(ds, k, fold_seed)))
+
+    def score(part) -> list[float]:
+        accs = []
+        for fold_no, (train_ds, val_ds) in part:
+            model = train(train_ds, config)
+            preds = predict_batch(model, val_ds.X)
+            acc = overall_accuracy(confusion(preds, val_ds.coarse))
+            log.info("fold %d accuracy: %.3f", fold_no, acc)
+            accs.append(acc)
+        return accs
+
+    if not jobs.cpu_free():
+        return score(folds)
+    half = k // 2
+    job = jobs.start(lambda: score(folds[half:]), log, what=f"training folds {half}..{k - 1}",
+                     done=f"trained {k} folds in 2 processes ({half} + {k - half})")
+    try:
+        accs = score(folds[:half])
+    except BaseException:
+        job.reap()
+        raise
+    return accs + job.join()
 
 
 def save_mlp(path: str | Path, model: MLPModel) -> None:

@@ -18,28 +18,28 @@ the order it would alone, and no count, cost or tie-break depends on the
 other trees, so the forest is bit for bit the one that growing the trees
 one after another by sorting each node's values would make.
 
-For the same reason a forest can grow in two halves on two CPUs.
-``train_forest`` forks one child that grows the second half of the trees
-while the parent grows the first; the child pickles its trees and
-per-tree importances back over a pipe, and the parent joins them in tree
-order, so the trees, and the importances summed over them, are the
-one-process forest's to the bit. All trees grow in one process where
-``os.fork`` is missing, where one CPU is available, or for a single tree.
+For the same reason a forest can hand trees to a second CPU in the middle
+of its growth. The trees grow in this process until ``jobs.cpu_free``
+says a second CPU is free: at once when no job holds one, or at the first
+step after a job that holds one has finished. Then a forked child takes
+the second half of the still-unfinished trees and goes on from the
+lockstep state it inherits, at most once per forest. It pickles those
+whole trees and their per-tree importances back over a pipe, and this
+process puts them in their places in tree order, so the trees, and the
+importances summed over them, are the one-process forest's to the bit,
+whichever step the handoff happens at, or if it never does.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-import pickle
-import signal
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import jobs
 from .dataset import CoarseLabel, Dataset, N_FEATURES
 from .evaluation import confusion, overall_accuracy
 from .errors import FormatError
@@ -342,6 +342,15 @@ def grow_trees(
     it would alone. The step searches all those nodes together, in groups
     of at most ``_SEARCH_KEYS`` (row, candidate) keys, which bounds its
     temporaries while every root still holds its whole sample.
+
+    Before each step, while two or more trees are unfinished and none has
+    been handed off, ``jobs.cpu_free()`` is asked whether a second CPU is
+    free. The first time it is, a job (see ``jobs.start``) takes the
+    second half of the unfinished trees, grows them on from the state it
+    inherits, and sends them back whole with their importance rows; this
+    process stops growing them and, once its own trees are done, joins the
+    job and puts its trees back in their places. If this process fails
+    first, the job is reaped and this process's error raised.
     """
     ranks, values = ranked
     X = np.ascontiguousarray(X, dtype=np.float64)  # split rows are read by flat index
@@ -352,7 +361,8 @@ def grow_trees(
     # one class
     root_counts = [np.bincount(y[s], minlength=N_CLASSES) for s in samples]
     stacks = [[(0, s, c, c.max() < len(s))] for s, c in zip(samples, root_counts)]
-    while any(stacks):
+
+    def step() -> None:
         searched = []
         for t, stack in enumerate(stacks):
             if not stack:
@@ -379,112 +389,45 @@ def grow_trees(
                 importances[t, f] += (parent_gini - cost) * (len(rows) / len(samples[t]))
                 stacks[t].append((depth + 1, *right))
                 stacks[t].append((depth + 1, *left))
-    return trees, importances
 
+    def grow_handed(handed: list[int]):
+        """In the job: grow the handed trees alone, and give them back as
+        arrays, one per column of each tree, not one per node."""
+        for t, stack in enumerate(stacks):
+            if t not in handed:
+                stack.clear()
+        while any(stacks):
+            step()
+        return ([(np.array(trees[t][0], dtype=np.int64), np.array(trees[t][1]),
+                  np.array(trees[t][2])) for t in handed], importances[handed])
 
-def _cpus() -> list[int]:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return list(range(os.cpu_count() or 1))
-
-
-def _keep_to(cpus: list[int]) -> None:
-    """Run this thread on ``cpus`` only, where the platform allows."""
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, cpus)
-
-
-def _grow_in_halves(X, y, samples, rngs, *args) -> tuple[list[tuple], np.ndarray]:
-    """``grow_trees(X, y, samples, rngs, *args)``, the trees from
-    ``len(samples) // 2`` on grown in a forked child while this process
-    grows the ones before. The halves join in tree order, so the result
-    is the one-process result to the bit. One process grows them all where
-    ``os.fork`` is missing, one CPU is available, or there is one tree.
-
-    While both grow, each process keeps to its own half of the CPUs: a
-    kernel that does not balance load across them (a cpuset with
-    ``sched_load_balance`` off) leaves the child on its parent's CPU.
-
-    The child always ends in ``os._exit``: it never returns to the caller
-    or flushes its copy of the caller's stdio. It sends back its trees,
-    each as three arrays, or the exception it raised (its traceback text
-    when the exception does not pickle), which is raised here. This
-    process always reads the pipe to its end and reaps the child, even
-    when its own half raises.
-    """
-    n, cpus = len(samples), _cpus()
-    if n == 1 or not hasattr(os, "fork") or len(cpus) < 2:
-        grown = grow_trees(X, y, samples, rngs, *args)
+    n, job, steps = len(samples), None, 0
+    try:
+        while any(stacks):
+            unfinished = [t for t, stack in enumerate(stacks) if stack]
+            if job is None and len(unfinished) > 1 and jobs.cpu_free():
+                handed = unfinished[len(unfinished) // 2:]
+                job = jobs.start(
+                    lambda: grow_handed(handed), log,
+                    what=f"growing {len(handed)} of the {n} trees from step {steps}",
+                    done=f"grew {n} trees in 2 processes "
+                         f"({n - len(handed)} + {len(handed)} from step {steps})",
+                )
+                for t in handed:
+                    stacks[t].clear()
+            step()
+            steps += 1
+    except BaseException:
+        if job is not None:
+            job.reap()
+        raise
+    if job is None:
         log.debug("grew %d trees in 1 process", n)
-        return grown
-    half = n // 2
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_end)
-        _child_half(write_end, cpus[len(cpus) // 2:],
-                    lambda: grow_trees(X, y, samples[half:], rngs[half:], *args))
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe:
-            try:
-                _keep_to(cpus[:len(cpus) // 2])
-                trees, importances = grow_trees(X, y, samples[:half], rngs[:half], *args)
-            finally:
-                payload = pipe.read()
-                _keep_to(cpus)
-    finally:
-        _, status, usage = os.wait4(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        reason = f"exited with status {code}" if code > 0 else f"was killed by {_signal_name(-code)}"
-        raise RuntimeError(f"the process growing trees {half}..{n - 1} {reason}")
-    result = pickle.loads(payload)
-    if isinstance(result, BaseException):
-        raise result
-    if isinstance(result, str):
-        raise RuntimeError(f"the process growing trees {half}..{n - 1} failed:\n{result}")
-    child_trees, child_importances = result
-    log.debug(
-        "grew %d trees in 2 processes (%d + %d), child %.2f s CPU, child peak RSS %.1f MB",
-        n, half, n - half, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024,
-    )
-    return trees + child_trees, np.concatenate([importances, child_importances])
-
-
-def _child_half(write_end: int, cpus: list[int], grow) -> None:
-    """The forked child: run ``grow`` on ``cpus``, write the pickled
-    result to ``write_end`` and exit; it never returns."""
-    status = 1
-    try:
-        try:
-            _keep_to(cpus)
-            trees, importances = grow()
-            # one array per column of each tree, not one per node
-            payload = pickle.dumps((
-                [(np.array(f, dtype=np.int64), np.array(thr, dtype=np.float64), np.array(c))
-                 for f, thr, c in trees],
-                importances,
-            ))
-        except BaseException as exc:
-            try:
-                payload = pickle.dumps(exc)
-                pickle.loads(payload)
-            except Exception:
-                payload = pickle.dumps("".join(traceback.format_exception(exc)))
-        with open(write_end, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _signal_name(number: int) -> str:
-    try:
-        return signal.Signals(number).name
-    except ValueError:
-        return f"signal {number}"
+        return trees, importances
+    handed_trees, importances[handed] = job.join()
+    for t, tree in zip(handed, handed_trees):
+        trees[t] = tree
+    return trees, importances
 
 
 def train_forest(
@@ -498,14 +441,13 @@ def train_forest(
     merged in tree order).
 
     ``ranked`` is ``rank_columns(ds.X)``, computed here when not given.
-    The trees grow in lockstep (see ``grow_trees``), the first
-    ``n_trees // 2`` in this process and the rest in a forked child (see
-    ``_grow_in_halves``), or all here where ``os.fork`` is missing, one
-    CPU is available, or ``n_trees`` is 1. Each tree draws its sample,
-    then its candidates, from its own stream in the order it would alone,
-    and no split depends on the other trees or on the order of a node's
-    rows. The halves join in tree order, so the per-tree importances are
-    summed in the same order too, and the forest is the one its trees
+    The trees grow in lockstep (see ``grow_trees``), in this process
+    until a second CPU is free, and then half of the unfinished ones in a
+    forked child. Each tree draws its sample, then its candidates, from
+    its own stream in the order it would alone, and no split depends on
+    the other trees or on the order of a node's rows. The child's trees
+    go back to their places in tree order, so the per-tree importances
+    are summed in the same order too, and the forest is the one its trees
     grown one after another would make, to the bit, whichever path runs.
     """
     n_features = ds.X.shape[1]
@@ -521,7 +463,7 @@ def train_forest(
     n = len(ds)
     # sorted, so every node's rows are read in memory order
     samples = [np.sort(rng.integers(0, n, size=n)) for rng in rngs]
-    trees, tree_importances = _grow_in_halves(
+    trees, tree_importances = grow_trees(
         ds.X, ds.coarse, samples, rngs, config, active,
         ranked if ranked is not None else rank_columns(ds.X),
     )

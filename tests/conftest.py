@@ -115,6 +115,20 @@ def no_child_process_left():
     pytest.fail(f"the test left a child process {what}")
 
 
+@pytest.fixture(autouse=True)
+def cpus_given_back():
+    """Fail a test that leaves this process on fewer CPUs than it found: a
+    job keeps its parent to part of them until it is reaped."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    before = os.sched_getaffinity(0)
+    yield
+    lost = before - os.sched_getaffinity(0)
+    if lost:
+        pytest.fail(f"the test left this process off CPUs {sorted(lost)}")
+
+
 def separable_dataset(n_per_label: int = 40, seed: int = 0, spread: float = 0.3) -> Dataset:
     """Encoded-feature dataset with one well-separated Gaussian blob per
     fine label; standardize before feeding the models."""

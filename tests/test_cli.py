@@ -6,14 +6,20 @@ from __future__ import annotations
 import argparse
 import gzip
 import hashlib
+import os
 import re
+import signal
+import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hybrid_ids import cli
+from hybrid_ids import cli, jobs
+from hybrid_ids import neural_net as nn_mod
+from hybrid_ids import random_forest as rf_mod
 from hybrid_ids.cli import build_config, main, parse_config_file
 from hybrid_ids import centroids as misuse_mod
 from hybrid_ids import dataset as dataset_mod
@@ -34,6 +40,7 @@ from hybrid_ids.neural_net import cross_validate
 from hybrid_ids.random_forest import load_forest, predict_batch as rf_predict_batch
 
 from conftest import DEFAULT_SYNTH_COUNTS, make_kdd_lines
+from test_random_forest import two_or_more_cpus
 
 
 def _distinct_class_counts(lines: list[str]) -> dict[str, int]:
@@ -900,3 +907,92 @@ def test_predict_empty_input(workspace, tmp_path, capsys):
     assert "records=0 routed=0 trimmed=0 confirmed=0" in err
     rows = (workspace["out"] / "predictions.csv").read_text().splitlines()
     assert len(rows) == 2  # version line + header only
+
+
+# ---------------------------------------------------------------------------
+# One CPU or two: where a job may run, ``train hybrid`` trains the neural
+# net beside the forest and ``train nn`` half of its folds beside the rest,
+# and every output byte, stderr included, is the one-CPU run's.
+
+def _on_cpus(monkeypatch, cores: int) -> None:
+    monkeypatch.setattr(jobs, "_cpus", (lambda: [0]) if cores == 1 else two_or_more_cpus)
+
+
+def _train_outputs(workspace, capsys, monkeypatch, cores, which, *flags) -> tuple:
+    """Exit code, stdout with the training time masked, stderr, and the
+    bytes of every file in the output directory, of one ``train`` run."""
+    _on_cpus(monkeypatch, cores)
+    capsys.readouterr()
+    rc = main(["train", which, "--config", str(workspace["config"]), *flags])
+    out, err = capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in sorted(workspace["out"].iterdir())}
+    assert jobs._running == []
+    return rc, re.sub(r"training time: \S+", "training time: -", out), err, files
+
+
+@pytest.mark.parametrize("which", ["hybrid", "nn"])
+def test_forked_and_one_cpu_training_print_and_write_the_same(workspace, capsys, monkeypatch, which):
+    _prepared(workspace)
+    one, two = (_train_outputs(workspace, capsys, monkeypatch, cores, which, "--log-level", "INFO")
+                for cores in (1, 2))
+    assert one == two
+    assert one[0] == 0
+    assert one[2].count("INFO hybrid_ids.neural_net: epoch ") == 40 * (1 if which == "hybrid" else 3)
+
+
+@pytest.mark.parametrize("level", [None, "INFO"])
+def test_a_diverging_neural_net_fails_as_on_one_cpu(workspace, capsys, monkeypatch, level):
+    """The job's warnings and records come back in their order, then its
+    error; the forest's records never show, as the forest never trains on
+    one CPU."""
+    config = workspace["config"]
+    config.write_text(config.read_text().replace("nn.learning_rate=0.05", "nn.learning_rate=1e200"))
+    _prepared(workspace)
+    flags = ["--log-level", level] if level else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", RuntimeWarning)
+        warnings.showwarning = lambda message, category, filename, lineno, file=None, line=None: \
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+        one, two = (_train_outputs(workspace, capsys, monkeypatch, cores, "hybrid", *flags)
+                    for cores in (1, 2))
+    assert one == two
+    rc, _, err, _ = one
+    assert rc == 1
+    assert "RuntimeWarning: overflow encountered" in err
+    assert err.endswith("error: training diverged: non-finite loss at epoch 0, batch starting 16; "
+                        "lower the learning rate\n")
+    assert "random_forest" not in err
+
+
+def test_a_failing_forest_stage_still_reaps_the_neural_net_job(workspace, capsys, monkeypatch):
+    """The forest fails in this process while the job trains the neural
+    net: the job is reaped, and stderr is the one-CPU run's, the neural
+    net's records and then the forest's error."""
+    _prepared(workspace)
+
+    def fail(*args, **kwargs):
+        raise MemoryError("no room for the forest")
+
+    monkeypatch.setattr(rf_mod, "train_forest", fail)
+    one, two = (_train_outputs(workspace, capsys, monkeypatch, cores, "hybrid", "--log-level", "INFO")
+                for cores in (1, 2))
+    assert one == two
+    rc, _, err, _ = one
+    *epochs, last = err.splitlines()
+    assert rc == 1
+    assert [line.split(":")[1] for line in epochs] == [f" epoch {i}" for i in range(40)]
+    assert last == "error: no room for the forest"
+
+
+def test_a_killed_neural_net_job_names_the_signal(workspace, capsys, monkeypatch):
+    _prepared(workspace)
+    parent, real = os.getpid(), nn_mod.train
+
+    def train(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(nn_mod, "train", train)
+    rc, _, err, _ = _train_outputs(workspace, capsys, monkeypatch, 2, "hybrid")
+    assert (rc, err) == (1, "error: the process training the neural net was killed by SIGKILL\n")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybrid_ids import random_forest
+from hybrid_ids import jobs, random_forest
 from hybrid_ids.dataset import CoarseLabel, Dataset, N_FEATURES, Taxonomy, read_kdd_dataset
 from hybrid_ids.errors import FormatError
 from hybrid_ids.random_forest import (
@@ -608,7 +608,7 @@ def test_forest_training_peak_memory_stays_bounded(monkeypatch):
     X = templates[source, np.arange(N_FEATURES)].astype(np.float64)
     X[:, :6] += rng.normal(size=(n, 6)).round(3)  # columns of many distinct values
     ds = Dataset(X, ["x"] * n, y)
-    monkeypatch.setattr(random_forest, "_cpus", lambda: [0])  # all 20 trees in this process
+    monkeypatch.setattr(jobs, "_cpus", lambda: [0])  # all 20 trees in this process
     tracemalloc.start()
     try:
         train_forest(ds, ForestConfig(n_trees=20, seed=1))
@@ -665,16 +665,18 @@ def test_reading_repeated_lines_peak_memory_stays_bounded(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Two halves: the forked child grows the second half of the trees.
+# The handoff: a forked child grows the second half of the unfinished trees.
 
 @pytest.mark.parametrize("n_trees", [1, 2, 3, 20])
 @pytest.mark.parametrize("active", [None, [0, 1, 3, 7, 9, 12, 20, 33]])
 def test_forked_and_serial_forests_are_the_same_file(tmp_path, monkeypatch, caplog, n_trees, active):
+    """With no job holding a CPU, the handoff happens before the first
+    step, so the child grows the second half of the trees, as the halves
+    did before the handoff could happen later."""
     ds, config = golden_dataset(), ForestConfig(n_trees=n_trees, seed=5)
-    cpus_before = os.sched_getaffinity(0)
     models = {}
     for cores in (1, 2):
-        monkeypatch.setattr(random_forest, "_cpus", lambda: [0] if cores == 1 else two_or_more_cpus())
+        monkeypatch.setattr(jobs, "_cpus", lambda: [0] if cores == 1 else two_or_more_cpus())
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="hybrid_ids.random_forest"):
             models[cores] = train_forest(ds, config, active_features=active)
@@ -682,11 +684,10 @@ def test_forked_and_serial_forests_are_the_same_file(tmp_path, monkeypatch, capl
         half = n_trees // 2
         if cores == 2 and n_trees > 1:
             assert line.startswith(f"grew {n_trees} trees in 2 processes "
-                                   f"({half} + {n_trees - half}), child ")
+                                   f"({half} + {n_trees - half} from step 0), child ")
         else:
             assert line == f"grew {n_trees} trees in 1 process"
         save_forest(tmp_path / f"{cores}.model", models[cores])
-    assert os.sched_getaffinity(0) == cpus_before
     assert (tmp_path / "1.model").read_bytes() == (tmp_path / "2.model").read_bytes()
     assert models[1].feature_importances.tobytes() == models[2].feature_importances.tobytes()
 
@@ -698,24 +699,79 @@ def two_or_more_cpus() -> list[int]:
     return cpus if len(cpus) > 1 else cpus * 2
 
 
+_HANDOFF_SET = golden_dataset()
+_HANDOFF_ACTIVE = [0, 1, 3, 7, 9, 12, 20, 33]
+_serial_forests: dict = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_trees=st.integers(1, 20), active=st.sampled_from([None, _HANDOFF_ACTIVE]), data=st.data())
+def test_a_handoff_at_any_step_gives_the_one_process_forest(tmp_path_factory, n_trees, active, data):
+    """The handoff forced at step ``at`` by the readiness check, from the
+    first step to past the last one (no handoff): the forest file and the
+    importances are the one-process forest's to the byte, and the DEBUG
+    line names the step and each side's tree count. A tree of ``s`` nodes
+    takes ``s`` steps, one node each, so the trees unfinished at step
+    ``at`` are those of more than ``at`` nodes."""
+    config = ForestConfig(n_trees=n_trees, seed=9)
+    key = (n_trees, active is None)
+    with pytest.MonkeyPatch.context() as patch:
+        if key not in _serial_forests:
+            patch.setattr(jobs, "cpu_free", lambda: False)
+            _serial_forests[key] = train_forest(_HANDOFF_SET, config, active_features=active)
+        serial = _serial_forests[key]
+        sizes = np.diff([*serial.starts.tolist(), len(serial.feature)])
+        at = data.draw(st.integers(0, int(sizes.max()) + 1), label="at")
+        calls = iter(range(10**6))
+        patch.setattr(jobs, "cpu_free", lambda: next(calls) == at)
+        patch.setattr(jobs, "_cpus", two_or_more_cpus)
+        lines = []
+        handler = logging.Handler()
+        handler.emit = lambda record: lines.append(record.getMessage())
+        logger = logging.getLogger("hybrid_ids.random_forest")
+        level = logger.level
+        logger.setLevel(logging.DEBUG)
+        logger.addHandler(handler)
+        try:
+            handed_off = train_forest(_HANDOFF_SET, config, active_features=active)
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+    path = tmp_path_factory.mktemp("handoff") / "forest.model"
+    files = []
+    for model in (serial, handed_off):
+        save_forest(path, model)
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+    assert serial.feature_importances.tobytes() == handed_off.feature_importances.tobytes()
+    unfinished = int((sizes > at).sum())
+    (line,) = lines
+    if unfinished > 1:
+        k = unfinished - unfinished // 2
+        assert line.startswith(f"grew {n_trees} trees in 2 processes "
+                               f"({n_trees - k} + {k} from step {at}), child ")
+    else:
+        assert line == f"grew {n_trees} trees in 1 process"
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def fork_with(monkeypatch, in_child=None, in_parent=None):
-    """Force the forked path, running ``in_child`` (or ``in_parent``)
-    before the real ``grow_trees`` in that process."""
-    parent, real = os.getpid(), random_forest.grow_trees
+    """Force a handoff before the first step, running ``in_child`` (or
+    ``in_parent``) before each split search in that process."""
+    parent, real = os.getpid(), random_forest._best_splits
 
-    def grow(*args):
+    def search(*args):
         hook = in_parent if os.getpid() == parent else in_child
         if hook is not None:
             hook()
         return real(*args)
 
-    monkeypatch.setattr(random_forest, "_cpus", two_or_more_cpus)
-    monkeypatch.setattr(random_forest, "grow_trees", grow)
+    monkeypatch.setattr(jobs, "_cpus", two_or_more_cpus)
+    monkeypatch.setattr(random_forest, "_best_splits", search)
 
 
 def test_child_exception_is_raised_in_the_parent(monkeypatch):
@@ -736,7 +792,8 @@ def test_child_exception_that_does_not_pickle_comes_back_as_its_traceback(monkey
         raise Local("grown wrong")
 
     fork_with(monkeypatch, in_child=fail)
-    with pytest.raises(RuntimeError, match=r"(?s)trees 2\.\.3 failed:.*Local: grown wrong"):
+    with pytest.raises(RuntimeError, match=r"(?s)^the process growing 2 of the 4 trees from step 0 "
+                                           r"failed:.*Local: grown wrong"):
         train_forest(golden_dataset(), ForestConfig(n_trees=4))
     assert_no_child_left()
 
@@ -747,7 +804,7 @@ def test_child_exception_that_does_not_pickle_comes_back_as_its_traceback(monkey
 ])
 def test_child_that_dies_without_its_trees_names_how(monkeypatch, end, reason):
     fork_with(monkeypatch, in_child=end)
-    with pytest.raises(RuntimeError, match=f"^the process growing trees 1\\.\\.2 {reason}$"):
+    with pytest.raises(RuntimeError, match=f"^the process growing 2 of the 3 trees from step 0 {reason}$"):
         train_forest(golden_dataset(), ForestConfig(n_trees=3))
     assert_no_child_left()
 
@@ -756,9 +813,8 @@ def test_parent_half_failing_still_reaps_the_child(monkeypatch):
     def fail():
         raise MemoryError("parent half")
 
-    cpus_before = os.sched_getaffinity(0)
     fork_with(monkeypatch, in_parent=fail)
     with pytest.raises(MemoryError, match="parent half"):
         train_forest(golden_dataset(), ForestConfig(n_trees=4))
     assert_no_child_left()
-    assert os.sched_getaffinity(0) == cpus_before
+    assert jobs._running == []
