@@ -283,7 +283,9 @@ def cmd_prepare(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_split(path: Path) -> Dataset:
+def _load_split(path: Path) -> tuple[Dataset, np.ndarray]:
+    """The split's distinct rows and each row's index among them (see
+    ``load_dataset``)."""
     if not path.exists():
         raise FileNotFoundError(f"{path} not found; run 'prepare' first")
     return load_dataset(path)
@@ -300,7 +302,8 @@ _STAGES = {
 
 
 def cmd_train(cfg: RunConfig, which: str) -> int:
-    train_ds = _load_split(cfg.out_path(TRAIN_FILE))
+    # only the expanded rows stay alive through training
+    train_ds = Dataset.subset(*_load_split(cfg.out_path(TRAIN_FILE)))
     started = time.perf_counter()
 
     if which == "hybrid":
@@ -326,11 +329,14 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -> int:
-    test_ds = _load_split(Path(test_override) if test_override else cfg.out_path(TEST_FILE))
+    path = Path(test_override) if test_override else cfg.out_path(TEST_FILE)
+    distinct, index = _load_split(path)
+    if not len(index):
+        raise ValueError(f"test split {path} holds no records")
 
     if which == "hybrid":
         model = load_hybrid(cfg.out_path("hybrid.manifest"))
-        verdicts, routing = predict_dataset(model, test_ds)
+        verdicts, routing = predict_dataset(model, distinct, index)
         preds = verdicts.coarse
         title = "Hybrid pipeline"
         _write_record(cfg, "routing_hybrid.txt", "routing", [
@@ -346,7 +352,7 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
         model = load(cfg.out_path(file))
         stats = load_stats(cfg.out_path(STATS_FILE))
         check_fingerprint(key, model, stats)
-        std_test = standardize_dataset(stats, test_ds)
+        std_test = standardize_dataset(stats, distinct.subset(index))
         if which == "misuse":
             preds, coarse_acc, fine_acc = misuse_mod.evaluate_misuse(model, std_test)
             table = [
@@ -358,7 +364,7 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
         else:
             preds = (nn_mod if which == "nn" else rf_mod).predict_batch(model, std_test.X)
 
-    matrix = confusion(preds, test_ds.coarse)
+    matrix = confusion(preds, distinct.coarse[index])
     report = format_report(matrix, title, seed=cfg.seed)
     print(report)
     write_confusion_csv(cfg.out_path(f"confusion_{which}.csv"), matrix, seed=cfg.seed)
@@ -392,10 +398,11 @@ def cmd_predict(cfg: RunConfig, input_path: str) -> int:
         out.write("# " + version_line("predictions") + "\n"
                   "coarse,fine,routed,nn_vote,rf_vote,misuse_vote\n")
         for block in numbered_blocks(fh):
-            X, errors = parse_kdd_block(block, labeled=None)
+            X, index, errors = parse_kdd_block(block, labeled=None)
             reject_lines += map(str, errors)
             # predict_dataset reads only X; the label columns are placeholders.
-            verdicts, block_stats = predict_dataset(model, Dataset(X, [""] * len(X), [0] * len(X)))
+            verdicts, block_stats = predict_dataset(
+                model, Dataset(X, [""] * len(X), [0] * len(X)), index)
             rows = _verdict_rows(verdicts)
             out.write(rows)
             print(rows, end="")

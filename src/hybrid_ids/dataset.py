@@ -5,6 +5,12 @@ The encoded feature vector has exactly 41 columns: ``service`` and ``flag``
 are dropped, ``protocol_type`` becomes three indicator columns (tcp, udp,
 icmp) in place, and the remaining 37 numeric columns pass through. See
 ``ENCODED_COLUMNS`` for the fixed order.
+
+The readers are the one place that decides which records are the same, by
+their line text: ``read_kdd_dataset`` keeps each distinct record once, and
+``parse_kdd_block`` and ``load_dataset`` return the distinct rows with an
+index from each line to its row, which ``hybrid.predict_dataset`` takes as
+it is.
 """
 
 from __future__ import annotations
@@ -230,20 +236,24 @@ def numbered_blocks(lines: Iterable[str]) -> Iterator[list[tuple[int, str]]]:
 
 def parse_kdd_block(
     numbered: Sequence[tuple[int, str]], labeled: bool | None = True
-) -> tuple[np.ndarray, list[ParseError]]:
+) -> tuple[np.ndarray, np.ndarray, list[ParseError]]:
     """Parse and encode numbered KDD lines a block at a time: the rows of
-    the lines that parse, and the error of each line that does not, both in
-    line order. ``labeled`` is as for :func:`parse_kdd_line`; None reads a
-    line of 41 fields as unlabeled and any other as labeled.
+    the distinct lines that parse, in first-seen order; for each line that
+    parses, in line order, the index of its row; and the error of each line
+    that does not, in line order. So ``X[index]`` holds one row per accepted
+    line, and lines of the same stripped text share one row. ``labeled`` is
+    as for :func:`parse_kdd_line`; None reads a line of 41 fields as
+    unlabeled and any other as labeled.
 
     Cheap screens (the field count, a non-empty label, a known protocol)
     pick the distinct lines that one ``np.loadtxt`` call converts, and a
     vectorized check keeps the rows whose numbers are all finite and
     non-negative. Every other line goes through :func:`parse_kdd_line`,
     which alone decides it: it raises the line's error under the line's own
-    number, or returns its row, as for spellings such as ``1_000`` that
-    ``float`` accepts and ``loadtxt`` does not (a block ``loadtxt`` cannot
-    read is refused whole).
+    number, so a repeated bad line is refused at each of its lines, or it
+    returns the row of the line's text, as for spellings such as ``1_000``
+    that ``float`` accepts and ``loadtxt`` does not (a block ``loadtxt``
+    cannot read is refused whole).
     """
     distinct, inverse = first_seen([line.strip() for _, line in numbered])
     # the comma counts a line may have: 41 with a label, 40 without
@@ -270,13 +280,15 @@ def parse_kdd_block(
             rows[passed, 1:4] = _ONE_HOT_ROWS[codes]
             rows[passed, 4:] = values[:, 1:]
             good[passed] = ((values >= 0) & (values < np.inf)).all(axis=1)
-    X, keep = rows[inverse], good[inverse]
     errors = []
-    for p in np.flatnonzero(~keep).tolist():
+    for p in np.flatnonzero(~good[inverse]).tolist():
+        d = inverse[p]
+        if good[d]:  # an earlier line of the same text parsed
+            continue
         line_no, line = numbered[p]
         line_labeled = line.count(",") != 40 if labeled is None else labeled
         try:
-            X[p] = parse_kdd_line(line, line_no, line_labeled).x
+            rows[d] = parse_kdd_line(line, line_no, line_labeled).x
         except ParseError as exc:
             # Through its frames, a kept traceback (the error's or its
             # context's) would tie this block's arrays into a reference
@@ -284,8 +296,11 @@ def parse_kdd_block(
             exc.__traceback__ = exc.__context__ = None
             errors.append(exc)
         else:
-            keep[p] = True
-    return (X[keep] if errors else X), errors
+            good[d] = True
+    if good.all():
+        return rows, inverse, errors
+    # renumber the rows that parsed, and drop the lines that did not
+    return rows[good], (np.cumsum(good) - 1)[inverse[good[inverse]]], errors
 
 
 def read_kdd_dataset(path: str | Path, taxonomy: Taxonomy) -> tuple[Dataset, int]:
@@ -312,7 +327,8 @@ def read_kdd_dataset(path: str | Path, taxonomy: Taxonomy) -> tuple[Dataset, int
                 if key not in seen:
                     seen.add(key)
                     fresh.append((line_no, text))
-            X, errors = parse_kdd_block(fresh)
+            # the fresh lines are distinct, so each has a row of its own
+            X, _, errors = parse_kdd_block(fresh)
             if errors:
                 raise errors[0]
             blocks.append(X)
@@ -555,19 +571,21 @@ _PROVENANCE = re.compile(r"# provenance: source=(.*) dedup=(true|false)(?: sampl
 _COARSE_CODES = {name: code for code, name in enumerate(COARSE_NAMES)}
 
 
-def _parse_rows(rows: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Features, fine labels and coarse codes of stripped, non-blank data
-    rows, each distinct row split and converted once. Raises ValueError or
-    KeyError when any row is not 41 finite numbers, a label and a class."""
-    distinct, inverse = first_seen(rows)
+def _parse_rows(rows: Sequence[str]) -> tuple[Dataset, np.ndarray]:
+    """The distinct rows of stripped, non-blank data rows, each split and
+    converted once, in first-seen order, and each row's index among them.
+    Raises ValueError or KeyError when any row is not 41 finite numbers, a
+    label and a class."""
+    distinct, index = first_seen(rows)
+    if not distinct:
+        return Dataset(np.empty((0, N_FEATURES)), [], []), index
     heads, fine, names = zip(*(row.rsplit(",", 2) for row in distinct))
     for label in set(fine):
         check_fine_label(label)
     X = np.loadtxt(heads, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
     if X.shape != (len(distinct), N_FEATURES) or not np.isfinite(X).all():
         raise ValueError("not a block of finite feature rows")
-    coarse = np.array([_COARSE_CODES[name] for name in names], dtype=np.int64)
-    return X[inverse], np.array(fine, dtype=object)[inverse], coarse[inverse]
+    return Dataset(X, fine, [_COARSE_CODES[name] for name in names]), index
 
 
 def _row_problem(line: str) -> str | None:
@@ -598,24 +616,27 @@ def _row_problem(line: str) -> str | None:
     return None
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    """Read a ``save_dataset`` file. Raises FormatError naming the file and
-    line on a bad format line, provenance line or header, and on a row that
-    is not 41 finite numbers, a fine label (see :func:`check_fine_label`)
-    and a coarse class name. The provenance line is checked, not kept."""
+def load_dataset(path: str | Path) -> tuple[Dataset, np.ndarray]:
+    """Read a ``save_dataset`` file as its distinct rows, in first-seen
+    order, and each data row's index among them, so that
+    ``distinct.subset(index)`` holds one record per row of the file. Two
+    rows are one when their text is the same, labels included.
+
+    Raises FormatError naming the file and line on a bad format line,
+    provenance line or header, and on a row that is not 41 finite numbers,
+    a fine label (see :func:`check_fine_label`) and a coarse class name.
+    The provenance line is checked, not kept."""
     r = LineReader(path)
     r.version("dataset")
     if not _PROVENANCE.fullmatch(r.next("the provenance line").strip()):
         raise r.error("expected '# provenance: source=<source> dedup=<true|false> ...'")
     if r.next("the column header").strip() != _DATASET_HEADER:
         raise r.error("unexpected dataset header")
-    rows = [row for row in map(str.strip, r.lines[r.line_no:]) if row]
     try:
-        X, fine, coarse = _parse_rows(rows) if rows else (np.empty((0, N_FEATURES)), (), [])
+        return _parse_rows([row for row in map(str.strip, r.lines[r.line_no:]) if row])
     except (ValueError, KeyError):
         # A block fails only through a row that fails alone; rescan to name it.
         raise r.error(next(p for p in map(_row_problem, r.rest()) if p)) from None
-    return Dataset(X, fine, coarse)
 
 
 def save_stats(path: str | Path, stats: StandardizationStats) -> None:

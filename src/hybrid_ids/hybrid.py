@@ -1,7 +1,10 @@
 """Sequential hybrid pipeline: both anomaly detectors run in parallel, the
 union of their alarms routes to the misuse stage, and the misuse stage's
 nearest-signature verdict verifies each alarm and refines it into a fine
-attack class. A distinct record is scored once; verdicts stay one per row.
+attack class. The readers (``dataset.load_dataset`` and
+``dataset.parse_kdd_block``) decide which records are the same: they hand
+``predict_dataset`` their distinct rows and an index, so a repeated record
+is scored once while the verdicts stay one per input row.
 
 A record is never emitted as an attack unless at least one anomaly model
 flagged it: the misuse stage can only confirm, refine, or trim alarms.
@@ -35,7 +38,6 @@ from .dataset import (
     CoarseLabel,
     Dataset,
     StandardizationStats,
-    first_seen,
     load_stats,
     save_stats,
     standardize_apply,
@@ -196,25 +198,29 @@ def train_all(train: Dataset, config: HybridConfig) -> HybridModel:
     return HybridModel(mlp=mlp, **rest, stats=stats)
 
 
-def predict_dataset(h: HybridModel, ds: Dataset) -> tuple[Verdicts, RoutingStats]:
+def predict_dataset(
+    h: HybridModel, ds: Dataset, index: np.ndarray | None = None
+) -> tuple[Verdicts, RoutingStats]:
     """Vectorized chain over an encoded (unstandardized) dataset: both anomaly
-    votes on every row, the misuse verdict on the routed rows; rows of equal
-    bytes are scored once. Only ``ds.X`` is read."""
-    raw = np.ascontiguousarray(ds.X)
-    distinct, inverse = first_seen(raw.view(f"V{raw.itemsize * raw.shape[1]}").ravel().tolist())
-    X = standardize_apply(h.stats, np.frombuffer(b"".join(distinct)).reshape(-1, raw.shape[1]))
+    votes on every row of ``ds``, the misuse verdict on the routed rows,
+    each row scored once. Input row ``i`` gets the verdict of row
+    ``index[i]``; with no index, each row is its own. The verdicts and the
+    counts are per input row. Only ``ds.X`` is read."""
+    X = standardize_apply(h.stats, ds.X)
     nn_votes = nn.predict_batch(h.mlp, X)
     rf_votes = rf.predict_batch(h.forest, X)
     routed = route(nn_votes, rf_votes)
     entry = np.full(len(X), -1, dtype=np.int64)
     entry[routed] = misuse.assign_batch(h.centroids, X[routed])
-    nn_votes, rf_votes, routed, entry = (a[inverse] for a in (nn_votes, rf_votes, routed, entry))
+    if index is not None:
+        nn_votes, rf_votes, routed, entry = (a[index] for a in (nn_votes, rf_votes, routed, entry))
+    log.debug("scored %d rows for %d input rows", len(X), len(entry))
     # entry -1 (not routed) picks the appended normal
     coarse = np.append(h.centroids.coarse, int(CoarseLabel.NORMAL))[entry]
     n_routed = int(routed.sum())
     trimmed = int(np.count_nonzero(coarse[routed] == CoarseLabel.NORMAL))
     stats = RoutingStats(
-        total=len(raw), routed=n_routed, trimmed=trimmed, confirmed=n_routed - trimmed
+        total=len(entry), routed=n_routed, trimmed=trimmed, confirmed=n_routed - trimmed
     )
     return Verdicts(nn_votes, rf_votes, entry, routed, coarse, h.centroids), stats
 

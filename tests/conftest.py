@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybrid_ids.dataset import CoarseLabel, Dataset, N_FEATURES
+from hybrid_ids.dataset import CoarseLabel, Dataset, N_FEATURES, load_dataset
 from hybrid_ids.errors import FormatError
 
 # (fine label, coarse class, protocol, service, flag)
@@ -143,6 +143,13 @@ def separable_dataset(n_per_label: int = 40, seed: int = 0, spread: float = 0.3)
         fine_labels.extend([fine] * n_per_label)
         coarse.extend([int(c)] * n_per_label)
     return Dataset(np.vstack(X), fine_labels, coarse)
+
+
+def load_rows(path: Path) -> Dataset:
+    """A dataset file's records, one per data row: ``load_dataset``'s
+    distinct rows expanded by its index."""
+    distinct, index = load_dataset(path)
+    return distinct.subset(index)
 
 
 def expect_load_error(load, path: Path, lines: list[str], line_no: int, match: str) -> None:

@@ -27,7 +27,6 @@ from hybrid_ids.dataset import (
     CoarseLabel,
     Dataset,
     Taxonomy,
-    load_dataset,
     parse_kdd_line,
     read_kdd_dataset,
     resample,
@@ -39,7 +38,7 @@ from hybrid_ids.hybrid import HybridModel, predict_dataset
 from hybrid_ids.neural_net import TrainConfig
 from hybrid_ids.random_forest import ForestConfig
 
-from conftest import DEFAULT_SYNTH_COUNTS, make_kdd_lines, separable_dataset
+from conftest import DEFAULT_SYNTH_COUNTS, load_rows, make_kdd_lines, separable_dataset
 
 SEED = 1999
 
@@ -64,8 +63,8 @@ def kdd_run(kdd10_path, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def kdd_splits(kdd_run):
-    train = load_dataset(kdd_run["out"] / "train.csv")
-    test = load_dataset(kdd_run["out"] / "test.csv")
+    train = load_rows(kdd_run["out"] / "train.csv")
+    test = load_rows(kdd_run["out"] / "test.csv")
     stats = standardize_fit(train)
     return {
         "train": train,

@@ -55,13 +55,22 @@ def _probe(width: int) -> np.ndarray:
     return np.random.default_rng(3).normal(size=(40, width)) * 4
 
 
-def _save_dataset(path: Path, ds: Dataset) -> None:
-    save_dataset(path, ds, "corpus.txt", dict.fromkeys(CoarseLabel, 3))
+def _dataset() -> tuple[Dataset, np.ndarray]:
+    """Six distinct rows, and an index that repeats two of them."""
+    return separable_dataset(n_per_label=1, seed=12), np.array([0, 1, 2, 3, 1, 4, 5, 0])
 
 
-def _check_dataset(loaded: Dataset, original: Dataset) -> None:
-    assert loaded.X.dtype == np.float64 and loaded.X.shape == (len(original), N_FEATURES)
-    assert loaded.coarse.dtype == np.int64 and loaded.fine_labels.dtype == object
+def _save_dataset(path: Path, rows: tuple[Dataset, np.ndarray]) -> None:
+    distinct, index = rows
+    save_dataset(path, distinct.subset(index), "corpus.txt", dict.fromkeys(CoarseLabel, 3))
+
+
+def _check_dataset(loaded: tuple[Dataset, np.ndarray], original: tuple[Dataset, np.ndarray]) -> None:
+    (distinct, index), (original_distinct, original_index) = loaded, original
+    assert distinct.X.dtype == np.float64 and distinct.X.shape == (len(distinct), N_FEATURES)
+    assert distinct.coarse.dtype == np.int64 and distinct.fine_labels.dtype == object
+    assert index.dtype == np.int64 and len(index) == len(original_index)
+    assert sorted(set(index.tolist())) == list(range(len(distinct))) == list(range(len(original_distinct)))
 
 
 def _check_stats(loaded, original) -> None:
@@ -132,8 +141,7 @@ class Artifact:
 
 
 ARTIFACTS = {
-    "dataset": Artifact(lambda: separable_dataset(n_per_label=1, seed=12), _save_dataset,
-                        load_dataset, 3, _check_dataset),
+    "dataset": Artifact(_dataset, _save_dataset, load_dataset, 3, _check_dataset),
     "stats": Artifact(lambda: standardize_fit(separable_dataset(n_per_label=3, seed=13)),
                       save_stats, load_stats, None, _check_stats),
     "mlp": Artifact(_mlp, save_mlp, load_mlp, None, _check_mlp),

@@ -81,11 +81,17 @@ def numbered_blocks(draw):
 @settings(deadline=None, max_examples=400)
 @given(numbered_blocks(), st.sampled_from([True, False, None]))
 def test_block_matches_per_line_oracle(numbered, labeled):
-    X, errors = parse_kdd_block(numbered, labeled)
+    """The distinct rows, expanded by the index, are the oracle's rows, one
+    per accepted line; each distinct accepted text has one row, in
+    first-seen order."""
+    X, index, errors = parse_kdd_block(numbered, labeled)
     rows, messages = oracle(numbered, labeled)
     assert [str(e) for e in errors] == messages
-    assert X.dtype == np.float64 and X.shape == rows.shape
-    assert X.tobytes() == rows.tobytes()
+    assert X.dtype == np.float64 and X[index].shape == rows.shape
+    assert X[index].tobytes() == rows.tobytes()
+    error_lines = {e.line_no for e in errors}
+    accepted = [line.strip() for line_no, line in numbered if line_no not in error_lines]
+    assert index.tolist() == [list(dict.fromkeys(accepted)).index(t) for t in accepted]
 
 
 def test_clean_block_calls_no_per_line_parser(monkeypatch):
@@ -93,8 +99,8 @@ def test_clean_block_calls_no_per_line_parser(monkeypatch):
     numbered = list(enumerate(lines + [l.rsplit(",", 1)[0] for l in lines], start=1))
     expected = oracle(numbered, None)[0]
     monkeypatch.setattr(dataset, "parse_kdd_line", None)  # any call fails
-    X, errors = parse_kdd_block(numbered, labeled=None)
-    assert errors == [] and X.tobytes() == expected.tobytes()
+    X, index, errors = parse_kdd_block(numbered, labeled=None)
+    assert errors == [] and X[index].tobytes() == expected.tobytes()
 
 
 def test_block_errors_leave_no_reference_cycle():
@@ -107,9 +113,9 @@ def test_block_errors_leave_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        X, errors = parse_kdd_block(list(enumerate(lines, start=1)))
+        X, index, errors = parse_kdd_block(list(enumerate(lines, start=1)))
         assert [e.line_no for e in errors] == [4, 8]
-        del X, errors
+        del X, index, errors
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -136,10 +142,10 @@ def predicted_rows(tmp_path, monkeypatch, lines):
     normal = CentroidModel(["normal"], np.zeros(1, dtype=np.int64), np.zeros((1, N_FEATURES)),
                            np.ones(1, dtype=np.int64))
 
-    def score(model, ds):
-        scored.append(ds.X)
-        none = np.zeros(len(ds), dtype=np.int64)
-        return Verdicts(none, none, none - 1, none.astype(bool), none, normal), RoutingStats(len(ds))
+    def score(model, ds, index):
+        scored.append(ds.X[index])
+        none = np.zeros(len(index), dtype=np.int64)
+        return Verdicts(none, none, none - 1, none.astype(bool), none, normal), RoutingStats(len(index))
 
     monkeypatch.setattr(cli, "load_hybrid", lambda path: None)
     monkeypatch.setattr(cli, "predict_dataset", score)
@@ -228,3 +234,16 @@ def test_read_kdd_dataset_matches_oracle(tmp_path_factory, lines, block_lines):
     path.write_text("\n".join(lines) + "\n")
     with mock.patch.object(dataset, "BLOCK_LINES", block_lines):
         read_matches_oracle(path, lines)
+
+
+def test_repeated_bad_lines_keep_their_own_errors():
+    """A bad line repeated in a block is refused at each of its lines, under
+    each line's own number; a repeated good line is one row."""
+    good, other = make_kdd_lines({"normal": 1, "smurf": 1}, seed=4)
+    bad = good.replace(",tcp,", ",sctp,", 1)
+    numbered = list(enumerate([good, bad, other, bad, good, " " + bad, other], start=1))
+    X, index, errors = parse_kdd_block(numbered)
+    assert [(e.line_no, e.column) for e in errors] == [(2, "protocol_type"), (4, "protocol_type"),
+                                                      (6, "protocol_type")]
+    assert index.tolist() == [0, 1, 0, 1]
+    assert X.tobytes() == oracle([(1, good), (3, other)], True)[0].tobytes()

@@ -10,12 +10,14 @@ import os
 import re
 import signal
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybrid_ids import cli, jobs
 from hybrid_ids import neural_net as nn_mod
@@ -25,21 +27,24 @@ from hybrid_ids import centroids as misuse_mod
 from hybrid_ids import dataset as dataset_mod
 from hybrid_ids.centroids import CentroidModel, assign_batch
 from hybrid_ids.dataset import (
+    COARSE_NAMES,
     N_FEATURES,
+    SAMPLING_TARGETS,
     CoarseLabel,
     Dataset,
-    load_dataset,
     parse_kdd_line,
     save_dataset,
     standardize_dataset,
     standardize_fit,
 )
 from hybrid_ids.errors import ParseError
-from hybrid_ids.hybrid import Verdicts, load_hybrid, predict_dataset
+from hybrid_ids.evaluation import confusion, format_report, write_confusion_csv, write_metrics_csv
+from hybrid_ids.hybrid import RoutingStats, Verdicts, load_hybrid, predict_dataset
 from hybrid_ids.neural_net import cross_validate
+from hybrid_ids.persist import version_line
 from hybrid_ids.random_forest import load_forest, predict_batch as rf_predict_batch
 
-from conftest import DEFAULT_SYNTH_COUNTS, make_kdd_lines
+from conftest import DEFAULT_SYNTH_COUNTS, load_rows, make_kdd_lines
 from test_random_forest import two_or_more_cpus
 
 
@@ -197,8 +202,8 @@ def test_prepare_summary_counts(workspace, capsys):
                                   str(d["r2l"]), str(d["u2r"])]
     assert after.split()[2:] == [str(t["dos"]), str(t["normal"]), str(t["probe"]),
                                  str(t["r2l"]), str(t["u2r"])]
-    train = load_dataset(workspace["out"] / "train.csv")
-    test = load_dataset(workspace["out"] / "test.csv")
+    train = load_rows(workspace["out"] / "train.csv")
+    test = load_rows(workspace["out"] / "test.csv")
     assert len(train) + len(test) == sum(t.values())
     out = capsys.readouterr().out
     assert "Before Sampling:" in out
@@ -408,8 +413,8 @@ def test_prepare_collapses_label_dot_and_padding_variants(tmp_path, capsys):
              f"{head},normal..\n", f"{head},smurf.\n", second + "\n"]
     assert _prepare_lines(tmp_path, lines) == 0
     assert "parsed=6 distinct=3" in capsys.readouterr().out
-    train = load_dataset(tmp_path / "out" / "train.csv")
-    test = load_dataset(tmp_path / "out" / "test.csv")
+    train = load_rows(tmp_path / "out" / "train.csv")
+    test = load_rows(tmp_path / "out" / "test.csv")
     assert sorted(train.fine_labels.tolist() + test.fine_labels.tolist()) == [
         "normal", "normal", "smurf"]
 
@@ -487,7 +492,7 @@ def test_train_nn_prints_cv_accuracy(workspace, capsys):
     out = capsys.readouterr().out
     cv_line = next(l for l in out.splitlines() if "CV mean overall accuracy" in l)
     cfg = build_config(argparse.Namespace(config=str(config)))
-    train = load_dataset(workspace["out"] / "train.csv")
+    train = load_rows(workspace["out"] / "train.csv")
     std_train = standardize_dataset(standardize_fit(train), train)
     accs = cross_validate(std_train, 3, cfg.hybrid.nn, cfg.fold_seed)
     assert cv_line == (f"3-fold CV mean overall accuracy: {np.mean(accs):.3f} "
@@ -519,7 +524,7 @@ def test_train_rf_reload_predicts_identically(workspace):
 
     model = load_forest(workspace["out"] / "forest.model")
     stats = load_stats(workspace["out"] / "stats.txt")
-    test = load_dataset(workspace["out"] / "test.csv")
+    test = load_rows(workspace["out"] / "test.csv")
     X = standardize_apply(stats, test.X)
     first = rf_predict_batch(model, X)
     again = rf_predict_batch(load_forest(workspace["out"] / "forest.model"), X)
@@ -581,7 +586,7 @@ def test_train_refuses_a_column_too_large_to_standardize(workspace, capsys, whic
         lines[i] = ",".join(fields)
     workspace["data"].write_text("\n".join(lines) + "\n")
     _prepared(workspace)
-    assert load_dataset(workspace["out"] / "train.csv").X[:, 4].tolist().count(1e308) == 2
+    assert load_rows(workspace["out"] / "train.csv").X[:, 4].tolist().count(1e308) == 2
     prepared = sorted(workspace["out"].iterdir())
     capsys.readouterr()
     assert main(["train", which, "--config", str(workspace["config"])]) == 1
@@ -643,7 +648,7 @@ def test_evaluate_misuse_assigns_each_row_once(workspace, monkeypatch):
 
     monkeypatch.setattr(misuse_mod, "assign_batch", counting)
     assert main(["evaluate", "misuse", "--config", str(workspace["config"])]) == 0
-    assert calls == [len(load_dataset(workspace["out"] / "test.csv"))]
+    assert calls == [len(load_rows(workspace["out"] / "test.csv"))]
 
 
 def test_evaluate_detects_stats_mismatch(workspace, capsys):
@@ -652,7 +657,7 @@ def test_evaluate_detects_stats_mismatch(workspace, capsys):
     # refit stats on the test split and overwrite: fingerprints now disagree
     from hybrid_ids.dataset import save_stats, standardize_fit
 
-    test = load_dataset(workspace["out"] / "test.csv")
+    test = load_rows(workspace["out"] / "test.csv")
     save_stats(workspace["out"] / "stats.txt", standardize_fit(test))
     capsys.readouterr()
     rc = main(["evaluate", "nn", "--config", str(workspace["config"])])
@@ -671,6 +676,148 @@ def test_evaluate_rerun_byte_identical_reports(workspace):
     assert main(["evaluate", "hybrid", "--config", str(workspace["config"])]) == 0
     second = {n: _sha(workspace["out"] / n) for n in names}
     assert first == second
+
+
+@pytest.mark.parametrize("which", ["hybrid", "nn", "rf", "misuse"])
+def test_evaluate_refuses_an_empty_test_split(workspace, tmp_path, capsys, which):
+    """A split with its head lines and no rows fails, naming the file,
+    before the earlier run's confusion, metrics, report and routing files
+    are touched."""
+    _prepared(workspace)
+    assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
+    assert main(["evaluate", which, "--config", str(workspace["config"])]) == 0
+    empty = tmp_path / "empty.csv"
+    head = (workspace["out"] / "test.csv").read_text().splitlines()[:3]
+    empty.write_text("\n".join(head) + "\n\n")
+    before = {path.name: path.read_bytes() for path in workspace["out"].iterdir()}
+    capsys.readouterr()
+    assert main(["evaluate", which, "--config", str(workspace["config"]),
+                 "--test-file", str(empty)]) == 1
+    assert capsys.readouterr() == ("", f"error: test split {empty} holds no records\n")
+    assert {path.name: path.read_bytes() for path in workspace["out"].iterdir()} == before
+
+
+_EVALUATE_FILES = ("confusion_hybrid.csv", "metrics_hybrid.csv", "report_hybrid.txt",
+                   "routing_hybrid.txt")
+
+
+@pytest.fixture(scope="module")
+def trained_hybrid(tmp_path_factory):
+    """The config and output directory of a hybrid model trained on the
+    synthetic corpus (seed 11), and the lines of its test split."""
+    root = tmp_path_factory.mktemp("trained")
+    (root / "data.txt").write_text("\n".join(make_kdd_lines(DEFAULT_SYNTH_COUNTS, seed=7)) + "\n")
+    config = root / "run.cfg"
+    config.write_text(
+        f"data={root / 'data.txt'}\nout={root / 'out'}\nseed=11\nsampling.normal=90\n"
+        "sampling.dos=80\nsampling.probe=40\nsampling.r2l=30\nsampling.u2r=30\n"
+        "nn.hidden1=16\nnn.hidden2=8\nnn.epochs=20\nnn.batch_size=16\nrf.trees=5\n"
+    )
+    for command in (["prepare"], ["train", "hybrid"]):
+        assert main([*command, "--config", str(config)]) == 0
+    return config, root / "out", (root / "out" / "test.csv").read_text().splitlines()
+
+
+# another label for a row: a (fine, coarse) pair of the taxonomy
+_RELABELS = (",normal,normal", ",smurf,dos", ",ipsweep,probe", ",guess_passwd,r2l")
+
+
+@st.composite
+def repeated_rows(draw, rows):
+    """Rows drawn from ``rows`` with repeats; some under another label, some
+    with a protocol column spelled ``1``/``0`` instead of ``1.0``/``0.0``."""
+    picks = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=40))
+    out = []
+    for row in picks:
+        variant = draw(st.sampled_from(["same", "same", "relabel", "respell"]))
+        if variant == "relabel":
+            row = row.rsplit(",", 2)[0] + draw(st.sampled_from(_RELABELS))
+        elif variant == "respell":
+            fields = row.split(",")
+            fields[1] = fields[1].removesuffix(".0")
+            row = ",".join(fields)
+        out.append(row)
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_evaluate_hybrid_matches_scoring_each_row_alone(trained_hybrid, tmp_path_factory, data):
+    """``evaluate hybrid`` scores each distinct row of its split once; its
+    files are the ones that scoring the split's rows one at a time gives,
+    each row read from its own text."""
+    config, out, lines = trained_hybrid
+    rows = data.draw(repeated_rows(lines[3:10] + lines[-5:]))
+    work = tmp_path_factory.mktemp("evaluate")
+    path = work / "split.csv"
+    path.write_text("\n".join(lines[:3] + rows) + "\n")
+    assert main(["evaluate", "hybrid", "--config", str(config), "--test-file", str(path)]) == 0
+    written = {name: (out / name).read_bytes() for name in _EVALUATE_FILES}
+
+    fields = [row.split(",") for row in rows]
+    test = Dataset(np.array([[float(text) for text in f[:N_FEATURES]] for f in fields]),
+                   [f[-2] for f in fields], [COARSE_NAMES.index(f[-1]) for f in fields])
+    loaded = load_rows(path)
+    assert loaded.X.tobytes() == test.X.tobytes()
+    assert (loaded.fine_labels.tolist(), loaded.coarse.tolist()) == (
+        test.fine_labels.tolist(), test.coarse.tolist())
+    model = load_hybrid(out / "hybrid.manifest")
+    preds, routing = [], RoutingStats()
+    for i in range(len(test)):
+        verdicts, stats = predict_dataset(model, test.subset([i]))
+        preds.append(int(verdicts.coarse[0]))
+        routing += stats
+    matrix = confusion(np.array(preds), test.coarse)
+    write_confusion_csv(work / "confusion_hybrid.csv", matrix, seed=11)
+    write_metrics_csv(work / "metrics_hybrid.csv", matrix, seed=11)
+    (work / "report_hybrid.txt").write_text(format_report(matrix, "Hybrid pipeline", seed=11) + "\n")
+    (work / "routing_hybrid.txt").write_text("\n".join([
+        version_line("routing"), "seed=11", f"total={routing.total}", f"routed={routing.routed}",
+        f"trimmed={routing.trimmed}", f"confirmed={routing.confirmed}"]) + "\n")
+    assert written == {name: (work / name).read_bytes() for name in _EVALUATE_FILES}
+
+
+def test_evaluate_hybrid_logs_the_rows_it_scores(workspace, tmp_path, caplog):
+    """One DEBUG line per ``predict_dataset`` call gives the distinct rows
+    scored against the rows of the split."""
+    _prepared(workspace)
+    assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
+    lines = (workspace["out"] / "test.csv").read_text().splitlines()
+    tiled = tmp_path / "tiled.csv"
+    tiled.write_text("\n".join(lines[:3] + lines[3:] * 4) + "\n")
+    with caplog.at_level("DEBUG", logger="hybrid_ids.hybrid"):
+        assert main(["evaluate", "hybrid", "--config", str(workspace["config"]),
+                     "--test-file", str(tiled)]) == 0
+    n = len(set(lines[3:]))
+    assert [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"] == [
+        f"scored {n} rows for {4 * (len(lines) - 3)} input rows"]
+
+
+def test_evaluate_hybrid_peak_memory_stays_bounded(workspace, tmp_path):
+    """``evaluate hybrid`` over a split of 1,200 distinct rows tiled 16x
+    (19,200 rows, 3.6 MB) peaks at 8.34 MB of traced allocations, most of
+    it the file's lines; the bound is 1.25 times that. Expanding the
+    features to every row and keying the rows on their bytes, as
+    ``predict_dataset`` did, peaked at 14.0 MB."""
+    _prepared(workspace)
+    assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
+    lines = make_kdd_lines({"normal": 600, "neptune": 300, "ipsweep": 200, "guess_passwd": 100},
+                           seed=9)
+    codes = {"normal": 0, "neptune": 1, "ipsweep": 2, "guess_passwd": 3}
+    fine = [line.rsplit(",", 1)[1].rstrip(".") for line in lines]
+    distinct = Dataset(np.array([parse_kdd_line(line).x for line in lines]), fine,
+                       [codes[f] for f in fine])
+    path = tmp_path / "tiled.csv"
+    save_dataset(path, distinct.subset(np.tile(np.arange(len(distinct)), 16)), "corpus.txt",
+                 SAMPLING_TARGETS)
+    tracemalloc.start()
+    try:
+        assert main(["evaluate", "hybrid", "--config", str(workspace["config"]),
+                     "--test-file", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.4e6
 
 
 def test_predict_stream(workspace, tmp_path, capsys):
@@ -779,10 +926,10 @@ def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monke
             calls.append("parse")
             return dataset_mod.parse_kdd_block(block, labeled)
 
-        def predict_spy(model, ds):
+        def predict_spy(model, ds, index=None):
             calls.append("predict")
-            scored.append(len(ds))
-            return predict_dataset(model, ds)
+            scored.append(len(index))
+            return predict_dataset(model, ds, index)
 
         monkeypatch.setattr(dataset_mod, "BLOCK_LINES", block_lines)
         monkeypatch.setattr(cli, "parse_kdd_block", parse_spy)

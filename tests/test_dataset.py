@@ -36,7 +36,7 @@ from hybrid_ids.dataset import (
 )
 from hybrid_ids.errors import FormatError, ParseError, UnmappedLabelError
 
-from conftest import expect_load_error, separable_dataset
+from conftest import expect_load_error, load_rows, separable_dataset
 from test_artifacts import saved
 
 # Hand-built line in canonical column order: an http connection with
@@ -519,7 +519,7 @@ def test_dataset_file_round_trip_is_bit_exact(tmp_path_factory, X, data):
     targets = data.draw(st.lists(st.integers(0, 10**6), min_size=5, max_size=5))
     path = tmp_path_factory.mktemp("round_trip") / "ds.csv"
     save_dataset(path, Dataset(X, fine, coarse), source, dict(zip(CoarseLabel, targets)))
-    loaded = load_dataset(path)
+    loaded = load_rows(path)
     assert loaded.X.shape == (n, N_FEATURES)
     assert np.array_equal(loaded.X.view(np.int64), X.view(np.int64))
     assert list(loaded.fine_labels) == fine
@@ -542,7 +542,8 @@ feature_text = st.one_of(
 )
 def test_load_dataset_repeated_rows_match_a_per_row_float_oracle(tmp_path_factory, pool, data):
     """Rows whose feature text repeats, shuffled and under other labels,
-    load to the bits ``float`` gives each row on its own."""
+    load to the bits ``float`` gives each row on its own, one distinct row
+    per distinct row text."""
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
     labels = data.draw(st.lists(st.sampled_from(COARSE_NAMES), min_size=len(picks),
                                 max_size=len(picks)))
@@ -550,7 +551,10 @@ def test_load_dataset_repeated_rows_match_a_per_row_float_oracle(tmp_path_factor
     save_dataset(path, Dataset(np.empty((0, N_FEATURES)), [], []), "corpus.txt", SAMPLING_TARGETS)
     rows = [",".join(pool[p]) + f",{name},{name}" for p, name in zip(picks, labels)]
     path.write_text(path.read_text() + "\n".join(rows) + "\n")
-    loaded = load_dataset(path)
+    distinct, index = load_dataset(path)
+    assert len(distinct) == len(set(rows)) and index.tolist() == [
+        list(dict.fromkeys(rows)).index(row) for row in rows]
+    loaded = distinct.subset(index)
     oracle = np.array([[float(text) for text in pool[p]] for p in picks])
     assert np.array_equal(loaded.X.view(np.int64), oracle.view(np.int64))
     assert list(loaded.fine_labels) == labels
