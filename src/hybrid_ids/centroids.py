@@ -86,16 +86,23 @@ def assign_batch(model: CentroidModel, X: np.ndarray) -> np.ndarray:
     return np.argmin(_distances(model, X), axis=1)
 
 
-def evaluate_misuse(model: CentroidModel, test: Dataset) -> tuple[np.ndarray, float, float]:
+def evaluate_misuse(
+    model: CentroidModel, test: Dataset, index: np.ndarray | None = None
+) -> tuple[np.ndarray, float, float]:
     """Per test row, the nearest signature's coarse class; and the percent
-    of rows whose coarse class, then whose fine label, it matches."""
-    if len(test) == 0:
+    of rows whose coarse class, then whose fine label, it matches.
+
+    The test rows are ``test``'s rows, or, given ``index``, the rows
+    ``test.subset(index)`` would hold: each distinct row of ``test`` is
+    assigned once, and every row it stands for counts."""
+    rows = np.arange(len(test)) if index is None else np.asarray(index)
+    if len(rows) == 0:
         raise ValueError("empty test set")
-    nearest = assign_batch(model, test.X)
+    nearest = assign_batch(model, test.X)[rows]
     coarse = model.coarse[nearest]
     fine = np.array(model.fine_labels, dtype=object)[nearest]
-    return (coarse, 100.0 * float((coarse == test.coarse).mean()),
-            100.0 * float((fine == test.fine_labels).mean()))
+    return (coarse, 100.0 * float((coarse == test.coarse[rows]).mean()),
+            100.0 * float((fine == test.fine_labels[rows]).mean()))
 
 
 def signature_collisions(model: CentroidModel) -> list[str]:

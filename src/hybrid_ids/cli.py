@@ -352,9 +352,11 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
         model = load(cfg.out_path(file))
         stats = load_stats(cfg.out_path(STATS_FILE))
         check_fingerprint(key, model, stats)
-        std_test = standardize_dataset(stats, distinct.subset(index))
+        # each distinct row is scored once, and its prediction counts for
+        # every row of the split that repeats it
+        std_test = standardize_dataset(stats, distinct)
         if which == "misuse":
-            preds, coarse_acc, fine_acc = misuse_mod.evaluate_misuse(model, std_test)
+            preds, coarse_acc, fine_acc = misuse_mod.evaluate_misuse(model, std_test, index)
             table = [
                 f"Type of Classification:   5 Class   {len(model)} Class",
                 f"Accuracy:               {coarse_acc:9.3f} {fine_acc:9.3f}",
@@ -362,7 +364,7 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
             print("\n".join(table))
             _write_record(cfg, "report_misuse_accuracy.txt", "misuse-accuracy", table)
         else:
-            preds = (nn_mod if which == "nn" else rf_mod).predict_batch(model, std_test.X)
+            preds = (nn_mod if which == "nn" else rf_mod).predict_batch(model, std_test.X)[index]
 
     matrix = confusion(preds, distinct.coarse[index])
     report = format_report(matrix, title, seed=cfg.seed)

@@ -559,13 +559,24 @@ def save_dataset(
         f"# provenance: source={source} dedup=true sampling={sampling}",
         _DATASET_HEADER,
     ]
-    # one row's floats at a time: the whole matrix as Python floats is 7 MB
-    # for 5,000 rows
-    for x, fine, coarse in zip(ds.X, ds.fine_labels.tolist(), ds.coarse.tolist()):
-        lines.append(f"{','.join(map(repr, x.tolist()))},{fine},{COARSE_NAMES[coarse]}")
+    # each distinct value is formatted once and its text shared by every
+    # cell that holds it; keyed on the bits, so -0.0 keeps its own text.
+    # The keys come column by column, so no temporary holds every cell
+    bits = np.ascontiguousarray(ds.X, dtype=np.float64).view(np.int64)
+    keys = np.unique(np.concatenate([np.unique(column) for column in bits.T]))
+    texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    tails = [f",{fine},{COARSE_NAMES[coarse]}"
+             for fine, coarse in zip(ds.fine_labels.tolist(), ds.coarse.tolist())]
+    for start in range(0, len(bits), _SAVE_ROWS):
+        cells = texts[np.searchsorted(keys, bits[start:start + _SAVE_ROWS])].tolist()
+        lines += [",".join(row) + tail for row, tail in zip(cells, tails[start:])]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+# save_dataset looks up the texts of this many rows at a time: gathering
+# every row's texts at once peaked at 8.3 MB of traced allocations on a
+# 4,909-row split
+_SAVE_ROWS = 256
 _DATASET_HEADER = ",".join(ENCODED_COLUMNS + ("fine_label", "coarse_label"))
 _PROVENANCE = re.compile(r"# provenance: source=(.*) dedup=(true|false)(?: sampling=(.*))?")
 _COARSE_CODES = {name: code for code, name in enumerate(COARSE_NAMES)}

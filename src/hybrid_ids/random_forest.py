@@ -9,14 +9,18 @@ and the model file holds them one node per line. Routing rule everywhere:
 ``x[feature] <= threshold`` goes left, to node ``i + 1``, else to ``right[i]``.
 
 The trees of a forest grow in lockstep. Each keeps its own stack and RNG
-stream; a step pops one node from every unfinished tree and searches them
-together: the class counts of every present value of every (node,
-candidate feature) pair come from one ``bincount`` over a dense key
-space, and the step's rows are cut and their children's classes counted
-in one pass. Every tree still meets its nodes and draws from its stream in
-the order it would alone, and no count, cost or tie-break depends on the
-other trees, so the forest is bit for bit the one that growing the trees
-one after another by sorting each node's values would make.
+stream; a step takes from every unfinished tree its next node to search,
+placing the leaves it pops on the way (a pure node, one too small to
+split or one at the depth bound), and searches those nodes together: the
+class counts of every present value of every (node, candidate feature)
+pair come from one ``bincount`` over a dense key space, and the step's
+rows are cut and their children's classes counted in one pass. So a
+forest takes about as many steps as its tree with the most searched
+nodes has, not as its largest tree has nodes. Every tree still meets its
+nodes and draws from its stream in the order it would alone, and no
+count, cost or tie-break depends on the other trees, so the forest is
+bit for bit the one that growing the trees one after another by sorting
+each node's values would make.
 
 For the same reason a forest can hand trees to a second CPU in the middle
 of its growth. The trees grow in this process until ``jobs.cpu_free``
@@ -337,11 +341,14 @@ def grow_trees(
 
     A node stops on purity, the depth bound, min_samples_split, or when no
     candidate split reduces impurity. The trees grow in lockstep: each step
-    pops the next node of every unfinished tree from that tree's own stack,
-    so every tree meets its nodes, and draws from its stream, in the order
-    it would alone. The step searches all those nodes together, in groups
-    of at most ``_SEARCH_KEYS`` (row, candidate) keys, which bounds its
-    temporaries while every root still holds its whole sample.
+    pops nodes from every unfinished tree's own stack, placing those that
+    stop without a search as leaves, until it pops one to search or the
+    stack is empty. So every tree meets its nodes, and draws from its
+    stream, in the order it would alone, and takes one step per searched
+    node (one more when nodes follow its last). The step searches the
+    popped nodes together, in groups of at most ``_SEARCH_KEYS`` (row,
+    candidate) keys, which bounds its temporaries while every root still
+    holds its whole sample.
 
     Before each step, while two or more trees are unfinished and none has
     been handed off, ``jobs.cpu_free()`` is asked whether a second CPU is
@@ -365,18 +372,18 @@ def grow_trees(
     def step() -> None:
         searched = []
         for t, stack in enumerate(stacks):
-            if not stack:
-                continue
-            depth, rows, counts, mixed = stack.pop()
             feature, threshold, node_counts = trees[t]
-            node = len(feature)
-            feature.append(-1)
-            threshold.append(0.0)
-            node_counts.append(counts)
-            depth_ok = config.max_depth is None or depth < config.max_depth
-            if depth_ok and mixed and len(rows) >= config.min_samples_split:
-                cand = np.sort(rngs[t].choice(active_features, size=m, replace=False))
-                searched.append((t, node, depth, (rows, counts, cand)))
+            while stack:
+                depth, rows, counts, mixed = stack.pop()
+                node = len(feature)
+                feature.append(-1)
+                threshold.append(0.0)
+                node_counts.append(counts)
+                depth_ok = config.max_depth is None or depth < config.max_depth
+                if depth_ok and mixed and len(rows) >= config.min_samples_split:
+                    cand = np.sort(rngs[t].choice(active_features, size=m, replace=False))
+                    searched.append((t, node, depth, (rows, counts, cand)))
+                    break
         for group in _groups(searched, [len(entry[3][0]) * m for entry in searched]):
             found = _best_splits(X, ranks, values, y, [entry[3] for entry in group])
             for (t, node, depth, (rows, _, _)), split in zip(group, found):

@@ -175,6 +175,16 @@ def test_coarse_accuracy_at_least_fine_accuracy():
         assert coarse_acc >= fine_acc
 
 
+def test_evaluate_distinct_rows_counts_every_row_they_stand_for():
+    ds = separable_dataset(n_per_label=12, seed=1, spread=30.0)  # fine labels overlap
+    model = fit(ds.subset(np.arange(0, len(ds), 2)))
+    index = np.random.default_rng(1).integers(0, len(ds), size=3 * len(ds))
+    predicted, coarse_acc, fine_acc = evaluate_misuse(model, ds, index)
+    expected = evaluate_misuse(model, ds.subset(index))
+    assert predicted.tolist() == expected[0].tolist()
+    assert (coarse_acc, fine_acc) == expected[1:] != evaluate_misuse(model, ds)[1:]
+
+
 def test_verify_alarm_normal_and_attack():
     ds = tiny_dataset([("normal", 0, vec()), ("neptune", 1, vec(6.0, 6.0))])
     model = fit(ds)

@@ -32,6 +32,7 @@ from hybrid_ids.dataset import (
     SAMPLING_TARGETS,
     CoarseLabel,
     Dataset,
+    load_dataset,
     parse_kdd_line,
     save_dataset,
     standardize_dataset,
@@ -638,6 +639,8 @@ def test_evaluate_misuse_emits_both_accuracy_lines(workspace, capsys):
 
 
 def test_evaluate_misuse_assigns_each_row_once(workspace, monkeypatch):
+    """``evaluate misuse`` assigns each distinct row of its split once, in
+    one call; the split repeats some of its rows."""
     _prepared(workspace)
     assert main(["train", "misuse", "--config", str(workspace["config"])]) == 0
     calls = []
@@ -648,7 +651,8 @@ def test_evaluate_misuse_assigns_each_row_once(workspace, monkeypatch):
 
     monkeypatch.setattr(misuse_mod, "assign_batch", counting)
     assert main(["evaluate", "misuse", "--config", str(workspace["config"])]) == 0
-    assert calls == [len(load_rows(workspace["out"] / "test.csv"))]
+    distinct, index = load_dataset(workspace["out"] / "test.csv")
+    assert calls == [len(distinct)] and len(distinct) < len(index)
 
 
 def test_evaluate_detects_stats_mismatch(workspace, capsys):

@@ -529,6 +529,25 @@ def test_dataset_file_round_trip_is_bit_exact(tmp_path_factory, X, data):
         f"# provenance: source={source} dedup=true sampling={sampling}")
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    pool=st.lists(st.one_of(finite_floats, finite_floats.map(lambda v: -v)), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_dataset_rows_read_as_each_value_formatted_alone(tmp_path_factory, pool, data):
+    """Rows that repeat a few values, signed zeros and subnormals among
+    them, are written as ``repr`` writes each value on its own: a value
+    formatted once for all its cells still keeps ``-0.0`` apart from
+    ``0.0``."""
+    n = data.draw(st.integers(1, 6))
+    picks = data.draw(arrays(np.int64, (n, N_FEATURES), elements=st.integers(0, len(pool) - 1)))
+    X = np.array(pool, dtype=np.float64)[picks]
+    path = tmp_path_factory.mktemp("formatted") / "ds.csv"
+    save_dataset(path, Dataset(X, ["x"] * n, [0] * n), "corpus.txt", SAMPLING_TARGETS)
+    rows = path.read_text().splitlines()[3:]
+    assert rows == [",".join(repr(v) for v in x.tolist()) + ",x,normal" for x in X]
+
+
 feature_text = st.one_of(
     finite_floats.map(repr), st.sampled_from(["0", "0.00", "1.00", "1.0", "0.11", "1e3", "5E-2", "7"])
 )

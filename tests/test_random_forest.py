@@ -704,15 +704,41 @@ _HANDOFF_ACTIVE = [0, 1, 3, 7, 9, 12, 20, 33]
 _serial_forests: dict = {}
 
 
+def searched_nodes(model: ForestModel, config: ForestConfig) -> list[np.ndarray]:
+    """Per tree, whether each node drew candidates and was searched: an
+    internal node, or a leaf that holds more than one class and at least
+    ``min_samples_split`` rows (no split reduced its impurity). The config
+    must set no depth bound."""
+    assert config.max_depth is None
+    bounds = [*model.starts.tolist(), len(model.feature)]
+    mixed = (model.counts > 0).sum(axis=1) > 1
+    big = model.counts.sum(axis=1) >= config.min_samples_split
+    searched = (model.feature >= 0) | (mixed & big)
+    return [searched[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def lockstep_steps(model: ForestModel, config: ForestConfig) -> np.ndarray:
+    """The lockstep steps each tree of ``model`` takes: one per searched
+    node, since a step places the leaves a tree pops up to and including
+    its next searched node; and one more when nodes follow the last
+    searched node (its children, or nodes left on the stack), or when the
+    tree has no searched node at all."""
+    steps = []
+    for searched in searched_nodes(model, config):
+        last = int(np.flatnonzero(searched)[-1]) if searched.any() else -1
+        steps.append(int(searched.sum()) + (last < len(searched) - 1))
+    return np.array(steps)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n_trees=st.integers(1, 20), active=st.sampled_from([None, _HANDOFF_ACTIVE]), data=st.data())
 def test_a_handoff_at_any_step_gives_the_one_process_forest(tmp_path_factory, n_trees, active, data):
     """The handoff forced at step ``at`` by the readiness check, from the
     first step to past the last one (no handoff): the forest file and the
     importances are the one-process forest's to the byte, and the DEBUG
-    line names the step and each side's tree count. A tree of ``s`` nodes
-    takes ``s`` steps, one node each, so the trees unfinished at step
-    ``at`` are those of more than ``at`` nodes."""
+    line names the step and each side's tree count. The trees unfinished
+    at step ``at`` are those that take more than ``at`` steps, as
+    ``lockstep_steps`` derives them from the serial forest."""
     config = ForestConfig(n_trees=n_trees, seed=9)
     key = (n_trees, active is None)
     with pytest.MonkeyPatch.context() as patch:
@@ -720,8 +746,8 @@ def test_a_handoff_at_any_step_gives_the_one_process_forest(tmp_path_factory, n_
             patch.setattr(jobs, "cpu_free", lambda: False)
             _serial_forests[key] = train_forest(_HANDOFF_SET, config, active_features=active)
         serial = _serial_forests[key]
-        sizes = np.diff([*serial.starts.tolist(), len(serial.feature)])
-        at = data.draw(st.integers(0, int(sizes.max()) + 1), label="at")
+        steps = lockstep_steps(serial, config)
+        at = data.draw(st.integers(0, int(steps.max()) + 1), label="at")
         calls = iter(range(10**6))
         patch.setattr(jobs, "cpu_free", lambda: next(calls) == at)
         patch.setattr(jobs, "_cpus", two_or_more_cpus)
@@ -744,7 +770,7 @@ def test_a_handoff_at_any_step_gives_the_one_process_forest(tmp_path_factory, n_
         files.append(path.read_bytes())
     assert files[0] == files[1]
     assert serial.feature_importances.tobytes() == handed_off.feature_importances.tobytes()
-    unfinished = int((sizes > at).sum())
+    unfinished = int((steps > at).sum())
     (line,) = lines
     if unfinished > 1:
         k = unfinished - unfinished // 2
@@ -752,6 +778,26 @@ def test_a_handoff_at_any_step_gives_the_one_process_forest(tmp_path_factory, n_
                                f"({n_trees - k} + {k} from step {at}), child ")
     else:
         assert line == f"grew {n_trees} trees in 1 process"
+
+
+@pytest.mark.parametrize("seed, active", [(9, None), (4, _HANDOFF_ACTIVE)])
+def test_a_step_searches_one_node_of_each_tree(monkeypatch, seed, active):
+    """A step places the leaves a tree pops and goes on popping until it
+    meets a node to search, so a forest makes as many searches as its tree
+    with the most searched nodes has (each step is one search here), not
+    as many as its largest tree has nodes."""
+    calls = []
+    real = random_forest._best_splits
+    monkeypatch.setattr(jobs, "cpu_free", lambda: False)
+    monkeypatch.setattr(random_forest, "_SEARCH_KEYS", 1 << 40)
+    monkeypatch.setattr(random_forest, "_best_splits",
+                        lambda *args: calls.append(len(args[4])) or real(*args))
+    config = ForestConfig(n_trees=20, seed=seed)
+    model = train_forest(_HANDOFF_SET, config, active_features=active)
+    searched = [int(s.sum()) for s in searched_nodes(model, config)]
+    sizes = np.diff([*model.starts.tolist(), len(model.feature)])
+    assert len(calls) == max(searched) < sizes.max()
+    assert sum(calls) == sum(searched)
 
 
 def assert_no_child_left():
