@@ -15,9 +15,8 @@ bundle is a manifest naming the three model files and the stats file
 tagged on each misuse signature is the one fine-to-coarse mapping that
 prediction reads.
 
-``train_all`` trains the neural net in a job (see ``jobs``) beside the
-forest and the centroids where a second CPU is free, with the bytes and
-the stderr lines of training them one after another.
+``train_all`` trains the neural net beside the forest and the centroids
+(see ``jobs.beside``).
 """
 
 from __future__ import annotations
@@ -168,33 +167,16 @@ def train_stage(key: str, std_train: Dataset, config: HybridConfig, stats: Stand
 
 def train_all(train: Dataset, config: HybridConfig) -> HybridModel:
     """Fit standardization on the training split, then train all three
-    stages on the same standardized data.
-
-    Where ``jobs.cpu_free()``, the neural net trains in a job on the
-    second half of the CPUs while this process trains the forest and the
-    centroids on the first, and the forest takes the job's CPU back once
-    the job is done (see ``random_forest.grow_trees``). This process holds
-    its own log records and warnings until the job's are emitted, so
-    stderr keeps the serial order: the neural net's, then the rest. If
-    the neural net fails, its error is raised after its records, and the
-    rest's records are dropped, as a serial run would never have made
-    them. Elsewhere the stages train here, one after another.
+    stages on the same standardized data: the neural net beside the
+    forest and the centroids (see ``jobs.beside``). The forest takes the
+    net's CPU back once the net is done (see ``random_forest.grow_trees``).
     """
     stats = standardize_fit(train)
     std_train = standardize_dataset(stats, train)
-    if not jobs.cpu_free():
-        return HybridModel(**{key: train_stage(key, std_train, config, stats) for key in STAGES},
-                           stats=stats)
-    job = jobs.start(lambda: train_stage("mlp", std_train, config, stats), log,
-                     what="training the neural net", done="trained the neural net beside the forest")
-    held: list = []
-    try:
-        with jobs.holding(held):
-            rest = {key: train_stage(key, std_train, config, stats)
-                    for key in STAGES if key != "mlp"}
-    finally:
-        mlp = job.join()
-        jobs.emit(held)
+    mlp, rest = jobs.beside(
+        lambda: train_stage("mlp", std_train, config, stats),
+        lambda: {key: train_stage(key, std_train, config, stats) for key in STAGES if key != "mlp"},
+        log, what="training the neural net", done="trained the neural net beside the forest")
     return HybridModel(mlp=mlp, **rest, stats=stats)
 
 

@@ -1,24 +1,18 @@
-"""Work handed to a forked child on the CPUs this process gives up.
+"""Two functions run beside each other, where a second CPU is free.
 
-A job runs one function in a child made with ``os.fork`` (no
-``multiprocessing``). ``start`` keeps this process to the first half of
-its CPUs and the child to the second half, because a kernel that does not
-balance load across CPUs (a cpuset with ``sched_load_balance`` off)
-otherwise leaves the child on its parent's CPU. The child holds the log
-records and warnings it makes (see ``holding``), and pickles them back
-over a pipe with its result or the exception it raised (its traceback
-text when the exception does not pickle). It always ends in ``os._exit``:
-it never returns to the caller or flushes its copy of the caller's stdio.
-
-The caller emits a job's records where they belong in the serial order,
-so stderr reads as if the work had run in this process. ``reap`` reads
-the pipe to its end, reaps the child and gives its CPUs back on every
-path; ``join`` also emits the records, then returns the result or raises
-what the child raised, or a RuntimeError naming how it died.
-
-``cpu_free`` tells a caller whether it may start a job now. Where
-``os.fork`` is missing or this process may run on one CPU only, it never
-may, and the work runs here in its serial order.
+``beside(first, second, ...)`` is the one way work leaves this process:
+it returns ``(first(), second())``, and stderr reads as if they had run
+here one after the other. Where ``cpu_free()``, ``first`` runs as a
+*job*: in a child made with ``os.fork`` (no ``multiprocessing``), on the
+second half of this process's CPUs, while this process keeps the first
+half. Without the split, a kernel that does not balance load across CPUs
+(a cpuset with ``sched_load_balance`` off) leaves the child on its
+parent's CPU. The child holds the log records and warnings it makes and
+pickles them back over a pipe with its result or the exception it raised
+(its traceback text when the exception does not pickle). It always ends
+in ``os._exit``: it never returns to the caller or flushes its copy of
+the caller's stdio. Where ``os.fork`` is missing or this process may run
+on one CPU only, both functions run here.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ import warnings
 # started and not yet reaped, in start order. Like the CPU mask, the
 # children are the process's own: a forest asks ``cpu_free`` whether a job
 # that another stage started (the neural net's) has finished.
-_running: list["Job"] = []
+_running: list["_Job"] = []
 
 
 def _cpus() -> list[int]:
@@ -55,21 +49,55 @@ def cpu_free() -> bool:
     """Whether a job may start now: this process may fork and run on two
     or more CPUs. A running job whose pipe is readable has finished its
     work, so it is reaped first and gives its CPUs back; if it failed, its
-    error is raised here, and its records wait for its ``join``."""
-    for job in [job for job in _running if job.ready()]:
+    error is raised here, and its records wait for its ``beside``."""
+    for job in [job for job in _running if select.select([job.pipe], [], [], 0)[0]]:
         job.reap()
         if job.error is not None:
             raise job.error
     return hasattr(os, "fork") and len(_cpus()) > 1
 
 
+def beside(first, second, log: logging.Logger, what: str, done: str) -> tuple:
+    """``(first(), second())``, with the stderr of running them one after
+    the other.
+
+    Where ``cpu_free()``, ``first`` runs in a job while this process runs
+    ``second`` with its records held. Then the job is reaped, which gives
+    its CPUs back, and its records are emitted, then the held ones. If
+    ``first`` fails, its records come out, then its error, and
+    ``second``'s records are dropped, as a serial run never made them. If
+    only ``second`` fails, its records and then its error come out after
+    ``first``'s. Elsewhere ``first()`` then ``second()`` run here.
+
+    ``what`` names ``first`` in a job's error ("the process <what> was
+    killed by SIGKILL"), and ``done`` opens the DEBUG line that ``log``
+    gets after the job's records.
+    """
+    if not cpu_free():
+        return first(), second()
+    job = _Job(first, what)
+    held: list = []
+    try:
+        with _holding(held):
+            result = second()
+    finally:
+        job.reap()
+        _emit(job.records)
+        if job.error is not None:
+            raise job.error
+        log.debug("%s, child %.2f s CPU, child peak RSS %.1f MB", done,
+                  job.usage.ru_utime + job.usage.ru_stime, job.usage.ru_maxrss / 1024)
+        _emit(held)
+    return job.result, result
+
+
 @contextlib.contextmanager
-def holding(records: list):
+def _holding(records: list):
     """Append the package's log records (those its loggers' levels let
     through) and the warnings shown, in the order they come, to
     ``records`` instead of handling them, until the block ends. A filter
-    on each of the package's loggers holds a record before any handler,
-    on that logger or above it, sees it."""
+    put first on each of the package's loggers holds a record before any
+    handler sees it, and before a holding block around this one does."""
     loggers = [logger for name, logger in logging.root.manager.loggerDict.items()
                if name.split(".")[0] == "hybrid_ids" and isinstance(logger, logging.Logger)]
 
@@ -83,7 +111,7 @@ def holding(records: list):
     shown = warnings.showwarning
     warnings.showwarning = hold_warning
     for logger in loggers:
-        logger.addFilter(hold_record)
+        logger.filters.insert(0, hold_record)
     try:
         yield records
     finally:
@@ -92,7 +120,7 @@ def holding(records: list):
             logger.removeFilter(hold_record)
 
 
-def emit(records: list) -> None:
+def _emit(records: list) -> None:
     """Handle held log records and show held warnings, in order."""
     for r in records:
         if isinstance(r, logging.LogRecord):
@@ -101,33 +129,42 @@ def emit(records: list) -> None:
             warnings.showwarning(r.message, r.category, r.filename, r.lineno, None, r.line)
 
 
-class Job:
-    """A function running in a forked child; see the module docstring."""
+class _Job:
+    """``work()`` running in a forked child on the second half of this
+    process's CPUs, this process kept to the first half; see ``beside``."""
 
-    def __init__(self, pid: int, pipe, cpus: list[int], log: logging.Logger, what: str, done: str):
-        self.pid, self.pipe, self.cpus = pid, pipe, cpus
-        self.log, self.what, self.done = log, what, done
+    def __init__(self, work, what: str):
+        cpus = _cpus()
+        half = len(cpus) // 2
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            os.close(read_end)
+            _run_child(write_end, cpus[half:], work)
+        os.close(write_end)
+        self.pid, self.pipe, self.cpus, self.what = pid, open(read_end, "rb"), cpus[half:], what
         self.records: list = []
         self.result = self.error = None
-        self.reaped = False
-
-    def ready(self) -> bool:
-        """Whether the child has begun to send its result (or has died)."""
-        return bool(select.select([self.pipe], [], [], 0)[0])
+        _running.append(self)
+        _keep_to(cpus[:half])
 
     def reap(self) -> None:
         """Read the pipe to its end, reap the child and give its CPUs back
-        to this process; keep its result or error and its records. Once
-        only; it raises nothing of the child's."""
-        if self.reaped:
+        to this process; keep its result or error, its records and its
+        resource usage. Once only; it raises nothing of the child's."""
+        if self not in _running:
             return
-        self.reaped = True
         _running.remove(self)
         try:
             with self.pipe:
                 payload = self.pipe.read()
         finally:
-            _, status, usage = os.wait4(self.pid, 0)
+            _, status, self.usage = os.wait4(self.pid, 0)
             _keep_to(sorted(set(_cpus()) | set(self.cpus)))
         code = os.waitstatus_to_exitcode(status)
         if code != 0:
@@ -140,43 +177,6 @@ class Job:
                 f"the process {self.what} failed:\n{outcome}")
             return
         self.result = outcome
-        with holding(self.records):
-            self.log.debug("%s, child %.2f s CPU, child peak RSS %.1f MB", self.done,
-                           usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024)
-
-    def join(self):
-        """``reap``, emit the child's records, then return its result or
-        raise its error."""
-        self.reap()
-        emit(self.records)
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-
-def start(work, log: logging.Logger, what: str, done: str) -> Job:
-    """Run ``work()`` in a forked child on the second half of this
-    process's CPUs, keeping this process to the first half; call only
-    where ``cpu_free()``. ``what`` names the work in an error ("the
-    process <what> was killed by SIGKILL"), and ``done`` opens the DEBUG
-    line that ``log`` gets once it is reaped."""
-    cpus = _cpus()
-    half = len(cpus) // 2
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        os.close(read_end)
-        _run_child(write_end, cpus[half:], work)
-    os.close(write_end)
-    job = Job(pid, open(read_end, "rb"), cpus[half:], log, what, done)
-    _running.append(job)
-    _keep_to(cpus[:half])
-    return job
 
 
 def _run_child(write_end: int, cpus: list[int], work) -> None:
@@ -189,7 +189,7 @@ def _run_child(write_end: int, cpus: list[int], work) -> None:
         records: list = []
         try:
             _keep_to(cpus)
-            with holding(records):
+            with _holding(records):
                 outcome = (True, work())
         except BaseException as exc:
             outcome = (False, exc)

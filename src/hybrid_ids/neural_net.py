@@ -3,9 +3,9 @@ layers, 5 softmax outputs, trained with mini-batch gradient descent on
 categorical cross-entropy.
 
 All arithmetic is float64 numpy with a fixed evaluation order, so a fixed
-seed reproduces weights bit-for-bit on the same platform. Where a second
-CPU is free, ``cross_validate`` trains half of its folds in a job (see
-``jobs``); each fold is trained and scored as it would be alone.
+seed reproduces weights bit-for-bit on the same platform.
+``cross_validate`` trains half of its folds beside the rest (see
+``jobs.beside``); each fold is trained and scored as it would be alone.
 """
 
 from __future__ import annotations
@@ -160,9 +160,8 @@ def predict_batch(model: MLPModel, X: np.ndarray) -> np.ndarray:
 
 def cross_validate(ds: Dataset, k: int, config: TrainConfig, fold_seed: int) -> list[float]:
     """Train k models on stratified folds; overall accuracy per held-out
-    fold. Where ``jobs.cpu_free()``, a job trains folds ``k // 2`` onward
-    while this process trains the ones before; the job's fold lines are
-    emitted after this process's, so they stay in fold order."""
+    fold. The first ``k - k // 2`` folds train beside the rest (see
+    ``jobs.beside``), so the fold lines keep fold order."""
     folds = list(enumerate(stratified_kfold(ds, k, fold_seed)))
 
     def score(part) -> list[float]:
@@ -175,17 +174,11 @@ def cross_validate(ds: Dataset, k: int, config: TrainConfig, fold_seed: int) -> 
             accs.append(acc)
         return accs
 
-    if not jobs.cpu_free():
-        return score(folds)
-    half = k // 2
-    job = jobs.start(lambda: score(folds[half:]), log, what=f"training folds {half}..{k - 1}",
-                     done=f"trained {k} folds in 2 processes ({half} + {k - half})")
-    try:
-        accs = score(folds[:half])
-    except BaseException:
-        job.reap()
-        raise
-    return accs + job.join()
+    h = k - k // 2
+    first, rest = jobs.beside(lambda: score(folds[:h]), lambda: score(folds[h:]), log,
+                              what=f"training folds 0..{h - 1}",
+                              done=f"trained {k} folds in 2 processes ({k - h} + {h})")
+    return first + rest
 
 
 def save_mlp(path: str | Path, model: MLPModel) -> None:

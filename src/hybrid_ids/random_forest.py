@@ -25,13 +25,12 @@ each node's values would make.
 For the same reason a forest can hand trees to a second CPU in the middle
 of its growth. The trees grow in this process until ``jobs.cpu_free``
 says a second CPU is free: at once when no job holds one, or at the first
-step after a job that holds one has finished. Then a forked child takes
-the second half of the still-unfinished trees and goes on from the
-lockstep state it inherits, at most once per forest. It pickles those
-whole trees and their per-tree importances back over a pipe, and this
-process puts them in their places in tree order, so the trees, and the
-importances summed over them, are the one-process forest's to the bit,
-whichever step the handoff happens at, or if it never does.
+step after a job that holds one has finished. Then the second half of the
+still-unfinished trees grows beside the first (see ``jobs.beside``), at
+most once per forest, and the trees go back to their places in tree
+order. So the trees, and the importances summed over them, are the
+one-process forest's to the bit, whichever step the handoff happens at,
+or if it never does.
 """
 
 from __future__ import annotations
@@ -350,14 +349,11 @@ def grow_trees(
     candidate) keys, which bounds its temporaries while every root still
     holds its whole sample.
 
-    Before each step, while two or more trees are unfinished and none has
-    been handed off, ``jobs.cpu_free()`` is asked whether a second CPU is
-    free. The first time it is, a job (see ``jobs.start``) takes the
-    second half of the unfinished trees, grows them on from the state it
-    inherits, and sends them back whole with their importance rows; this
-    process stops growing them and, once its own trees are done, joins the
-    job and puts its trees back in their places. If this process fails
-    first, the job is reaped and this process's error raised.
+    Before each step, while two or more trees are unfinished, the forest
+    asks ``jobs.cpu_free()`` whether a second CPU is free. The first time
+    it is, it grows the second half of the unfinished trees beside the
+    first (see ``jobs.beside``), each half on from the lockstep state at
+    that step, and puts the trees back in their places.
     """
     ranks, values = ranked
     X = np.ascontiguousarray(X, dtype=np.float64)  # split rows are read by flat index
@@ -369,9 +365,10 @@ def grow_trees(
     root_counts = [np.bincount(y[s], minlength=N_CLASSES) for s in samples]
     stacks = [[(0, s, c, c.max() < len(s))] for s, c in zip(samples, root_counts)]
 
-    def step() -> None:
+    def step(ts: list[int]) -> None:
         searched = []
-        for t, stack in enumerate(stacks):
+        for t in ts:
+            stack = stacks[t]
             feature, threshold, node_counts = trees[t]
             while stack:
                 depth, rows, counts, mixed = stack.pop()
@@ -397,43 +394,34 @@ def grow_trees(
                 stacks[t].append((depth + 1, *right))
                 stacks[t].append((depth + 1, *left))
 
-    def grow_handed(handed: list[int]):
-        """In the job: grow the handed trees alone, and give them back as
-        arrays, one per column of each tree, not one per node."""
-        for t, stack in enumerate(stacks):
-            if t not in handed:
-                stack.clear()
-        while any(stacks):
-            step()
+    def grow(ts: list[int]):
+        """Grow trees ``ts`` to the end; give them back as arrays, one per
+        column of each tree, not one per node, and their importance rows."""
+        while any(stacks[t] for t in ts):
+            step(ts)
         return ([(np.array(trees[t][0], dtype=np.int64), np.array(trees[t][1]),
-                  np.array(trees[t][2])) for t in handed], importances[handed])
+                  np.array(trees[t][2])) for t in ts], importances[ts])
 
-    n, job, steps = len(samples), None, 0
-    try:
-        while any(stacks):
-            unfinished = [t for t, stack in enumerate(stacks) if stack]
-            if job is None and len(unfinished) > 1 and jobs.cpu_free():
-                handed = unfinished[len(unfinished) // 2:]
-                job = jobs.start(
-                    lambda: grow_handed(handed), log,
-                    what=f"growing {len(handed)} of the {n} trees from step {steps}",
-                    done=f"grew {n} trees in 2 processes "
-                         f"({n - len(handed)} + {len(handed)} from step {steps})",
-                )
-                for t in handed:
-                    stacks[t].clear()
-            step()
-            steps += 1
-    except BaseException:
-        if job is not None:
-            job.reap()
-        raise
-    if job is None:
+    n = len(samples)
+    steps, unfinished = 0, list(range(n))
+    while len(unfinished) > 1 and not jobs.cpu_free():
+        step(unfinished)
+        steps += 1
+        unfinished = [t for t in unfinished if stacks[t]]
+    if len(unfinished) < 2:
+        grow(unfinished)
         log.debug("grew %d trees in 1 process", n)
         return trees, importances
-    handed_trees, importances[handed] = job.join()
-    for t, tree in zip(handed, handed_trees):
-        trees[t] = tree
+    own, handed = unfinished[:len(unfinished) // 2], unfinished[len(unfinished) // 2:]
+    halves = jobs.beside(
+        lambda: grow(handed), lambda: grow(own), log,
+        what=f"growing {len(handed)} of the {n} trees from step {steps}",
+        done=f"grew {n} trees in 2 processes ({n - len(handed)} + {len(handed)} from step {steps})",
+    )
+    for ts, (grown, rows) in zip((handed, own), halves):
+        importances[ts] = rows
+        for t, tree in zip(ts, grown):
+            trees[t] = tree
     return trees, importances
 
 
@@ -448,14 +436,14 @@ def train_forest(
     merged in tree order).
 
     ``ranked`` is ``rank_columns(ds.X)``, computed here when not given.
-    The trees grow in lockstep (see ``grow_trees``), in this process
-    until a second CPU is free, and then half of the unfinished ones in a
-    forked child. Each tree draws its sample, then its candidates, from
-    its own stream in the order it would alone, and no split depends on
-    the other trees or on the order of a node's rows. The child's trees
-    go back to their places in tree order, so the per-tree importances
-    are summed in the same order too, and the forest is the one its trees
-    grown one after another would make, to the bit, whichever path runs.
+    The trees grow in lockstep, half of the unfinished ones beside the
+    rest once a second CPU is free (see ``grow_trees``). Each tree draws
+    its sample, then its candidates, from its own stream in the order it
+    would alone, and no split depends on the other trees or on the order
+    of a node's rows. The trees come back in tree order, so the per-tree
+    importances are summed in the same order too, and the forest is the
+    one its trees grown one after another would make, to the bit,
+    whichever path runs.
     """
     n_features = ds.X.shape[1]
     config.validate(n_features)
