@@ -104,7 +104,7 @@ def test_bench_outputs_match_their_digests(tmp_path, monkeypatch, capsys, cpus):
     assert digests == DIGESTS
 
 
-# made at the commit before one job protocol for every fork, the same on all CPUs and on one
+# made before `jobs.beside` carried every fork, and the same there on all CPUs and on one
 DIGESTS = {
     "seed 1 prepare: stdout": "c58d4be8eacde48e2efefb11c32216fec3e0081ad8ffef798275ea6ca74c2aa2",
     "seed 1 prepare: stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
