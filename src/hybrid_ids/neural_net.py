@@ -4,8 +4,6 @@ categorical cross-entropy.
 
 All arithmetic is float64 numpy with a fixed evaluation order, so a fixed
 seed reproduces weights bit-for-bit on the same platform.
-``cross_validate`` trains half of its folds beside the rest (see
-``jobs.beside``); each fold is trained and scored as it would be alone.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import jobs
 from .dataset import CoarseLabel, Dataset, N_FEATURES, stratified_kfold
 from .evaluation import confusion, overall_accuracy
 from .persist import LineReader, atomic_write, fmt_floats, version_line
@@ -160,25 +157,15 @@ def predict_batch(model: MLPModel, X: np.ndarray) -> np.ndarray:
 
 def cross_validate(ds: Dataset, k: int, config: TrainConfig, fold_seed: int) -> list[float]:
     """Train k models on stratified folds; overall accuracy per held-out
-    fold. The first ``k - k // 2`` folds train beside the rest (see
-    ``jobs.beside``), so the fold lines keep fold order."""
-    folds = list(enumerate(stratified_kfold(ds, k, fold_seed)))
-
-    def score(part) -> list[float]:
-        accs = []
-        for fold_no, (train_ds, val_ds) in part:
-            model = train(train_ds, config)
-            preds = predict_batch(model, val_ds.X)
-            acc = overall_accuracy(confusion(preds, val_ds.coarse))
-            log.info("fold %d accuracy: %.3f", fold_no, acc)
-            accs.append(acc)
-        return accs
-
-    h = k - k // 2
-    first, rest = jobs.beside(lambda: score(folds[:h]), lambda: score(folds[h:]), log,
-                              what=f"training folds 0..{h - 1}",
-                              done=f"trained {k} folds in 2 processes ({k - h} + {h})")
-    return first + rest
+    fold."""
+    accs = []
+    for fold_no, (train_ds, val_ds) in enumerate(stratified_kfold(ds, k, fold_seed)):
+        model = train(train_ds, config)
+        preds = predict_batch(model, val_ds.X)
+        acc = overall_accuracy(confusion(preds, val_ds.coarse))
+        log.info("fold %d accuracy: %.3f", fold_no, acc)
+        accs.append(acc)
+    return accs
 
 
 def save_mlp(path: str | Path, model: MLPModel) -> None:
