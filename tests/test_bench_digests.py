@@ -4,18 +4,21 @@ stdout and stderr of ``prepare``, ``train hybrid --log-level INFO``,
 ``evaluate hybrid`` on the held-out split and on it tiled 16 times, on
 the benchmark's corpora of seeds 1, 3 and 5.
 
-The flow runs in this process through ``cli.main``, once on all of the
-process's CPUs and once with the process cut to one, so the one table
-pins both the forked and the one-process paths. The inputs and the
-config come from ``perfbench/corpus.py`` and ``perfbench/run.py``, read
-and never changed. The training time is masked. A change that changes
-an output updates the table and names each changed digest and why.
+The flow runs in this process through ``cli.main`` on all of the
+process's CPUs. Then ``train hybrid``, the only one of the commands that
+may fork, runs again with the process cut to one CPU, so the one table
+pins both the forked and the one-process paths. The inputs and the config come
+from ``perfbench/corpus.py`` and ``perfbench/run.py``, read and never
+changed. The training time is masked. A change that changes an output
+updates the table and names each changed digest and why.
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import hashlib
+import importlib
+import io
 import os
 import re
 import sys
@@ -25,14 +28,36 @@ import pytest
 
 from hybrid_ids.cli import main
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-_environ = dict(os.environ)
-import corpus  # noqa: E402
-import run  # noqa: E402
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# set by run.py at import, for the benchmark's own processes
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# run.py sets the BLAS thread variables for the benchmark's own process
-os.environ.clear()
-os.environ.update(_environ)
+
+def _load_bench():
+    """``perfbench/run.py``, imported with its directory on the import path
+    for the import only. The modules it imports from there (``corpus``,
+    ``checks`` and others) are reached through it, and no module of those
+    names is left in ``sys.modules``; the BLAS variables it sets are put
+    back as they were."""
+    names = ("calibrate", "checks", "corpus", "layers", "spans", "run")
+    shadowed = {name: sys.modules.pop(name) for name in names if name in sys.modules}
+    blas = {var: os.environ.get(var) for var in BLAS_VARS}
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("run")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in names:
+            sys.modules.pop(name, None)
+        sys.modules.update(shadowed)
+        for var, value in blas.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
+run = _load_bench()
 
 SEEDS = (1, 3, 5)
 COMMANDS = [
@@ -43,65 +68,85 @@ COMMANDS = [
     ["evaluate", "hybrid"],
     ["evaluate", "hybrid", "--test-file", "batch.csv"],
 ]
+FORKING = ["train", "hybrid", "--log-level", "INFO"]
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@functools.cache
-def inputs(seed: int) -> tuple[str, str]:
-    """The training corpus and the stream lines of seed ``seed``, made once
-    for both CPU settings."""
-    return corpus.training_corpus(seed), corpus.stream_traffic(seed, run.STREAM_LINES).text
+def _model_files() -> dict[str, str]:
+    return {path.name: _sha(path.read_bytes()) for path in sorted(Path(run.MODEL_DIR).iterdir())}
 
 
-def flow_digests(directory: Path, seed: int, capsys) -> dict[str, str]:
+def _run(argv: list[str], seed: int) -> tuple[str, dict[str, str]]:
+    """Run one command: its name in the table, and the digests of its
+    stdout and stderr."""
+    name = f"seed {seed} {' '.join(argv)}"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main([*argv, "--config", "run.cfg"]) == 0, name
+    masked = re.sub(r"training time: \S+", "training time: -", out.getvalue())
+    return name, {f"{name}: stdout": _sha(masked.encode()), f"{name}: stderr": _sha(err.getvalue().encode())}
+
+
+def flow_digests(directory: Path, seed: int) -> dict[str, str]:
     """Run the commands on seed ``seed``'s inputs in ``directory``: the
     digest of each command's stdout and stderr, and of each file in the
     model directory that the command wrote new bytes to."""
     directory.mkdir()
-    os.chdir(directory)
-    training, traffic = inputs(seed)
-    Path("corpus.txt").write_text(training)
-    Path("run.cfg").write_text(run.config_text())
-    Path("traffic.txt").write_text(traffic)
-    digests: dict[str, str] = {}
-    files: dict[str, str] = {}
-    capsys.readouterr()
-    for argv in COMMANDS:
-        name = f"seed {seed} {' '.join(argv)}"
-        assert main([*argv, "--config", "run.cfg"]) == 0, name
-        out, err = capsys.readouterr()
-        digests[f"{name}: stdout"] = _sha(re.sub(r"training time: \S+", "training time: -", out).encode())
-        digests[f"{name}: stderr"] = _sha(err.encode())
-        for path in sorted(Path(run.MODEL_DIR).iterdir()):
-            sha = _sha(path.read_bytes())
-            if files.get(path.name) != sha:
-                files[path.name] = digests[f"{name}: {path.name}"] = sha
-        if argv[0] == "prepare":
-            lines = Path(run.MODEL_DIR, "test.csv").read_text().splitlines(keepends=True)
-            rows = run.data_rows(lines)
-            Path("batch.csv").write_text("".join(lines[: len(lines) - len(rows)] + rows * run.BATCH_TILES))
+    with contextlib.chdir(directory):
+        Path("corpus.txt").write_text(run.corpus.training_corpus(seed))
+        Path("run.cfg").write_text(run.config_text())
+        Path("traffic.txt").write_text(run.corpus.stream_traffic(seed, run.STREAM_LINES).text)
+        digests: dict[str, str] = {}
+        files: dict[str, str] = {}
+        for argv in COMMANDS:
+            name, printed = _run(argv, seed)
+            digests.update(printed)
+            for file, sha in _model_files().items():
+                if files.get(file) != sha:
+                    files[file] = digests[f"{name}: {file}"] = sha
+            if argv[0] == "prepare":
+                lines = Path(run.MODEL_DIR, "test.csv").read_text().splitlines(keepends=True)
+                rows = run.data_rows(lines)
+                Path("batch.csv").write_text("".join(lines[: len(lines) - len(rows)] + rows * run.BATCH_TILES))
     return digests
 
 
-@pytest.mark.parametrize("cpus", ["all", "one"])
-def test_bench_outputs_match_their_digests(tmp_path, monkeypatch, capsys, cpus):
-    monkeypatch.chdir(tmp_path)
-    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    if cpus == "one":
-        if mask is None:
-            pytest.skip("this platform cannot set a process's CPUs")
-        os.sched_setaffinity(0, [min(mask)])
-    try:
-        digests = {}
-        for seed in SEEDS:
-            digests.update(flow_digests(tmp_path / f"seed{seed}", seed, capsys))
-    finally:
-        if mask is not None:
-            os.sched_setaffinity(0, mask)
+@pytest.fixture(scope="module")
+def flows(tmp_path_factory) -> tuple[dict[str, Path], dict[str, str]]:
+    """The flow of each seed on all CPUs: its directory, and the digests."""
+    root = tmp_path_factory.mktemp("bench")
+    dirs = {seed: root / f"seed{seed}" for seed in SEEDS}
+    digests: dict[str, str] = {}
+    for seed, directory in dirs.items():
+        digests.update(flow_digests(directory, seed))
+    return dirs, digests
+
+
+def test_bench_outputs_match_their_digests(flows):
+    _, digests = flows
     assert digests == DIGESTS
+
+
+def test_training_on_one_cpu_prints_and_writes_the_same(flows):
+    """``train hybrid``, run again on one CPU in each seed's directory,
+    prints what the table holds and leaves every file as it was."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("this platform cannot set a process's CPUs")
+    dirs, digests = flows
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, [min(mask)])
+    try:
+        for seed, directory in dirs.items():
+            with contextlib.chdir(directory):
+                before = _model_files()
+                _, printed = _run(FORKING, seed)
+                assert printed == {key: digests[key] for key in printed}
+                assert _model_files() == before, f"seed {seed}"
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 # made before `jobs.beside` carried every fork, and the same there on all CPUs and on one
