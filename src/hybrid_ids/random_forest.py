@@ -38,6 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,9 @@ _SEARCH_KEYS = 1 << 15
 # the vote partitions a node's rows while at least this many reach it, and
 # steps smaller nodes with the rest (see ``predict_batch``)
 _PARTITION_ROWS = 128
+# ... and splits the rows of a larger node than this with ``compress``,
+# which costs more per call than boolean indexing but less per row
+_COMPRESS_ROWS = 1024
 # (tree, row) pairs one pass of the vote holds at most, unless one tree's
 # rows are more
 _STEP_PAIRS = 1 << 16
@@ -521,8 +525,12 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
                     pieces.append(idx)
                 else:
                     goes_left = columns[f][idx] <= threshold[node]
-                    stack.append((node + 1, idx[goes_left]))
-                    stack.append((right[node], idx[~goes_left]))
+                    if len(idx) > _COMPRESS_ROWS:
+                        left, rest = idx.compress(goes_left), idx.compress(~goes_left)
+                    else:
+                        left, rest = idx[goes_left], idx[~goes_left]
+                    stack.append((node + 1, left))
+                    stack.append((right[node], rest))
         pending = np.concatenate(pieces)
         # leaf[t * n + row]: the leaf that ``row`` reaches in the pass's tree t
         leaf = np.empty(len(pending), dtype=np.int64)
@@ -674,6 +682,62 @@ def _read_tree(r: LineReader, t: int, n_features: int) -> tuple:
     return feature, threshold, counts
 
 
+# the columns of a node line, tag included, as numpy's text reader reads them
+_SPLIT_ROW = np.dtype([("tag", "U2"), ("feature", np.int64), ("threshold", np.float64)])
+_LEAF_ROW = np.dtype([("tag", "U2"), ("counts", np.int64, (N_CLASSES,))])
+
+
+def _rows(lines: list[str], dtype: np.dtype) -> np.ndarray:
+    """``lines`` through numpy's C text reader; ValueError on a bad token or token count."""
+    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1) if lines else np.zeros(0, dtype)
+
+
+def _read_trees(r: LineReader, n_trees: int, n_features: int) -> list[tuple] | None:
+    """All trees, as ``_read_tree`` reads them, through numpy's text reader
+    and checks on whole arrays; None when any check refuses, with ``r``
+    unmoved. The reader takes a subset of the number spellings of ``int``
+    and ``float`` and of the whitespace of ``str.split``, so a file that
+    loads here loads to the same arrays through ``_read_tree``."""
+    lines, at, sizes, body = r.lines, r.line_no, [], []
+    for t in range(n_trees):
+        head = lines[at].split() if at < len(lines) else []
+        try:
+            n = int(head[2]) if len(head) == 3 and head[:2] == ["tree", str(t)] else 0
+        except ValueError:
+            n = 0
+        if not 0 < n < len(lines) - at:
+            return None
+        body += lines[at + 1:at + 1 + n]
+        sizes.append(n)
+        at += 1 + n
+    # each line's first byte, or the newline of a blank line; in UTF-8 a
+    # byte below 0x80 is always a whole character
+    text = np.frombuffer(("\n".join(body) + "\n").encode(), np.uint8)
+    first = text[np.r_[0, np.flatnonzero(text[:-1] == ord("\n")) + 1]]
+    internal = first == ord("I")
+    try:
+        split = _rows(list(compress(body, internal.tolist())), _SPLIT_ROW)
+        leaf = _rows(list(compress(body, (first == ord("L")).tolist())), _LEAF_ROW)
+    except ValueError:
+        return None
+    # the running level enters tree t at -t when the trees before it are
+    # whole; each must first reach -1 at its last node, as in ``_read_tree``
+    level = np.cumsum(np.where(internal, 1, -1)) + np.repeat(np.arange(n_trees), sizes)
+    ends = np.cumsum(sizes) - 1
+    if not (len(split) + len(leaf) == len(body)  # every line tagged; none blank
+            and np.all(split["tag"] == "I") and np.all(leaf["tag"] == "L")
+            and np.all((split["feature"] >= 0) & (split["feature"] < n_features))
+            and np.isfinite(split["threshold"]).all() and np.all(leaf["counts"] >= 0)
+            and np.all(level[ends] == -1) and np.count_nonzero(level >= 0) == len(body) - n_trees):
+        return None
+    feature, threshold = np.full(len(body), -1), np.zeros(len(body))
+    counts = np.zeros((len(body), N_CLASSES), dtype=np.int64)
+    feature[internal], threshold[internal] = split["feature"], split["threshold"]
+    counts[~internal] = leaf["counts"]
+    r.line_no = at
+    return list(zip(*(np.split(a, ends[:-1] + 1) for a in (feature, threshold, counts))))
+
+
 def load_forest(path: str | Path) -> ForestModel:
     """Read a ``save_forest`` file. Raises FormatError naming the file and
     line on truncated, garbled or inconsistent content."""
@@ -699,7 +763,9 @@ def load_forest(path: str | Path) -> ForestModel:
         raise r.error(f"expected {n_features} importances, got {len(importances)}")
     if not np.isfinite(importances).all():
         raise r.error("non-finite importance value")
-    trees = [_read_tree(r, t, n_features) for t in range(n_trees)]
+    trees = _read_trees(r, n_trees, n_features)
+    if trees is None:  # line by line: name the first bad line, or read spellings numpy refuses
+        trees = [_read_tree(r, t, n_features) for t in range(n_trees)]
     r.end()
     return ForestModel.from_trees(
         trees,

@@ -8,6 +8,7 @@ import logging
 import os
 import signal
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -578,6 +579,120 @@ def test_load_forest_not_text(tmp_path):
     path.write_bytes(b"hybrid-ids forest v1\n\xff\xfe\x00")
     with pytest.raises(FormatError, match=str(path)):
         load_forest(path)
+
+
+def _fields(model: ForestModel) -> dict:
+    """A forest's fields, each array as its dtype, shape and bytes."""
+    return {name: (value.dtype.str, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray) else value for name, value in vars(model).items()}
+
+
+def _loaded_or_error(path):
+    """What ``load_forest`` makes of ``path``: the fields of the forest, or
+    the text of its FormatError."""
+    try:
+        return _fields(load_forest(path))
+    except FormatError as exc:
+        return str(exc)
+
+
+# tokens that ``int``, ``float`` or ``str.split`` take and numpy's text
+# reader may not, or the reverse, for a tag and for a number; the sample's
+# trees have 9 nodes each
+_TAGS = ("I", "L", "II", "L0", "tree", "#", "")
+_NUMBERS = (
+    "1_4", "1_000", "+9", "09", "-0", "٩", "3.0", "1e3", "0x1p3", "nan", "inf", "-inf", "1e400",
+    "-1", "41", "8", "9223372036854775807", "9223372036854775808", "#",
+)
+_GAPS = (" ", "  ", "\t", " \t", "\xa0", "\u3000", "\x1f", "\x00", "", "#")
+
+
+@pytest.fixture(scope="module")
+def parity_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("parity")
+
+
+def assert_loads_as_per_line(path, lines: list[str]) -> None:
+    """``lines``, written to ``path``, load to the same arrays, or raise
+    the same FormatError (message and line), as they do through the
+    per-line reader alone."""
+    path.write_text("".join(line + "\n" for line in lines))
+    got = _loaded_or_error(path)
+    with mock.patch.object(random_forest, "_read_trees", return_value=None):
+        assert got == _loaded_or_error(path), lines
+
+
+@pytest.mark.parametrize("tag", ["tree", "I", "L"])
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_forest_loader_matches_the_per_line_reader(parity_dir, tag, data):
+    """One edit to a line of a tree (its header, a split or a leaf), or to
+    the tree's shape: ``load_forest`` loads the same arrays, or raises the
+    same FormatError (message and line), as its per-line reader over the
+    whole file."""
+    path, lines = saved("forest", parity_dir)
+    i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.split()[0] == tag]))
+    tokens = lines[i].split(" ")
+    k = data.draw(st.integers(0, len(tokens) - 1))
+    op = data.draw(st.sampled_from(
+        ["token"] * 3 + ["drop", "extra", "tag", "gaps", "blank", "insert", "shape"]))
+    if op == "token":
+        tokens[k] = data.draw(st.sampled_from(_NUMBERS if k else _TAGS))
+    elif op == "drop":
+        del tokens[k]
+    elif op == "extra":
+        tokens.insert(k + 1, data.draw(st.sampled_from(_NUMBERS)))
+    elif op == "tag":
+        tokens[0] = {"I": "L", "L": "I"}.get(tokens[0], tokens[0])
+    lines[i] = " ".join(tokens)
+    if op == "gaps":  # every gap, and both ends
+        n = len(tokens) + 1
+        gaps = data.draw(st.lists(st.sampled_from(_GAPS), min_size=n, max_size=n))
+        lines[i] = gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:]))
+    elif op == "blank":
+        lines[i] = data.draw(st.sampled_from(["", " ", "\t"]))
+    elif op == "insert":
+        lines.insert(i, "")
+    elif op == "shape":  # each node of the line's tree a split or a leaf
+        head = max(h for h in _tree_headers(lines) if h <= i)
+        n = int(lines[head].split()[2])
+        lines[head + 1:head + 1 + n] = data.draw(
+            st.lists(st.sampled_from(["I 0 0.5", "L 1 0 0 0 0"]), min_size=n, max_size=n))
+    assert_loads_as_per_line(path, lines)
+
+
+def test_forest_loader_matches_the_per_line_reader_on_each_token(parity_dir):
+    """The same, for the first header, split and leaf of the sample: each
+    token replaced by each spelling, and each spelling or gap put after the
+    last token."""
+    path, lines = saved("forest", parity_dir)
+    for tag in ("tree", "I", "L"):
+        i = next(i for i, line in enumerate(lines) if line.split()[0] == tag)
+        tokens = lines[i].split(" ")
+        edits = [" ".join(tokens[:k] + [new] + tokens[k + 1:])
+                 for k in range(len(tokens)) for new in (_NUMBERS if k else _TAGS)]
+        edits += [lines[i] + " " + new for new in _NUMBERS]
+        edits += [lines[i] + gap for gap in _GAPS]
+        for edit in edits:
+            assert_loads_as_per_line(path, lines[:i] + [edit] + lines[i + 1:])
+
+
+_THRESHOLDS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_saved_forest_loads_in_bulk_bit_for_bit(parity_dir, data):
+    """Any finite thresholds that ``save_forest`` writes load back to their
+    bits, and a file it writes never needs the per-line reader."""
+    path, _ = saved("forest", parity_dir)
+    model = load_forest(path)
+    internal = np.flatnonzero(model.feature >= 0)
+    model.threshold[internal] = data.draw(
+        st.lists(_THRESHOLDS, min_size=len(internal), max_size=len(internal)))
+    save_forest(path, model)
+    with mock.patch.object(random_forest, "_read_tree", side_effect=AssertionError("per-line read")):
+        assert _fields(load_forest(path)) == _fields(model)
 
 
 @pytest.mark.parametrize("depth", [0, -2])
