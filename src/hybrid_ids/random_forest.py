@@ -59,9 +59,6 @@ _SEARCH_KEYS = 1 << 15
 # the vote partitions a node's rows while at least this many reach it, and
 # steps smaller nodes with the rest (see ``predict_batch``)
 _PARTITION_ROWS = 128
-# ... and splits the rows of a larger node than this with ``compress``,
-# which costs more per call than boolean indexing but less per row
-_COMPRESS_ROWS = 1024
 # (tree, row) pairs one pass of the vote holds at most, unless one tree's
 # rows are more
 _STEP_PAIRS = 1 << 16
@@ -525,12 +522,8 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
                     pieces.append(idx)
                 else:
                     goes_left = columns[f][idx] <= threshold[node]
-                    if len(idx) > _COMPRESS_ROWS:
-                        left, rest = idx.compress(goes_left), idx.compress(~goes_left)
-                    else:
-                        left, rest = idx[goes_left], idx[~goes_left]
-                    stack.append((node + 1, left))
-                    stack.append((right[node], rest))
+                    stack.append((node + 1, idx[goes_left]))
+                    stack.append((right[node], idx[~goes_left]))
         pending = np.concatenate(pieces)
         # leaf[t * n + row]: the leaf that ``row`` reaches in the pass's tree t
         leaf = np.empty(len(pending), dtype=np.int64)
@@ -710,11 +703,11 @@ def _read_trees(r: LineReader, n_trees: int, n_features: int) -> list[tuple] | N
         body += lines[at + 1:at + 1 + n]
         sizes.append(n)
         at += 1 + n
-    # each line's first byte, or the newline of a blank line; in UTF-8 a
+    # each line's first two bytes, or a newline past its end; in UTF-8 a
     # byte below 0x80 is always a whole character
-    text = np.frombuffer(("\n".join(body) + "\n").encode(), np.uint8)
-    first = text[np.r_[0, np.flatnonzero(text[:-1] == ord("\n")) + 1]]
-    internal = first == ord("I")
+    text = np.frombuffer(("\n".join(body) + "\n\n").encode(), np.uint8)
+    starts = np.r_[0, np.flatnonzero(text[:-2] == ord("\n")) + 1]
+    first, internal = text[starts], text[starts] == ord("I")
     try:
         split = _rows(list(compress(body, internal.tolist())), _SPLIT_ROW)
         leaf = _rows(list(compress(body, (first == ord("L")).tolist())), _LEAF_ROW)
@@ -724,8 +717,9 @@ def _read_trees(r: LineReader, n_trees: int, n_features: int) -> list[tuple] | N
     # whole; each must first reach -1 at its last node, as in ``_read_tree``
     level = np.cumsum(np.where(internal, 1, -1)) + np.repeat(np.arange(n_trees), sizes)
     ends = np.cumsum(sizes) - 1
-    if not (len(split) + len(leaf) == len(body)  # every line tagged; none blank
-            and np.all(split["tag"] == "I") and np.all(leaf["tag"] == "L")
+    # every line read, none blank; each tag one character and a space, as
+    # ``save_forest`` writes it (the U2 tag field would read "I\0" as "I")
+    if not (len(split) + len(leaf) == len(body) and np.all(text[starts + 1] == ord(" "))
             and np.all((split["feature"] >= 0) & (split["feature"] < n_features))
             and np.isfinite(split["threshold"]).all() and np.all(leaf["counts"] >= 0)
             and np.all(level[ends] == -1) and np.count_nonzero(level >= 0) == len(body) - n_trees):

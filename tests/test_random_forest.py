@@ -599,7 +599,7 @@ def _loaded_or_error(path):
 # tokens that ``int``, ``float`` or ``str.split`` take and numpy's text
 # reader may not, or the reverse, for a tag and for a number; the sample's
 # trees have 9 nodes each
-_TAGS = ("I", "L", "II", "L0", "tree", "#", "")
+_TAGS = ("I", "L", "II", "L0", "I\x00", "L\x00", "I\x00\x00", "tree", "#", "")
 _NUMBERS = (
     "1_4", "1_000", "+9", "09", "-0", "٩", "3.0", "1e3", "0x1p3", "nan", "inf", "-inf", "1e400",
     "-1", "41", "8", "9223372036854775807", "9223372036854775808", "#",
