@@ -291,16 +291,6 @@ def _load_split(path: Path) -> tuple[Dataset, np.ndarray]:
     return load_dataset(path)
 
 
-# stage -> (key in hybrid.STAGES, report title, what "wrote <file>" adds)
-_STAGES = {
-    "nn": ("mlp", "Neural Network (anomaly stage)", lambda mlp: ""),
-    "rf": ("forest", "Random Forest (anomaly stage)",
-           lambda f: f" ({len(f.active_features)}/{f.n_features} features active)"),
-    "misuse": ("centroids", "Misuse (centroid signatures)",
-               lambda cen: f" ({len(cen)} signatures)"),
-}
-
-
 def cmd_train(cfg: RunConfig, which: str) -> int:
     # only the expanded rows stay alive through training
     train_ds = Dataset.subset(*_load_split(cfg.out_path(TRAIN_FILE)))
@@ -309,8 +299,7 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
     if which == "hybrid":
         print(f"wrote {save_hybrid(cfg.out, train_all(train_ds, cfg.hybrid))}")
     else:
-        key, _, summary = _STAGES[which]
-        file, _, save, _ = STAGES[key]
+        stage = STAGES[which]
         stats = standardize_fit(train_ds)
         std_train = standardize_dataset(stats, train_ds)
         if which == "nn":
@@ -319,11 +308,11 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
                 f"{cfg.cv_folds}-fold CV mean overall accuracy: {np.mean(accs):.3f} "
                 f"(folds: {', '.join(f'{a:.3f}' for a in accs)})"
             )
-        model = train_stage(key, std_train, cfg.hybrid, stats)
-        path = cfg.out_path(file)
+        model = train_stage(which, std_train, cfg.hybrid, stats)
+        path = cfg.out_path(stage.file)
         save_stats(cfg.out_path(STATS_FILE), stats)
-        save(path, model)
-        print(f"wrote {path}{summary(model)}")
+        stage.save(path, model)
+        print(f"wrote {path}{stage.summary(model)}")
     print(f"training time: {time.perf_counter() - started:.1f}s")
     return 0
 
@@ -347,11 +336,11 @@ def cmd_evaluate(cfg: RunConfig, which: str, test_override: str | None = None) -
         ])
         print(routing.describe())
     else:
-        key, title, _ = _STAGES[which]
-        file, _, _, load = STAGES[key]
-        model = load(cfg.out_path(file))
+        stage = STAGES[which]
+        title = stage.title
+        model = stage.load(cfg.out_path(stage.file))
         stats = load_stats(cfg.out_path(STATS_FILE))
-        check_fingerprint(key, model, stats)
+        check_fingerprint(stage.key, model, stats)
         # each distinct row is scored once, and its prediction counts for
         # every row of the split that repeats it
         std_test = standardize_dataset(stats, distinct)

@@ -9,8 +9,10 @@ is scored once while the verdicts stay one per input row.
 A record is never emitted as an attack unless at least one anomaly model
 flagged it: the misuse stage can only confirm, refine, or trim alarms.
 
-``STAGES`` gives each model stage's file, trainer, saver and loader. A saved
-bundle is a manifest naming the three model files and the stats file
+``STAGES`` holds the three model stages, keyed by their command-line
+names: each stage's manifest key, file, report title, trainer, saver and
+loader. A saved bundle is a manifest naming the three model files and the
+stats file
 (``STATS_FILE``) their inputs were standardized with. The coarse class
 tagged on each misuse signature is the one fine-to-coarse mapping that
 prediction reads.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -146,21 +148,35 @@ def train_misuse(std_train: Dataset, config: HybridConfig) -> CentroidModel:
     return cen
 
 
-# manifest key (a HybridModel field) -> (file, train(std_train, config),
-# save(path, model), load(path)), in manifest order. A tracer that rebinds
-# module names misses calls made through these rows.
+class Stage(NamedTuple):
+    key: str  # the manifest key, which is also the HybridModel field
+    file: str
+    title: str  # of the ``evaluate`` report
+    summary: Callable  # model -> what the ``train`` line "wrote <file>" adds
+    train: Callable  # (std_train, config) -> model
+    save: Callable  # (path, model)
+    load: Callable  # path -> model
+
+
+# command-line stage name -> Stage, in manifest order. A tracer that
+# rebinds module names misses calls made through these rows.
 STAGES = {
-    "mlp": ("mlp.model", lambda ds, config: nn.train(ds, config.nn), nn.save_mlp, nn.load_mlp),
-    "forest": ("forest.model", train_rf, rf.save_forest, rf.load_forest),
-    "centroids": ("centroids.model", train_misuse, misuse.save_centroids, misuse.load_centroids),
+    "nn": Stage("mlp", "mlp.model", "Neural Network (anomaly stage)", lambda mlp: "",
+                lambda ds, config: nn.train(ds, config.nn), nn.save_mlp, nn.load_mlp),
+    "rf": Stage("forest", "forest.model", "Random Forest (anomaly stage)",
+                lambda f: f" ({len(f.active_features)}/{f.n_features} features active)",
+                train_rf, rf.save_forest, rf.load_forest),
+    "misuse": Stage("centroids", "centroids.model", "Misuse (centroid signatures)",
+                    lambda cen: f" ({len(cen)} signatures)",
+                    train_misuse, misuse.save_centroids, misuse.load_centroids),
 }
 STATS_FILE = "stats.txt"
 
 
-def train_stage(key: str, std_train: Dataset, config: HybridConfig, stats: StandardizationStats):
-    """The ``key`` stage trained on ``std_train``, tagged with the
-    fingerprint of the ``stats`` it was standardized with."""
-    model = STAGES[key][1](std_train, config)
+def train_stage(name: str, std_train: Dataset, config: HybridConfig, stats: StandardizationStats):
+    """The ``name`` stage (a ``STAGES`` key) trained on ``std_train``,
+    tagged with the fingerprint of the ``stats`` it was standardized with."""
+    model = STAGES[name].train(std_train, config)
     model.stats_fingerprint = stats.fingerprint
     return model
 
@@ -174,8 +190,9 @@ def train_all(train: Dataset, config: HybridConfig) -> HybridModel:
     stats = standardize_fit(train)
     std_train = standardize_dataset(stats, train)
     mlp, rest = jobs.beside(
-        lambda: train_stage("mlp", std_train, config, stats),
-        lambda: {key: train_stage(key, std_train, config, stats) for key in STAGES if key != "mlp"},
+        lambda: train_stage("nn", std_train, config, stats),
+        lambda: {stage.key: train_stage(name, std_train, config, stats)
+                 for name, stage in STAGES.items() if name != "nn"},
         log, what="training the neural net", done="trained the neural net beside the forest")
     return HybridModel(mlp=mlp, **rest, stats=stats)
 
@@ -226,10 +243,10 @@ def save_hybrid(directory: str | Path, h: HybridModel) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_stats(directory / STATS_FILE, h.stats)
-    for key, (file, _, save, _) in STAGES.items():
-        save(directory / file, getattr(h, key))
+    for stage in STAGES.values():
+        stage.save(directory / stage.file, getattr(h, stage.key))
     lines = [version_line("hybrid")]
-    lines += [f"{key}={row[0]}" for key, row in STAGES.items()] + [f"stats={STATS_FILE}"]
+    lines += [f"{stage.key}={stage.file}" for stage in STAGES.values()] + [f"stats={STATS_FILE}"]
     manifest = directory / "hybrid.manifest"
     atomic_write(manifest, "\n".join(lines) + "\n")
     return manifest
@@ -253,11 +270,11 @@ def load_hybrid(manifest_path: str | Path) -> HybridModel:
         if key in entries:
             raise r.error(f"repeated key '{key}'")
         entries[key] = value
-    missing = [k for k in (*STAGES, "stats") if k not in entries]
+    missing = [k for k in [stage.key for stage in STAGES.values()] + ["stats"] if k not in entries]
     if missing:
         raise r.error(f"manifest missing entries: {missing}")
     stats = load_stats(directory / entries["stats"])
-    models = {key: row[3](directory / entries[key]) for key, row in STAGES.items()}
+    models = {stage.key: stage.load(directory / entries[stage.key]) for stage in STAGES.values()}
     for key, model in models.items():
         check_fingerprint(key, model, stats)
     h = HybridModel(**models, stats=stats)

@@ -56,12 +56,12 @@ _MIN_GAIN = 1e-12
 # (row, candidate feature) keys one batched split search holds at most,
 # unless a single node has more
 _SEARCH_KEYS = 1 << 15
-# the vote partitions a node's rows while at least this many reach it, and
-# steps smaller nodes with the rest (see ``predict_batch``)
-_PARTITION_ROWS = 128
-# (tree, row) pairs one pass of the vote holds at most, unless one tree's
-# rows are more
+# (tree, row) pairs one pass of the vote holds at most: a pass takes
+# max(1, _STEP_PAIRS // n_trees) rows through every tree, so it holds at
+# most max(_STEP_PAIRS, n_trees) pairs
 _STEP_PAIRS = 1 << 16
+# levels the vote steps its pairs between drops of those at a leaf
+_DROP_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -480,78 +480,67 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
     the lower class index. Modal ties go to the class with the larger
     summed leaf-count mass across all trees, then the lower class index.
 
-    Each tree partitions the row indices down its nodes while a node holds
-    at least ``_PARTITION_ROWS`` rows, so a node compares only the rows
-    that reach it. A smaller node, and every leaf the walk reaches, hands
-    its (node, row) pairs to ``_step_to_leaves``, which steps the pending
-    pairs of all trees of a pass one level per numpy call. So a node costs
-    a numpy call only when enough rows reach it to pay for one: a small
-    batch costs about the depth of its trees, not their node count, and a
-    large one the rows it routes, as the walk alone did.
+    Every (tree, row) pair steps down its tree one level per numpy call,
+    as in the level-stepped traversal of Asadi, Lin & de Vries (IEEE TKDE
+    2014), so a batch costs about as many calls as its trees are deep,
+    whatever their node count. A leaf is a fixed point of the step: it
+    tests a NaN threshold, which no value passes, and is its own right
+    child. So a pair that has reached a leaf steps on in place, and the
+    pairs at a leaf are dropped only every ``_DROP_LEVELS`` levels.
 
-    The trees vote in passes of at most ``_STEP_PAIRS // len(X)`` trees
-    (one at least), each of which routes every row, so a pass holds at
-    most ``max(_STEP_PAIRS, len(X))`` pairs, whatever the forest's size.
-    Each tree's leaf votes and class counts are added to one ``(rows,
-    2 * N_CLASSES)`` int64 total, so votes and mass are exact sums.
+    The rows vote in passes of ``max(1, _STEP_PAIRS // n_trees)`` rows,
+    each through every tree, and a pass reads a column-major copy of its
+    own rows, so it holds at most ``max(_STEP_PAIRS, n_trees)`` pairs
+    whatever the batch size. Each tree's leaf votes and class counts are
+    added to one ``(rows, 2 * N_CLASSES)`` int64 total, so votes and mass
+    are exact sums.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)  # stepped rows are read by flat index
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (n, {model.n_features}) inputs")
-    n = len(X)
+    n, roots = len(X), model.starts
     majority = np.argmax(model.counts, axis=1)
     # per node: its class counts, then the one-hot vote of their majority
     tally = np.hstack([model.counts, np.eye(N_CLASSES, dtype=np.int64)[majority]])
-    feature, threshold, right = (
-        model.feature.tolist(), model.threshold.tolist(), model.right.tolist()
-    )
-    columns, rows = X.T, np.arange(n)
-    roots = model.starts.tolist()
-    per_pass = max(1, _STEP_PAIRS // max(n, 1))
+    chunk = max(1, min(n, _STEP_PAIRS // len(roots)))
+    # a pair at node i sits at slot 2 * i. A step adds 1 to the slot where
+    # the row goes left, then moves to the child's slot: ``child[2 * i]``
+    # is the right child's, ``child[2 * i + 1]`` the left one's. A leaf
+    # tests column 0 against NaN, which no value passes, and is its own
+    # right child
+    is_leaf = model.feature < 0
+    offset = np.repeat(np.where(is_leaf, 0, model.feature) * chunk, 2)  # into ``flat``
+    threshold = np.repeat(np.where(is_leaf, np.nan, model.threshold), 2)
+    right = np.where(is_leaf, np.arange(len(is_leaf)), model.right)
+    child = 2 * np.column_stack([right, np.arange(1, len(right) + 1)]).ravel()
+    columns = np.empty((model.n_features, chunk))
+    flat = columns.ravel()
     total = np.zeros((n, 2 * N_CLASSES), dtype=np.int64)
-    for first in range(0, len(roots), per_pass):
-        trees = roots[first:first + per_pass]
-        nodes, pieces = [], []  # each tree hands over every row exactly once
-        for root in trees:
-            stack = [(root, rows)]
-            while stack:
-                node, idx = stack.pop()
-                f = feature[node]
-                if f < 0 or len(idx) < _PARTITION_ROWS:
-                    nodes.append(node)
-                    pieces.append(idx)
-                else:
-                    goes_left = columns[f][idx] <= threshold[node]
-                    stack.append((node + 1, idx[goes_left]))
-                    stack.append((right[node], idx[~goes_left]))
-        pending = np.concatenate(pieces)
-        # leaf[t * n + row]: the leaf that ``row`` reaches in the pass's tree t
-        leaf = np.empty(len(pending), dtype=np.int64)
-        _step_to_leaves(model, X, np.repeat(nodes, [len(p) for p in pieces]), pending,
-                        pending + np.repeat(np.arange(len(trees)) * n, n), leaf)
-        for t in range(len(trees)):
-            total += tally[leaf[t * n:(t + 1) * n]]
+    for first in range(0, n, chunk):
+        m = min(chunk, n - first)
+        columns[:, :m] = X[first:first + m].T
+        slot = np.repeat(2 * roots, m)
+        row = np.tile(np.arange(m), len(roots))
+        pair = np.arange(len(slot))
+        leaf = np.empty(len(slot), dtype=np.int64)  # leaf[t * m + r]: where row r ends in tree t
+        while len(slot):
+            for _ in range(_DROP_LEVELS):
+                slot += flat[offset[slot] + row] <= threshold[slot]
+                slot = child[slot]
+            node = slot // 2
+            leaf[pair] = node
+            live = np.flatnonzero(~is_leaf[node])
+            # one array at a time, and nothing held through the next steps
+            slot = slot[live]
+            row = row[live]
+            pair = pair[live]
+            del node, live
+        for t in range(len(roots)):
+            total[first:first + m] += tally[leaf[t * m:(t + 1) * m]]
     mass, votes = total[:, :N_CLASSES], total[:, N_CLASSES:]
     top = votes.max(axis=1, keepdims=True)
     tied_mass = np.where(votes == top, mass, -1)
     return np.argmax(tied_mass, axis=1)
-
-
-def _step_to_leaves(model, X, node, row, cell, leaf) -> None:
-    """Step every pair (``node[i]``, ``row[i]``) down one level per numpy
-    call, and write the leaf each one reaches to ``leaf[cell[i]]``. The
-    pairs at a leaf are dropped after each step, so the pass costs about
-    one call per level of its deepest pair (Asadi, Lin & de Vries, IEEE
-    TKDE 2014)."""
-    at, flat = row * X.shape[1], X.ravel()
-    while len(node):
-        f = model.feature[node]
-        done = f < 0
-        leaf[cell[done]] = node[done]
-        live = ~done
-        node, at, cell, f = node[live], at[live], cell[live], f[live]
-        goes_left = flat[at + f] <= model.threshold[node]
-        node = np.where(goes_left, node + 1, model.right[node])
 
 
 def prune_and_retrain(

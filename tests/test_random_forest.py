@@ -260,17 +260,39 @@ def test_forest_vote_matches_exhaustive_oracle():
         assert got[i] == oracle_vote(model, x)
 
 
-_K, _BOUND = random_forest._PARTITION_ROWS, random_forest._STEP_PAIRS
-# around the size a node partitions at; a batch whose passes hold 3 trees,
-# and one whose passes hold 1
-_BATCH_SIZES = [0, 1, _K - 1, _K, _K + 1, _BOUND // 3, _BOUND + 1]
+_DROP = random_forest._DROP_LEVELS
+# (full passes, extra rows): no row, one, one pass's rows minus 1, plus 0
+# and plus 1, and rows that span 3 passes
+_BATCH_SHAPES = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]
+_GRID = np.array([-np.inf, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf, np.nan])
+
+
+@st.composite
+def chain_trees(draw) -> tuple:
+    """A tree deeper than ``2 * _DROP_LEVELS`` whose every internal node
+    has a leaf child. Its tests send 6 of the 8 grid values on down the
+    chain, so many rows go deep and leave it over several drop rounds."""
+    depth = draw(st.integers(2 * _DROP + 1, 3 * _DROP + 2))
+    feature, threshold, counts = [-1], [0.0], [draw(st.lists(st.integers(0, 2), min_size=5,
+                                                            max_size=5))]
+    for _ in range(depth):
+        f = draw(st.integers(0, N_FEATURES - 1))
+        stop = ([-1], [0.0], [draw(st.lists(st.integers(0, 2), min_size=5, max_size=5))])
+        if draw(st.booleans()):  # x <= 1.0 goes on down, to the left
+            feature, threshold, counts = ([f] + feature + stop[0], [1.0] + threshold + stop[1],
+                                          [[0] * 5] + counts + stop[2])
+        else:  # x <= -1.0 stops at the left leaf, the rest (NaN too) go on
+            feature, threshold, counts = ([f] + stop[0] + feature, [-1.0] + stop[1] + threshold,
+                                          [[0] * 5] + stop[2] + counts)
+    return feature, threshold, counts
 
 
 @st.composite
 def voted_forests(draw) -> ForestModel:
     """``preorder_forests`` shapes, single leaves included, with thresholds
     on the grid the rows are drawn from and leaf counts of 0-2, so rows
-    meet thresholds exactly and leaves, votes and masses tie often."""
+    meet thresholds exactly and leaves, votes and masses tie often; some
+    forests hold a ``chain_trees`` tree too."""
     trees = []
     for feature in draw(preorder_forests()):
         n = len(feature)
@@ -279,18 +301,23 @@ def voted_forests(draw) -> ForestModel:
                                min_size=n, max_size=n))
         trees.append((feature, [t if f >= 0 else 0.0 for f, t in zip(feature, threshold)],
                       [c if f < 0 else [0] * 5 for f, c in zip(feature, counts)]))
+    if draw(st.booleans()):
+        trees.insert(draw(st.integers(0, len(trees))), draw(chain_trees()))
     return forest_of(trees)
 
 
 @settings(deadline=None, max_examples=60)
-@given(voted_forests(), st.sampled_from(_BATCH_SIZES), st.booleans(), st.integers(0, 2**32 - 1))
-def test_forest_vote_matches_oracle_property(model, size, repeat, seed):
-    """Batches of every size around the partition threshold and the pass
-    bound, of distinct rows or of rows repeated from a few: the vote equals
-    the per-row oracle. The oracle scores each distinct row once."""
+@given(voted_forests(), st.sampled_from(_BATCH_SHAPES), st.booleans(), st.integers(0, 2**32 - 1))
+def test_forest_vote_matches_oracle_property(model, shape, repeat, seed):
+    """Batches of sizes around a pass of the vote, of distinct rows or of
+    rows repeated from a few, whose values include NaN and both infinities:
+    the vote equals the per-row oracle, which sends NaN right. So every
+    leaf holds any value that reaches it. The oracle scores each distinct
+    row once."""
+    passes, extra = shape
+    size = passes * (random_forest._STEP_PAIRS // len(model.starts)) + extra
     rng = np.random.default_rng(seed)
-    grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    distinct = grid[rng.integers(0, len(grid), size=(min(size, 2 * _K), N_FEATURES))]
+    distinct = _GRID[rng.integers(0, len(_GRID), size=(min(size, 256), N_FEATURES))]
     if repeat or size > len(distinct):  # a large batch repeats rows to keep the oracle cheap
         which = rng.integers(0, max(1, len(distinct) // 8), size=size)
     else:
