@@ -9,13 +9,12 @@ is scored once while the verdicts stay one per input row.
 A record is never emitted as an attack unless at least one anomaly model
 flagged it: the misuse stage can only confirm, refine, or trim alarms.
 
-``STAGES`` holds the three model stages, keyed by their command-line
-names: each stage's manifest key, file, report title, trainer, saver and
-loader. A saved bundle is a manifest naming the three model files and the
-stats file
-(``STATS_FILE``) their inputs were standardized with. The coarse class
-tagged on each misuse signature is the one fine-to-coarse mapping that
-prediction reads.
+``STAGES`` holds the three model stages by their command-line names:
+each stage's manifest key, file, report title and ``train`` summary, and
+its trainer, saver and loader. A saved bundle is a manifest naming the
+three model files and the stats file (``STATS_FILE``) their inputs were
+standardized with. The coarse class tagged on each misuse signature is
+the one fine-to-coarse mapping that prediction reads.
 
 ``train_all`` trains the neural net beside the forest and the centroids
 (see ``jobs.beside``).
