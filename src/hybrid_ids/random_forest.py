@@ -509,12 +509,12 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
     # tests column 0 against NaN, which no value passes, and is its own
     # right child
     is_leaf = model.feature < 0
-    offset = np.repeat(np.where(is_leaf, 0, model.feature) * chunk, 2)  # into ``flat``
+    offset = np.repeat(np.where(is_leaf, 0, model.feature) * chunk, 2)  # of its column in ``flat``
     threshold = np.repeat(np.where(is_leaf, np.nan, model.threshold), 2)
     right = np.where(is_leaf, np.arange(len(is_leaf)), model.right)
     child = 2 * np.column_stack([right, np.arange(1, len(right) + 1)]).ravel()
     columns = np.empty((model.n_features, chunk))
-    flat = columns.ravel()
+    flat = columns.ravel()  # a view, so it reads the rows each pass copies in
     total = np.zeros((n, 2 * N_CLASSES), dtype=np.int64)
     for first in range(0, n, chunk):
         m = min(chunk, n - first)
