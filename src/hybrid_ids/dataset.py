@@ -21,6 +21,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -214,7 +215,12 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
 
 # Lines per parse_kdd_block call, and so per predict_dataset call in
 # ``predict``: enough to spread the fixed costs of one loadtxt call and of a
-# vote that walks every tree node, few enough to keep a block's rows small.
+# vote that steps every tree, few enough to keep a block's rows small. The
+# first block is short, so ``predict`` writes its first verdicts once the
+# model is loaded and a few lines are scored, not a whole block; one line
+# would not do, as the verdict of a malformed first line waits for the
+# next block.
+FIRST_BLOCK_LINES = 16
 BLOCK_LINES = 1024
 
 
@@ -228,10 +234,12 @@ def open_kdd(path: str | Path) -> TextIO:
 
 def numbered_blocks(lines: Iterable[str]) -> Iterator[list[tuple[int, str]]]:
     """The non-blank lines, stripped and numbered from 1, in lists of up to
-    ``BLOCK_LINES``."""
+    ``FIRST_BLOCK_LINES``, then of up to ``BLOCK_LINES``."""
     numbered = ((n, text) for n, line in enumerate(lines, start=1) if (text := line.strip()))
-    while block := list(itertools.islice(numbered, BLOCK_LINES)):
+    size = FIRST_BLOCK_LINES
+    while block := list(itertools.islice(numbered, size)):
         yield block
+        size = BLOCK_LINES
 
 
 def parse_kdd_block(
@@ -435,8 +443,9 @@ class StandardizationStats:
     def divisor(self) -> np.ndarray:
         return np.where(self.stddev == 0.0, 1.0, self.stddev)
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
+        """Computed once: no code writes to the arrays of fitted or loaded stats."""
         return stats_fingerprint(self.mean, self.stddev)
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
 
@@ -89,7 +90,12 @@ class ForestConfig:
 @dataclass
 class ForestModel:
     """The nodes of all trees in preorder, tree after tree. The left child
-    of internal node ``i`` is ``i + 1``."""
+    of internal node ``i`` is ``i + 1``.
+
+    The first vote builds the node tables it steps through
+    (``vote_tables``) and keeps them with the model; they are never saved.
+    No code writes to the node arrays of a forest that has voted, so the
+    tables stay those of its nodes."""
 
     feature: np.ndarray  # int64, -1 at leaves
     threshold: np.ndarray  # float64, 0.0 at leaves
@@ -124,6 +130,29 @@ class ForestModel:
             starts=np.cumsum([0] + sizes[:-1]),
             **fields,
         )
+
+    @cached_property
+    def vote_tables(self) -> tuple[np.ndarray, ...]:
+        """What ``predict_batch`` reads per node, whatever the batch:
+
+        - ``tally``: per node, its class counts, then the one-hot vote of
+          their majority;
+        - ``column``, ``threshold`` and ``child``, per slot: a pair at node
+          ``i`` sits at slot ``2 * i``. A step adds 1 to the slot where the
+          row goes left, then moves to the child's slot: ``child[2 * i]``
+          is the right child's, ``child[2 * i + 1]`` the left one's. A
+          leaf tests column 0 against NaN, which no value passes, and is
+          its own right child;
+        - ``is_leaf``, per node.
+        """
+        is_leaf = self.feature < 0
+        majority = np.argmax(self.counts, axis=1)
+        tally = np.hstack([self.counts, np.eye(N_CLASSES, dtype=np.int64)[majority]])
+        column = np.repeat(np.where(is_leaf, 0, self.feature), 2)
+        threshold = np.repeat(np.where(is_leaf, np.nan, self.threshold), 2)
+        right = np.where(is_leaf, np.arange(len(is_leaf)), self.right)
+        child = 2 * np.column_stack([right, np.arange(1, len(right) + 1)]).ravel()
+        return tally, column, threshold, child, is_leaf
 
 
 def gini(counts, totals) -> np.ndarray:
@@ -499,20 +528,9 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (n, {model.n_features}) inputs")
     n, roots = len(X), model.starts
-    majority = np.argmax(model.counts, axis=1)
-    # per node: its class counts, then the one-hot vote of their majority
-    tally = np.hstack([model.counts, np.eye(N_CLASSES, dtype=np.int64)[majority]])
+    tally, column, threshold, child, is_leaf = model.vote_tables
     chunk = max(1, min(n, _STEP_PAIRS // len(roots)))
-    # a pair at node i sits at slot 2 * i. A step adds 1 to the slot where
-    # the row goes left, then moves to the child's slot: ``child[2 * i]``
-    # is the right child's, ``child[2 * i + 1]`` the left one's. A leaf
-    # tests column 0 against NaN, which no value passes, and is its own
-    # right child
-    is_leaf = model.feature < 0
-    offset = np.repeat(np.where(is_leaf, 0, model.feature) * chunk, 2)  # of its column in ``flat``
-    threshold = np.repeat(np.where(is_leaf, np.nan, model.threshold), 2)
-    right = np.where(is_leaf, np.arange(len(is_leaf)), model.right)
-    child = 2 * np.column_stack([right, np.arange(1, len(right) + 1)]).ravel()
+    offset = column * chunk  # of each slot's column in ``flat``
     columns = np.empty((model.n_features, chunk))
     flat = columns.ravel()  # a view, so it reads the rows each pass copies in
     total = np.zeros((n, 2 * N_CLASSES), dtype=np.int64)

@@ -16,6 +16,7 @@ from hybrid_ids import cli, dataset
 from hybrid_ids.centroids import CentroidModel
 from hybrid_ids.dataset import (
     BLOCK_LINES,
+    FIRST_BLOCK_LINES,
     N_FEATURES,
     N_RAW_FEATURES,
     Taxonomy,
@@ -156,8 +157,15 @@ def predicted_rows(tmp_path, monkeypatch, lines):
     return np.concatenate(scored), rejects.read_text().splitlines() if rejects.exists() else []
 
 
+# the last line of the first block and of the second, the lines on either
+# side of each, and line BLOCK_LINES and its neighbours, inside the second
+# block
+EDGES = [edge + d for edge in (FIRST_BLOCK_LINES, BLOCK_LINES, FIRST_BLOCK_LINES + BLOCK_LINES)
+         for d in (-1, 0, 1)]
+
+
 @pytest.mark.parametrize("fault", FAULTS)
-@pytest.mark.parametrize("position", [BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1])
+@pytest.mark.parametrize("position", EDGES)
 def test_predict_chunks_at_block_edges_match_oracle(tmp_path, monkeypatch, position, fault):
     lines = make_kdd_lines({"normal": 700, "neptune": 300, "ipsweep": 100}, seed=5)
     lines = [l if i % 2 else l.rsplit(",", 1)[0] for i, l in enumerate(lines)]
@@ -198,7 +206,7 @@ def read_matches_oracle(path, lines):
 
 
 @pytest.mark.parametrize("fault", FAULTS)
-@pytest.mark.parametrize("position", [BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1])
+@pytest.mark.parametrize("position", EDGES)
 def test_read_kdd_file_at_block_edges_matches_oracle(tmp_path, position, fault):
     lines = make_kdd_lines({"normal": 700, "neptune": 300, "ipsweep": 100}, seed=5)
     lines[position - 1] = _faulty(lines[position - 1], fault)
@@ -228,11 +236,12 @@ def kdd_files(draw):
 
 
 @settings(deadline=None, max_examples=200)
-@given(kdd_files(), st.sampled_from([1, 2, 5, BLOCK_LINES]))
-def test_read_kdd_dataset_matches_oracle(tmp_path_factory, lines, block_lines):
+@given(kdd_files(), st.sampled_from([(1, 1), (2, 5), (5, 2), (FIRST_BLOCK_LINES, BLOCK_LINES)]))
+def test_read_kdd_dataset_matches_oracle(tmp_path_factory, lines, sizes):
+    """Whatever the sizes of the first block and of the rest."""
     path = tmp_path_factory.getbasetemp() / "oracle.txt"
     path.write_text("\n".join(lines) + "\n")
-    with mock.patch.object(dataset, "BLOCK_LINES", block_lines):
+    with mock.patch.multiple(dataset, FIRST_BLOCK_LINES=sizes[0], BLOCK_LINES=sizes[1]):
         read_matches_oracle(path, lines)
 
 

@@ -892,9 +892,10 @@ def test_predict_undecodable_byte_rejects_only_its_line(workspace, tmp_path):
 def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monkeypatch):
     """``predict`` scores each parse block with one ``predict_dataset`` call
     and writes that block's rows before it parses the next. Whatever the
-    block size, and also where a block holds only rejected lines, its rows
-    equal one ``predict_dataset`` call over all accepted lines, and each
-    rejected line keeps its own number."""
+    sizes of the first block and of the rest, and also where the first
+    block holds only rejected lines, its rows equal one ``predict_dataset``
+    call over all accepted lines, and each rejected line keeps its own
+    number."""
     _prepared(workspace)
     assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
     by_label: dict[str, list[str]] = {}
@@ -916,9 +917,10 @@ def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monke
     ]
     assert 0 < stats.routed < stats.total
 
-    for block_lines in (1, 2, 5, 1024):
+    for first_lines, block_lines in ((1, 1), (2, 5), (5, 2),
+                                     (dataset_mod.FIRST_BLOCK_LINES, dataset_mod.BLOCK_LINES)):
         # the first block holds only malformed lines
-        stream = ["0,tcp,http,SF,1"] * block_lines + mixed
+        stream = ["0,tcp,http,SF,1"] * first_lines + mixed
         inputs = tmp_path / "stream.txt"
         inputs.write_text("\n".join(stream) + "\n")
         calls, printed, scored = [], [], []
@@ -935,6 +937,7 @@ def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monke
             scored.append(len(index))
             return predict_dataset(model, ds, index)
 
+        monkeypatch.setattr(dataset_mod, "FIRST_BLOCK_LINES", first_lines)
         monkeypatch.setattr(dataset_mod, "BLOCK_LINES", block_lines)
         monkeypatch.setattr(cli, "parse_kdd_block", parse_spy)
         monkeypatch.setattr(cli, "predict_dataset", predict_spy)
@@ -943,7 +946,8 @@ def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monke
         captured = capsys.readouterr()
         printed.extend(captured.out.splitlines())
 
-        n_blocks = -(-(len(stream) - 1) // block_lines)  # one line is blank
+        # one line is blank, and the first block holds the malformed lines
+        n_blocks = 1 + -(-(len(stream) - 1 - first_lines) // block_lines)
         assert calls == ["parse", "predict"] * n_blocks
         assert printed == expected
         csv_lines = (workspace["out"] / "predictions.csv").read_text().splitlines()
@@ -953,8 +957,57 @@ def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monke
         assert stats.describe() in captured.err
         rejects = (workspace["out"] / "predictions.rejects.txt").read_text().splitlines()
         assert [r.split(":")[0] for r in rejects] == [
-            *(f"line {n}" for n in range(1, block_lines + 1)),
-            f"line {block_lines + 3}", f"line {block_lines + 11}, column 'src_bytes'"]
+            *(f"line {n}" for n in range(1, first_lines + 1)),
+            f"line {first_lines + 3}", f"line {first_lines + 11}, column 'src_bytes'"]
+
+
+def test_predict_writes_the_first_verdicts_before_parsing_past_the_first_block(
+        workspace, tmp_path, capsys, monkeypatch):
+    """``predict`` writes the verdicts of the first ``FIRST_BLOCK_LINES``
+    non-blank lines before it parses a later line. Where all those lines
+    are malformed, its first verdict comes with the next block. Either way
+    its stdout, stderr, ``predictions.csv`` and rejects are the ones that
+    blocks of ``BLOCK_LINES`` from the first line on give."""
+    _prepared(workspace)
+    assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
+    first = dataset_mod.FIRST_BLOCK_LINES
+    good = [l if i % 2 else l.rsplit(",", 1)[0] for i, l in enumerate(workspace["lines"])]
+    good = (good * 4)[:first + dataset_mod.BLOCK_LINES + 20]  # three blocks
+    head = ["0,tcp,http,SF,1", "", good[0].replace(",tcp,", ",sctp,", 1)]
+    inputs = tmp_path / "stream.txt"
+
+    def predict(first_lines):
+        """Per parse call, its last line number and the rows out before
+        it; then the outputs."""
+        parsed, out, err = [], [], []
+
+        def parse_spy(block, labeled=True):
+            captured = capsys.readouterr()
+            out.append(captured.out)
+            err.append(captured.err)
+            parsed.append((block[-1][0], "".join(out).count("\n")))
+            return dataset_mod.parse_kdd_block(block, labeled)
+
+        monkeypatch.setattr(dataset_mod, "FIRST_BLOCK_LINES", first_lines)
+        monkeypatch.setattr(cli, "parse_kdd_block", parse_spy)
+        capsys.readouterr()
+        assert main(["predict", "--config", str(workspace["config"]),
+                     "--input", str(inputs)]) == 0
+        captured = capsys.readouterr()
+        files = [(workspace["out"] / f).read_bytes()
+                 for f in ("predictions.csv", "predictions.rejects.txt")]
+        return parsed, ("".join(out) + captured.out, "".join(err) + captured.err, *files)
+
+    blocks = dataset_mod.BLOCK_LINES
+    # (stream, rows out before the second block is parsed); blank lines do
+    # not count towards the first block
+    for stream, early in ((["", *good[:5], "bad,line", "", *good[5:]], first - 1),
+                          ([head[k % 3] for k in range(first * 3 // 2)] + good, 0)):
+        inputs.write_text("\n".join(stream) + "\n")
+        parsed, outputs = predict(first)
+        assert parsed[0][0] == [n for n, line in enumerate(stream, start=1) if line][first - 1]
+        assert [rows for _, rows in parsed] == [0, early, early + blocks]
+        assert predict(blocks)[1] == outputs
 
 
 def test_predict_reads_gzip_as_plain(workspace, tmp_path, capsys):
@@ -984,7 +1037,7 @@ def test_predict_calls_the_line_parser_once_per_rejected_line(workspace, tmp_pat
     good = [l if i % 3 else l.rsplit(",", 1)[0] for i, l in enumerate(workspace["lines"])]
     stream = (good * 5)[:1500]
     odd = stream[1200].split(",")
-    odd[5] = "1_000"  # loadtxt refuses the second block
+    odd[5] = "1_000"  # loadtxt refuses the last block
     stream[1200] = ",".join(odd)
     faults = {3: "0,tcp,http,SF,1", 40: good[0].replace(",tcp,", ",sctp,"),
               41: good[1].replace(",0,", ",-1,", 1), 900: "0,tcp,http,SF,1",

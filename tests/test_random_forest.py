@@ -4,6 +4,7 @@ independently of the library code paths they verify."""
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import os
 import signal
@@ -326,6 +327,37 @@ def test_forest_vote_matches_oracle_property(model, shape, repeat, seed):
     got = predict_batch(model, distinct[which])
     assert got.dtype == np.int64 and got.shape == (size,)
     assert np.array_equal(got, expected[which])
+
+
+@pytest.mark.parametrize("source", ["train_forest", "load_forest"])
+def test_forest_vote_tables_are_built_once(tmp_path, source):
+    """The first vote builds a forest's node tables and later votes reuse
+    them, on a trained or a loaded forest: batches of 1 row, 16 rows, one
+    pass's rows minus and plus 1, then 1 row again, each give the per-row
+    oracle's votes and those of a copy of the forest that builds its tables
+    for that batch alone. The tables are not saved."""
+    model = train_forest(separable_dataset(n_per_label=10, seed=5, spread=1.5),
+                         ForestConfig(n_trees=7, seed=8))
+    path = tmp_path / "forest.model"
+    save_forest(path, model)
+    if source == "load_forest":
+        model = load_forest(path)
+    saved_text = path.read_text()
+    rng = np.random.default_rng(9)
+    distinct = rng.normal(size=(64, N_FEATURES)) * 5
+    expected = np.array([oracle_vote(model, x) for x in distinct])
+    per_pass = random_forest._STEP_PAIRS // len(model.starts)
+    assert "vote_tables" not in vars(model)
+    for size in (1, 16, per_pass - 1, per_pass + 1, 1):
+        which = rng.integers(0, len(distinct), size=size)
+        fresh = ForestModel(**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
+        got = predict_batch(model, distinct[which])
+        assert np.array_equal(got, expected[which])
+        assert np.array_equal(got, predict_batch(fresh, distinct[which]))
+        for ours, theirs in zip(vars(model)["vote_tables"], fresh.vote_tables):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+    save_forest(path, model)
+    assert path.read_text() == saved_text
 
 
 def test_importance_concentrates_on_splitting_feature():
