@@ -396,7 +396,9 @@ def cmd_predict(cfg: RunConfig, input_path: str) -> int:
                 model, Dataset(X, [""] * len(X), [0] * len(X)), index)
             rows = _verdict_rows(verdicts)
             out.write(rows)
-            print(rows, end="")
+            # flushed, so a reader at the other end of a pipe gets each
+            # block's verdicts once they are scored
+            print(rows, end="", flush=True)
             stats += block_stats
     rejects_path = cfg.out_path("predictions.rejects.txt")
     if reject_lines:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import gzip
 import hashlib
+import io
 import os
 import re
 import signal
@@ -963,11 +964,12 @@ def test_predict_chunks_match_predict_dataset(workspace, tmp_path, capsys, monke
 
 def test_predict_writes_the_first_verdicts_before_parsing_past_the_first_block(
         workspace, tmp_path, capsys, monkeypatch):
-    """``predict`` writes the verdicts of the first ``FIRST_BLOCK_LINES``
-    non-blank lines before it parses a later line. Where all those lines
-    are malformed, its first verdict comes with the next block. Either way
-    its stdout, stderr, ``predictions.csv`` and rejects are the ones that
-    blocks of ``BLOCK_LINES`` from the first line on give."""
+    """``predict`` writes and flushes the verdicts of the first
+    ``FIRST_BLOCK_LINES`` non-blank lines before it parses a later line, so
+    a reader at the other end of a pipe gets them then. Where all those
+    lines are malformed, its first verdict comes with the next block.
+    Either way its stdout, stderr, ``predictions.csv`` and rejects are the
+    ones that blocks of ``BLOCK_LINES`` from the first line on give."""
     _prepared(workspace)
     assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
     first = dataset_mod.FIRST_BLOCK_LINES
@@ -976,30 +978,33 @@ def test_predict_writes_the_first_verdicts_before_parsing_past_the_first_block(
     head = ["0,tcp,http,SF,1", "", good[0].replace(",tcp,", ",sctp,", 1)]
     inputs = tmp_path / "stream.txt"
 
+    class Stdout(io.StringIO):
+        flushed = 0  # the lines written by the last flush
+
+        def flush(self):
+            self.flushed = self.getvalue().count("\n")
+
     def predict(first_lines):
-        """Per parse call, its last line number and the rows out before
+        """Per parse call, its last line number and the rows flushed before
         it; then the outputs."""
-        parsed, out, err = [], [], []
+        parsed, stdout = [], Stdout()
 
         def parse_spy(block, labeled=True):
-            captured = capsys.readouterr()
-            out.append(captured.out)
-            err.append(captured.err)
-            parsed.append((block[-1][0], "".join(out).count("\n")))
+            parsed.append((block[-1][0], stdout.flushed))
             return dataset_mod.parse_kdd_block(block, labeled)
 
         monkeypatch.setattr(dataset_mod, "FIRST_BLOCK_LINES", first_lines)
         monkeypatch.setattr(cli, "parse_kdd_block", parse_spy)
+        monkeypatch.setattr(sys, "stdout", stdout)
         capsys.readouterr()
         assert main(["predict", "--config", str(workspace["config"]),
                      "--input", str(inputs)]) == 0
-        captured = capsys.readouterr()
         files = [(workspace["out"] / f).read_bytes()
                  for f in ("predictions.csv", "predictions.rejects.txt")]
-        return parsed, ("".join(out) + captured.out, "".join(err) + captured.err, *files)
+        return parsed, (stdout.getvalue(), capsys.readouterr().err, *files)
 
     blocks = dataset_mod.BLOCK_LINES
-    # (stream, rows out before the second block is parsed); blank lines do
+    # (stream, rows flushed before the second block is parsed); blank lines do
     # not count towards the first block
     for stream, early in ((["", *good[:5], "bad,line", "", *good[5:]], first - 1),
                           ([head[k % 3] for k in range(first * 3 // 2)] + good, 0)):
