@@ -18,16 +18,17 @@ from __future__ import annotations
 import enum
 import gzip
 import itertools
+import locale
 import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ParseError, UnmappedLabelError
+from .errors import FormatError, ParseError, UnmappedLabelError
 from .persist import LineReader, atomic_write, fmt_floats, stats_fingerprint, version_line
 
 # Canonical KDD column order; the 42nd field is the label.
@@ -177,10 +178,13 @@ def parse_kdd_line(line: str, line_no: int = 1, labeled: bool = True) -> RawReco
     non-negative; each is converted once, and the first bad column, in
     column order, is reported.
     """
-    parts = line.strip().split(",")
+    text = line.strip()
     expected = N_RAW_FEATURES + 1 if labeled else N_RAW_FEATURES
-    if len(parts) != expected:
-        raise ParseError(f"expected {expected} fields, got {len(parts)}", line_no)
+    # counted before the split, so a line of many fields is refused
+    # without a string for each of them
+    if (commas := text.count(",")) != expected - 1:
+        raise ParseError(f"expected {expected} fields, got {commas + 1}", line_no)
+    parts = text.split(",")
     if labeled:
         fine_label = parts[-1].rstrip(".")
         if not fine_label:
@@ -591,21 +595,19 @@ _PROVENANCE = re.compile(r"# provenance: source=(.*) dedup=(true|false)(?: sampl
 _COARSE_CODES = {name: code for code, name in enumerate(COARSE_NAMES)}
 
 
-def _parse_rows(rows: Sequence[str]) -> tuple[Dataset, np.ndarray]:
-    """The distinct rows of stripped, non-blank data rows, each split and
-    converted once, in first-seen order, and each row's index among them.
-    Raises ValueError or KeyError when any row is not 41 finite numbers, a
-    label and a class."""
-    distinct, index = first_seen(rows)
-    if not distinct:
-        return Dataset(np.empty((0, N_FEATURES)), [], []), index
-    heads, fine, names = zip(*(row.rsplit(",", 2) for row in distinct))
+def _parse_rows(rows: Sequence[str]) -> Dataset:
+    """The records of distinct, stripped, non-blank data rows, each split
+    and converted once. Raises ValueError or KeyError when any row is not
+    41 finite numbers, a label and a class."""
+    if not rows:
+        return Dataset(np.empty((0, N_FEATURES)), [], [])
+    heads, fine, names = zip(*[row.rsplit(",", 2) for row in rows])
     for label in set(fine):
         check_fine_label(label)
     X = np.loadtxt(heads, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
-    if X.shape != (len(distinct), N_FEATURES) or not np.isfinite(X).all():
+    if X.shape != (len(rows), N_FEATURES) or not np.isfinite(X).all():
         raise ValueError("not a block of finite feature rows")
-    return Dataset(X, fine, [_COARSE_CODES[name] for name in names]), index
+    return Dataset(X, fine, [_COARSE_CODES[name] for name in names])
 
 
 def _row_problem(line: str) -> str | None:
@@ -636,27 +638,125 @@ def _row_problem(line: str) -> str | None:
     return None
 
 
-def load_dataset(path: str | Path) -> tuple[Dataset, np.ndarray]:
-    """Read a ``save_dataset`` file as its distinct rows, in first-seen
-    order, and each data row's index among them, so that
-    ``distinct.subset(index)`` holds one record per row of the file. Two
-    rows are one when their text is the same, labels included.
+# load_dataset reads whole lines of about this many bytes at a time: no file
+# is held as one block (see persist._read_lines), and the new lines of each
+# batch are decoded together.
+_READ_BYTES = 1 << 20
 
-    Raises FormatError naming the file and line on a bad format line,
-    provenance line or header, and on a row that is not 41 finite numbers,
-    a fine label (see :func:`check_fine_label`) and a coarse class name.
-    The provenance line is checked, not kept."""
-    r = LineReader(path)
+
+def _line_batches(fh: BinaryIO) -> Iterator[list[bytes]]:
+    r"""The lines of a binary file, ``_READ_BYTES`` or so at a time, each
+    ending in ``\n``: a last line without one gets it."""
+    while lines := fh.readlines(_READ_BYTES):
+        if not lines[-1].endswith(b"\n"):
+            lines[-1] += b"\n"
+        yield lines
+
+
+def _read_distinct(path: str | Path) -> tuple[list[str], np.ndarray, bool] | None:
+    r"""The distinct lines of a file, keyed on their bytes, ends included,
+    in first-seen order: each decoded as ``open`` decodes text, without its
+    end. Also each line's index among them, and whether any line ends in
+    ``\r\n``. None when a line does not decode, or holds a break that
+    ``str.splitlines`` ends a line at, other than its end (``\n`` or
+    ``\r\n``)."""
+    encoding = locale.getpreferredencoding(False)
+    ids: dict[bytes, int] = {}
+    index: list[int] = []
+    texts: list[str] = []
+    crlf = False
+    with open(path, "rb") as fh:
+        for lines in _line_batches(fh):
+            index += [ids.setdefault(line, len(ids)) for line in lines]
+            # the batch's new lines are the last ones keyed
+            new = len(ids) - len(texts)
+            fresh = lines if new == len(lines) else [*itertools.islice(reversed(ids), new)][::-1]
+            try:
+                text = b"".join(fresh).decode(encoding)
+            except UnicodeDecodeError:
+                return None
+            texts += text.splitlines()
+            if len(texts) != len(ids):
+                return None
+            crlf = crlf or "\r" in text
+    return texts, np.array(index, dtype=np.int64), crlf
+
+
+def _distinct_rows(texts: list[str], index: np.ndarray,
+                   crlf: bool) -> tuple[list[str], np.ndarray]:
+    """The distinct lines stripped, with blank ones dropped, and each
+    non-blank line's index among them. Lines that differ only in their ends
+    or in surrounding whitespace are one row."""
+    rows = list(map(str.strip, texts))
+    if not crlf and rows == texts and "" not in rows:
+        return rows, index
+    rows, remap = first_seen(rows)
+    index = remap[index]
+    if "" in rows:
+        blank = rows.index("")
+        del rows[blank]
+        index = index[index != blank]
+        index -= index > blank
+    return rows, index
+
+
+def _check_head(r: LineReader) -> None:
+    """The format line, the provenance line (checked, not kept) and the
+    column header of a dataset file."""
     r.version("dataset")
     if not _PROVENANCE.fullmatch(r.next("the provenance line").strip()):
         raise r.error("expected '# provenance: source=<source> dedup=<true|false> ...'")
     if r.next("the column header").strip() != _DATASET_HEADER:
         raise r.error("unexpected dataset header")
-    try:
-        return _parse_rows([row for row in map(str.strip, r.lines[r.line_no:]) if row])
-    except (ValueError, KeyError):
-        # A block fails only through a row that fails alone; rescan to name it.
-        raise r.error(next(p for p in map(_row_problem, r.rest()) if p)) from None
+
+
+def _refusal(path: str | Path) -> FormatError:
+    """The error that names the first line of a file that ``load_dataset``
+    refuses. The file is read again as text, as the other artifacts are,
+    and its lines checked in order; a file whose lines all read holds a line
+    break inside a line."""
+    r = LineReader(path)
+    _check_head(r)
+    problem = next(filter(None, map(_row_problem, r.rest())), None)
+    if problem:
+        return r.error(problem)
+    encoding = locale.getpreferredencoding(False)
+    with open(path, "rb") as fh:
+        lines = itertools.chain.from_iterable(_line_batches(fh))
+        line_no = next(n for n, line in enumerate(lines, start=1)
+                       if len(line.decode(encoding).splitlines()) > 1)
+    return FormatError("line break other than '\\n' or '\\r\\n'", path, line_no)
+
+
+def load_dataset(path: str | Path) -> tuple[Dataset, np.ndarray]:
+    r"""Read a ``save_dataset`` file as its distinct rows, in first-seen
+    order, and each data row's index among them, so that
+    ``distinct.subset(index)`` holds one record per row of the file. Two
+    rows are one when their stripped text is the same, labels included.
+
+    Each line is keyed on its bytes, so a repeated line costs one lookup;
+    only the distinct lines are decoded, stripped and converted. A line
+    ends in ``\n`` or ``\r\n`` (the last one may lack it) and holds no
+    other line break (a lone ``\r``, ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``,
+    ``\x85``, ``\u2028`` or ``\u2029``).
+
+    Raises FormatError naming the file on a file that does not decode, and
+    the file and line on a bad format line, provenance line or header, on a
+    row that is not 41 finite numbers, a fine label (see
+    :func:`check_fine_label`) and a coarse class name, and on a line break
+    inside a line. The provenance line is checked, not kept."""
+    read = _read_distinct(path)
+    if read is not None:
+        texts, index, crlf = read
+        # the head is the first three lines, and no data line repeats one
+        if index[:3].tolist() == [0, 1, 2] and (index[3:] > 2).all():
+            _check_head(LineReader(path, texts[:3]))
+            rows, index = _distinct_rows(texts[3:], index[3:] - 3, crlf)
+            try:
+                return _parse_rows(rows), index
+            except (ValueError, KeyError):
+                pass
+    raise _refusal(path)
 
 
 def save_stats(path: str | Path, stats: StandardizationStats) -> None:

@@ -47,11 +47,16 @@ def _read_lines(fh: TextIO) -> list[str]:
 
 class LineReader:
     """The lines of a text artifact, read in order; every error it makes
-    names the file and the 1-based number of the last line read."""
+    names the file and the 1-based number of the last line read. The
+    lines are read from ``path``, or are ``lines`` when the caller has read
+    them already."""
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, lines: list[str] | None = None):
         self.path = path
         self.line_no = 0
+        if lines is not None:
+            self.lines = lines
+            return
         try:
             with open(path) as fh:
                 self.lines = _read_lines(fh)

@@ -800,10 +800,11 @@ def test_evaluate_hybrid_logs_the_rows_it_scores(workspace, tmp_path, caplog):
 
 def test_evaluate_hybrid_peak_memory_stays_bounded(workspace, tmp_path):
     """``evaluate hybrid`` over a split of 1,200 distinct rows tiled 16x
-    (19,200 rows, 3.6 MB) peaks at 8.34 MB of traced allocations, most of
-    it the file's lines; the bound is 1.25 times that. Expanding the
+    (19,200 rows, 3.6 MB) peaks at 3.31 MB of traced allocations; the bound
+    is 1.25 times that. Reading the whole file as text lines, before
+    ``load_dataset`` keyed its raw lines, peaked at 8.34 MB; expanding the
     features to every row and keying the rows on their bytes, as
-    ``predict_dataset`` did, peaked at 14.0 MB."""
+    ``predict_dataset`` did, at 14.0 MB."""
     _prepared(workspace)
     assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0
     lines = make_kdd_lines({"normal": 600, "neptune": 300, "ipsweep": 200, "guess_passwd": 100},
@@ -822,7 +823,7 @@ def test_evaluate_hybrid_peak_memory_stays_bounded(workspace, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10.4e6
+    assert peak < 4.15e6
 
 
 def test_predict_stream(workspace, tmp_path, capsys):
