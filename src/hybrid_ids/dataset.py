@@ -653,24 +653,22 @@ def _line_batches(fh: BinaryIO) -> Iterator[list[bytes]]:
         yield lines
 
 
-def _read_distinct(path: str | Path) -> tuple[list[str], np.ndarray, bool] | None:
+def _read_distinct(path: str | Path) -> tuple[list[str], np.ndarray] | None:
     r"""The distinct lines of a file, keyed on their bytes, ends included,
     in first-seen order: each decoded as ``open`` decodes text, without its
-    end. Also each line's index among them, and whether any line ends in
-    ``\r\n``. None when a line does not decode, or holds a break that
-    ``str.splitlines`` ends a line at, other than its end (``\n`` or
-    ``\r\n``)."""
+    end. Also each line's index among them. None when a line does not
+    decode, or holds a break that ``str.splitlines`` ends a line at, other
+    than its end (``\n`` or ``\r\n``)."""
     encoding = locale.getpreferredencoding(False)
     ids: dict[bytes, int] = {}
     index: list[int] = []
     texts: list[str] = []
-    crlf = False
     with open(path, "rb") as fh:
         for lines in _line_batches(fh):
             index += [ids.setdefault(line, len(ids)) for line in lines]
             # the batch's new lines are the last ones keyed
             new = len(ids) - len(texts)
-            fresh = lines if new == len(lines) else [*itertools.islice(reversed(ids), new)][::-1]
+            fresh = [*itertools.islice(reversed(ids), new)][::-1]
             try:
                 text = b"".join(fresh).decode(encoding)
             except UnicodeDecodeError:
@@ -678,19 +676,14 @@ def _read_distinct(path: str | Path) -> tuple[list[str], np.ndarray, bool] | Non
             texts += text.splitlines()
             if len(texts) != len(ids):
                 return None
-            crlf = crlf or "\r" in text
-    return texts, np.array(index, dtype=np.int64), crlf
+    return texts, np.array(index, dtype=np.int64)
 
 
-def _distinct_rows(texts: list[str], index: np.ndarray,
-                   crlf: bool) -> tuple[list[str], np.ndarray]:
+def _distinct_rows(texts: list[str], index: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The distinct lines stripped, with blank ones dropped, and each
     non-blank line's index among them. Lines that differ only in their ends
     or in surrounding whitespace are one row."""
-    rows = list(map(str.strip, texts))
-    if not crlf and rows == texts and "" not in rows:
-        return rows, index
-    rows, remap = first_seen(rows)
+    rows, remap = first_seen(list(map(str.strip, texts)))
     index = remap[index]
     if "" in rows:
         blank = rows.index("")
@@ -747,11 +740,11 @@ def load_dataset(path: str | Path) -> tuple[Dataset, np.ndarray]:
     inside a line. The provenance line is checked, not kept."""
     read = _read_distinct(path)
     if read is not None:
-        texts, index, crlf = read
+        texts, index = read
         # the head is the first three lines, and no data line repeats one
         if index[:3].tolist() == [0, 1, 2] and (index[3:] > 2).all():
             _check_head(LineReader(path, texts[:3]))
-            rows, index = _distinct_rows(texts[3:], index[3:] - 3, crlf)
+            rows, index = _distinct_rows(texts[3:], index[3:] - 3)
             try:
                 return _parse_rows(rows), index
             except (ValueError, KeyError):

@@ -4,7 +4,9 @@ package, and its summary of paired times, on fixed numbers."""
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,11 +34,30 @@ def _stand_in(tmp_path: Path, body: str) -> Path:
     return tmp_path / "src"
 
 
-def test_times_run_to_the_first_byte_and_to_the_exit(tmp_path):
-    src = _stand_in(tmp_path, "time.sleep(0.3)\nprint(sys.argv[1:], flush=True)\ntime.sleep(0.5)\n")
+def test_times_run_to_the_first_byte_and_to_the_exit(tmp_path, monkeypatch):
+    # the stand-in writes, then waits to exit until the clock has been read
+    # a second time (the first byte's reading, after the start's), and fails
+    # if that does not come while it runs
+    release = tmp_path / "release"
+    src = _stand_in(tmp_path, (
+        "from pathlib import Path\n"
+        "print(sys.argv[1:], flush=True)\n"
+        "deadline = time.monotonic() + 30\n"
+        f"while not Path({str(release)!r}).exists():\n"
+        "    if time.monotonic() > deadline:\n"
+        "        sys.exit('the first byte was not read before the exit')\n"
+        "    time.sleep(0.005)\n"))
+    readings = []
+
+    def clock():
+        readings.append(time.perf_counter())
+        if len(readings) == 2:
+            release.touch()
+        return readings[-1]
+
+    monkeypatch.setattr(first_byte, "time", SimpleNamespace(perf_counter=clock))
     first_s, exit_s = first_byte.time_command(["evaluate", "hybrid"], tmp_path, src)
-    # the first byte is read when it is written, not at the exit 0.5 s later
-    assert 0.3 <= first_s and first_s + 0.25 <= exit_s
+    assert len(readings) == 3 and 0 < first_s < exit_s
 
 
 @pytest.mark.parametrize("body, match", [
