@@ -36,7 +36,6 @@ or if it never does.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -619,123 +618,124 @@ def save_forest(path: str | Path, model: ForestModel) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _leaf_counts_ok(parts: list[str]) -> bool:
-    try:
-        return parts[0] != "L" or all(0 <= int(v) < 2**63 for v in parts[1:])
-    except ValueError:
-        return False
-
-
-def _read_tree(r: LineReader, t: int, n_features: int) -> tuple:
-    """Tree ``t``, as ``ForestModel.from_trees`` takes it, from its lines."""
-    head = r.next(f"'tree {t} <nodes>'").split()
-    if len(head) != 3 or head[0] != "tree" or head[1] != str(t):
-        raise r.error(f"expected 'tree {t} <nodes>'")
-    n_nodes = r.number(head[2], int, "node count")
-    if n_nodes < 1:
-        raise r.error(f"tree {t} has no nodes")
-    first = r.line_no
-    body = r.lines[first:first + n_nodes]
-    if len(body) < n_nodes:
-        r.line_no = len(r.lines) + 1
-        raise r.error(f"unexpected end of file: tree {t} declares {n_nodes} nodes")
-
-    def bad(k: int, message: str) -> FormatError:
-        r.line_no = first + k + 1
-        return r.error(message)
-
-    feature, threshold = [-1] * n_nodes, [0.0] * n_nodes
-    leaves, leaf_text = [], []
-    level = 0  # internal nodes minus leaves so far: -1 once the tree is whole
-    for k, line in enumerate(body):
-        parts = line.split()
-        tag = parts[0] if parts else ""
-        if tag == "L" and len(parts) == N_CLASSES + 1:
-            leaves.append(k)
-            leaf_text.append(parts[1:])
-        elif tag == "I" and len(parts) == 3:
-            try:
-                feature[k], threshold[k] = int(parts[1]), float(parts[2])
-            except ValueError:
-                pass  # feature[k] stays -1, which the range check rejects
-            if not 0 <= feature[k] < n_features or not math.isfinite(threshold[k]):
-                raise bad(k, f"bad split '{line}'")
-        else:
-            raise bad(k, f"bad tree node '{line}': expected 'L' and {N_CLASSES} counts"
-                         " or 'I <feature> <threshold>'")
-        if level < 0:
-            raise bad(k, f"tree {t} is complete after {k} of its {n_nodes} nodes")
-        level += 1 if feature[k] >= 0 else -1
-    if level >= 0:
-        raise bad(n_nodes - 1, f"tree {t} is incomplete after its {n_nodes} nodes")
-    try:  # one conversion for all leaves; rescan only to place an error
-        leaf_counts = np.array(leaf_text, dtype=np.int64)
-        if leaf_counts.min() < 0:
-            raise ValueError
-    except (ValueError, OverflowError):
-        # numpy converts each string with int(), so the rescan finds the line
-        k = next(k for k, line in enumerate(body) if not _leaf_counts_ok(line.split()))
-        raise bad(k, f"leaf counts must be non-negative integers: '{body[k]}'") from None
-    counts = np.zeros((n_nodes, N_CLASSES), dtype=np.int64)
-    counts[leaves] = leaf_counts
-    r.line_no = first + n_nodes
-    return feature, threshold, counts
-
-
 # the columns of a node line, tag included, as numpy's text reader reads them
 _SPLIT_ROW = np.dtype([("tag", "U2"), ("feature", np.int64), ("threshold", np.float64)])
 _LEAF_ROW = np.dtype([("tag", "U2"), ("counts", np.int64, (N_CLASSES,))])
 
 
 def _rows(lines: list[str], dtype: np.dtype) -> np.ndarray:
-    """``lines`` through numpy's C text reader; ValueError on a bad token or token count."""
-    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1) if lines else np.zeros(0, dtype)
+    """The rows of ``lines`` through numpy's C text reader, up to the first
+    line it refuses (a bad token or token count). The reader takes or
+    refuses each line on its own, so a refused block is halved with the
+    same call until that line is found."""
+    def read(part: list[str]) -> np.ndarray:
+        return np.loadtxt(part, dtype=dtype, comments=None, ndmin=1) if part else np.zeros(0, dtype)
+
+    try:
+        return read(lines)
+    except ValueError:
+        lo, hi = 0, len(lines)  # lines[:lo] read; the first refused one is in lines[lo:hi]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                read(lines[lo:mid])
+                lo = mid
+            except ValueError:
+                hi = mid
+        return read(lines[:lo])
 
 
-def _read_trees(r: LineReader, n_trees: int, n_features: int) -> list[tuple] | None:
-    """All trees, as ``_read_tree`` reads them, through numpy's text reader
-    and checks on whole arrays; None when any check refuses, with ``r``
-    unmoved. The reader takes a subset of the number spellings of ``int``
-    and ``float`` and of the whitespace of ``str.split``, so a file that
-    loads here loads to the same arrays through ``_read_tree``."""
-    lines, at, sizes, body = r.lines, r.line_no, [], []
-    for t in range(n_trees):
-        head = lines[at].split() if at < len(lines) else []
-        try:
-            n = int(head[2]) if len(head) == 3 and head[:2] == ["tree", str(t)] else 0
-        except ValueError:
-            n = 0
-        if not 0 < n < len(lines) - at:
-            return None
-        body += lines[at + 1:at + 1 + n]
-        sizes.append(n)
-        at += 1 + n
+def _first_bad_node(body: list[str], text: np.ndarray, starts: np.ndarray, split: np.ndarray,
+                    leaf: np.ndarray, sizes: list[int], n_features: int) -> tuple[int, int, str]:
+    """The first line of ``body`` that ``_read_trees`` refuses, as its tree,
+    its index in ``body`` and why; of the reasons one line can have, the
+    first listed below names it. ``split`` and ``leaf`` are the rows read."""
+    internal, leafy = text[starts] == ord("I"), text[starts] == ord("L")
+    split_at, leaf_at = np.flatnonzero(internal), np.flatnonzero(leafy)
+    step = np.where(internal, 1, -1)
+    level = np.cumsum(step) + np.repeat(np.arange(len(sizes)), sizes)
+    ends = np.cumsum(sizes) - 1
+    refused = [
+        # a tag that is not one character and a space, as ``save_forest``
+        # writes it (the U2 tag field would read "I\0" as "I")
+        np.flatnonzero(~(internal | leafy) | (text[starts + 1] != ord(" "))),
+        # the first line of each kind that does not read
+        split_at[len(split):len(split) + 1],
+        leaf_at[len(leaf):len(leaf) + 1],
+        # the values of those before it
+        split_at[:len(split)][(split["feature"] < 0) | (split["feature"] >= n_features)
+                              | ~np.isfinite(split["threshold"])],
+        leaf_at[:len(leaf)][(leaf["counts"] < 0).any(axis=1)],
+        # a node after its tree is whole; the last node of a tree that is not
+        np.flatnonzero(level - step < 0),
+        ends[level[ends] >= 0],
+    ]
+    k, why = min((int(ks[0]), why) for why, ks in enumerate(refused) if len(ks))
+    t = int(np.searchsorted(ends, k))
+    n, line, tokens = sizes[t], body[k], len(body[k].split())
+    if why == 5:
+        return t, k, f"tree {t} is complete after {k - ends[t] + n - 1} of its {n} nodes"
+    if why == 6:
+        return t, k, f"tree {t} is incomplete after its {n} nodes"
+    if why and internal[k] and tokens == 3:
+        return t, k, f"bad split '{line}'"
+    if why and leafy[k] and tokens == N_CLASSES + 1:
+        return t, k, f"leaf counts must be non-negative integers: '{line}'"
+    return t, k, (f"bad tree node '{line}': expected 'L' and {N_CLASSES} counts"
+                  " or 'I <feature> <threshold>'")
+
+
+def _read_trees(r: LineReader, n_trees: int, n_features: int) -> list[tuple]:
+    """All trees, as ``ForestModel.from_trees`` takes them, through numpy's
+    text reader and checks on whole arrays. Raises FormatError at the first
+    bad line: a tree header, or a node line that does not read or is out of
+    place in its tree, which ``_first_bad_node`` finds once a check refuses."""
+    at, sizes, body = r.line_no, [], []
+    try:
+        for t in range(n_trees):
+            head = r.next(f"'tree {t} <nodes>'").split()
+            if len(head) != 3 or head[:2] != ["tree", str(t)]:
+                raise r.error(f"expected 'tree {t} <nodes>'")
+            n = r.number(head[2], int, "node count")
+            if n < 1:
+                raise r.error(f"tree {t} has no nodes")
+            if r.line_no + n > len(r.lines):
+                r.line_no = len(r.lines) + 1
+                raise r.error(f"unexpected end of file: tree {t} declares {n} nodes")
+            body += r.lines[r.line_no:r.line_no + n]
+            sizes.append(n)
+            r.line_no += n
+        head_error = None
+    except FormatError as exc:  # raised once the nodes of the trees before it pass
+        if not body:
+            raise
+        head_error = exc
     # each line's first two bytes, or a newline past its end; in UTF-8 a
     # byte below 0x80 is always a whole character
     text = np.frombuffer(("\n".join(body) + "\n\n").encode(), np.uint8)
     starts = np.r_[0, np.flatnonzero(text[:-2] == ord("\n")) + 1]
     first, internal = text[starts], text[starts] == ord("I")
-    try:
-        split = _rows(list(compress(body, internal.tolist())), _SPLIT_ROW)
-        leaf = _rows(list(compress(body, (first == ord("L")).tolist())), _LEAF_ROW)
-    except ValueError:
-        return None
+    split = _rows(list(compress(body, internal.tolist())), _SPLIT_ROW)
+    leaf = _rows(list(compress(body, (first == ord("L")).tolist())), _LEAF_ROW)
     # the running level enters tree t at -t when the trees before it are
-    # whole; each must first reach -1 at its last node, as in ``_read_tree``
-    level = np.cumsum(np.where(internal, 1, -1)) + np.repeat(np.arange(n_trees), sizes)
+    # whole; each must first reach -1 at its last node
+    level = np.cumsum(np.where(internal, 1, -1)) + np.repeat(np.arange(len(sizes)), sizes)
     ends = np.cumsum(sizes) - 1
-    # every line read, none blank; each tag one character and a space, as
-    # ``save_forest`` writes it (the U2 tag field would read "I\0" as "I")
+    # every line read, none blank; each tag one character and a space
     if not (len(split) + len(leaf) == len(body) and np.all(text[starts + 1] == ord(" "))
             and np.all((split["feature"] >= 0) & (split["feature"] < n_features))
             and np.isfinite(split["threshold"]).all() and np.all(leaf["counts"] >= 0)
-            and np.all(level[ends] == -1) and np.count_nonzero(level >= 0) == len(body) - n_trees):
-        return None
+            and np.all(level[ends] == -1)
+            and np.count_nonzero(level >= 0) == len(body) - len(sizes)):
+        t, k, message = _first_bad_node(body, text, starts, split, leaf, sizes, n_features)
+        r.line_no = at + t + k + 2
+        raise r.error(message)
+    if head_error is not None:
+        raise head_error
     feature, threshold = np.full(len(body), -1), np.zeros(len(body))
     counts = np.zeros((len(body), N_CLASSES), dtype=np.int64)
     feature[internal], threshold[internal] = split["feature"], split["threshold"]
     counts[~internal] = leaf["counts"]
-    r.line_no = at
     return list(zip(*(np.split(a, ends[:-1] + 1) for a in (feature, threshold, counts))))
 
 
@@ -756,17 +756,8 @@ def load_forest(path: str | Path) -> ForestModel:
     active = [r.number(v, int, "active feature") for v in r.value("active_features").split(",") if v]
     if not all(0 <= f < n_features for f in active):
         raise r.error(f"active feature out of 0..{n_features - 1}")
-    head, _, imp_text = r.next("'importances'").partition(" ")
-    if head != "importances":
-        raise r.error("expected 'importances <values>'")
-    importances = np.array([r.number(v, float, "importance") for v in imp_text.split()])
-    if len(importances) != n_features:
-        raise r.error(f"expected {n_features} importances, got {len(importances)}")
-    if not np.isfinite(importances).all():
-        raise r.error("non-finite importance value")
+    importances = r.float_row("importances", n_features)
     trees = _read_trees(r, n_trees, n_features)
-    if trees is None:  # line by line: name the first bad line, or read spellings numpy refuses
-        trees = [_read_tree(r, t, n_features) for t in range(n_trees)]
     r.end()
     return ForestModel.from_trees(
         trees,

@@ -9,7 +9,6 @@ import logging
 import os
 import signal
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from hybrid_ids import jobs, random_forest
 from hybrid_ids.dataset import CoarseLabel, Dataset, N_FEATURES, Taxonomy, read_kdd_dataset
 from hybrid_ids.errors import FormatError
 from hybrid_ids.random_forest import (
+    N_CLASSES,
     ForestConfig,
     ForestModel,
     gini,
@@ -551,12 +551,13 @@ def test_overflowing_midpoint_splits_at_lower_value(tmp_path, pair):
     (4, "active_features=1,x", "active feature 'x'"),
     (4, "active_features=1,41", "active feature out of"),
     (4, "active_features=1,99999999999999999999", "active feature out of"),
-    (5, "importances 0.5", "expected 41 importances, got 1"),
+    pytest.param(5, "importances 0.5", "expected 41 importances values, got 1",
+                 id="5-importances 0.5-one value of 41"),
     (5, "weights 0.5", "expected 'importances"),
-    pytest.param(5, "importances nan" + " 0.5" * 40, "non-finite importance value",
-                 id="5-importances nan 0.5 ...-non-finite importance value"),
-    pytest.param(5, "importances" + " 0.5" * 40 + " -inf", "non-finite importance value",
-                 id="5-importances 0.5 ... -inf-non-finite importance value"),
+    pytest.param(5, "importances nan" + " 0.5" * 40, "non-finite importances value",
+                 id="5-importances nan 0.5 ...-non-finite importances value"),
+    pytest.param(5, "importances" + " 0.5" * 40 + " -inf", "non-finite importances value",
+                 id="5-importances 0.5 ... -inf-non-finite importances value"),
 ])
 def test_load_forest_garbled_header(tmp_path, index, text, match):
     path, lines = saved("forest", tmp_path)
@@ -575,12 +576,31 @@ def test_load_forest_garbled_header(tmp_path, index, text, match):
     ("I 41 0.5", "bad split"),
     ("I two 0.5", "bad split"),
     ("I 3 nan", "bad split"),
+    # spellings that ``int`` and ``str.split`` take and numpy's text reader
+    # or the tag check does not
+    ("L 1_0 0 0 0 0", "leaf counts must be non-negative integers"),
+    ("L \u0669 0 0 0 0", "leaf counts must be non-negative integers"),
+    (" L 1 0 0 0 0", "bad tree node"),
 ])
 def test_load_forest_bad_node(tmp_path, node, match):
     path, lines = saved("forest", tmp_path)
     last_leaf = max(i for i, line in enumerate(lines) if line.startswith("L "))
     lines[last_leaf] = node
     expect_load_error(load_forest, path, lines, last_leaf + 1, match)
+
+
+@pytest.mark.parametrize("node, match", [
+    ("I 1_4 0.5", "bad split"),
+    ("I \u0669 0.5", "bad split"),
+    (" I 3 0.5", "bad tree node"),
+])
+def test_load_forest_bad_split_spelling(tmp_path, node, match):
+    """Splits that ``int`` and ``str.split`` read, and numpy's text reader
+    or the tag check does not, are refused at their line."""
+    path, lines = saved("forest", tmp_path)
+    last_split = max(i for i, line in enumerate(lines) if line.startswith("I "))
+    lines[last_split] = node
+    expect_load_error(load_forest, path, lines, last_split + 1, match)
 
 
 def _tree_headers(lines):
@@ -646,15 +666,6 @@ def _fields(model: ForestModel) -> dict:
             if isinstance(value, np.ndarray) else value for name, value in vars(model).items()}
 
 
-def _loaded_or_error(path):
-    """What ``load_forest`` makes of ``path``: the fields of the forest, or
-    the text of its FormatError."""
-    try:
-        return _fields(load_forest(path))
-    except FormatError as exc:
-        return str(exc)
-
-
 # tokens that ``int``, ``float`` or ``str.split`` take and numpy's text
 # reader may not, or the reverse, for a tag and for a number; the sample's
 # trees have 9 nodes each
@@ -665,6 +676,74 @@ _NUMBERS = (
 )
 _GAPS = (" ", "  ", "\t", " \t", "\xa0", "\u3000", "\x1f", "\x00", "", "#")
 
+# a node line's columns, tag included
+_NODE_COLUMNS = {
+    "I": np.dtype([("tag", "U2"), ("feature", np.int64), ("threshold", np.float64)]),
+    "L": np.dtype([("tag", "U2"), ("counts", np.int64, (N_CLASSES,))]),
+}
+
+
+def _node(line: str) -> tuple | str:
+    """One node line, read on its own: its feature, threshold and counts,
+    or why it does not load. Its tag must be one character and a space;
+    then numpy's text reader must take the line, or the token count tells
+    a bad value from a bad node; then its values must be in range."""
+    bad_node = (f"bad tree node '{line}': expected 'L' and {N_CLASSES} counts"
+                " or 'I <feature> <threshold>'")
+    tag = line[:1]
+    if tag not in _NODE_COLUMNS or line[1:2] != " ":
+        return bad_node
+    bad_value, n_tokens = ((f"bad split '{line}'", 3) if tag == "I" else
+                           (f"leaf counts must be non-negative integers: '{line}'", N_CLASSES + 1))
+    try:
+        row = np.loadtxt([line], dtype=_NODE_COLUMNS[tag], comments=None)
+    except ValueError:
+        return bad_value if len(line.split()) == n_tokens else bad_node
+    if tag == "L":
+        return (-1, 0.0, row["counts"].tolist()) if np.all(row["counts"] >= 0) else bad_value
+    if 0 <= row["feature"] < N_FEATURES and np.isfinite(row["threshold"]):
+        return int(row["feature"]), float(row["threshold"]), [0] * N_CLASSES
+    return bad_value
+
+
+def _read_by_line(lines: list[str], n_trees: int = 3) -> list[tuple] | tuple[int, str]:
+    """The nodes of a sample forest file whose tree lines may be edited,
+    read a line at a time, or the line number and message of its first bad
+    line: a tree's header, a node line that does not read, the first node
+    after its tree's level reaches -1, or the last node of a tree that
+    never does."""
+    at, nodes = 6, []
+    for t in range(n_trees):
+        if at == len(lines):
+            return at + 1, f"unexpected end of file, expected 'tree {t} <nodes>'"
+        head = lines[at].split()
+        if len(head) != 3 or head[:2] != ["tree", str(t)]:
+            return at + 1, f"expected 'tree {t} <nodes>'"
+        try:
+            n = int(head[2])
+        except ValueError:
+            return at + 1, f"node count '{head[2]}' is not a valid int"
+        if n < 1:
+            return at + 1, f"tree {t} has no nodes"
+        if at + 1 + n > len(lines):
+            return len(lines) + 1, f"unexpected end of file: tree {t} declares {n} nodes"
+        level = 0  # splits minus leaves so far
+        for k, line in enumerate(lines[at + 1:at + 1 + n]):
+            node = _node(line)
+            if isinstance(node, str):
+                return at + 2 + k, node
+            if level < 0:
+                return at + 2 + k, f"tree {t} is complete after {k} of its {n} nodes"
+            level += 1 if node[0] >= 0 else -1
+            nodes.append(node)
+        if level >= 0:
+            return at + 1 + n, f"tree {t} is incomplete after its {n} nodes"
+        at += 1 + n
+    extra = next((i for i in range(at, len(lines)) if lines[i].strip()), None)
+    if extra is not None:
+        return extra + 1, f"unexpected content after the end: '{lines[extra]}'"
+    return nodes
+
 
 @pytest.fixture(scope="module")
 def parity_dir(tmp_path_factory):
@@ -672,13 +751,25 @@ def parity_dir(tmp_path_factory):
 
 
 def assert_loads_as_per_line(path, lines: list[str]) -> None:
-    """``lines``, written to ``path``, load to the same arrays, or raise
-    the same FormatError (message and line), as they do through the
-    per-line reader alone."""
+    """``lines``, written to ``path``, load to the nodes that reading them
+    a line at a time gives, and save and load again to the same fields; or
+    raise a FormatError with the message and line of the first bad line."""
     path.write_text("".join(line + "\n" for line in lines))
-    got = _loaded_or_error(path)
-    with mock.patch.object(random_forest, "_read_trees", return_value=None):
-        assert got == _loaded_or_error(path), lines
+    expected = _read_by_line(lines)
+    if isinstance(expected, tuple):
+        line_no, message = expected
+        with pytest.raises(FormatError) as info:
+            load_forest(path)
+        assert info.value.line_no == line_no, lines
+        assert str(info.value) == f"{path}, line {line_no}: {message}", lines
+        return
+    model = load_forest(path)
+    feature, threshold, counts = zip(*expected)
+    assert model.feature.tolist() == list(feature), lines
+    assert model.threshold.tobytes() == np.array(threshold).tobytes(), lines
+    assert model.counts.tolist() == list(counts), lines
+    save_forest(path, model)
+    assert _fields(load_forest(path)) == _fields(model), lines
 
 
 @pytest.mark.parametrize("tag", ["tree", "I", "L"])
@@ -686,9 +777,9 @@ def assert_loads_as_per_line(path, lines: list[str]) -> None:
 @given(data=st.data())
 def test_forest_loader_matches_the_per_line_reader(parity_dir, tag, data):
     """One edit to a line of a tree (its header, a split or a leaf), or to
-    the tree's shape: ``load_forest`` loads the same arrays, or raises the
-    same FormatError (message and line), as its per-line reader over the
-    whole file."""
+    the tree's shape: ``load_forest`` loads the nodes that reading the file
+    a line at a time gives, or raises that reading's FormatError (message
+    and line)."""
     path, lines = saved("forest", parity_dir)
     i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.split()[0] == tag]))
     tokens = lines[i].split(" ")
@@ -743,15 +834,14 @@ _THRESHOLDS = st.floats(allow_nan=False, allow_infinity=False)
 @given(data=st.data())
 def test_saved_forest_loads_in_bulk_bit_for_bit(parity_dir, data):
     """Any finite thresholds that ``save_forest`` writes load back to their
-    bits, and a file it writes never needs the per-line reader."""
+    bits."""
     path, _ = saved("forest", parity_dir)
     model = load_forest(path)
     internal = np.flatnonzero(model.feature >= 0)
     model.threshold[internal] = data.draw(
         st.lists(_THRESHOLDS, min_size=len(internal), max_size=len(internal)))
     save_forest(path, model)
-    with mock.patch.object(random_forest, "_read_tree", side_effect=AssertionError("per-line read")):
-        assert _fields(load_forest(path)) == _fields(model)
+    assert _fields(load_forest(path)) == _fields(model)
 
 
 @pytest.mark.parametrize("depth", [0, -2])
