@@ -132,7 +132,8 @@ class HybridModel:
 def train_rf(std_train: Dataset, config: HybridConfig) -> ForestModel:
     """The forest stage, retrained on its important features (see
     ``prune_and_retrain``)."""
-    ranked = rf.rank_columns(std_train.X)  # shared by the forest and its retrain
+    # shared by the forest and its retrain
+    ranked = rf.rank_columns(std_train.X, std_train.coarse)
     forest = rf.train_forest(std_train, config.rf, ranked=ranked)
     return rf.prune_and_retrain(std_train, forest, config.rf, ranked=ranked)
 

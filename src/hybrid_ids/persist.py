@@ -88,14 +88,23 @@ class LineReader:
         return value
 
     def number(self, text: str, kind: type, what: str):
+        """``text`` as a ``kind`` (int or float). Digits other than ASCII
+        ones and ``_`` are refused, as numpy's text reader refuses them in
+        the rows of a file, though Python's ``int`` and ``float`` take them."""
         try:
+            if not text.isascii() or "_" in text:
+                raise ValueError
             return kind(text)
         except ValueError:
             raise self.error(f"{what} '{text}' is not a valid {kind.__name__}") from None
 
     def floats(self, texts: list[str], count: int, what: str) -> np.ndarray:
-        """``texts`` as exactly ``count`` finite float64 values."""
+        """``texts`` as exactly ``count`` finite float64 values, each
+        spelled as ``number`` takes it."""
+        joined = "".join(texts)
         try:
+            if not joined.isascii() or "_" in joined:
+                raise ValueError
             values = np.array(texts, dtype=np.float64)
         except ValueError:  # numpy converts with float(); rescan to name the value
             values = np.array([self.number(v, float, what) for v in texts])

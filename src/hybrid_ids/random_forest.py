@@ -14,7 +14,15 @@ placing the leaves it pops on the way (a pure node, one too small to
 split or one at the depth bound), and searches those nodes together: the
 class counts of every present value of every (node, candidate feature)
 pair come from one ``bincount`` over a dense key space, and the step's
-rows are cut and their children's classes counted in one pass. So a
+rows are cut and their children's classes counted in one pass. Each
+cell of the training set is one key, its value's rank in its column
+times N_CLASSES plus its row's label (``rank_columns``), so one gather
+gives a search both. The keys are int32 below 2**31 / N_CLASSES rows,
+and a search's own keys wherever its key space is at most 2**31. Only
+class boundaries are priced: a cut between two adjacent values that both
+hold one and the same class is never the best (Fayyad & Irani 1992; see
+``_pair_cuts``), and 78% of the cuts between adjacent values that the
+bench's forest meets are such. So a
 forest takes about as many steps as its tree with the most searched
 nodes has, not as its largest tree has nodes. Every tree still meets its
 nodes and draws from its stream in the order it would alone, and no
@@ -30,7 +38,8 @@ still-unfinished trees grows beside the first (see ``jobs.beside``), at
 most once per forest, and the trees go back to their places in tree
 order. So the trees, and the importances summed over them, are the
 one-process forest's to the bit, whichever step the handoff happens at,
-or if it never does.
+or if it never does. The prune gate's two votes run side by side the
+same way (see ``prune_and_retrain``).
 """
 
 from __future__ import annotations
@@ -163,52 +172,60 @@ def gini(counts, totals) -> np.ndarray:
     return 1.0 - ((np.asarray(counts, dtype=np.float64) / totals[..., None]) ** 2).sum(axis=-1)
 
 
-def rank_columns(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per column, its sorted distinct values and every row's int32 rank
-    among them (``values[f][ranks[r, f]] == X[r, f]``)."""
+def rank_columns(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per column, its sorted distinct values; and per row and column, the
+    row's rank among them and its label as one key, ``rank * N_CLASSES +
+    label`` (``values[f][keys[r, f] // N_CLASSES] == X[r, f]``). A rank is
+    below the row count, so the keys are int32 below 2**31 / N_CLASSES rows."""
     X = np.asarray(X, dtype=np.float64)
-    ranks = np.empty(X.shape, dtype=np.int32)
+    keys = np.empty(X.shape, dtype=np.int32 if len(X) < 2**31 // N_CLASSES else np.int64)
     values = []
     for f in range(X.shape[1]):
-        uniq, ranks[:, f] = np.unique(X[:, f], return_inverse=True)
+        uniq, keys[:, f] = np.unique(X[:, f], return_inverse=True)
         values.append(uniq)
-    return ranks, values
+    keys *= N_CLASSES
+    keys += np.asarray(labels, dtype=keys.dtype)[:, None]
+    return keys, values
 
 
-def _class_counts(ranks, rows, labels, sizes, cand):
+def _class_counts(keys, rows, sizes, cand):
     """The class counts of every present value of every (node, candidate)
     pair, from one ``bincount`` over a dense key space.
 
     Pair ``p = node * m + slot`` holds the node's rows in the slot's
-    candidate feature, and its keys are (rank - the pair's lowest rank +
-    the pair's offset) * N_CLASSES + label. A pair whose rank range is no
-    wider than its node owns a dense run of the key space. The keys of a
-    wider pair are sorted instead, so a small node on a column of many
-    distinct values costs its rows, not the column's values.
+    candidate feature. Their keys from ``rank_columns``, gathered at once,
+    are moved by (the pair's offset - its lowest rank) * N_CLASSES, so
+    each key becomes (rank - lowest rank + offset) * N_CLASSES + label. A
+    pair whose rank range is no wider than its node owns a dense run of
+    the key space. The keys of a wider pair are sorted instead, so a small
+    node on a column of many distinct values costs its rows, not the
+    column's values.
 
     Returns, in key order (run after run, rank after rank): each present
-    value's class counts, its run, and its rank in its feature; and each
-    run's pair. The dense pairs' runs come first, then the sorted ones',
-    each in pair order.
+    value's class counts, its run, its rank in its feature, and its class
+    when it holds one class only (else -1); and each run's pair. The dense
+    pairs' runs come first, then the sorted ones', each in pair order.
     """
     k, m = cand.shape
-    at = np.repeat(cand.T, sizes, axis=1)
-    at += rows * ranks.shape[1]
-    r = ranks.ravel()[at]  # (slot, row) -> rank
+    at = np.repeat(cand.T, sizes, axis=1)  # intp, as np.take wants it
+    at += rows * keys.shape[1]
+    r = np.take(keys.ravel(), at)  # (slot, row) -> rank * N_CLASSES + label
     del at
     starts = np.cumsum(sizes) - sizes
-    lo = np.minimum.reduceat(r, starts, axis=1).T.ravel()
-    span = np.maximum.reduceat(r, starts, axis=1).T.ravel() - lo + 1
+    lo = np.minimum.reduceat(r, starts, axis=1).T.ravel() // N_CLASSES
+    span = np.maximum.reduceat(r, starts, axis=1).T.ravel() // N_CLASSES - lo + 1
     dense = span <= np.repeat(sizes, m)
     pair_of_run = np.concatenate([np.flatnonzero(dense), np.flatnonzero(~dense)])
     run_start = np.cumsum(span[pair_of_run]) - span[pair_of_run]
     offset = np.empty_like(run_start)
     offset[pair_of_run] = run_start
-    keys = np.repeat((offset - lo).reshape(k, m).T, sizes, axis=1)
+    # int32 keys where the key space fits: (rank - lo + offset) * N_CLASSES
+    # + label < n_keys <= 2**31
+    n_keys = int(span.sum()) * N_CLASSES
+    shift = ((offset - lo) * N_CLASSES).astype(r.dtype if n_keys <= 2**31 else np.int64)
+    keys = np.repeat(shift.reshape(k, m).T, sizes, axis=1)
     keys += r
     del r
-    keys *= N_CLASSES
-    keys += labels
     keys = keys.ravel()
     n_dense = int(span[dense].sum()) * N_CLASSES
     if dense.all():  # no wide pair, so no keys to split off
@@ -222,34 +239,53 @@ def _class_counts(ranks, rows, labels, sizes, cand):
     dense_keys = np.flatnonzero(dense_counts)
     value_bin, label = np.divmod(np.concatenate([dense_keys, sorted_keys]), N_CLASSES)
     first = np.concatenate(([True], value_bin[1:] != value_bin[:-1]))
-    present = value_bin[first]
+    heads = np.flatnonzero(first)
+    present = value_bin[heads]
     hist = np.zeros((len(present), N_CLASSES), dtype=np.int64)
     hist[np.cumsum(first) - 1, label] = np.concatenate([dense_counts[dense_keys], sorted_counts])
+    # a value holds one class when its first key is also its last
+    last = np.concatenate((first[1:], [True]))
+    one_class = np.where(last[heads], label[heads], -1)
     run = np.searchsorted(run_start, present, side="right") - 1
     rank = present - run_start[run] + lo[pair_of_run[run]]
-    return hist, run, rank, pair_of_run
+    return hist, run, rank, one_class, pair_of_run
 
 
-def _pair_cuts(ranks, rows, labels, sizes, cand, counts):
+def _pair_cuts(keys, rows, sizes, cand, counts):
     """Each (node, candidate) pair's lowest-cost cut: a ``(nodes, m)``
     array of weighted child Gini (``inf`` where the pair has one value
-    only), and the ranks of the values either side of the cut. Costs are
-    evaluated only between adjacent present values; ties go to the lower
-    rank. Each large temporary is dropped once used, which bounds the
-    search's memory by the largest of them."""
+    only), and the ranks of the values either side of the cut. Ties go to
+    the lower rank.
+
+    Costs are evaluated only at class boundaries: between adjacent present
+    values, but not between two that both hold one and the same class
+    (Fayyad & Irani 1992 show this for entropy). Along a run of such
+    values, the rows that move left are all of that class, and the
+    weighted Gini is strictly concave in their count, as the node holds
+    another class. So a cut inside the run costs more than a cut at one of
+    its ends or, where the run begins or ends the pair's values, more than
+    the parent's Gini, which no cut exceeds. The cuts priced are priced by
+    the full scan's formula, so the result is the full scan's wherever the
+    rounding of a cost (about 1e-16) stays below these margins.
+
+    The search's keys are int32 where its key space, the pairs' rank
+    ranges times N_CLASSES, is at most 2**31; the gather index stays intp,
+    as ``np.take`` would convert any other. Each large temporary is
+    dropped once used, which bounds the search's memory by the largest of
+    them."""
     k, m = cand.shape
-    hist, run, rank, pair_of_run = _class_counts(ranks, rows, labels, sizes, cand)
+    hist, run, rank, one_class, pair_of_run = _class_counts(keys, rows, sizes, cand)
+    same_class = (one_class[1:] == one_class[:-1]) & (one_class[1:] >= 0)
+    boundary = np.flatnonzero((run[1:] == run[:-1]) & ~same_class)
+    b_run = run[boundary]
     # a run's values hold all its node's rows, so the running count
     # entering a run is the counts of the nodes of the runs before it
     run_counts = counts[pair_of_run // m]
-    cum = np.cumsum(hist, axis=0) - (np.cumsum(run_counts, axis=0) - run_counts)[run]
+    entering = np.cumsum(run_counts, axis=0) - run_counts
+    left = (np.cumsum(hist, axis=0)[boundary] - entering[b_run]).astype(np.float64)
     del hist
-    boundary = np.flatnonzero(run[1:] == run[:-1])
-    b_run = run[boundary]
     node = pair_of_run[b_run] // m
     n = sizes[node]
-    left = cum[boundary].astype(np.float64)
-    del cum
     left_n = left.sum(axis=1)
     right_n = n - left_n
     right = counts[node].astype(np.float64) - left
@@ -291,7 +327,7 @@ def _pieces(a: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
     return [a[start:end] for start, end in zip([0] + ends, ends)]
 
 
-def _best_splits(X, ranks, values, y, nodes):
+def _best_splits(X, keys, values, y, nodes):
     """The best split of each node in ``nodes``, searched together.
 
     A node is ``(rows, class counts, sorted candidate features)`` with at
@@ -308,21 +344,22 @@ def _best_splits(X, ranks, values, y, nodes):
     sizes = np.array([len(r) for r in rows_of])
     rows = np.concatenate(rows_of)
     labels = y[rows]
-    cost, lo_rank, hi_rank = _pair_cuts(ranks, rows, labels, sizes, cand, counts)
-    slot = np.argmin(cost, axis=1)  # candidates ascend, so the lower feature wins ties
+    cost, lo_rank, hi_rank = _pair_cuts(keys, rows, sizes, cand, counts)
+    # each node's cheapest pair: candidates ascend, so the lower feature wins ties
+    best = np.arange(k), np.argmin(cost, axis=1)
     parent_gini = gini(counts, sizes)
     splits = [None] * k
     feature, threshold = np.zeros(k, dtype=np.int64), np.full(k, np.inf)
-    for i, j in enumerate(slot.tolist()):
-        best_cost = float(cost[i, j])
-        if not parent_gini[i] - best_cost > _MIN_GAIN:  # also when no cut (inf)
+    for i, (best_cost, parent, f, lo, hi) in enumerate(zip(
+            cost[best].tolist(), parent_gini.tolist(), cand[best].tolist(),
+            lo_rank[best].tolist(), hi_rank[best].tolist())):
+        if not parent - best_cost > _MIN_GAIN:  # also when no cut (inf)
             continue
-        f = int(cand[i, j])
-        lo, hi = values[f][lo_rank[i, j]], values[f][hi_rank[i, j]]
+        lo, hi = values[f][lo], values[f][hi]
         thr = (lo + hi) / 2.0
         if not lo <= thr < hi:  # rounded onto hi (adjacent floats) or overflowed
             thr = lo
-        splits[i] = (f, float(thr), parent_gini[i], best_cost)
+        splits[i] = (f, float(thr), parent, best_cost)
         feature[i], threshold[i] = f, thr
     # a node that does not split sends its rows left (threshold +inf); its
     # children are dropped
@@ -362,7 +399,7 @@ def grow_trees(
     """Grow one CART tree per row sample in ``samples`` (duplicates
     allowed), tree ``t`` drawing its candidate features from ``rngs[t]``.
 
-    ``ranked`` is ``rank_columns(X)``. Returns each tree's ``(feature,
+    ``ranked`` is ``rank_columns(X, y)``. Returns each tree's ``(feature,
     threshold, counts)`` in preorder, as ``ForestModel.from_trees``
     takes them, and a ``(trees, features)`` array of each tree's impurity
     decrease per feature, weighted by node size over sample size.
@@ -384,7 +421,7 @@ def grow_trees(
     first (see ``jobs.beside``), each half on from the lockstep state at
     that step, and puts the trees back in their places.
     """
-    ranks, values = ranked
+    keys, values = ranked
     X = np.ascontiguousarray(X, dtype=np.float64)  # split rows are read by flat index
     m = min(config.features_per_split, len(active_features))
     trees = [([], [], []) for _ in samples]
@@ -407,11 +444,11 @@ def grow_trees(
                 node_counts.append(counts)
                 depth_ok = config.max_depth is None or depth < config.max_depth
                 if depth_ok and mixed and len(rows) >= config.min_samples_split:
-                    cand = np.sort(rngs[t].choice(active_features, size=m, replace=False))
+                    cand = sorted(rngs[t].choice(active_features, size=m, replace=False).tolist())
                     searched.append((t, node, depth, (rows, counts, cand)))
                     break
         for group in _groups(searched, [len(entry[3][0]) * m for entry in searched]):
-            found = _best_splits(X, ranks, values, y, [entry[3] for entry in group])
+            found = _best_splits(X, keys, values, y, [entry[3] for entry in group])
             for (t, node, depth, (rows, _, _)), split in zip(group, found):
                 if split is None:
                     continue
@@ -464,7 +501,7 @@ def train_forest(
     size len(ds); deterministic per seed (one spawned RNG stream per tree,
     merged in tree order).
 
-    ``ranked`` is ``rank_columns(ds.X)``, computed here when not given.
+    ``ranked`` is ``rank_columns(ds.X, ds.coarse)``, computed here when not given.
     The trees grow in lockstep, half of the unfinished ones beside the
     rest once a second CPU is free (see ``grow_trees``). Each tree draws
     its sample, then its candidates, from its own stream in the order it
@@ -489,7 +526,7 @@ def train_forest(
     samples = [np.sort(rng.integers(0, n, size=n)) for rng in rngs]
     trees, tree_importances = grow_trees(
         ds.X, ds.coarse, samples, rngs, config, active,
-        ranked if ranked is not None else rank_columns(ds.X),
+        ranked if ranked is not None else rank_columns(ds.X, ds.coarse),
     )
     importances = tree_importances.sum(axis=0) / config.n_trees
     total = importances.sum()
@@ -571,8 +608,10 @@ def prune_and_retrain(
     Keeps the smallest importance-ranked prefix covering
     ``importance_keep_threshold`` cumulative mass. If the retrained forest
     loses more than 0.5 accuracy points against the unpruned one on ``ds``,
-    the unpruned model is kept and a warning logged. ``ranked`` is
-    ``rank_columns(ds.X)``, as for ``train_forest``.
+    the unpruned model is kept and a warning logged. The unpruned forest
+    votes in a job beside the retrained one where a second CPU is free
+    (see ``jobs.beside``); the votes and the log are the same either way.
+    ``ranked`` is ``rank_columns(ds.X, ds.coarse)``, as for ``train_forest``.
     """
     order = np.argsort(-model.feature_importances, kind="stable")
     cum = np.cumsum(model.feature_importances[order])
@@ -580,8 +619,15 @@ def prune_and_retrain(
     keep = min(keep, int((model.feature_importances > 0).sum()) or 1)
     active = np.sort(order[:keep])
     retrained = train_forest(ds, config, active_features=active, ranked=ranked)
-    acc_before = overall_accuracy(confusion(predict_batch(model, ds.X), ds.coarse))
-    acc_after = overall_accuracy(confusion(predict_batch(retrained, ds.X), ds.coarse))
+
+    def accuracy(forest: ForestModel) -> float:
+        return overall_accuracy(confusion(predict_batch(forest, ds.X), ds.coarse))
+
+    acc_before, acc_after = jobs.beside(
+        lambda: accuracy(model), lambda: accuracy(retrained), log,
+        what="voting the unpruned forest",
+        done="voted the unpruned forest beside the retrained one",
+    )
     if acc_before - acc_after > 0.5:
         log.warning(
             "feature pruning dropped accuracy %.3f -> %.3f; keeping the unpruned forest",

@@ -329,6 +329,18 @@ DAMAGE = [
     ("dataset", at(2, lambda line: line.replace("duration", "length")), 3,
      "unexpected dataset header"),
     ("forest", drop(2), 3, "expected 'n_trees='"),
+    # spellings that Python's int() and float() take and numpy's reader refuses
+    ("forest", put(2, "n_trees=\u0663"), 3, "n_trees '\u0663' is not a valid int"),
+    ("forest", put(2, "n_trees=0_3"), 3, "n_trees '0_3' is not a valid int"),
+    ("forest", at(4, lambda line: line.replace(",10,", ",1_0,")), 5,
+     "active feature '1_0' is not a valid int"),
+    ("forest", put(6, "tree 0 \u0669"), 7, "node count '\u0669' is not a valid int"),
+    ("forest", at(5, lambda line: line.replace(" 0.0 ", " 0_0.0 ", 1)), 6,
+     "importances '0_0.0' is not a valid float"),
+    ("mlp", at(5, lambda line: line.replace(" 0.", " \u0660.", 1)), 6,
+     "b0 '\u0660.1257302210933933' is not a valid float"),
+    ("stats", at(2, lambda line: line.replace(" 1.", " 1_0.", 1)), 3,
+     "mean '1_0.6943814248042501' is not a valid float"),
     ("centroids", put(2, "entries=5"), 9, "unexpected content after the end"),
     ("centroids", put(2, "entries=7"), 10, "unexpected end of file"),
     ("centroids", append("entry junk"), 10, "unexpected content after the end"),

@@ -860,6 +860,25 @@ def test_predict_peak_memory_stays_bounded_on_a_long_line(workspace, tmp_path, c
         re.sub(r"^line (\d+)", lambda m: f"line {int(m[1]) + 1}", r) for r in clean_rejects]
 
 
+def test_prepare_peak_memory_stays_bounded_on_a_long_line(workspace, capsys):
+    """A ``prepare`` corpus whose first line is 3 MB of two-digit fields (a
+    million commas) is refused at that line with its field count, and
+    peaks at 6.07 MB of traced allocations; the bound is 1.25 times that.
+    Reading the line costs about twice its length, as in ``predict``."""
+    data = workspace["data"]
+    data.write_text(",".join(["12"] * 1_000_001) + "\n" + data.read_text())
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["prepare", "--config", str(workspace["config"])]) != 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.59e6
+    assert capsys.readouterr().err.splitlines()[-1] == "error: line 1: expected 42 fields, got 1000001"
+    assert not (workspace["out"] / "train.csv").exists()
+
+
 def test_predict_stream(workspace, tmp_path, capsys):
     _prepared(workspace)
     assert main(["train", "hybrid", "--config", str(workspace["config"])]) == 0

@@ -146,7 +146,7 @@ def _grow(X, y, config=None, seed=0, all_features=True) -> ForestModel:
             features_per_split=n_features, seed=seed,
         )
     trees, _ = grow_trees(X, np.asarray(y), [np.arange(len(X))], [np.random.default_rng(seed)],
-                          config, np.arange(n_features), rank_columns(X))
+                          config, np.arange(n_features), rank_columns(X, y))
     return forest_of(trees, n_features)
 
 
@@ -204,7 +204,7 @@ def _unbagged_forest(X, y, config, active) -> ForestModel:
     streams = np.random.SeedSequence(config.seed).spawn(config.n_trees)
     trees, _ = grow_trees(X, y, [np.arange(len(X))] * config.n_trees,
                           [np.random.default_rng(s) for s in streams], config, active,
-                          rank_columns(X))
+                          rank_columns(X, y))
     return ForestModel.from_trees(trees, feature_importances=np.zeros(X.shape[1]),
                                   active_features=active)
 
@@ -439,9 +439,9 @@ def test_prune_synthetic_single_informative_feature():
     assert acc >= 0.99
 
 
-def test_prune_keeps_unpruned_model_on_degradation():
-    # x0 carries most of the importance but a 1/3 subgroup is only
-    # resolvable through x1; pruning to x0 alone degrades > 0.5pp
+def degrading_prune() -> tuple[Dataset, ForestConfig]:
+    """x0 carries most of the importance but a 1/3 subgroup is only
+    resolvable through x1; pruning to x0 alone degrades > 0.5pp."""
     rng = np.random.default_rng(14)
     n = 300
     X = np.zeros((n, N_FEATURES))
@@ -450,9 +450,12 @@ def test_prune_keeps_unpruned_model_on_degradation():
     X[:, 0] = x0
     X[:, 1] = x1
     y = np.where(x0 == 2, (x1 > 0).astype(int), x0)
-    ds = Dataset(X, ["a"] * n, y)
-    cfg = ForestConfig(n_trees=10, seed=7, features_per_split=N_FEATURES,
-                       importance_keep_threshold=0.6)
+    return Dataset(X, ["a"] * n, y), ForestConfig(n_trees=10, seed=7, features_per_split=N_FEATURES,
+                                                 importance_keep_threshold=0.6)
+
+
+def test_prune_keeps_unpruned_model_on_degradation():
+    ds, cfg = degrading_prune()
     model = train_forest(ds, cfg)
     result = prune_and_retrain(ds, model, cfg)
     assert result is model  # degradation rejected, original kept
@@ -720,6 +723,8 @@ def _read_by_line(lines: list[str], n_trees: int = 3) -> list[tuple] | tuple[int
         if len(head) != 3 or head[:2] != ["tree", str(t)]:
             return at + 1, f"expected 'tree {t} <nodes>'"
         try:
+            if not head[2].isascii() or "_" in head[2]:  # as numpy's reader refuses them
+                raise ValueError
             n = int(head[2])
         except ValueError:
             return at + 1, f"node count '{head[2]}' is not a valid int"
@@ -954,6 +959,34 @@ def test_forked_and_serial_forests_are_the_same_file(tmp_path, monkeypatch, capl
         save_forest(tmp_path / f"{cores}.model", models[cores])
     assert (tmp_path / "1.model").read_bytes() == (tmp_path / "2.model").read_bytes()
     assert models[1].feature_importances.tobytes() == models[2].feature_importances.tobytes()
+
+
+@pytest.mark.parametrize("case", ["pruned", "kept"])
+def test_prune_gate_votes_beside_each_other_as_on_one_cpu(tmp_path, monkeypatch, caplog, case):
+    """Where a second CPU is free, ``prune_and_retrain`` votes the unpruned
+    forest in a job beside the retrained one. The forest it returns, and
+    the line it logs (INFO when the pruned forest is kept, WARNING when
+    the gate keeps the unpruned one), are those of a run on one CPU."""
+    if case == "pruned":
+        ds, config = golden_dataset(), ForestConfig(n_trees=12, seed=7, importance_keep_threshold=0.9)
+    else:
+        ds, config = degrading_prune()
+    full = train_forest(ds, config)
+    logged = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(jobs, "_cpus", lambda: [0] if cores == 1 else two_or_more_cpus())
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="hybrid_ids.random_forest"):
+            model = prune_and_retrain(ds, full, config)
+        assert (model is full) == (case == "kept")
+        save_forest(tmp_path / f"{cores}.model", model)
+        logged[cores] = [(r.levelname, r.getMessage()) for r in caplog.records if r.levelno >= logging.INFO]
+        voted = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("voted the unpruned forest beside the retrained one, child ")]
+        assert len(voted) == (cores == 2)
+    assert logged[1] == logged[2]
+    assert [level for level, _ in logged[1]] == ["INFO" if case == "pruned" else "WARNING"]
+    assert (tmp_path / "1.model").read_bytes() == (tmp_path / "2.model").read_bytes()
 
 
 def two_or_more_cpus() -> list[int]:

@@ -179,6 +179,78 @@ def test_train_forest_matches_sort_based_oracle(problem):
     assert_same_forest(got, oracle_forest(ds, config, active))
 
 
+def scan_cuts(X, y, nodes):
+    """Per (node, candidate) pair, the cut ``_pair_cuts`` must find, from a
+    scan of every boundary between adjacent present values: its cost (inf
+    when the node holds one value), the first lowest, and the ranks of the
+    values either side in the whole column."""
+    columns = [np.unique(X[:, f]) for f in range(X.shape[1])]
+    shape = (len(nodes), len(nodes[0][1]))
+    cost, lo, hi = np.full(shape, np.inf), np.zeros(shape, np.int64), np.zeros(shape, np.int64)
+    for i, (rows, cand) in enumerate(nodes):
+        n, counts = len(rows), np.bincount(y[rows], minlength=N_CLASSES)
+        for j, f in enumerate(cand):
+            values, inverse = np.unique(X[rows, f], return_inverse=True)
+            if len(values) < 2:
+                continue
+            hist = np.zeros((len(values), N_CLASSES), dtype=np.int64)
+            np.add.at(hist, (inverse, y[rows]), 1)
+            left = np.cumsum(hist, axis=0)[:-1].astype(np.float64)
+            left_n = left.sum(axis=1)
+            right_n = n - left_n
+            right = counts - left
+            gini_l = 1.0 - ((left / left_n[:, None]) ** 2).sum(axis=1)
+            gini_r = 1.0 - ((right / right_n[:, None]) ** 2).sum(axis=1)
+            costs = (left_n * gini_l + right_n * gini_r) / n
+            b = int(np.argmin(costs))
+            cost[i, j] = costs[b]
+            lo[i, j], hi[i, j] = np.searchsorted(columns[f], values[b:b + 2])
+    return cost, lo, hi
+
+
+@st.composite
+def class_run_nodes(draw):
+    """Nodes of up to about 5,000 rows over four columns: one column of
+    distinct values, the others of fewer, repeated ones. The labels run in
+    bands of one class along the first column, with a few one-row
+    minorities, so most adjacent values hold one and the same class. Each
+    node holds two classes at least, as every searched node does."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 5000))
+    X = np.column_stack([rng.permutation(n)] + [
+        rng.integers(0, draw(st.integers(1, n)), n) for _ in range(3)]).astype(np.float64)
+    bands = np.sort(rng.integers(0, n, draw(st.integers(0, 4))))
+    y = rng.integers(0, N_CLASSES, len(bands) + 1)[np.searchsorted(bands, X[:, 0])]
+    flip = rng.integers(0, n, draw(st.integers(1, 6)))
+    y[flip] = (y[flip] + rng.integers(1, N_CLASSES, len(flip))) % N_CLASSES
+    y[0] = y[0] if (y != y[0]).any() else (y[0] + 1) % N_CLASSES
+    m = draw(st.integers(1, 4))
+    nodes = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = np.sort(rng.choice(n, draw(st.integers(2, n)), replace=draw(st.booleans())))
+        if (y[rows] == y[rows[0]]).all():
+            rows = np.sort(np.append(rows, np.flatnonzero(y != y[rows[0]])[0]))
+        nodes.append((rows, sorted(rng.choice(4, m, replace=False).tolist())))
+    return X, y, nodes
+
+
+@settings(deadline=None, max_examples=150)
+@given(class_run_nodes())
+def test_pair_cuts_match_a_scan_of_every_boundary(problem):
+    """Pricing only class boundaries finds the cut, cost and tie-break that
+    pricing every boundary between adjacent values finds."""
+    X, y, nodes = problem
+    keys, _ = rank_columns(X, y)
+    rows = np.concatenate([r for r, _ in nodes])
+    sizes = np.array([len(r) for r, _ in nodes])
+    cand = np.array([c for _, c in nodes])
+    counts = np.array([np.bincount(y[r], minlength=N_CLASSES) for r, _ in nodes])
+    cost, lo, hi = random_forest._pair_cuts(keys, rows, sizes, cand, counts)
+    want_cost, want_lo, want_hi = scan_cuts(X, y, nodes)
+    assert cost.tobytes() == want_cost.tobytes()
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
 def oracle_trees(X, y, samples, config, seeds, active):
     """Each sample's tree, grown alone by the oracle on its own seed."""
     return [
@@ -190,7 +262,7 @@ def oracle_trees(X, y, samples, config, seeds, active):
 
 def grow(X, y, samples, config, seeds, active) -> ForestModel:
     trees, _ = grow_trees(X, y, samples, [np.random.default_rng(s) for s in seeds], config,
-                          active, rank_columns(X))
+                          active, rank_columns(X, y))
     return ForestModel.from_trees(trees, feature_importances=np.zeros(X.shape[1]),
                                   active_features=active, n_features=X.shape[1])
 
