@@ -17,13 +17,16 @@ pair come from one ``bincount`` over a dense key space, and the step's
 rows are cut and their children's classes counted in one pass. Each
 cell of the training set is one key, its value's rank in its column
 times N_CLASSES plus its row's label (``rank_columns``), so one gather
-gives a search both. The keys are int32 below 2**31 / N_CLASSES rows,
-and a search's own keys wherever its key space is at most 2**31. Only
-class boundaries are priced: a cut between two adjacent values that both
-hold one and the same class is never the best (Fayyad & Irani 1992; see
-``_pair_cuts``), and 78% of the cuts between adjacent values that the
-bench's forest meets are such. So a
-forest takes about as many steps as its tree with the most searched
+gives a search both, and the cut reads the same keys: a row goes left
+when its rank is at most the rank below the cut. The keys are laid out
+column by column, as in the column blocks of XGBoost (Chen & Guestrin,
+KDD 2016), so a candidate's gather walks one column in row order. They
+are int32 below 2**31 / N_CLASSES rows, and a search's own keys wherever
+its key space is at most 2**31. Only class boundaries are priced: a cut
+between two adjacent values that both hold one and the same class is
+never the best (Fayyad & Irani 1992; see ``_pair_cuts``), and 78% of the
+cuts between adjacent values that the bench's forest meets are such. So
+a forest takes about as many steps as its tree with the most searched
 nodes has, not as its largest tree has nodes. Every tree still meets its
 nodes and draws from its stream in the order it would alone, and no
 count, cost or tie-break depends on the other trees, so the forest is
@@ -64,7 +67,7 @@ N_CLASSES = len(CoarseLabel)
 _MIN_GAIN = 1e-12
 # (row, candidate feature) keys one batched split search holds at most,
 # unless a single node has more
-_SEARCH_KEYS = 1 << 15
+_SEARCH_KEYS = 1 << 16
 # (tree, row) pairs one pass of the vote holds at most: a pass takes
 # max(1, _STEP_PAIRS // n_trees) rows through every tree, so it holds at
 # most max(_STEP_PAIRS, n_trees) pairs
@@ -176,9 +179,13 @@ def rank_columns(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, list[np
     """Per column, its sorted distinct values; and per row and column, the
     row's rank among them and its label as one key, ``rank * N_CLASSES +
     label`` (``values[f][keys[r, f] // N_CLASSES] == X[r, f]``). A rank is
-    below the row count, so the keys are int32 below 2**31 / N_CLASSES rows."""
+    below the row count, so the keys are int32 below 2**31 / N_CLASSES rows.
+    The keys are column-major (Fortran order): ``keys.T`` is a C-contiguous
+    ``(features, rows)`` view, one column after another, which is the form
+    the split search reads."""
     X = np.asarray(X, dtype=np.float64)
-    keys = np.empty(X.shape, dtype=np.int32 if len(X) < 2**31 // N_CLASSES else np.int64)
+    keys = np.empty(X.shape, dtype=np.int32 if len(X) < 2**31 // N_CLASSES else np.int64,
+                    order="F")
     values = []
     for f in range(X.shape[1]):
         uniq, keys[:, f] = np.unique(X[:, f], return_inverse=True)
@@ -188,16 +195,18 @@ def rank_columns(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, list[np
     return keys, values
 
 
-def _class_counts(keys, rows, sizes, cand):
+def _class_counts(columns, rows, sizes, cand):
     """The class counts of every present value of every (node, candidate)
     pair, from one ``bincount`` over a dense key space.
 
     Pair ``p = node * m + slot`` holds the node's rows in the slot's
-    candidate feature. Their keys from ``rank_columns``, gathered at once,
-    are moved by (the pair's offset - its lowest rank) * N_CLASSES, so
-    each key becomes (rank - lowest rank + offset) * N_CLASSES + label. A
-    pair whose rank range is no wider than its node owns a dense run of
-    the key space. The keys of a wider pair are sorted instead, so a small
+    candidate feature. Their keys are gathered at once from ``columns``,
+    the column-major ``rank_columns`` keys as ``(features, rows)``, at
+    ``feature * n + row``, so each candidate's gather walks one column in
+    row order. They are moved by (the pair's offset - its lowest rank) *
+    N_CLASSES, so each key becomes (rank - lowest rank + offset) *
+    N_CLASSES + label. A pair whose rank range is no wider than its node
+    owns a dense run of the key space. The keys of a wider pair are sorted instead, so a small
     node on a column of many distinct values costs its rows, not the
     column's values.
 
@@ -207,9 +216,9 @@ def _class_counts(keys, rows, sizes, cand):
     pairs' runs come first, then the sorted ones', each in pair order.
     """
     k, m = cand.shape
-    at = np.repeat(cand.T, sizes, axis=1)  # intp, as np.take wants it
-    at += rows * keys.shape[1]
-    r = np.take(keys.ravel(), at)  # (slot, row) -> rank * N_CLASSES + label
+    at = np.repeat(cand.T * columns.shape[1], sizes, axis=1)  # intp, as np.take wants it
+    at += rows
+    r = np.take(columns, at)  # (slot, row) -> rank * N_CLASSES + label
     del at
     starts = np.cumsum(sizes) - sizes
     lo = np.minimum.reduceat(r, starts, axis=1).T.ravel() // N_CLASSES
@@ -251,7 +260,7 @@ def _class_counts(keys, rows, sizes, cand):
     return hist, run, rank, one_class, pair_of_run
 
 
-def _pair_cuts(keys, rows, sizes, cand, counts):
+def _pair_cuts(columns, rows, sizes, cand, counts):
     """Each (node, candidate) pair's lowest-cost cut: a ``(nodes, m)``
     array of weighted child Gini (``inf`` where the pair has one value
     only), and the ranks of the values either side of the cut. Ties go to
@@ -274,7 +283,7 @@ def _pair_cuts(keys, rows, sizes, cand, counts):
     dropped once used, which bounds the search's memory by the largest of
     them."""
     k, m = cand.shape
-    hist, run, rank, one_class, pair_of_run = _class_counts(keys, rows, sizes, cand)
+    hist, run, rank, one_class, pair_of_run = _class_counts(columns, rows, sizes, cand)
     same_class = (one_class[1:] == one_class[:-1]) & (one_class[1:] >= 0)
     boundary = np.flatnonzero((run[1:] == run[:-1]) & ~same_class)
     b_run = run[boundary]
@@ -307,14 +316,17 @@ def _pair_cuts(keys, rows, sizes, cand, counts):
     return pair_cost.reshape(k, m), lo_rank.reshape(k, m), hi_rank.reshape(k, m)
 
 
-def _partition(X, rows, labels, sizes, feature, threshold):
-    """Every node's rows cut by ``X[row, feature] <= threshold`` (per
-    node), and the class counts of both sides, in one pass over all rows:
-    lists of left and right row arrays, and ``(nodes, 2, N_CLASSES)``."""
-    goes_left = (X.ravel()[rows * X.shape[1] + np.repeat(feature, sizes)]
-                 <= np.repeat(threshold, sizes))
+def _partition(columns, rows, sizes, feature, bound):
+    """Every node's rows cut by their rank key: a row goes left when its key
+    in the node's ``feature`` is below the node's ``bound``. The class
+    counts of both sides come from the same keys (``key % N_CLASSES``), in
+    one pass over all rows: lists of left and right row arrays, and
+    ``(nodes, 2, N_CLASSES)``."""
+    keys = np.take(columns, np.repeat(feature * columns.shape[1], sizes) + rows)
+    goes_left = keys < np.repeat(bound, sizes)
     side = np.repeat(np.arange(0, 2 * len(sizes), 2), sizes) + ~goes_left  # 2 * node + right
-    counts = np.bincount(side * N_CLASSES + labels, minlength=2 * len(sizes) * N_CLASSES)
+    counts = np.bincount(side * N_CLASSES + keys % N_CLASSES,
+                         minlength=2 * len(sizes) * N_CLASSES)
     counts = counts.reshape(len(sizes), 2, N_CLASSES)
     n_left = counts[:, 0].sum(axis=1)
     return _pieces(rows[goes_left], n_left), _pieces(rows[~goes_left], sizes - n_left), counts
@@ -327,8 +339,10 @@ def _pieces(a: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
     return [a[start:end] for start, end in zip([0] + ends, ends)]
 
 
-def _best_splits(X, keys, values, y, nodes):
-    """The best split of each node in ``nodes``, searched together.
+def _best_splits(columns, values, nodes):
+    """The best split of each node in ``nodes``, searched together, from
+    the column-major keys ``columns`` (``rank_columns``' keys as
+    ``(features, rows)``) and each column's sorted distinct ``values``.
 
     A node is ``(rows, class counts, sorted candidate features)`` with at
     least two rows. Returns per node ``None`` when no split reduces
@@ -337,33 +351,39 @@ def _best_splits(X, keys, values, y, nodes):
     the counts hold more than one class)``.
     Thresholds sit at the midpoint of the values either side of the cut.
     Ties break to the lower feature, then the lower threshold.
+
+    The rows are cut by rank, not by value: a cut between ranks ``lo`` and
+    ``hi`` sends a row left when its key is below ``(lo + 1) * N_CLASSES``.
+    Those are the rows that ``x[feature] <= threshold`` sends left, as
+    ``values[lo] <= threshold < values[hi]`` and no row of the node holds a
+    value between the two.
     """
     rows_of, counts, cand = zip(*nodes)
     counts, cand = np.array(counts), np.array(cand)
     k, m = cand.shape
     sizes = np.array([len(r) for r in rows_of])
     rows = np.concatenate(rows_of)
-    labels = y[rows]
-    cost, lo_rank, hi_rank = _pair_cuts(keys, rows, sizes, cand, counts)
+    cost, lo_rank, hi_rank = _pair_cuts(columns, rows, sizes, cand, counts)
     # each node's cheapest pair: candidates ascend, so the lower feature wins ties
     best = np.arange(k), np.argmin(cost, axis=1)
     parent_gini = gini(counts, sizes)
     splits = [None] * k
-    feature, threshold = np.zeros(k, dtype=np.int64), np.full(k, np.inf)
+    # a node that does not split sends its rows left (a bound above every
+    # key); its children are dropped
+    feature = np.zeros(k, dtype=np.int64)
+    bound = np.full(k, np.iinfo(columns.dtype).max, dtype=columns.dtype)
     for i, (best_cost, parent, f, lo, hi) in enumerate(zip(
             cost[best].tolist(), parent_gini.tolist(), cand[best].tolist(),
             lo_rank[best].tolist(), hi_rank[best].tolist())):
         if not parent - best_cost > _MIN_GAIN:  # also when no cut (inf)
             continue
+        feature[i], bound[i] = f, (lo + 1) * N_CLASSES
         lo, hi = values[f][lo], values[f][hi]
         thr = (lo + hi) / 2.0
         if not lo <= thr < hi:  # rounded onto hi (adjacent floats) or overflowed
             thr = lo
         splits[i] = (f, float(thr), parent, best_cost)
-        feature[i], threshold[i] = f, thr
-    # a node that does not split sends its rows left (threshold +inf); its
-    # children are dropped
-    lefts, rights, child_counts = _partition(X, rows, labels, sizes, feature, threshold)
+    lefts, rights, child_counts = _partition(columns, rows, sizes, feature, bound)
     mixed = (child_counts.max(axis=2) < child_counts.sum(axis=2)).tolist()
     return [
         None if split is None else
@@ -388,7 +408,6 @@ def _groups(items: list, keys: list[int]):
 
 
 def grow_trees(
-    X: np.ndarray,
     y: np.ndarray,
     samples: list[np.ndarray],
     rngs: list[np.random.Generator],
@@ -399,10 +418,13 @@ def grow_trees(
     """Grow one CART tree per row sample in ``samples`` (duplicates
     allowed), tree ``t`` drawing its candidate features from ``rngs[t]``.
 
-    ``ranked`` is ``rank_columns(X, y)``. Returns each tree's ``(feature,
-    threshold, counts)`` in preorder, as ``ForestModel.from_trees``
-    takes them, and a ``(trees, features)`` array of each tree's impurity
-    decrease per feature, weighted by node size over sample size.
+    ``ranked`` is ``rank_columns(X, y)``; the search reads its keys
+    column-major, from one ``(features, rows)`` view taken here (a copy,
+    made once per forest, where the keys are C-ordered). Returns each
+    tree's ``(feature, threshold, counts)`` in preorder, as
+    ``ForestModel.from_trees`` takes them, and a ``(trees, features)``
+    array of each tree's impurity decrease per feature, weighted by node
+    size over sample size.
 
     A node stops on purity, the depth bound, min_samples_split, or when no
     candidate split reduces impurity. The trees grow in lockstep: each step
@@ -422,10 +444,10 @@ def grow_trees(
     that step, and puts the trees back in their places.
     """
     keys, values = ranked
-    X = np.ascontiguousarray(X, dtype=np.float64)  # split rows are read by flat index
+    columns = np.ascontiguousarray(keys.T)  # read at feature * n + row
     m = min(config.features_per_split, len(active_features))
     trees = [([], [], []) for _ in samples]
-    importances = np.zeros((len(samples), X.shape[1]))
+    importances = np.zeros((len(samples), len(values)))
     # per tree: depth, rows, class counts, and whether those hold more than
     # one class
     root_counts = [np.bincount(y[s], minlength=N_CLASSES) for s in samples]
@@ -448,7 +470,7 @@ def grow_trees(
                     searched.append((t, node, depth, (rows, counts, cand)))
                     break
         for group in _groups(searched, [len(entry[3][0]) * m for entry in searched]):
-            found = _best_splits(X, keys, values, y, [entry[3] for entry in group])
+            found = _best_splits(columns, values, [entry[3] for entry in group])
             for (t, node, depth, (rows, _, _)), split in zip(group, found):
                 if split is None:
                     continue
@@ -525,7 +547,7 @@ def train_forest(
     # sorted, so every node's rows are read in memory order
     samples = [np.sort(rng.integers(0, n, size=n)) for rng in rngs]
     trees, tree_importances = grow_trees(
-        ds.X, ds.coarse, samples, rngs, config, active,
+        ds.coarse, samples, rngs, config, active,
         ranked if ranked is not None else rank_columns(ds.X, ds.coarse),
     )
     importances = tree_importances.sum(axis=0) / config.n_trees

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -42,3 +43,46 @@ def test_summary_of_one_pair_and_bad_input():
         ab_pairs.summarize([1.0], [1.0, 2.0], "higher")
     with pytest.raises(ValueError):
         ab_pairs.summarize([], [], "higher")
+
+
+def test_several_workloads_give_one_summary_block_each(tmp_path, monkeypatch, capsys):
+    """Each workload's pairs alternate the sides and end in its own block;
+    a run without a result line leaves its pair out of that block alone."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "rec_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]}))
+    rates = {("train", parent): [100.0, 110.0, 90.0], ("train", change): [120.0, 130.0, 80.0],
+             ("detect_batch", parent): [50.0, 60.0, 70.0],
+             ("detect_batch", change): [55.0, 65.0, None]}
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((workload, checkout.name, seed, seconds))
+        rate = rates[workload, checkout][seed - 1]
+        if rate is None:
+            return {"correct": False, "failed": None, "metrics": {}}
+        return {"correct": True, "failed": 0,
+                "metrics": {"rec_per_s": {"value": rate}, "setup_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    assert ab_pairs.main([str(parent), str(change), "--workload", "train", "detect_batch",
+                          "--seeds", "1", "2", "3", "--seconds", "5"]) == 0
+    orders = [("parent", "change"), ("change", "parent"), ("parent", "change")]
+    assert calls == [(w, side, seed, 5.0) for w in ("train", "detect_batch")
+                     for seed, sides in zip((1, 2, 3), orders) for side in sides]
+    out = capsys.readouterr().out.splitlines()
+    blocks = [out.index("== train"), out.index("== detect_batch")]
+    train, batch = out[blocks[0]:blocks[0] + 5], out[blocks[1]:]
+    assert train[1:3] == ["parent: 3 of 3 runs correct with 0 failed",
+                          "change: 3 of 3 runs correct with 0 failed"]
+    assert train[3] == ab_pairs.summary_line(
+        "rec_per_s", ab_pairs.summarize([100.0, 110.0, 90.0], [120.0, 130.0, 80.0], "higher"))
+    assert train[4].startswith("setup_s ") and "wins 0/3" in train[4]
+    assert batch[1:3] == ["parent: 3 of 3 runs correct with 0 failed",
+                          "change: 2 of 3 runs correct with 0 failed"]
+    assert batch[3] == ab_pairs.summary_line(
+        "rec_per_s", ab_pairs.summarize([50.0, 60.0], [55.0, 65.0], "higher"))
+    assert len(batch) == 5
+    assert sum(line.startswith("# train pair ") for line in out) == 6

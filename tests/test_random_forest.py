@@ -145,7 +145,7 @@ def _grow(X, y, config=None, seed=0, all_features=True) -> ForestModel:
             min_samples_split=config.min_samples_split,
             features_per_split=n_features, seed=seed,
         )
-    trees, _ = grow_trees(X, np.asarray(y), [np.arange(len(X))], [np.random.default_rng(seed)],
+    trees, _ = grow_trees(np.asarray(y), [np.arange(len(X))], [np.random.default_rng(seed)],
                           config, np.arange(n_features), rank_columns(X, y))
     return forest_of(trees, n_features)
 
@@ -202,7 +202,7 @@ def test_tree_order_invariance():
 def _unbagged_forest(X, y, config, active) -> ForestModel:
     """``config.n_trees`` trees grown on every row once, without bagging."""
     streams = np.random.SeedSequence(config.seed).spawn(config.n_trees)
-    trees, _ = grow_trees(X, y, [np.arange(len(X))] * config.n_trees,
+    trees, _ = grow_trees(y, [np.arange(len(X))] * config.n_trees,
                           [np.random.default_rng(s) for s in streams], config, active,
                           rank_columns(X, y))
     return ForestModel.from_trees(trees, feature_importances=np.zeros(X.shape[1]),
@@ -865,8 +865,10 @@ def test_forest_training_peak_memory_stays_bounded(monkeypatch):
     """The lockstep grower bounds its per-step temporaries: 20 trees on
     5,000 rows peak below 4.85 MB of traced allocations (numpy reports its
     buffers to tracemalloc). That is 1.25 times the 3.88 MB that growing
-    the trees one after another peaked at on this set; searching all 20
-    roots of the first step at once takes 12.7 MB."""
+    the trees one after another peaked at on this set. Searches of at most
+    65,536 keys (the default ``_SEARCH_KEYS``) peak at 4.33 MB here, 32,768
+    at 4.02 MB and 131,072 at 5.49 MB; searching all 20 roots of the first
+    step at once takes 12.9 MB."""
     rng = np.random.default_rng(8)
     n = 5000
     y = rng.choice(5, size=n, p=[0.55, 0.39, 0.03, 0.02, 0.01])
@@ -1089,7 +1091,7 @@ def test_a_step_searches_one_node_of_each_tree(monkeypatch, seed, active):
     monkeypatch.setattr(jobs, "cpu_free", lambda: False)
     monkeypatch.setattr(random_forest, "_SEARCH_KEYS", 1 << 40)
     monkeypatch.setattr(random_forest, "_best_splits",
-                        lambda *args: calls.append(len(args[4])) or real(*args))
+                        lambda *args: calls.append(len(args[2])) or real(*args))
     config = ForestConfig(n_trees=20, seed=seed)
     model = train_forest(_HANDOFF_SET, config, active_features=active)
     searched = [int(s.sum()) for s in searched_nodes(model, config)]

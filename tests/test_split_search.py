@@ -17,7 +17,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybrid_ids import random_forest
 from hybrid_ids.dataset import Dataset, N_FEATURES
@@ -245,10 +245,69 @@ def test_pair_cuts_match_a_scan_of_every_boundary(problem):
     sizes = np.array([len(r) for r, _ in nodes])
     cand = np.array([c for _, c in nodes])
     counts = np.array([np.bincount(y[r], minlength=N_CLASSES) for r, _ in nodes])
-    cost, lo, hi = random_forest._pair_cuts(keys, rows, sizes, cand, counts)
+    cost, lo, hi = random_forest._pair_cuts(keys.T, rows, sizes, cand, counts)
     want_cost, want_lo, want_hi = scan_cuts(X, y, nodes)
     assert cost.tobytes() == want_cost.tobytes()
     assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
+@st.composite
+def searched_nodes(draw):
+    """A few columns of tie-heavy values from ``VALUE_POOL`` (adjacent
+    floats, pairs whose midpoint overflows), the rest all zero, labels, and
+    nodes of rows drawn with repeats. A node whose candidates hold one value,
+    or whose rows hold one class, does not split."""
+    n_rows = draw(st.integers(2, 24))
+    X = np.zeros((n_rows, 6))
+    for f in range(draw(st.integers(1, 4))):
+        pool = draw(st.lists(st.sampled_from(VALUE_POOL), min_size=1, max_size=4))
+        X[:, f] = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+    y = np.array(draw(st.lists(st.integers(0, N_CLASSES - 1), min_size=n_rows, max_size=n_rows)))
+    m = draw(st.integers(1, 6))
+    nodes = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = np.sort(draw(st.lists(st.integers(0, n_rows - 1), min_size=2, max_size=40)))
+        cand = sorted(draw(st.sets(st.integers(0, 5), min_size=m, max_size=m)))
+        nodes.append((np.array(rows), np.bincount(y[rows], minlength=N_CLASSES), cand))
+    return X, y, nodes
+
+
+def _guarded_nodes(lo, hi):
+    """One node of two rows at ``lo`` and two at ``hi``, whose midpoint
+    rounds onto ``hi`` or overflows, so the split sits at ``lo``: the pairs
+    of ``test_overflowing_midpoint_splits_at_lower_value``, and adjacent
+    floats."""
+    X = np.zeros((4, 6))
+    X[:, 0] = [lo, hi, lo, hi]
+    y = np.array([0, 1, 0, 1])
+    return X, y, [(np.arange(4), np.array([2, 2, 0, 0, 0]), [0, 1])]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(deadline=None, max_examples=300)
+@given(searched_nodes())
+@example(_guarded_nodes(-_MAX, -1e308))
+@example(_guarded_nodes(1e308, _MAX))
+@example(_guarded_nodes(float(np.nextafter(-1.5, -2.0)), -1.5))
+def test_children_are_the_cut_by_value(problem):
+    """``_best_splits`` cuts rows by rank key; its children are the rows
+    that ``X[rows, f] <= threshold`` sends each way, in order, with their
+    class counts from ``y``."""
+    X, y, nodes = problem
+    keys, values = rank_columns(X, y)
+    found = random_forest._best_splits(keys.T, values, nodes)
+    assert len(found) == len(nodes)
+    for (rows, _, cand), split in zip(nodes, found):
+        if split is None:
+            continue
+        f, thr, _, _, children = split
+        assert f in cand and np.isfinite(thr)
+        goes_left = X[rows, f] <= thr
+        for (child, counts, mixed), want in zip(children, (rows[goes_left], rows[~goes_left])):
+            assert np.array_equal(child, want)
+            want_counts = np.bincount(y[want], minlength=N_CLASSES)
+            assert np.array_equal(counts, want_counts)
+            assert mixed == (want_counts.max() < len(want))
 
 
 def oracle_trees(X, y, samples, config, seeds, active):
@@ -261,7 +320,7 @@ def oracle_trees(X, y, samples, config, seeds, active):
 
 
 def grow(X, y, samples, config, seeds, active) -> ForestModel:
-    trees, _ = grow_trees(X, y, samples, [np.random.default_rng(s) for s in seeds], config,
+    trees, _ = grow_trees(y, samples, [np.random.default_rng(s) for s in seeds], config,
                           active, rank_columns(X, y))
     return ForestModel.from_trees(trees, feature_importances=np.zeros(X.shape[1]),
                                   active_features=active, n_features=X.shape[1])
@@ -333,9 +392,10 @@ def test_train_forest_matches_oracle_forest():
     assert_same_forest(train_forest(ds, config), oracle_forest(ds, config, np.arange(N_FEATURES)))
 
 
-@pytest.mark.parametrize("budget", [1, 300])
+@pytest.mark.parametrize("budget", [1, 300, random_forest._SEARCH_KEYS, 1 << 40])
 def test_search_groups_leave_the_forest_unchanged(monkeypatch, budget):
-    # every node searched alone, or a few nodes per search
+    # every node searched alone, a few nodes per search, the default
+    # groups, or every step's nodes in one search
     monkeypatch.setattr(random_forest, "_SEARCH_KEYS", budget)
     ds, config = golden_dataset(), ForestConfig(n_trees=12, seed=7)
     assert_same_forest(train_forest(ds, config), oracle_forest(ds, config, np.arange(N_FEATURES)))
@@ -362,6 +422,18 @@ def test_golden_forest_files(tmp_path):
     digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest("full.model") == GOLDEN_FULL_SHA256
     assert digest("pruned.model") == GOLDEN_PRUNED_SHA256
+
+
+def test_c_ordered_keys_grow_the_same_forest_file(tmp_path):
+    """The search reads the keys column-major; keys handed in C-ordered are
+    converted once per forest and grow the golden forest's file."""
+    ds = golden_dataset()
+    keys, values = rank_columns(ds.X, ds.coarse)
+    assert keys.flags.f_contiguous and not keys.flags.c_contiguous
+    c_keys = np.ascontiguousarray(keys)
+    model = train_forest(ds, ForestConfig(n_trees=12, seed=7), ranked=(c_keys, values))
+    save_forest(tmp_path / "full.model", model)
+    assert hashlib.sha256((tmp_path / "full.model").read_bytes()).hexdigest() == GOLDEN_FULL_SHA256
 
 
 def test_golden_bounded_forest_file(tmp_path):

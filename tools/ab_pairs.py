@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Alternating A/B pairs of the benchmark in two source checkouts.
 
-    python3 tools/ab_pairs.py PARENT CHANGE --workload detect_batch \\
+    python3 tools/ab_pairs.py PARENT CHANGE --workload train detect_stream \\
         --seeds 1001 1002 1003 --seconds 20
 
-Each pair runs ``perfbench/run.py --trace 0`` on one seed in both
-checkouts, one after the other: the parent first in the first pair, the
-change first in the second, and so on. Each run's end-to-end metrics are
-printed as it ends. Then, for each end-to-end metric that the parent's
-``BENCHMARK.json`` names, the summary gives both medians and quartiles,
-the parent's interquartile range (IQR), in how many pairs the change did
+For each workload in turn, each pair runs ``perfbench/run.py --trace 0``
+on one seed in both checkouts, one after the other: the parent first in
+the first pair, the change first in the second, and so on. Each run's
+end-to-end metrics are printed as it ends. Once a workload's pairs are
+done, its summary block follows: for each end-to-end metric that the
+parent's ``BENCHMARK.json`` names, both medians and quartiles, the
+parent's interquartile range (IQR), in how many pairs the change did
 better, and whether the medians differ by more than the parent's IQR.
 """
 
@@ -89,11 +90,32 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"correct": False, "failed": None, "metrics": {}}
 
 
+def summary_block(workload: str, results: dict[str, list[dict]],
+                  metrics: dict[str, str]) -> list[str]:
+    """One workload's summary lines from its pairs' result lines
+    (``results[side][i]`` ran pair ``i``); ``metrics`` maps each end-to-end
+    metric to "higher" or "lower". A metric is summarized over the pairs in
+    which both runs reported metrics."""
+    lines = [f"== {workload}"]
+    for side, runs in results.items():
+        bad = sum(not r["correct"] or r["failed"] != 0 for r in runs)
+        lines.append(f"{side}: {len(runs) - bad} of {len(runs)} runs correct with 0 failed")
+    complete = [i for i in range(len(results["parent"]))
+                if all(runs[i]["metrics"] for runs in results.values())]
+    if complete:
+        for name, better in metrics.items():
+            parent, change = ([results[side][i]["metrics"][name]["value"] for i in complete]
+                              for side in ("parent", "change"))
+            lines.append(summary_line(name, summarize(parent, change, better)))
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+",
+                        help="one or more workloads, run one after another")
     parser.add_argument("--seeds", required=True, type=int, nargs="+", help="one seed per pair")
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
@@ -101,25 +123,16 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
-    results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i, seed in enumerate(args.seeds):
-        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            result = run_once(sides[side], args.workload, seed, args.seconds)
-            results[side].append(result)
-            values = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
-            print(f"# pair {i + 1} seed {seed} {side}: correct={result['correct']} "
-                  f"failed={result['failed']} {values}", flush=True)
-
-    for side, runs in results.items():
-        bad = sum(not r["correct"] or r["failed"] != 0 for r in runs)
-        print(f"{side}: {len(runs) - bad} of {len(runs)} runs correct with 0 failed")
-    complete = [i for i in range(len(args.seeds))
-                if all(results[side][i]["metrics"] for side in sides)]
-    for name, better in metrics.items():
-        values = {side: [results[side][i]["metrics"][name]["value"] for i in complete]
-                  for side in sides}
-        if complete:
-            print(summary_line(name, summarize(values["parent"], values["change"], better)))
+    for workload in args.workload:
+        results: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i, seed in enumerate(args.seeds):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                result = run_once(sides[side], workload, seed, args.seconds)
+                results[side].append(result)
+                values = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
+                print(f"# {workload} pair {i + 1} seed {seed} {side}: correct={result['correct']} "
+                      f"failed={result['failed']} {values}", flush=True)
+        print("\n".join(summary_block(workload, results, metrics)), flush=True)
     return 0
 
 
