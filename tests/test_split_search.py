@@ -252,7 +252,7 @@ def test_pair_cuts_match_a_scan_of_every_boundary(problem):
 
 
 @st.composite
-def searched_nodes(draw):
+def nodes_to_search(draw):
     """A few columns of tie-heavy values from ``VALUE_POOL`` (adjacent
     floats, pairs whose midpoint overflows), the rest all zero, labels, and
     nodes of rows drawn with repeats. A node whose candidates hold one value,
@@ -285,7 +285,7 @@ def _guarded_nodes(lo, hi):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(deadline=None, max_examples=300)
-@given(searched_nodes())
+@given(nodes_to_search())
 @example(_guarded_nodes(-_MAX, -1e308))
 @example(_guarded_nodes(1e308, _MAX))
 @example(_guarded_nodes(float(np.nextafter(-1.5, -2.0)), -1.5))
